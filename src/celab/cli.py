@@ -2,11 +2,11 @@
 opponent payoffs, and drive the pairwise pipeline, exporting CSV/JSON.
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 non-convergence
-(epoch cap hit, or no feasible payoff estimate), 4 partial results (pipeline
-stall). Every artifact embeds the resolved configuration and seed, and no
-output file is overwritten unless --force is given. The default output
-directory is taken from the CELAB_OUT_DIR environment variable, falling back
-to the current directory.
+(epoch cap hit, training diverged to non-finite values, or no feasible payoff
+estimate), 4 partial results (pipeline stall). Every artifact embeds the
+resolved configuration and seed, and no output file is overwritten unless
+--force is given. The default output directory is taken from the CELAB_OUT_DIR
+environment variable, falling back to the current directory.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .equilibrium import (
     is_correlated_equilibrium,
     max_welfare_correlated_equilibrium,
 )
-from .errors import InvalidGameError, PreconditionError
+from .errors import InvalidGameError, NumericError, PreconditionError
 from .estimation import estimate_payoff, estimation_report
 from .games import Game, load_game
 from .pipeline import run_pipeline, validate_manifest
@@ -426,7 +426,6 @@ def cmd_pipeline(args) -> int:
             seed=args.seed,
             comparison_tol=args.comparison_tol,
             rotate_opponent=args.rotate_opponent,
-            threads=args.threads,
         )
     except PreconditionError as exc:
         raise CLIError(str(exc)) from None
@@ -483,7 +482,6 @@ def cmd_pipeline(args) -> int:
             ],
             "comparison_tol": args.comparison_tol,
             "rotate_opponent": args.rotate_opponent,
-            "threads": args.threads,
             "config": config.to_dict(),
         },
     )
@@ -581,8 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--seed", type=int, default=0)
     pipeline.add_argument("--comparison-tol", type=float, default=1e-9)
     pipeline.add_argument("--rotate-opponent", action="store_true")
-    pipeline.add_argument("--threads", type=int, default=1,
-                          help="worker cap for the final equilibrium sweep")
     pipeline.add_argument("--out", default=None, help="JSON output path")
     _add_training_flags(pipeline)
     _add_common_output_flags(pipeline)
@@ -605,6 +601,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except NumericError as exc:
+        print(f"error: training diverged to non-finite values: {exc}", file=sys.stderr)
+        return EXIT_UNSTABLE
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ Everything else must be recovered through interactions.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -332,7 +331,6 @@ def run_pipeline(
     seed: int = 0,
     comparison_tol: float = 1e-9,
     rotate_opponent: bool = False,
-    threads: int = 1,
 ) -> PipelineResult:
     """Run the full pairwise estimation pipeline.
 
@@ -353,8 +351,6 @@ def run_pipeline(
         raise PreconditionError("the main player's payoff vector must be known")
     if config is None:
         config = TrainingConfig()
-    if threads < 1:
-        raise PreconditionError(f"threads must be >= 1, got {threads}")
 
     knowledge: dict[str, KnownVector | None] = {p: None for p in game.players}
     for p in known_players:
@@ -481,17 +477,7 @@ def run_pipeline(
         and knowledge[r.task.player_a] is not None
         and knowledge[r.task.player_b] is not None
     ]
-    if threads > 1 and len(sweep) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_ce_record, game, knowledge, r, "post_estimation")
-                for r in sweep
-            ]
-            ce_records.extend(f.result() for f in futures)
-    else:
-        ce_records.extend(
-            _ce_record(game, knowledge, r, "post_estimation") for r in sweep
-        )
+    ce_records.extend(_ce_record(game, knowledge, r, "post_estimation") for r in sweep)
     ce_records.sort(key=lambda c: c.task_index)
 
     return PipelineResult(

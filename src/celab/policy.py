@@ -3,8 +3,10 @@
 Topology: two linear analyzer layers (one per input state) whose outputs are
 concatenated, three dense layers with LeakyReLU (slope 0.2), three dense
 layers at double width with ReLU, and a softmax output over the J actions.
-Forward passes record a trace so the analytic backward pass can run without
-any autodiff framework.
+`forward` records a trace so the analytic backward pass can run without any
+autodiff framework. Rollouts need no trace: `policy_fn` runs the same layer
+stack trace-free, and with several nets stacks their weights so one batched
+matmul per layer serves every player's rows at once.
 """
 
 from __future__ import annotations
@@ -119,6 +121,43 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(name)
 
 
+def _state_rows(h: int, current, previous) -> tuple[np.ndarray, np.ndarray]:
+    cur = np.atleast_2d(np.asarray(current, dtype=np.float64))
+    prev = np.atleast_2d(np.asarray(previous, dtype=np.float64))
+    if cur.shape != prev.shape or cur.shape[1] != h:
+        raise PreconditionError(
+            f"state widths {cur.shape}/{prev.shape} do not match H={h}"
+        )
+    return cur, prev
+
+
+def _layers(weights, biases, cur, prev, inputs=None, pre_activations=None) -> np.ndarray:
+    """The nine-layer stack, returning action probabilities.
+
+    Runs one net's (fan_in, fan_out) weights over (B, H) rows, or P stacked
+    nets' (P, fan_in, fan_out) weights and (P, 1, fan_out) biases over
+    (P, B, H) blocks. When `inputs` and `pre_activations` are lists, every
+    layer appends its input and pre-activation to them.
+    """
+
+    def dense(i: int, x: np.ndarray) -> np.ndarray:
+        z = x @ weights[i] + biases[i]
+        if not np.isfinite(z).all():
+            raise NumericError(f"non-finite activation in layer {i} ({_LAYER_NAMES[i]})")
+        if inputs is not None:
+            inputs.append(x)
+            pre_activations.append(z)
+        return z
+
+    x = np.concatenate([dense(0, cur), dense(1, prev)], axis=-1)  # linear analyzers
+    for i in range(2, 8):
+        x = _activate(_ACTIVATIONS[i], dense(i, x))
+    logits = dense(8, x)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    expz = np.exp(shifted)
+    return expz / expz.sum(axis=-1, keepdims=True)
+
+
 def forward(
     params: PolicyParams, current: np.ndarray, previous: np.ndarray
 ) -> tuple[np.ndarray, ForwardTrace]:
@@ -127,34 +166,10 @@ def forward(
     Accepts single states (H,) or batches (B, H); the returned probabilities
     match the input arity, while the trace always stores 2-D arrays.
     """
-    cur = np.atleast_2d(np.asarray(current, dtype=np.float64))
-    prev = np.atleast_2d(np.asarray(previous, dtype=np.float64))
-    if cur.shape != prev.shape or cur.shape[1] != params.h:
-        raise PreconditionError(
-            f"state widths {cur.shape}/{prev.shape} do not match H={params.h}"
-        )
-
+    cur, prev = _state_rows(params.h, current, previous)
     layer_inputs: list[np.ndarray] = []
     pre_activations: list[np.ndarray] = []
-
-    def dense(i: int, x: np.ndarray) -> np.ndarray:
-        z = x @ params.weights[i] + params.biases[i]
-        if not np.all(np.isfinite(z)):
-            raise NumericError(f"non-finite activation in layer {i} ({_LAYER_NAMES[i]})")
-        layer_inputs.append(x)
-        pre_activations.append(z)
-        return z
-
-    a = _activate("linear", dense(0, cur))
-    b = _activate("linear", dense(1, prev))
-    x = np.concatenate([a, b], axis=1)
-    for i in range(2, 8):
-        x = _activate(_ACTIVATIONS[i], dense(i, x))
-    logits = dense(8, x)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-
+    probs = _layers(params.weights, params.biases, cur, prev, layer_inputs, pre_activations)
     trace = ForwardTrace(
         current=cur,
         previous=prev,
@@ -314,11 +329,24 @@ def load_checkpoint(path) -> tuple[PolicyParams, int | None]:
     return params, payload.get("seed")
 
 
-def policy_fn(params: PolicyParams):
-    """Rollout-friendly closure: (current, previous) batches -> probabilities."""
+def policy_fn(*params: PolicyParams):
+    """Trace-free rollout closure: (current, previous) batches -> probabilities.
+
+    With one net this is `forward` without the trace. With P nets the B rows
+    are P consecutive blocks of B/P rows, block k played by net k, and every
+    layer is one batched matmul over the stacked weights.
+    """
+    first, nets = params[0], len(params)
+    weights = [np.stack(w) for w in zip(*(p.weights for p in params))]
+    biases = [np.stack(b)[:, None, :] for b in zip(*(p.biases for p in params))]
 
     def fn(cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
-        probs, _ = forward(params, cur, prev)
-        return probs
+        c, p = _state_rows(first.h, cur, prev)
+        if c.shape[0] % nets:
+            raise PreconditionError(f"{c.shape[0]} rows do not split into {nets} nets")
+        blocks = (nets, c.shape[0] // nets, first.h)
+        probs = _layers(weights, biases, c.reshape(blocks), p.reshape(blocks))
+        probs = probs.reshape(-1, first.j)
+        return probs[0] if np.asarray(cur).ndim == 1 else probs
 
     return fn

@@ -1,9 +1,10 @@
 """Self-play training loop: reward shaping, Adam updates, stability stop.
 
-Per epoch both agents roll out M rounds against the shared environment, the
-two state tensors are averaged, and each agent takes one Adam step on the
-summed weighted log loss of its own choices, weighted by the standardized
-discounted rewards of the states those choices produced.
+Per epoch both agents roll out M rounds against the shared environment, in
+lockstep with one stacked policy evaluation per step. The two state tensors
+are averaged, and each agent takes one Adam step on the summed weighted log
+loss of its own choices, weighted by the standardized discounted rewards of
+the states those choices produced.
 """
 
 from __future__ import annotations
@@ -255,18 +256,27 @@ def train_pair(
     stable = False
     epochs_run = 0
 
+    m = config.rounds
     for epoch in range(1, config.epochs + 1):
         epochs_run = epoch
-        batches = {}
-        for i, p in enumerate((a, b)):
-            batches[p] = rollout(
-                policy_fn(params[p]),
-                rounds=config.rounds,
-                steps=config.steps,
-                step_size=config.step_size,
-                rngs=_round_rngs(seed, epoch, i, config.rounds),
-                start=np.full(h, 1.0 / h),
+        # both players roll out in lockstep: rows [0, M) are a's rounds and
+        # [M, 2M) are b's, each row drawing from its own round RNG
+        both = rollout(
+            policy_fn(params[a], params[b]),
+            rounds=2 * m,
+            steps=config.steps,
+            step_size=config.step_size,
+            rngs=_round_rngs(seed, epoch, 0, m) + _round_rngs(seed, epoch, 1, m),
+            start=np.full(h, 1.0 / h),
+        )
+        batches = {
+            p: EpisodeBatch(
+                states=both.states[k * m:(k + 1) * m],
+                action_indices=both.action_indices[k * m:(k + 1) * m],
+                step_size=both.step_size,
             )
+            for k, p in enumerate((a, b))
+        }
         avg = average_states(batches[a], batches[b])
         mean_rewards = {}
         for p in (a, b):

@@ -165,6 +165,16 @@ class TestTrain:
         assert main(argv) == 2
         assert main(argv + ["--force"]) == 3
 
+    def test_divergence_exits_3_without_traceback(self, fx, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "celab.cli", "train", fx("coordination_2x2.json"),
+             "--learning-rate", "1e300", "--epochs", "3", "--out-dir", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "error: training diverged to non-finite values" in proc.stderr
+
     def test_output_dir_env_var(self, fx, tmp_path, monkeypatch):
         monkeypatch.setenv("CELAB_OUT_DIR", str(tmp_path / "from_env"))
         code = main(["train", fx("coordination_2x2.json"), "--epochs", "1"])

@@ -149,10 +149,6 @@ class TestRunPipelinePreconditions:
         with pytest.raises(PreconditionError, match="no payoff vector"):
             run_pipeline(stalled_three_player, known_players=("p1", "p2"))
 
-    def test_threads_must_be_positive(self, chicken):
-        with pytest.raises(PreconditionError, match="threads"):
-            run_pipeline(chicken, known_players=("p1", "p2"), threads=0)
-
 
 @pytest.fixture(scope="module")
 def analytic_run(request):
@@ -255,18 +251,6 @@ class TestStalledRun:
         assert validate_manifest(manifest) == []
         assert manifest["stalled_tasks"] == [0, 1, 4, 5]
         assert manifest["knowledge"]["p2"] == {"provenance": "unknown", "vector": None}
-
-    def test_thread_pool_sweep_matches_serial(self, stalled_run, stalled_three_player):
-        threaded = run_pipeline(
-            stalled_three_player,
-            known_players=("p1",),
-            config=PIPELINE_CFG,
-            seed=0,
-            threads=2,
-        )
-        assert json.dumps(threaded.manifest(), sort_keys=True) == json.dumps(
-            stalled_run.manifest(), sort_keys=True
-        )
 
 
 @pytest.fixture(scope="module")

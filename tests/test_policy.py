@@ -108,11 +108,16 @@ def test_width_mismatch_rejected():
         forward(params, np.full(3, 1 / 3), np.full(3, 1 / 3))
 
 
-def test_nonfinite_activation_names_the_layer():
+@pytest.mark.parametrize("stacked", [False, True], ids=["forward", "second_stacked_net"])
+def test_nonfinite_activation_names_the_layer(stacked):
     params = small_net(8)
     params.biases[0][0] = np.inf
+    states = np.full((2, H), 0.25)
     with pytest.raises(NumericError, match="layer 0"):
-        forward(params, np.full(H, 0.25), np.full(H, 0.25))
+        if stacked:
+            policy_fn(small_net(9), params)(states, states)
+        else:
+            forward(params, states[0], states[0])
 
 
 def test_loss_value_hand_case():
@@ -254,3 +259,17 @@ def test_policy_fn_shapes():
     probs = fn(cur, prev)
     assert probs.shape == (6, J)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_stacked_policy_fn_matches_forward_per_block():
+    pa, pb = small_net(44), small_net(45)
+    cur, prev = random_pairs(46, 10)
+    probs = policy_fn(pa, pb)(cur, prev)
+    assert np.array_equal(probs[:5], forward(pa, cur[:5], prev[:5])[0])
+    assert np.array_equal(probs[5:], forward(pb, cur[5:], prev[5:])[0])
+
+
+def test_stacked_policy_fn_rejects_uneven_rows():
+    cur, prev = random_pairs(47, 5)
+    with pytest.raises(PreconditionError, match="split"):
+        policy_fn(small_net(48), small_net(49))(cur, prev)

@@ -1,5 +1,6 @@
 """Reward shaping, Adam updates, and the paired self-play loop."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from celab.env import rollout
 from celab.errors import PreconditionError
+from celab.games import load_game
 from celab.policy import forward, init_policy, policy_fn
 from celab.training import (
     AdamState,
@@ -311,3 +313,26 @@ class TestHistoryCsv:
         write_history_csv(result, p1)
         write_history_csv(train_pair(chicken, ("p1", "p2"), cfg, seed=11), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    # sha256 of the 20-epoch default-config history, recorded with numpy 2.4 on
+    # OpenBLAS; any drift in the numbers (rollout, update or CSV formatting)
+    # changes these bytes
+    @pytest.mark.parametrize(
+        "fixture, seed, digest",
+        [
+            ("coordination_2x2", 0,
+             "4beb7e43688746f80c133728563e6c8bd1baf42c37c9ca1c63cc3fc4028ed869"),
+            ("coordination_2x2", 3,
+             "104f8334df7a8cc4b96cf3b918584ea9494d01355a7b5d5268953f8610bad460"),
+            ("chicken", 0,
+             "06aef657dd008322e2aa1c58f7296931c29844229ea5b40f6e517e546986d484"),
+            ("chicken", 3,
+             "0bd8b926dd678072481d3166865c9e18712250c4e0dad9f858926cd18c3eff78"),
+        ],
+    )
+    def test_golden_digest(self, fixtures_dir, tmp_path, fixture, seed, digest):
+        game = load_game(fixtures_dir / f"{fixture}.json")
+        result = train_pair(game, ("p1", "p2"), TrainingConfig(epochs=20), seed)
+        path = tmp_path / "history.csv"
+        write_history_csv(result, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
