@@ -30,7 +30,7 @@ from .equilibrium import (
 from .errors import InvalidGameError, NumericError, PreconditionError
 from .estimation import estimate_payoff, estimation_report
 from .games import Game, load_game
-from .pipeline import run_pipeline, validate_manifest
+from .pipeline import _oriented, run_pipeline, validate_manifest
 from .policy import save_checkpoint
 from .training import TrainingConfig, train_pair, write_history_csv
 
@@ -343,7 +343,7 @@ def cmd_estimate(args) -> int:
     distribution = _load_distribution(args.distribution, game.num_outcomes)
 
     # The estimator expects the known player on the major axis.
-    order = np.arange(4) if known == a else np.array([0, 2, 1, 3])
+    order = _oriented(known_first=known == a)
     v_main = game.payoff(known)[order]
     p_view = distribution[order]
 

@@ -42,20 +42,21 @@ class ReorderedView:
         return len(self.permutation)
 
     def original_index(self, position: int, rotated: bool = False) -> int:
-        """Original outcome index carried by sorted slot `position`.
+        """Original outcome index carried by sorted slot `position`."""
+        return int(self._slots(rotated)[position])
+
+    def _slots(self, rotated: bool = False) -> np.ndarray:
+        """Original outcome index of every sorted slot.
 
         The rotated reading shifts the opponent's sorted vector by one slot
         (first element moved to the end) before mapping back.
         """
-        h = self.size
-        if rotated:
-            return self.permutation[(position + 1) % h]
-        return self.permutation[position]
+        perm = self.permutation
+        return np.array(perm[1:] + perm[:1] if rotated else perm)
 
     def restore(self, sorted_values: np.ndarray, rotated: bool = False) -> np.ndarray:
         out = np.empty(self.size)
-        for k, value in enumerate(np.asarray(sorted_values, dtype=np.float64)):
-            out[self.original_index(k, rotated)] = value
+        out[self._slots(rotated)] = np.asarray(sorted_values, dtype=np.float64)
         return out
 
 
@@ -106,6 +107,15 @@ class SkippedWindow:
     reason: str
 
 
+# Branch order per row kind: the first shape the mass triple has sets the
+# sense. A triple can be rising and a plateau at once (b ~ c), so the order
+# matters.
+_SENSE_BRANCHES = {
+    "outgoing": (("rising", ">="), ("plateau", "=="), ("falling", "<=")),
+    "incoming": (("falling", ">="), ("plateau", "=="), ("rising", "<=")),
+}
+
+
 def build_pressure_constraints(
     view: ReorderedView, comparison_tol: float = COMPARISON_TOL
 ) -> tuple[list[PressureConstraint], list[SkippedWindow]]:
@@ -122,12 +132,7 @@ def build_pressure_constraints(
     p = view.p_bar
     v1 = view.v_bar_main
     tol = comparison_tol
-
-    def lt(x, y):
-        return x < y - tol
-
-    def le(x, y):
-        return x <= y + tol
+    masses = p.tolist()  # float comparisons are cheaper than numpy scalar ones
 
     rows: list[PressureConstraint] = []
     skipped: list[SkippedWindow] = []
@@ -136,63 +141,39 @@ def build_pressure_constraints(
         for k in range(h_count):
             ahead = (k + window) % h_count
             behind = (k - window) % h_count
-            a, b, c = p[behind], p[k], p[ahead]
-
-            # outgoing: pressure to climb from slot k toward higher payoff
-            if lt(a, b) and le(b, c):
-                sense = ">="
-            elif le(a, b) and le(c, b):
-                sense = "=="
-            elif lt(b, a) and le(c, b):
-                sense = "<="
-            else:
-                sense = None
-            if sense is None:
-                skipped.append(
-                    SkippedWindow(
-                        "outgoing", k + 1, window,
-                        f"mass triple ({a:.6g}, {b:.6g}, {c:.6g}) matches no branch",
+            a, b, c = masses[behind], masses[k], masses[ahead]
+            shapes = {
+                "rising": a < b - tol and b <= c + tol,
+                "plateau": a <= b + tol and c <= b + tol,
+                "falling": b < a - tol and c <= b + tol,
+            }
+            # outgoing: pressure to climb from slot k toward higher payoff;
+            # incoming: pressure arriving at slot k from the lower neighbour,
+            # where at the top slot the single-step row compares against the
+            # bottom slot instead of its ranked predecessor.
+            # (kind, slot losing weight, slot gaining weight, weight, constant)
+            partner = 0 if (k == h_count - 1 and window == 1) else behind
+            for kind, minus, plus, weight, constant in (
+                ("outgoing", behind, k, p[behind], p[ahead] * (v1[ahead] - v1[k])),
+                ("incoming", k, partner, p[k], p[k] * (v1[k] - v1[behind])),
+            ):
+                for shape, sense in _SENSE_BRANCHES[kind]:
+                    if shapes[shape]:
+                        break
+                else:
+                    skipped.append(
+                        SkippedWindow(
+                            kind, k + 1, window,
+                            f"mass triple ({a:.6g}, {b:.6g}, {c:.6g}) matches no branch",
+                        )
                     )
-                )
-            else:
+                    continue
                 coeffs = np.zeros(h_count)
-                coeffs[behind] -= p[behind]
-                coeffs[k] += p[behind]
-                constant = p[ahead] * (v1[ahead] - v1[k])
+                coeffs[minus] -= weight
+                coeffs[plus] += weight
                 rows.append(
                     PressureConstraint(
-                        kind="outgoing", position=k + 1, window=window,
-                        coefficients=coeffs, rhs=-constant, sense=sense,
-                    )
-                )
-
-            # incoming: pressure arriving at slot k from the lower neighbour;
-            # at the top slot the single-step row compares against the bottom
-            # slot instead of its ranked predecessor
-            if lt(b, a) and le(c, b):
-                sense = ">="
-            elif le(a, b) and le(c, b):
-                sense = "=="
-            elif lt(a, b) and le(b, c):
-                sense = "<="
-            else:
-                sense = None
-            if sense is None:
-                skipped.append(
-                    SkippedWindow(
-                        "incoming", k + 1, window,
-                        f"mass triple ({a:.6g}, {b:.6g}, {c:.6g}) matches no branch",
-                    )
-                )
-            else:
-                partner = 0 if (k == h_count - 1 and window == 1) else behind
-                coeffs = np.zeros(h_count)
-                coeffs[k] -= p[k]
-                coeffs[partner] += p[k]
-                constant = p[k] * (v1[k] - v1[behind])
-                rows.append(
-                    PressureConstraint(
-                        kind="incoming", position=k + 1, window=window,
+                        kind=kind, position=k + 1, window=window,
                         coefficients=coeffs, rhs=-constant, sense=sense,
                     )
                 )
@@ -232,111 +213,52 @@ def _main_mix_probability(v_main: np.ndarray) -> float | None:
     return (v4 - v2) / den
 
 
-def _branch_rows(view: ReorderedView, rotated: bool) -> list[np.ndarray]:
-    """The opponent's own-decision payoff gaps (top row: w1-w2, bottom row:
-    w4-w3) expressed over the sorted unknowns."""
-    h = view.size
-    inverse = np.empty(h, dtype=int)
-    for k in range(h):
-        inverse[view.original_index(k, rotated)] = k
-    top = np.zeros(h)
-    top[inverse[0]] += 1.0
-    top[inverse[1]] -= 1.0
-    bottom = np.zeros(h)
-    bottom[inverse[3]] += 1.0
-    bottom[inverse[2]] -= 1.0
-    return [top, bottom]
+# LP form of each sense: `>=` rows are negated into `<=`, the others kept
+_SENSE_SIGN = {">=": -1.0, "<=": 1.0, "==": 1.0}
 
 
-def _assemble(view, rows, objective, extra_ineq, extra_rhs):
-    h = view.size
-    ineq_rows: list[np.ndarray] = list(extra_ineq)
-    ineq_rhs: list[float] = list(extra_rhs)
-    eq_rows: list[np.ndarray] = [np.ones(h)]
-    eq_rhs: list[float] = [1.0]
-    for row in rows:
-        if row.sense == ">=":
-            ineq_rows.append(-row.coefficients)
-            ineq_rhs.append(-row.rhs)
-        elif row.sense == "<=":
-            ineq_rows.append(row.coefficients)
-            ineq_rhs.append(row.rhs)
-        else:
-            eq_rows.append(row.coefficients)
-            eq_rhs.append(row.rhs)
-    return LinearProgram(
-        objective=objective,
-        ineq_rows=np.array(ineq_rows),
-        ineq_rhs=np.array(ineq_rhs),
-        eq_rows=np.array(eq_rows),
-        eq_rhs=np.array(eq_rhs),
-        bounds=[(0.0, 1.0)] * h,
-    )
+def _signed(rows: list[PressureConstraint]):
+    """Pressure rows in LP form, `block . w (<= or ==) rhs`. Returns (block,
+    rhs, equality mask, per-row sign)."""
+    sign = np.array([_SENSE_SIGN[row.sense] for row in rows])
+    block = np.array([row.coefficients for row in rows]) * sign[:, None]
+    equality = np.array([row.sense == "==" for row in rows])
+    return block, np.array([row.rhs for row in rows]) * sign, equality, sign
 
 
-def _diagnose(view, rows) -> list[str]:
+def _diagnose(rows: list[PressureConstraint], signed) -> list[str]:
     """Elastic relaxation: one slack per pressure row, minimize total slack,
     keep the simplex constraints hard. Rows needing slack name the violated
     families."""
-    h = view.size
-    labels: list[str] = []
-    ineq_rows: list[list[float]] = []
-    ineq_rhs: list[float] = []
-    eq_rows: list[list[float]] = []
-    eq_rhs: list[float] = []
-    n_slack = sum(2 if r.sense == "==" else 1 for r in rows)
-    total = h + n_slack
-    cursor = h
-
-    def padded(core: np.ndarray, slack_cols: dict[int, float]) -> list[float]:
-        row = np.zeros(total)
-        row[:h] = core
-        for col, val in slack_cols.items():
-            row[col] = val
-        return row.tolist()
-
-    for r in rows:
-        if r.sense == ">=":
-            ineq_rows.append(padded(-r.coefficients, {cursor: -1.0}))
-            ineq_rhs.append(-r.rhs)
-            labels.append(r.family)
-            cursor += 1
-        elif r.sense == "<=":
-            ineq_rows.append(padded(r.coefficients, {cursor: -1.0}))
-            ineq_rhs.append(r.rhs)
-            labels.append(r.family)
-            cursor += 1
-        else:
-            eq_rows.append(padded(r.coefficients, {cursor: 1.0, cursor + 1: -1.0}))
-            eq_rhs.append(r.rhs)
-            labels.append(r.family)
-            labels.append(r.family)
-            cursor += 2
-    simplex = np.zeros(total)
+    block, rhs, equality, _ = signed
+    n_rows, h = block.shape
+    # slack columns in row order: -s on an inequality, +s1 - s2 on an equality
+    widths = np.where(equality, 2, 1)
+    first = h + np.cumsum(widths) - widths
+    elastic = np.zeros((n_rows, h + widths.sum()))
+    elastic[:, :h] = block
+    elastic[np.arange(n_rows), first] = np.where(equality, 1.0, -1.0)
+    elastic[equality, first[equality] + 1] = -1.0
+    simplex = np.zeros(elastic.shape[1])
     simplex[:h] = 1.0
-    eq_rows.append(simplex.tolist())
-    eq_rhs.append(1.0)
-
-    objective = np.zeros(total)
+    objective = np.zeros(elastic.shape[1])
     objective[h:] = -1.0
-    bounds = [(0.0, 1.0)] * h + [(0.0, None)] * n_slack
     solution = solve_lp(
         LinearProgram(
             objective=objective,
-            ineq_rows=np.array(ineq_rows),
-            ineq_rhs=np.array(ineq_rhs),
-            eq_rows=np.array(eq_rows),
-            eq_rhs=np.array(eq_rhs),
-            bounds=bounds,
+            ineq_rows=elastic[~equality],
+            ineq_rhs=rhs[~equality],
+            eq_rows=np.concatenate([elastic[equality], simplex[None]]),
+            eq_rhs=np.concatenate([rhs[equality], [1.0]]),
+            bounds=[(0.0, 1.0)] * h + [(0.0, None)] * (elastic.shape[1] - h),
         )
     )
     if solution.status != "optimal":
         return ["pressure system (diagnosis LP failed)"]
-    slacks = solution.x[h:]
     violated = []
-    for label, slack in zip(labels, slacks):
-        if slack > SLACK_TOL and label not in violated:
-            violated.append(label)
+    for i in np.repeat(np.arange(n_rows), widths)[solution.x[h:] > SLACK_TOL]:
+        if rows[i].family not in violated:
+            violated.append(rows[i].family)
     if not violated:
         violated.append("mixed-equilibrium sign branches (both orientations infeasible)")
     return violated
@@ -345,7 +267,6 @@ def _diagnose(view, rows) -> list[str]:
 def estimate_payoff(
     v_main,
     p_tilde,
-    menu: tuple[int, int] = (2, 2),
     comparison_tol: float = COMPARISON_TOL,
     rotate_opponent: bool = False,
     round_trip: bool = True,
@@ -363,10 +284,6 @@ def estimate_payoff(
     a diagnostic; it does not gate the solve.
     """
     v = np.asarray(v_main, dtype=np.float64)
-    if menu != (2, 2):
-        raise PreconditionError(
-            f"estimation is defined for 2x2 interactions, got menu {menu}"
-        )
     if v.size != 4:
         raise PreconditionError(f"a 2x2 interaction has 4 outcomes, got {v.size}")
     view = reorder(v, p_tilde)
@@ -388,23 +305,34 @@ def estimate_payoff(
 
     result.main_mix_probability = _main_mix_probability(v)
 
-    objective = np.asarray(p_tilde, dtype=np.float64)[
-        [view.original_index(k, rotate_opponent) for k in range(view.size)]
-    ]
-    top, bottom = _branch_rows(view, rotate_opponent)
-    branches = (
-        ("gaps_nonnegative", [-top, -bottom], [0.0, 0.0]),
-        ("gaps_nonpositive", [top, bottom], [0.0, 0.0]),
-    )
+    slots = view._slots(rotate_opponent)
+    objective = np.asarray(p_tilde, dtype=np.float64)[slots]
+    # the opponent's own-decision payoff gaps (top row: w1-w2, bottom row:
+    # w4-w3) over the sorted unknowns
+    gaps = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0]])[:, slots]
+    signed = block, rhs, equality, _ = _signed(rows)
+    ineq_rows = block[~equality]
+    ineq_rhs = np.concatenate([[0.0, 0.0], rhs[~equality]])
+    eq_rows = np.concatenate([np.ones((1, view.size)), block[equality]])
+    eq_rhs = np.concatenate([[1.0], rhs[equality]])
     best = None
-    for name, extra_ineq, extra_rhs in branches:
-        solution = solve_lp(_assemble(view, rows, objective, extra_ineq, extra_rhs))
+    for name, sign in (("gaps_nonnegative", -1.0), ("gaps_nonpositive", 1.0)):
+        solution = solve_lp(
+            LinearProgram(
+                objective=objective,
+                ineq_rows=np.concatenate([gaps * sign, ineq_rows]),
+                ineq_rhs=ineq_rhs,
+                eq_rows=eq_rows,
+                eq_rhs=eq_rhs,
+                bounds=[(0.0, 1.0)] * view.size,
+            )
+        )
         if solution.status == "optimal":
             if best is None or solution.objective > best[1].objective + 1e-12:
                 best = (name, solution)
 
     if best is None:
-        result.violated = _diagnose(view, rows)
+        result.violated = _diagnose(rows, signed)
         return result
 
     name, solution = best
@@ -433,22 +361,13 @@ def constraint_slacks(result: EstimationResult) -> np.ndarray:
     (>= -1e-9 for feasible solutions; equality rows contribute -|residual|)."""
     if result.estimate is None:
         raise PreconditionError("no estimate to evaluate")
-    w_bar = np.array(
-        [
-            result.estimate[result.view.original_index(k, result.rotated)]
-            for k in range(result.view.size)
-        ]
-    )
-    margins = []
-    for row in result.constraints:
-        value = float(row.coefficients @ w_bar)
-        if row.sense == ">=":
-            margins.append(value - row.rhs)
-        elif row.sense == "<=":
-            margins.append(row.rhs - value)
-        else:
-            margins.append(-abs(value - row.rhs))
-    return np.array(margins)
+    _, rhs, equality, sign = _signed(result.constraints)
+    w_bar = result.estimate[result.view._slots(result.rotated)]
+    # one dot per row on the unsigned coefficients: a matrix product, or a
+    # dot on a negated row, can differ in the last bit or the sign of zero
+    values = np.array([row.coefficients @ w_bar for row in result.constraints])
+    margins = rhs - sign * values
+    return np.where(equality, -np.abs(margins), margins)
 
 
 def estimation_report(result: EstimationResult) -> dict:

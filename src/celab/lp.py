@@ -15,6 +15,7 @@ Maximization form:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,7 @@ class LinearProgram:
             raise ValueError("one (lo, hi) pair per variable required")
         self.bounds = [(lo, np.inf if hi is None else hi) for lo, hi in self.bounds]
         for lo, hi in self.bounds:
-            if not np.isfinite(lo):
+            if not math.isfinite(lo):
                 raise ValueError("lower bounds must be finite")
             if hi < lo:
                 raise ValueError(f"bound lo {lo} exceeds hi {hi}")
@@ -121,7 +122,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     ub_extra = []
     ub_extra_rhs = []
     for i in range(n):
-        if np.isfinite(hi[i]):
+        if math.isfinite(hi[i]):
             row = np.zeros(n)
             row[i] = 1.0
             ub_extra.append(row)

@@ -124,6 +124,20 @@ class PairView:
     slice_mass: dict[str, float]
 
 
+def _renormalized_slice(
+    full, indices: tuple[int, ...], task: InteractionTask, what: str
+) -> tuple[np.ndarray, float]:
+    """`full` restricted to a view's outcomes and rescaled onto the simplex,
+    with the mass it had there."""
+    v = np.asarray(full, dtype=np.float64)[list(indices)]
+    total = float(v.sum())
+    if total <= SLICE_MASS_TOL:
+        raise PreconditionError(
+            f"{what} on view {task.describe()} is {total}; cannot renormalize"
+        )
+    return v / total, total
+
+
 def pair_view(
     game: Game,
     task: InteractionTask,
@@ -148,15 +162,7 @@ def pair_view(
         if full is None:
             sliced[p] = None
             continue
-        v = np.asarray(full, dtype=np.float64)[list(indices)]
-        total = float(v.sum())
-        if total <= SLICE_MASS_TOL:
-            raise PreconditionError(
-                f"payoff mass of {p!r} on view {task.describe()} is {total}; "
-                "cannot renormalize"
-            )
-        sliced[p] = v / total
-        mass[p] = total
+        sliced[p], mass[p] = _renormalized_slice(full, indices, task, f"payoff mass of {p!r}")
     view_game = make_game((a, b), menus, sliced)
     return PairView(
         task=task,
@@ -281,20 +287,6 @@ def _task_seed(seed: int, task_index: int) -> int:
 def _oriented(known_first: bool) -> np.ndarray:
     """Outcome permutation putting the known player on the major axis."""
     return np.arange(4) if known_first else _SWAP_2X2
-
-
-def _knowledge_slice(
-    view: PairView, entry: KnownVector
-) -> np.ndarray:
-    """The known player's knowledge-base vector restricted to the view."""
-    v = entry.values[list(view.outcome_indices)]
-    total = float(v.sum())
-    if total <= SLICE_MASS_TOL:
-        raise PreconditionError(
-            f"known payoff mass on view {view.task.describe()} is {total}; "
-            "cannot renormalize"
-        )
-    return v / total
 
 
 def _ce_record(
@@ -425,7 +417,10 @@ def run_pipeline(
             known_p = a if known_a else b
             unknown_p = b if known_a else a
             order = _oriented(known_first=known_p == true_view.players[0])
-            v_main = _knowledge_slice(true_view, knowledge[known_p])[order]
+            known_slice, _ = _renormalized_slice(
+                knowledge[known_p].values, true_view.outcome_indices, task, "known payoff mass"
+            )
+            v_main = known_slice[order]
             p_tilde = trained.p_tilde[order]
             est = estimate_payoff(
                 v_main,
