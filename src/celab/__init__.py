@@ -19,7 +19,7 @@ from .games import (
     save_game,
     validate_game,
 )
-from .errors import InvalidGameError, NumericError, PreconditionError
+from .errors import InvalidGameError, NumericError, PreconditionError, SolverError
 from .lp import LinearProgram, LPSolution, solve_lp
 from .equilibrium import (
     CECheck,
@@ -46,6 +46,7 @@ from .env import (
 )
 from .policy import (
     PolicyParams,
+    Workspace,
     forward,
     gradients,
     init_policy,

@@ -2,8 +2,9 @@
 opponent payoffs, and drive the pairwise pipeline, exporting CSV/JSON.
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 non-convergence
-(epoch cap hit, training diverged to non-finite values, or no feasible payoff
-estimate), 4 partial results (pipeline stall). Every artifact embeds the
+(epoch cap hit, training diverged to non-finite values, no feasible payoff
+estimate, or a correlated-equilibrium solve that failed its own check), 4
+partial results (pipeline stall). Every artifact embeds the
 resolved configuration and seed, and no output file is overwritten unless
 --force is given. The default output directory is taken from the CELAB_OUT_DIR
 environment variable, falling back to the current directory.
@@ -27,7 +28,7 @@ from .equilibrium import (
     is_correlated_equilibrium,
     max_welfare_correlated_equilibrium,
 )
-from .errors import InvalidGameError, NumericError, PreconditionError
+from .errors import InvalidGameError, NumericError, PreconditionError, SolverError
 from .estimation import estimate_payoff, estimation_report
 from .games import Game, load_game
 from .pipeline import _oriented, run_pipeline, validate_manifest
@@ -87,10 +88,11 @@ def _refuse_overwrite(path: Path, force: bool) -> None:
 
 def _write_json(path: Path, payload: dict, force: bool) -> None:
     _refuse_overwrite(path, force)
+    # serialize first, so a payload json cannot encode leaves no partial file
+    text = json.dumps(payload, indent=2)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load_game_file(path: str) -> Game:
@@ -603,6 +605,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except NumericError as exc:
         print(f"error: training diverged to non-finite values: {exc}", file=sys.stderr)
+        return EXIT_UNSTABLE
+    except SolverError as exc:
+        print(f"error: correlated-equilibrium solve failed: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
 
 

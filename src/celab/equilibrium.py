@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, SolverError
 from .games import Game
 from .lp import LinearProgram, LPSolution, solve_lp
 
@@ -118,11 +118,11 @@ def max_welfare_correlated_equilibrium(game: Game) -> CESolution:
     sol: LPSolution = solve_lp(lp)
     if sol.status != "optimal":
         # any pure NE point mass is feasible for valid games, so this is a bug
-        raise RuntimeError(f"CE program unexpectedly {sol.status}")
+        raise SolverError(f"CE program unexpectedly {sol.status}")
     dist = np.maximum(sol.x, 0.0)
     check = is_correlated_equilibrium(game, dist)
     if not check.ok:
-        raise RuntimeError(
+        raise SolverError(
             f"CE solver output violates deviation check by {check.max_violation}"
         )
     return CESolution(distribution=dist, welfare=float(sol.objective), status="optimal")
@@ -162,7 +162,8 @@ def is_correlated_equilibrium(
             if gain < -worst:
                 worst = -gain
                 worst_desc = f"player 2 told {b + 1} prefers {b_alt + 1}"
-    return CECheck(ok=worst <= tol, max_violation=worst, worst=worst_desc)
+    # worst turns into np.float64 at the first violation; callers serialize these
+    return CECheck(ok=bool(worst <= tol), max_violation=float(worst), worst=worst_desc)
 
 
 def enumerate_pure_nash(game: Game) -> list[NashEquilibrium]:

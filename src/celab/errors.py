@@ -11,3 +11,7 @@ class PreconditionError(ValueError):
 
 class NumericError(RuntimeError):
     """A numeric computation produced non-finite values."""
+
+
+class SolverError(RuntimeError):
+    """An LP solve ended without an answer that passes its own check."""

@@ -7,11 +7,20 @@ layers at double width with ReLU, and a softmax output over the J actions.
 autodiff framework. Rollouts need no trace: `policy_fn` runs the same layer
 stack trace-free, and with several nets stacks their weights so one batched
 matmul per layer serves every player's rows at once.
+
+An update pass (`forward`, `loss_value`, `gradients`) works on a few hundred
+rows, and its row-sized intermediates come to megabytes. Freed after every
+call, that memory goes back to the operating system and is faulted in again
+on the next one, which costs more than the arithmetic. So these functions
+write every row-sized intermediate into a `Workspace` that the caller owns
+and passes to each call; `train_pair` keeps one per run. Called without one,
+each function makes a fresh workspace and runs the same code.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,9 +109,37 @@ def init_policy(
     )
 
 
+class Workspace:
+    """Reusable buffers for the row-sized intermediates of an update pass.
+
+    Each buffer has a name and is reshaped to whatever shape its user asks
+    for, growing when a request is larger than what it holds, so one
+    workspace serves any batch size and any net. A request for a name ends
+    the use of what the buffer held before: a trace or probabilities that
+    `forward` returned stay valid only until the next call given the same
+    workspace. The workspace belongs to the caller that runs the updates;
+    it keeps no reference to any net.
+    """
+
+    def __init__(self):
+        self._flat: dict = {}
+
+    def array(self, name, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
 @dataclass
 class ForwardTrace:
-    """Per-layer inputs and pre-activations from one forward pass (2-D batch)."""
+    """Per-layer inputs and pre-activations from one forward pass (2-D batch).
+
+    `layer_inputs` has all nine layers; `pre_activations` stops at layer 7,
+    because the logits become the probabilities in place. With a shared
+    workspace the arrays are views of its buffers.
+    """
 
     current: np.ndarray
     previous: np.ndarray
@@ -111,13 +148,14 @@ class ForwardTrace:
     probs: np.ndarray
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "linear":
-        return z
+def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if name == "leaky":
-        return np.where(z > 0, z, LEAKY_SLOPE * z)
+        # max(z, 0.2 z) equals np.where(z > 0, z, 0.2 z) bit for bit on every
+        # finite z, signed zeros and subnormals included
+        scaled = np.multiply(z, LEAKY_SLOPE, out=out)
+        return np.maximum(z, scaled, out=scaled)
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     raise ValueError(name)
 
 
@@ -131,45 +169,77 @@ def _state_rows(h: int, current, previous) -> tuple[np.ndarray, np.ndarray]:
     return cur, prev
 
 
-def _layers(weights, biases, cur, prev, inputs=None, pre_activations=None) -> np.ndarray:
+def _layers(
+    weights, biases, cur, prev, ws=None, inputs=None, pre_activations=None
+) -> np.ndarray:
     """The nine-layer stack, returning action probabilities.
 
     Runs one net's (fan_in, fan_out) weights over (B, H) rows, or P stacked
     nets' (P, fan_in, fan_out) weights and (P, 1, fan_out) biases over
-    (P, B, H) blocks. When `inputs` and `pre_activations` are lists, every
-    layer appends its input and pre-activation to them.
+    (P, B, H) blocks. With a workspace `ws` every intermediate lands in its
+    buffers; without one each is a fresh array. When `inputs` and
+    `pre_activations` are lists, the layer inputs and the pre-activations of
+    layers 0-7 are appended to them.
     """
+    lead = cur.shape[:-1]
 
-    def dense(i: int, x: np.ndarray) -> np.ndarray:
-        z = x @ weights[i] + biases[i]
-        if not np.isfinite(z).all():
+    def buffer(name, width, dtype=np.float64):
+        # None lets each numpy call allocate its own result
+        return None if ws is None else ws.array(name, lead + (width,), dtype)
+
+    def dense(i: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        z = np.matmul(x, weights[i], out=out)
+        z += biases[i]
+        if not np.isfinite(z, out=buffer("mask", z.shape[-1], bool)).all():
             raise NumericError(f"non-finite activation in layer {i} ({_LAYER_NAMES[i]})")
+        return z
+
+    # the two linear analyzers write the halves of layer 2's input
+    half = weights[0].shape[-1]
+    x = buffer(("input", 2), 2 * half)
+    if x is None:
+        x = np.empty(lead + (2 * half,))
+    za = dense(0, cur, x[..., :half])
+    zb = dense(1, prev, x[..., half:])
+    if inputs is not None:
+        inputs += [cur, prev]
+        pre_activations += [za, zb]
+    for i in range(2, 8):
+        z = dense(i, x, buffer(("pre", i), weights[i].shape[-1]))
         if inputs is not None:
             inputs.append(x)
             pre_activations.append(z)
-        return z
-
-    x = np.concatenate([dense(0, cur), dense(1, prev)], axis=-1)  # linear analyzers
-    for i in range(2, 8):
-        x = _activate(_ACTIVATIONS[i], dense(i, x))
-    logits = dense(8, x)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    expz = np.exp(shifted)
-    return expz / expz.sum(axis=-1, keepdims=True)
+        x = _activate(_ACTIVATIONS[i], z, buffer(("input", i + 1), z.shape[-1]))
+    if inputs is not None:
+        inputs.append(x)
+    # softmax in place over the logits
+    probs = dense(8, x, buffer("probs", weights[8].shape[-1]))
+    col = buffer("column", 1)
+    probs -= probs.max(axis=-1, keepdims=True, out=col)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True, out=col)
+    return probs
 
 
 def forward(
-    params: PolicyParams, current: np.ndarray, previous: np.ndarray
+    params: PolicyParams,
+    current: np.ndarray,
+    previous: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Action distribution for (current, previous) state pairs.
 
     Accepts single states (H,) or batches (B, H); the returned probabilities
-    match the input arity, while the trace always stores 2-D arrays.
+    match the input arity, while the trace always stores 2-D arrays. Both
+    live in `workspace` (a fresh one when omitted).
     """
     cur, prev = _state_rows(params.h, current, previous)
+    ws = Workspace() if workspace is None else workspace
     layer_inputs: list[np.ndarray] = []
     pre_activations: list[np.ndarray] = []
-    probs = _layers(params.weights, params.biases, cur, prev, layer_inputs, pre_activations)
+    probs = _layers(
+        params.weights, params.biases, cur, prev, ws, layer_inputs, pre_activations
+    )
     trace = ForwardTrace(
         current=cur,
         previous=prev,
@@ -191,23 +261,37 @@ def loss_value(
     targets: np.ndarray,
     weights: np.ndarray,
     variant: str = "two_sided",
+    workspace: Workspace | None = None,
 ) -> float:
     """Weighted logarithmic loss, summed over the batch.
 
     two_sided: every action's probability enters (chosen via log p, the rest
     via log(1-p)), so a positive weight pushes unchosen probabilities down.
     chosen_only: classic score-function form, -w log p_chosen.
+    Intermediates go to `workspace` (a fresh one when omitted).
     """
-    p = np.clip(np.atleast_2d(probs), PROB_EPS, 1.0 - PROB_EPS)
+    ws = Workspace() if workspace is None else workspace
+    p2 = np.atleast_2d(probs)
+    rows = p2.shape[:1]
+    p = np.clip(p2, PROB_EPS, 1.0 - PROB_EPS, out=ws.array("clipped", p2.shape))
     y = np.atleast_2d(targets)
     w = np.atleast_1d(weights)
+    terms = ws.array(("scratch", 0), p.shape)
     if variant == "two_sided":
-        per_unit = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum(axis=1)
+        # y log p + (1 - y) log(1 - p); the second product goes first, so
+        # two scratch buffers suffice
+        other = ws.array(("scratch", 1), p.shape)
+        np.log(np.subtract(1.0, p, out=other), out=other)
+        other *= np.subtract(1.0, y, out=terms)
+        np.multiply(y, np.log(p, out=terms), out=terms)
+        terms += other
     elif variant == "chosen_only":
-        per_unit = -(y * np.log(p)).sum(axis=1)
+        np.multiply(y, np.log(p, out=terms), out=terms)
     else:
         raise PreconditionError(f"unknown loss variant {variant!r}")
-    return float((w * per_unit).sum())
+    per_unit = terms.sum(axis=1, out=ws.array("per_row", rows))
+    np.negative(per_unit, out=per_unit)
+    return float(np.multiply(w, per_unit, out=per_unit).sum())
 
 
 @dataclass
@@ -222,49 +306,71 @@ def gradients(
     targets: np.ndarray,
     weights: np.ndarray | float,
     variant: str = "two_sided",
+    workspace: Workspace | None = None,
 ) -> Gradients:
     """Analytic gradient of the weighted log loss, summed over the batch.
 
     targets: one-hot rows (B, J); weights: per-row scalars (or one scalar).
+    Intermediates go to `workspace` (a fresh one when omitted); it may be the
+    one that holds `trace`, whose buffers this function only reads.
     """
+    ws = Workspace() if workspace is None else workspace
     p_raw = trace.probs
     batch = p_raw.shape[0]
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     w = np.broadcast_to(np.asarray(weights, dtype=np.float64), (batch,))
-    p = np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS)
-    if not np.all((p > 0.0) & (p < 1.0)):
+    p = np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS, out=ws.array("clipped", p_raw.shape))
+    if not (p.min() > 0.0 and p.max() < 1.0):  # False on NaN as well
         raise NumericError("probabilities escaped the epsilon guard")
 
     # dL/dp per unit, then through the softmax jacobian:
     # dL/dz_j = p_j * (g_j - sum_k g_k p_k)
+    # The scratch buffers alternate: layer i's upstream goes to ("scratch",
+    # i % 2) while its delta sits in the other one.
+    g = ws.array(("scratch", 1), p.shape)
+    other = ws.array(("scratch", 0), p.shape)
     if variant == "two_sided":
-        g = -(y / p) + (1.0 - y) / (1.0 - p)
+        # -(y / p) + (1 - y) / (1 - p); the second quotient goes first, so
+        # two scratch buffers suffice
+        np.subtract(1.0, p, out=g)
+        np.divide(np.subtract(1.0, y, out=other), g, out=other)
+        np.negative(np.divide(y, p, out=g), out=g)
+        g += other
     elif variant == "chosen_only":
-        g = -(y / p)
+        np.negative(np.divide(y, p, out=g), out=g)
     else:
         raise PreconditionError(f"unknown loss variant {variant!r}")
-    g = g * w[:, None]
-    delta = p_raw * (g - (g * p_raw).sum(axis=1, keepdims=True))
+    g *= w[:, None]
+    np.multiply(g, p_raw, out=other)
+    g -= other.sum(axis=1, keepdims=True, out=ws.array("column", (batch, 1)))
+    delta = np.multiply(p_raw, g, out=g)
 
-    grad_w = [np.zeros_like(wt) for wt in params.weights]
-    grad_b = [np.zeros_like(bs) for bs in params.biases]
+    grad_w: list = [None] * len(params.weights)
+    grad_b: list = [None] * len(params.biases)
 
     for i in range(8, 1, -1):
         x = trace.layer_inputs[i]
         grad_w[i] = x.T @ delta
         grad_b[i] = delta.sum(axis=0)
-        upstream = delta @ params.weights[i].T
+        upstream = np.matmul(
+            delta, params.weights[i].T,
+            out=ws.array(("scratch", i % 2), (batch, params.weights[i].shape[0])),
+        )
         below = i - 1
         if below == 1:
             break
         z_below = trace.pre_activations[below]
+        mask = ws.array("mask", z_below.shape, bool)
         act = _ACTIVATIONS[below]
+        # delta = upstream * activation'(z_below), in place
         if act == "leaky":
-            delta = upstream * np.where(z_below > 0, 1.0, LEAKY_SLOPE)
+            np.less_equal(z_below, 0.0, out=mask)
+            np.multiply(upstream, LEAKY_SLOPE, out=upstream, where=mask)
         elif act == "relu":
-            delta = upstream * (z_below > 0)
+            np.multiply(upstream, np.greater(z_below, 0.0, out=mask), out=upstream)
         else:
             raise AssertionError(act)
+        delta = upstream
 
     # upstream now spans the concatenated analyzer outputs (both linear)
     w_in = params.width_in

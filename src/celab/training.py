@@ -5,6 +5,12 @@ lockstep with one stacked policy evaluation per step. The two state tensors
 are averaged, and each agent takes one Adam step on the summed weighted log
 loss of its own choices, weighted by the standardized discounted rewards of
 the states those choices produced.
+
+`train_pair` owns one policy `Workspace` per run and hands it to every
+`update_policy` call. The two players update one after the other with nets
+of the same widths, so they share it: each update overwrites the buffers of
+the last, and no update's memory goes back to the operating system in
+between (see `celab.policy`).
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .games import Game
 from .policy import (
     Gradients,
     PolicyParams,
+    Workspace,
     forward,
     gradients,
     init_policy,
@@ -167,10 +174,12 @@ def update_policy(
     rewards: RewardTensor,
     state: AdamState,
     config: TrainingConfig,
+    workspace: Workspace | None = None,
 ) -> tuple[PolicyParams, AdamState, UpdateStats]:
     """One Adam step on the summed weighted log loss over all (round, step)
     units. Each choice is weighted by the standardized reward of the state it
-    produced (column n+1), never of the state it left."""
+    produced (column n+1), never of the state it left. The forward, loss and
+    backward passes share `workspace` (a fresh one when omitted)."""
     states = batch.states
     m, n, h = states.shape
     cur = states[:, :-1].reshape(-1, h)
@@ -178,14 +187,15 @@ def update_policy(
     targets = batch.choices_one_hot().reshape(m * (n - 1), -1)
     weights = rewards.standardized[:, 1:].reshape(-1)
 
-    probs, trace = forward(params, cur, prev)
-    loss = loss_value(probs, targets, weights, config.loss_variant)
+    ws = Workspace() if workspace is None else workspace
+    probs, trace = forward(params, cur, prev, ws)
+    loss = loss_value(probs, targets, weights, config.loss_variant, ws)
     if not np.isfinite(loss):
         raise NumericError(
             f"non-finite training loss {loss!r} "
             f"(weight range [{weights.min()}, {weights.max()}])"
         )
-    grads = gradients(params, trace, targets, weights, config.loss_variant)
+    grads = gradients(params, trace, targets, weights, config.loss_variant, ws)
     grad_max = max(
         max((float(np.abs(g).max()) for g in grads.weights), default=0.0),
         max((float(np.abs(g).max()) for g in grads.biases), default=0.0),
@@ -250,6 +260,7 @@ def train_pair(
         for i, p in enumerate((a, b))
     }
     adam = {p: AdamState.zeros_like(params[p]) for p in (a, b)}
+    workspace = Workspace()  # both players' updates, M * (N - 1) rows each
 
     window: deque[np.ndarray] = deque(maxlen=config.stability_window)
     history: list[EpochStats] = []
@@ -282,7 +293,7 @@ def train_pair(
         for p in (a, b):
             shaped = shape_rewards(avg, payoffs[p], config.discount)
             params[p], adam[p], _ = update_policy(
-                params[p], batches[p], shaped, adam[p], config
+                params[p], batches[p], shaped, adam[p], config, workspace
             )
             mean_rewards[p] = float(shaped.raw[:, -1].mean())
 

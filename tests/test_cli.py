@@ -91,6 +91,43 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_ce_with_a_tiny_violation_writes_valid_json(self, tmp_path):
+        # the LP point misses one deviation row by about 9e-17, inside the
+        # check's tolerance; the check's verdict must still serialize
+        rng = np.random.default_rng(7)
+        u = rng.random((2, 4))
+        u /= u.sum(axis=1, keepdims=True)
+        game = write_game(tmp_path / "g.json", {"p1": u[0].tolist(), "p2": u[1].tolist()})
+        out = tmp_path / "ce.json"
+        assert main(["solve", game, "--mode", "ce", "--out", str(out)]) == 0
+        check = json.loads(out.read_text())["deviation_check"]
+        assert check["ok"] is True
+        assert 0.0 < check["max_violation"] < 1e-9
+
+    def test_failed_ce_solve_exits_3_with_one_error_line(
+        self, fx, tmp_path, capsys, monkeypatch
+    ):
+        import celab.equilibrium
+        from celab.lp import LPSolution
+
+        # an "optimal" point mass on (D, D), which both players leave
+        wrong = LPSolution(status="optimal", x=np.array([0.0, 0.0, 0.0, 1.0]), objective=0.0)
+        monkeypatch.setattr(celab.equilibrium, "solve_lp", lambda lp: wrong)
+        out = tmp_path / "ce.json"
+        assert main(["solve", fx("chicken.json"), "--mode", "ce", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: correlated-equilibrium solve failed: ")
+        assert "deviation check" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_unserializable_payload_leaves_no_file(self, tmp_path):
+        from celab.cli import _write_json
+
+        out = tmp_path / "x.json"
+        with pytest.raises(TypeError):
+            _write_json(out, {"value": object()}, force=False)
+        assert not out.exists()
+
     def test_refuses_overwrite_without_force(self, fx, tmp_path):
         out = tmp_path / "ce.json"
         assert main(["solve", fx("chicken.json"), "--out", str(out)]) == 0

@@ -7,7 +7,10 @@ import pytest
 
 from celab.errors import NumericError, PreconditionError
 from celab.policy import (
+    LEAKY_SLOPE,
     PolicyParams,
+    Workspace,
+    _activate,
     forward,
     gradients,
     init_policy,
@@ -108,16 +111,74 @@ def test_width_mismatch_rejected():
         forward(params, np.full(3, 1 / 3), np.full(3, 1 / 3))
 
 
-@pytest.mark.parametrize("stacked", [False, True], ids=["forward", "second_stacked_net"])
-def test_nonfinite_activation_names_the_layer(stacked):
+def _update_with_warm_workspace(params):
+    """update_policy on a workspace that a finite update has already used."""
+    from celab.env import EpisodeBatch
+    from celab.training import AdamState, RewardTensor, TrainingConfig, update_policy
+
+    rng = np.random.default_rng(10)
+    raw = rng.random((2, 4, H))
+    batch = EpisodeBatch(
+        states=raw / raw.sum(axis=2, keepdims=True),
+        action_indices=rng.integers(0, J, size=(2, 3)),
+        step_size=0.25,
+    )
+    std = rng.normal(size=(2, 4))
+    rewards = RewardTensor(raw=std, discounted=std, standardized=std)
+    config = TrainingConfig(rounds=2, steps=4, step_size=0.25, width_in=4, width_mid=6)
+    ws = Workspace()
+    for net in (small_net(9), params):
+        update_policy(net, batch, rewards, AdamState.zeros_like(net), config, ws)
+
+
+@pytest.mark.parametrize("path", ["forward", "second_stacked_net", "update_workspace"])
+def test_nonfinite_activation_names_the_layer(path):
     params = small_net(8)
     params.biases[0][0] = np.inf
     states = np.full((2, H), 0.25)
     with pytest.raises(NumericError, match="layer 0"):
-        if stacked:
+        if path == "second_stacked_net":
             policy_fn(small_net(9), params)(states, states)
+        elif path == "update_workspace":
+            _update_with_warm_workspace(params)
         else:
             forward(params, states[0], states[0])
+
+
+def test_leaky_relu_matches_where_form_bit_for_bit():
+    tiny = np.nextafter(0.0, 1.0)  # 5e-324, the smallest subnormal
+    edge = np.array([0.0, -0.0, tiny, -tiny, 1e300, -1e300])
+    z = np.concatenate([edge, np.random.default_rng(11).normal(scale=3.0, size=1000)])
+    expected = np.where(z > 0, z, LEAKY_SLOPE * z)
+    assert _activate("leaky", z).tobytes() == expected.tobytes()
+    out = np.empty_like(z)
+    assert _activate("leaky", z, out).tobytes() == expected.tobytes()
+
+
+def test_reused_workspace_matches_fresh_allocation_bitwise():
+    # two nets of different widths and batch sizes share one workspace, as
+    # the two players' updates do; every result must equal a fresh run's
+    ws = Workspace()
+    cases = [(small_net(50, 4, 6), 7), (small_net(51, 3, 9), 12), (small_net(52, 4, 6), 5)]
+    for params, batch in cases * 2:
+        cur, prev = random_pairs(batch, batch)
+        rng = np.random.default_rng(batch)
+        targets = np.eye(J)[rng.integers(0, J, size=batch)]
+        weights = rng.normal(size=batch)
+        fresh_probs, fresh_trace = forward(params, cur, prev)
+        probs, trace = forward(params, cur, prev, ws)
+        assert probs.tobytes() == fresh_probs.tobytes()
+        for a, b in zip(trace.layer_inputs + trace.pre_activations,
+                        fresh_trace.layer_inputs + fresh_trace.pre_activations):
+            assert a.tobytes() == b.tobytes()
+        for variant in ("two_sided", "chosen_only"):
+            assert loss_value(probs, targets, weights, variant, ws) == loss_value(
+                fresh_probs, targets, weights, variant
+            )
+            got = gradients(params, trace, targets, weights, variant, ws)
+            want = gradients(params, fresh_trace, targets, weights, variant)
+            for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_loss_value_hand_case():

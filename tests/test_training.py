@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from celab.env import rollout
 from celab.errors import PreconditionError
 from celab.games import load_game
-from celab.policy import forward, init_policy, policy_fn
+from celab.policy import Workspace, forward, init_policy, policy_fn
 from celab.training import (
     AdamState,
     RewardTensor,
@@ -223,6 +224,30 @@ class TestUpdatePolicy:
         )
         assert np.isfinite(stats.loss)
         assert stats.grad_max > 0
+
+
+    def test_update_with_a_warm_workspace_allocates_little(self, coordination):
+        # default-config shapes: 944 rows. Without a reused workspace one
+        # update allocates about 4 MB of row-sized intermediates.
+        cfg = TrainingConfig()
+        params = init_policy(4, 27, cfg.width_in, cfg.width_mid, np.random.default_rng(12))
+        rngs = [np.random.default_rng(m) for m in range(cfg.rounds)]
+        batch = rollout(
+            policy_fn(params), cfg.rounds, cfg.steps, cfg.step_size, rngs,
+            start=np.full(4, 0.25),
+        )
+        rt = shape_rewards(batch.states, coordination.payoff("p1"), cfg.discount)
+        ws = Workspace()
+        params, state, _ = update_policy(
+            params, batch, rt, AdamState.zeros_like(params), cfg, ws
+        )
+        tracemalloc.start()
+        try:
+            update_policy(params, batch, rt, state, cfg, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestConfig:
