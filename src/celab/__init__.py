@@ -84,6 +84,7 @@ from .pipeline import (
     build_task_set,
     pair_view,
     run_pipeline,
+    slice_indices,
     validate_manifest,
 )
 

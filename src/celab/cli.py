@@ -4,9 +4,11 @@ opponent payoffs, and drive the pairwise pipeline, exporting CSV/JSON.
 Exit codes are a stable contract: 0 success, 2 input error, 3 non-convergence
 (epoch cap hit, training diverged to non-finite values, no feasible payoff
 estimate, or a correlated-equilibrium solve that failed its own check), 4
-partial results (pipeline stall). Every artifact embeds the
-resolved configuration and seed, and no output file is overwritten unless
---force is given. The default output directory is taken from the CELAB_OUT_DIR
+partial results (pipeline stall). Input errors are raised as
+PreconditionError or InvalidGameError, like those of the library itself, and
+`main` reports each as one `error:` line. Every artifact embeds the resolved
+configuration and seed, and no output file is overwritten unless --force is
+given. The default output directory is taken from the CELAB_OUT_DIR
 environment variable, falling back to the current directory.
 """
 
@@ -17,7 +19,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,30 +44,9 @@ EXIT_PARTIAL = 4
 OUT_DIR_ENV = "CELAB_OUT_DIR"
 
 
-class CLIError(Exception):
-    """User-facing failure with a chosen exit code."""
-
-    def __init__(self, message: str, code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
-
-
-@dataclass
-class RunConfig:
+def _header(args, seed: int | None, options: dict) -> dict:
     """Resolved invocation, embedded in every artifact as its header."""
-
-    command: str
-    game_path: str
-    seed: int | None
-    options: dict
-
-    def header(self) -> dict:
-        return {
-            "command": self.command,
-            "game": self.game_path,
-            "seed": self.seed,
-            "options": self.options,
-        }
+    return {"command": args.command, "game": args.game, "seed": seed, "options": options}
 
 
 def _out_dir(args) -> Path:
@@ -83,7 +63,7 @@ def _target(args, default_name: str) -> Path:
 
 def _refuse_overwrite(path: Path, force: bool) -> None:
     if path.exists() and not force:
-        raise CLIError(f"refusing to overwrite {path} (pass --force to replace it)")
+        raise PreconditionError(f"refusing to overwrite {path} (pass --force to replace it)")
 
 
 def _write_json(path: Path, payload: dict, force: bool) -> None:
@@ -98,19 +78,19 @@ def _write_json(path: Path, payload: dict, force: bool) -> None:
 def _load_game_file(path: str) -> Game:
     try:
         return load_game(path)
-    except OSError as exc:
-        raise CLIError(f"cannot read game file {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read game file {path}: {exc}") from None
 
 
 def _require_payoffs(game: Game, players) -> None:
     for p in players:
         if game.payoffs.get(p) is None:
-            raise CLIError(f"unknown payoff vector for player {p!r}")
+            raise PreconditionError(f"unknown payoff vector for player {p!r}")
 
 
 def _two_players(game: Game) -> tuple[str, str]:
     if len(game.players) != 2:
-        raise CLIError(
+        raise PreconditionError(
             f"this command needs a 2-player game, got {len(game.players)} players"
         )
     return game.players[0], game.players[1]
@@ -120,10 +100,10 @@ def _load_distribution(path: str, expected: int) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise CLIError(f"cannot read distribution file {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read distribution file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise CLIError(
+        raise PreconditionError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
     if isinstance(data, dict):
@@ -132,17 +112,20 @@ def _load_distribution(path: str, expected: int) -> np.ndarray:
                 data = data[key]
                 break
         else:
-            raise CLIError(
+            raise PreconditionError(
                 f"{path}: expected a JSON array or an object with a "
                 "'p_tilde' or 'distribution' field"
             )
-    vec = np.asarray(data, dtype=np.float64)
+    try:
+        vec = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError):  # non-numeric entries or ragged rows
+        vec = np.empty(0)
     if vec.ndim != 1 or vec.size != expected:
-        raise CLIError(
+        raise PreconditionError(
             f"{path}: distribution must be a flat array of {expected} probabilities"
         )
     if np.any(vec < -1e-9) or abs(float(vec.sum()) - 1.0) > 1e-6:
-        raise CLIError(f"{path}: distribution is not a point on the simplex")
+        raise PreconditionError(f"{path}: distribution is not a point on the simplex")
     return np.clip(vec, 0.0, None)
 
 
@@ -226,10 +209,10 @@ def cmd_solve(args) -> int:
         }
     else:  # hull
         if not args.point:
-            raise CLIError("--mode hull needs at least one --point U1 U2")
+            raise PreconditionError("--mode hull needs at least one --point U1 U2")
         equilibria = enumerate_equilibria(game)
         if not equilibria:
-            raise CLIError("hull test needs at least one equilibrium payoff")
+            raise PreconditionError("hull test needs at least one equilibrium payoff")
         ne_payoffs = [eq.payoffs for eq in equilibria]
         verdicts = []
         for point in args.point:
@@ -247,13 +230,8 @@ def cmd_solve(args) -> int:
             "points": verdicts,
         }
 
-    run = RunConfig(
-        command="solve",
-        game_path=args.game,
-        seed=None,
-        options={"mode": args.mode, "points": args.point},
-    )
-    _write_json(target, {"reproducibility": run.header(), **payload}, args.force)
+    header = _header(args, None, {"mode": args.mode, "points": args.point})
+    _write_json(target, {"reproducibility": header, **payload}, args.force)
     print(f"wrote {target}")
     return EXIT_OK
 
@@ -266,10 +244,7 @@ def cmd_train(args) -> int:
     game = _load_game_file(args.game)
     pair = _two_players(game)
     _require_payoffs(game, pair)
-    try:
-        config = _training_config(args)
-    except PreconditionError as exc:
-        raise CLIError(str(exc)) from None
+    config = _training_config(args)
 
     out_dir = _out_dir(args)
     prefix = args.prefix
@@ -289,16 +264,11 @@ def cmd_train(args) -> int:
             seed=args.seed,
             config=config.to_dict(),
         )
-    run = RunConfig(
-        command="train",
-        game_path=args.game,
-        seed=args.seed,
-        options={"config": config.to_dict(), "players": list(pair)},
-    )
+    header = _header(args, args.seed, {"config": config.to_dict(), "players": list(pair)})
     _write_json(
         p_tilde_path,
         {
-            "reproducibility": run.header(),
+            "reproducibility": header,
             "players": list(pair),
             "stable": result.stable,
             "epochs_run": result.epochs_run,
@@ -332,12 +302,12 @@ def cmd_estimate(args) -> int:
     game = _load_game_file(args.game)
     a, b = _two_players(game)
     if game.menu_sizes != (2, 2):
-        raise CLIError(
+        raise PreconditionError(
             f"estimation is defined for 2x2 interactions, got menus {game.menu_sizes}"
         )
     known = args.known_player
     if known not in game.players:
-        raise CLIError(f"unknown player {known!r}; players are {list(game.players)}")
+        raise PreconditionError(f"unknown player {known!r}; players are {list(game.players)}")
     _require_payoffs(game, (known,))
     estimated = b if known == a else a
     target = _target(args, "estimate_report.json")
@@ -389,20 +359,16 @@ def cmd_estimate(args) -> int:
             f"{'match' if match else 'DIVERGES'} (tol {args.round_trip_tol:g})"
         )
 
-    run = RunConfig(
-        command="estimate",
-        game_path=args.game,
-        seed=None,
-        options={
-            "known_player": known,
-            "distribution": args.distribution,
-            "comparison_tol": args.comparison_tol,
-            "rotate_opponent": args.rotate_opponent,
-            "round_trip": args.round_trip,
-            "round_trip_tol": args.round_trip_tol,
-        },
-    )
-    _write_json(target, {"reproducibility": run.header(), **payload}, args.force)
+    options = {
+        "known_player": known,
+        "distribution": args.distribution,
+        "comparison_tol": args.comparison_tol,
+        "rotate_opponent": args.rotate_opponent,
+        "round_trip": args.round_trip,
+        "round_trip_tol": args.round_trip_tol,
+    }
+    header = _header(args, None, options)
+    _write_json(target, {"reproducibility": header, **payload}, args.force)
     print(f"wrote {target}")
     return EXIT_OK if result.status == "ok" else EXIT_UNSTABLE
 
@@ -415,22 +381,16 @@ def cmd_pipeline(args) -> int:
     game = _load_game_file(args.game)
     target = _target(args, "pipeline_manifest.json")
     _refuse_overwrite(target, args.force)
-    try:
-        config = _training_config(args)
-    except PreconditionError as exc:
-        raise CLIError(str(exc)) from None
-    try:
-        result = run_pipeline(
-            game,
-            main_player=args.main_player,
-            known_players=args.known_player,
-            config=config,
-            seed=args.seed,
-            comparison_tol=args.comparison_tol,
-            rotate_opponent=args.rotate_opponent,
-        )
-    except PreconditionError as exc:
-        raise CLIError(str(exc)) from None
+    config = _training_config(args)
+    result = run_pipeline(
+        game,
+        main_player=args.main_player,
+        known_players=args.known_player,
+        config=config,
+        seed=args.seed,
+        comparison_tol=args.comparison_tol,
+        rotate_opponent=args.rotate_opponent,
+    )
 
     manifest = result.manifest()
     findings = validate_manifest(manifest)
@@ -470,24 +430,20 @@ def cmd_pipeline(args) -> int:
     for finding in findings:
         print(f"  manifest warning: {finding}", file=sys.stderr)
 
-    run = RunConfig(
-        command="pipeline",
-        game_path=args.game,
-        seed=args.seed,
-        options={
-            "main_player": result.main_player,
-            "known_players": [
-                p
-                for p in game.players
-                if result.knowledge[p] is not None
-                and result.knowledge[p].provenance == "given"
-            ],
-            "comparison_tol": args.comparison_tol,
-            "rotate_opponent": args.rotate_opponent,
-            "config": config.to_dict(),
-        },
-    )
-    _write_json(target, {"reproducibility": run.header(), **manifest}, args.force)
+    options = {
+        "main_player": result.main_player,
+        "known_players": [
+            p
+            for p in game.players
+            if result.knowledge[p] is not None
+            and result.knowledge[p].provenance == "given"
+        ],
+        "comparison_tol": args.comparison_tol,
+        "rotate_opponent": args.rotate_opponent,
+        "config": config.to_dict(),
+    }
+    header = _header(args, args.seed, options)
+    _write_json(target, {"reproducibility": header, **manifest}, args.force)
     print(f"status: {result.status}")
     print(f"wrote {target}")
     return EXIT_OK if result.status == "complete" else EXIT_PARTIAL
@@ -594,13 +550,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (InvalidGameError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (InvalidGameError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericError as exc:

@@ -97,6 +97,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _labels(value, what: str) -> tuple[str, ...]:
+    """`value` as a tuple of string labels. Only a list or tuple of strings
+    is taken, so a bare string is refused rather than split into characters."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
+        raise InvalidGameError(f"{what} must be a list of string labels, got {value!r}")
+    return tuple(value)
+
+
 def make_game(
     players: Sequence[str],
     decisions: Sequence[Sequence[str]] | Mapping[str, Sequence[str]],
@@ -104,11 +112,14 @@ def make_game(
 ) -> Game:
     """Validate and construct a Game.
 
+    Players and menus are lists or tuples of string labels; `decisions` is
+    one menu per player, in player order or keyed by player.
+
     Payoff vectors must be non-negative and sum to 1 within 1e-9; sums off by
     up to 1e-6 are renormalized with a RenormalizedPayoffWarning, anything
     worse raises InvalidGameError.
     """
-    players_t = tuple(players)
+    players_t = _labels(players, "players")
     if len(players_t) < 2:
         raise InvalidGameError("a game needs at least two players")
     if len(set(players_t)) != len(players_t):
@@ -118,11 +129,12 @@ def make_game(
         missing = [p for p in players_t if p not in decisions]
         if missing:
             raise InvalidGameError(f"decision menus missing for players {missing}")
-        menus = tuple(tuple(decisions[p]) for p in players_t)
-    else:
-        if len(decisions) != len(players_t):
-            raise InvalidGameError("one decision menu per player required")
-        menus = tuple(tuple(m) for m in decisions)
+        decisions = [decisions[p] for p in players_t]
+    elif not isinstance(decisions, (list, tuple)):
+        raise InvalidGameError("decisions must give one menu per player")
+    if len(decisions) != len(players_t):
+        raise InvalidGameError("one decision menu per player required")
+    menus = tuple(_labels(m, f"decision menu of {p!r}") for p, m in zip(players_t, decisions))
     for p, menu in zip(players_t, menus):
         if len(menu) < 1:
             raise InvalidGameError(f"empty decision menu for {p!r}")
@@ -136,7 +148,10 @@ def make_game(
         if raw is None:
             vectors[p] = None
             continue
-        v = np.asarray(raw, dtype=np.float64)
+        try:
+            v = np.asarray(raw, dtype=np.float64)
+        except (TypeError, ValueError):  # non-numeric entries or ragged rows
+            raise InvalidGameError(f"payoff vector for {p!r} must hold numbers") from None
         if v.shape != (h,):
             raise InvalidGameError(
                 f"payoff vector for {p!r} has shape {v.shape}, expected ({h},)"

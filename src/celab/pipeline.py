@@ -85,7 +85,7 @@ def build_task_set(game: Game) -> list[InteractionTask]:
     return tasks
 
 
-def _slice_indices(game: Game, task: InteractionTask) -> tuple[int, ...]:
+def slice_indices(game: Game, task: InteractionTask) -> tuple[int, ...]:
     """Flat outcome indices matching a task's fixed decisions, in view order
     (player_a-major, player_b-minor)."""
     fixed = dict(task.fixed_decisions)
@@ -108,83 +108,48 @@ def _slice_indices(game: Game, task: InteractionTask) -> tuple[int, ...]:
     return tuple(indices)
 
 
-@dataclass
-class PairView:
-    """A two-player game induced by fixing all other players' decisions.
-
-    Sliced payoff vectors are renormalized to the simplex; `slice_mass`
-    records each supplied player's original mass on the slice so expected
-    rewards can be mapped back if needed.
-    """
-
-    task: InteractionTask
-    players: tuple[str, str]
-    outcome_indices: tuple[int, ...]
-    game: Game
-    slice_mass: dict[str, float]
-
-
 def _renormalized_slice(
     full, indices: tuple[int, ...], task: InteractionTask, what: str
-) -> tuple[np.ndarray, float]:
-    """`full` restricted to a view's outcomes and rescaled onto the simplex,
-    with the mass it had there."""
+) -> np.ndarray:
+    """`full` restricted to a view's outcomes and rescaled onto the simplex."""
     v = np.asarray(full, dtype=np.float64)[list(indices)]
     total = float(v.sum())
     if total <= SLICE_MASS_TOL:
         raise PreconditionError(
             f"{what} on view {task.describe()} is {total}; cannot renormalize"
         )
-    return v / total, total
+    return v / total
 
 
 def pair_view(
     game: Game,
     task: InteractionTask,
     payoffs: Mapping[str, np.ndarray | None] | None = None,
-) -> PairView:
-    """Induce the two-player view of a task.
+) -> Game:
+    """The two-player game a task induces: the pair's menus, with each
+    payoff vector sliced to the task's outcomes and renormalized.
 
     `payoffs` overrides the source of full vectors (for knowledge-base views);
     by default the game's own vectors are sliced. Missing vectors stay None.
     """
     source = game.payoffs if payoffs is None else payoffs
-    indices = _slice_indices(game, task)
-    a, b = task.pair
-    menus = (
-        game.decisions[game.players.index(a)],
-        game.decisions[game.players.index(b)],
-    )
-    sliced: dict[str, np.ndarray | None] = {}
-    mass: dict[str, float] = {}
-    for p in (a, b):
-        full = source.get(p)
-        if full is None:
-            sliced[p] = None
-            continue
-        sliced[p], mass[p] = _renormalized_slice(full, indices, task, f"payoff mass of {p!r}")
-    view_game = make_game((a, b), menus, sliced)
-    return PairView(
-        task=task,
-        players=(a, b),
-        outcome_indices=indices,
-        game=view_game,
-        slice_mass=mass,
-    )
+    indices = slice_indices(game, task)
+    sliced = {
+        p: None
+        if source.get(p) is None
+        else _renormalized_slice(source[p], indices, task, f"payoff mass of {p!r}")
+        for p in task.pair
+    }
+    menus = [game.decisions[game.players.index(p)] for p in task.pair]
+    return make_game(task.pair, menus, sliced)
 
 
-def against_set(game: Game, task: InteractionTask) -> bool:
-    """Whether the pair would bother interacting: the induced view (true
-    payoffs) must admit at least two equilibria, otherwise play collapses
-    onto the single prediction and the interaction reveals nothing."""
-    view = pair_view(game, task)
-    for p in view.players:
-        if view.game.payoffs.get(p) is None:
-            raise PreconditionError(
-                f"cannot evaluate the interaction gate for {task.describe()}: "
-                f"true payoff of {p!r} is unknown"
-            )
-    return len(enumerate_equilibria(view.game)) >= 2
+def against_set(view: Game) -> bool:
+    """Whether the pair of a view (true payoffs) would bother interacting:
+    it must admit at least two equilibria, otherwise play collapses onto the
+    single prediction and the interaction reveals nothing. An unknown payoff
+    raises PreconditionError."""
+    return len(enumerate_equilibria(view)) >= 2
 
 
 @dataclass
@@ -295,14 +260,10 @@ def _ce_record(
     record: TaskRecord,
     source: str,
 ) -> CERecord:
-    a, b = record.task.pair
-    view = pair_view(
-        game,
-        record.task,
-        payoffs={a: knowledge[a].values, b: knowledge[b].values},
-    )
-    ce = max_welfare_correlated_equilibrium(view.game)
-    check = is_correlated_equilibrium(view.game, ce.distribution)
+    known = {p: knowledge[p].values for p in record.task.pair}
+    view = pair_view(game, record.task, payoffs=known)
+    ce = max_welfare_correlated_equilibrium(view)
+    check = is_correlated_equilibrium(view, ce.distribution)
     return CERecord(
         task_index=record.index,
         players=record.task.pair,
@@ -362,10 +323,7 @@ def run_pipeline(
     # per unknown player, per partner pair: {task index: (indices, slice)}
     pieces: dict[str, dict[tuple[str, str], dict[int, tuple[tuple[int, ...], np.ndarray]]]] = {}
 
-    def simulatable(task: InteractionTask) -> bool:
-        return all(game.payoffs.get(p) is not None for p in task.pair)
-
-    def try_assemble(player: str) -> bool:
+    def try_assemble(player: str) -> None:
         for pair_key, got in pieces.get(player, {}).items():
             count = sum(len(idx) for idx, _ in got.values())
             if count != game.num_outcomes:
@@ -380,8 +338,62 @@ def run_pipeline(
                 source=f"slices from pair {pair_key[0]}-{pair_key[1]} "
                 f"({len(got)} combination(s), weight {weight:g} each)",
             )
-            return True
-        return False
+            return
+
+    def settle(record: TaskRecord) -> str | None:
+        """Process a task if what is known allows it; returns its final
+        status, or None to leave it queued."""
+        task = record.task
+        a, b = task.pair
+        if knowledge[a] is not None and knowledge[b] is not None:
+            ce_records.append(_ce_record(game, knowledge, record, "analytic"))
+            return "analytic_ce"
+        if knowledge[a] is None and knowledge[b] is None:
+            return None
+        if any(game.payoffs.get(p) is None for p in task.pair):
+            return None  # the ground truth cannot simulate this pair
+        true_view = pair_view(game, task)
+        if not against_set(true_view):
+            record.detail = {"reason": "induced view has fewer than 2 equilibria"}
+            return "skipped_not_against"
+
+        task_seed = _task_seed(seed, record.index)
+        trained = train_pair(true_view, task.pair, config, task_seed)
+
+        known_p, unknown_p = (a, b) if knowledge[a] is not None else (b, a)
+        order = _oriented(known_first=known_p == a)
+        indices = slice_indices(game, task)
+        known_slice = _renormalized_slice(
+            knowledge[known_p].values, indices, task, "known payoff mass"
+        )
+        est = estimate_payoff(
+            known_slice[order],
+            trained.p_tilde[order],
+            comparison_tol=comparison_tol,
+            rotate_opponent=rotate_opponent,
+        )
+        report = estimation_report(est)
+        record.detail = {
+            "trained_pair": list(task.pair),
+            "epochs_run": trained.epochs_run,
+            "stable": trained.stable,
+            "seed": task_seed,
+            "known_player": known_p,
+            "estimated_player": unknown_p,
+            "estimation": {
+                "status": report["status"],
+                "branch": report["branch"],
+                "objective": report["objective"],
+                "violated_families": report["violated_families"],
+                "round_trip": report["round_trip"],
+            },
+        }
+        if est.status != "ok":
+            return "estimation_infeasible"
+        store = pieces.setdefault(unknown_p, {}).setdefault(task.pair, {})
+        store[record.index] = (indices, est.estimate[order])
+        try_assemble(unknown_p)
+        return "trained_estimated"
 
     passes = 0
     stalled = False
@@ -389,74 +401,11 @@ def run_pipeline(
         passes += 1
         progress = False
         for record in list(queue):
-            task = record.task
-            a, b = task.pair
-            known_a = knowledge[a] is not None
-            known_b = knowledge[b] is not None
-            if known_a and known_b:
-                ce_records.append(_ce_record(game, knowledge, record, "analytic"))
-                record.status = "analytic_ce"
+            status = settle(record)
+            if status is not None:
+                record.status = status
                 queue.remove(record)
                 progress = True
-                continue
-            if not (known_a or known_b):
-                continue
-            if not simulatable(task):
-                continue
-            if not against_set(game, task):
-                record.status = "skipped_not_against"
-                record.detail = {"reason": "induced view has fewer than 2 equilibria"}
-                queue.remove(record)
-                progress = True
-                continue
-
-            true_view = pair_view(game, task)
-            task_seed = _task_seed(seed, record.index)
-            trained = train_pair(true_view.game, true_view.players, config, task_seed)
-
-            known_p = a if known_a else b
-            unknown_p = b if known_a else a
-            order = _oriented(known_first=known_p == true_view.players[0])
-            known_slice, _ = _renormalized_slice(
-                knowledge[known_p].values, true_view.outcome_indices, task, "known payoff mass"
-            )
-            v_main = known_slice[order]
-            p_tilde = trained.p_tilde[order]
-            est = estimate_payoff(
-                v_main,
-                p_tilde,
-                comparison_tol=comparison_tol,
-                rotate_opponent=rotate_opponent,
-            )
-            report = estimation_report(est)
-            record.detail = {
-                "trained_pair": list(true_view.players),
-                "epochs_run": trained.epochs_run,
-                "stable": trained.stable,
-                "seed": task_seed,
-                "known_player": known_p,
-                "estimated_player": unknown_p,
-                "estimation": {
-                    "status": report["status"],
-                    "branch": report["branch"],
-                    "objective": report["objective"],
-                    "violated_families": report["violated_families"],
-                    "round_trip": report["round_trip"],
-                },
-            }
-            if est.status != "ok":
-                record.status = "estimation_infeasible"
-                queue.remove(record)
-                progress = True
-                continue
-
-            slice_in_view = est.estimate[order]
-            store = pieces.setdefault(unknown_p, {}).setdefault(task.pair, {})
-            store[record.index] = (true_view.outcome_indices, slice_in_view)
-            try_assemble(unknown_p)
-            record.status = "trained_estimated"
-            queue.remove(record)
-            progress = True
         if not progress:
             stalled = True
             break

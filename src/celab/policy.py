@@ -408,9 +408,10 @@ def save_checkpoint(
             for i in range(9)
         ],
     }
+    # serialize first, so a payload json cannot encode leaves no partial file
+    text = json.dumps(payload, indent=2)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_checkpoint(path) -> tuple[PolicyParams, int | None]:

@@ -63,6 +63,10 @@ class TrainingConfig:
             raise PreconditionError("learning rate must be positive")
         if self.rounds < 1 or self.epochs < 1 or self.stability_window < 1:
             raise PreconditionError("rounds, epochs and stability_window must be >= 1")
+        if self.width_in < 1 or self.width_mid < 1:
+            raise PreconditionError("width_in and width_mid must be >= 1")
+        if not (0.0 < self.step_size <= 1.0):
+            raise PreconditionError(f"step size must lie in (0, 1], got {self.step_size}")
         if self.steps < min_steps(self.step_size):
             raise PreconditionError(
                 f"steps must satisfy N >= ceil(1/step_size) so every grid state "
@@ -338,8 +342,10 @@ def write_history_csv(result: TrainResult, path) -> None:
         "players": list(result.players),
         "config": result.config.to_dict(),
     }
+    # serialize first, so a header json cannot encode leaves no partial file
+    header = "# " + json.dumps(header_meta, sort_keys=True) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# " + json.dumps(header_meta, sort_keys=True) + "\n")
+        fh.write(header)
         writer = csv.writer(fh)
         writer.writerow(
             ["epoch", "player", "mean_terminal_reward"] + [f"rho_{i+1}" for i in range(h)]

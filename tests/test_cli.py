@@ -1,5 +1,6 @@
 """Exit codes, output artifacts, and diagnostics of the command-line surface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -338,6 +339,105 @@ class TestPipeline:
              "--main-player", "p9", "--out", str(tmp_path / "x")]
         )
         assert code == 2
+
+
+def _golden_runs():
+    """(fixture, argv tail, distribution) for every run the golden digest covers."""
+    for fixture in ("chicken", "coordination_2x2", "dominant_2x2", "mirror_2x2"):
+        yield fixture, ["solve", "--mode", "ce"], None
+        yield fixture, ["solve", "--mode", "ne"], None
+        yield fixture, ["solve", "--mode", "hull", "--point", "0.3", "0.3",
+                        "--point", "0.5", "0.2"], None
+    yield "coordination_2x2", ["estimate", "--known-player", "p1", "--round-trip"], (
+        [1.0, 0.0, 0.0, 0.0]
+    )
+    yield "mirror_2x2", ["estimate", "--known-player", "p1"], (
+        {"p_tilde": [1 / 3, 1 / 3, 1 / 3, 0.0]}
+    )
+    for seed in ("0", "1"):
+        yield "three_player", ["pipeline", "--epochs", "4", "--seed", seed], None
+    yield "stalled_three_player", ["pipeline", "--epochs", "3"], None
+    # the runs above end with every estimate infeasible; these two reach the
+    # other task outcomes. With p1 and p2 given, the (p1, p2) views are
+    # analytic; under this fast-learning config both (p2, p3) slices
+    # estimate, p3's vector is stitched from them and the post-estimation
+    # sweep runs. Mirror's one view has a single equilibrium and is skipped.
+    yield "three_player", ["pipeline", "--known-player", "p1", "--known-player", "p2",
+                           "--step-size", "0.05", "--steps", "20",
+                           "--learning-rate", "0.01", "--epochs", "20"], None
+    yield "mirror_2x2", ["pipeline", "--epochs", "4"], None
+
+
+def test_golden_artifact_digest(fx, tmp_path):
+    # sha256 over the exit codes and sorted-key JSON artifacts of solve,
+    # estimate and pipeline runs on the bundled fixtures, recorded with
+    # numpy 2.4 on OpenBLAS. Input paths in the reproducibility header are
+    # reduced to file names, so the digest does not depend on where the
+    # files live; any drift in a command's output changes it.
+    digest = hashlib.sha256()
+    for i, (fixture, argv, distribution) in enumerate(_golden_runs()):
+        command, *rest = argv
+        out = tmp_path / f"run{i}.json"
+        if distribution is not None:
+            dist = tmp_path / f"dist{i}.json"
+            dist.write_text(json.dumps(distribution))
+            rest += ["--distribution", str(dist)]
+        code = main([command, fx(f"{fixture}.json"), *rest, "--out", str(out)])
+        payload = json.loads(out.read_text())
+        header = payload["reproducibility"]
+        header["game"] = f"{fixture}.json"
+        if "distribution" in header["options"]:
+            header["options"]["distribution"] = f"dist{i}.json"
+        digest.update(f"{code}\n{json.dumps(payload, sort_keys=True)}\n".encode())
+    assert digest.hexdigest() == (
+        "35f57f0ede89e06dddc64e27c3f14fda9dc846cc2b185d523e82c725433db5fc"
+    )
+
+
+_VALID_GAME = {
+    "players": ["p1", "p2"],
+    "decisions": {"p1": ["C", "D"], "p2": ["C", "D"]},
+    "payoffs": {"p1": [0.4, 0.1, 0.3, 0.2], "p2": [0.4, 0.3, 0.1, 0.2]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, game_fields, distribution",
+    [
+        (["train", "--step-size", "0"], {}, None),
+        (["train", "--width-mid", "0"], {}, None),
+        (["train", "--width-in", "0"], {}, None),
+        (["solve"], {"payoffs": {"p1": ["a", 0.2, 0.3, 0.5], "p2": [0.25] * 4}}, None),
+        (["solve"], {"players": 5}, None),
+        (["solve"], {"decisions": {"p1": "CD", "p2": ["C", "D"]}}, None),
+        (["estimate", "--known-player", "p1"], {}, ["a", "b", "c", "d"]),
+        (["estimate", "--known-player", "p1"], {}, [[0.5], [0.25, 0.25]]),
+    ],
+    ids=[
+        "zero-step-size", "zero-width-mid", "zero-width-in", "non-numeric-payoff",
+        "players-not-a-list", "menu-as-a-string", "non-numeric-distribution",
+        "ragged-distribution",
+    ],
+)
+def test_malformed_input_exits_2_with_one_error_line(
+    tmp_path, argv, game_fields, distribution
+):
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({**_VALID_GAME, **game_fields}))
+    command, *rest = argv
+    if distribution is not None:
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps(distribution))
+        rest += ["--distribution", str(dist)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "celab.cli", command, str(game), *rest,
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ")
 
 
 def test_module_entry_point_runs(fx, tmp_path):

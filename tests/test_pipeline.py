@@ -14,6 +14,7 @@ from celab.pipeline import (
     build_task_set,
     pair_view,
     run_pipeline,
+    slice_indices,
     validate_manifest,
 )
 from celab.training import TrainingConfig
@@ -68,19 +69,19 @@ class TestBuildTaskSet:
 class TestPairView:
     def test_outcome_indices_are_view_major(self, three_player):
         tasks = build_task_set(three_player)
-        assert pair_view(three_player, tasks[0]).outcome_indices == (0, 2, 4, 6)
-        assert pair_view(three_player, tasks[1]).outcome_indices == (1, 3, 5, 7)
+        assert slice_indices(three_player, tasks[0]) == (0, 2, 4, 6)
+        assert slice_indices(three_player, tasks[1]) == (1, 3, 5, 7)
         # (p2, p3) with p1=B: contiguous block, p2-major.
-        assert pair_view(three_player, tasks[5]).outcome_indices == (4, 5, 6, 7)
+        assert slice_indices(three_player, tasks[5]) == (4, 5, 6, 7)
 
-    def test_slices_renormalize_and_record_mass(self, three_player):
+    def test_slices_renormalize(self, three_player):
         view = pair_view(three_player, build_task_set(three_player)[0])
-        v1 = view.game.payoffs["p1"]
+        assert view.players == ("p1", "p2")
+        assert view.decisions == (("A", "B"), ("A", "B"))
+        v1 = view.payoffs["p1"]
         np.testing.assert_allclose(v1, np.array([0.46, 0.04, 0.05, 0.05]) / 0.6)
-        np.testing.assert_allclose(view.slice_mass["p1"], 0.6)
-        np.testing.assert_allclose(view.slice_mass["p2"], 0.62)
         for p in view.players:
-            np.testing.assert_allclose(view.game.payoffs[p].sum(), 1.0)
+            np.testing.assert_allclose(view.payoffs[p].sum(), 1.0)
 
     def test_zero_mass_slice_is_rejected(self):
         game = make_game(
@@ -99,21 +100,20 @@ class TestPairView:
 
     def test_missing_vector_stays_unknown(self, stalled_three_player):
         view = pair_view(stalled_three_player, build_task_set(stalled_three_player)[0])
-        assert view.game.payoffs["p2"] is None
-        assert "p2" not in view.slice_mass
+        assert view.payoffs["p2"] is None
 
     def test_payoff_override_replaces_the_source(self, three_player):
         task = build_task_set(three_player)[0]
         override = {p: np.full(8, 0.125) for p in ("p1", "p2")}
         view = pair_view(three_player, task, payoffs=override)
         for p in view.players:
-            np.testing.assert_allclose(view.game.payoffs[p], 0.25)
+            np.testing.assert_allclose(view.payoffs[p], 0.25)
 
 
 class TestAgainstSet:
     def test_coordination_views_pass_the_gate(self, three_player):
         for task in build_task_set(three_player):
-            assert against_set(three_player, task)
+            assert against_set(pair_view(three_player, task))
 
     def test_dominance_solvable_view_fails_the_gate(self):
         # Both slices of the (p1, p2) interaction are strict-dominance games
@@ -128,12 +128,12 @@ class TestAgainstSet:
             },
         )
         for task in build_task_set(game)[:2]:
-            assert not against_set(game, task)
+            assert not against_set(pair_view(game, task))
 
     def test_gate_needs_true_payoffs(self, stalled_three_player):
-        task = build_task_set(stalled_three_player)[0]
+        view = pair_view(stalled_three_player, build_task_set(stalled_three_player)[0])
         with pytest.raises(PreconditionError, match="p2"):
-            against_set(stalled_three_player, task)
+            against_set(view)
 
 
 class TestRunPipelinePreconditions:
@@ -189,7 +189,7 @@ class TestOrientation:
         # Standalone copy of the fixture's (p1, p2 | p3=A) view, with the
         # second player the known one, so the estimator sees swapped axes.
         task = build_task_set(three_player)[0]
-        game = pair_view(three_player, task).game
+        game = pair_view(three_player, task)
         result = run_pipeline(
             game,
             main_player="p2",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from celab.env import rollout
 from celab.errors import PreconditionError
 from celab.games import load_game
-from celab.policy import Workspace, forward, init_policy, policy_fn
+from celab.policy import Workspace, forward, init_policy, policy_fn, save_checkpoint
 from celab.training import (
     AdamState,
     RewardTensor,
@@ -265,6 +265,10 @@ class TestConfig:
             tiny_config(loss_variant="huber")
         with pytest.raises(PreconditionError, match="learning rate"):
             tiny_config(learning_rate=0.0)
+        with pytest.raises(PreconditionError, match="step size"):
+            tiny_config(step_size=0.0)
+        with pytest.raises(PreconditionError, match="width"):
+            tiny_config(width_mid=0)
 
 
 class TestTrainPair:
@@ -338,6 +342,17 @@ class TestHistoryCsv:
         write_history_csv(result, p1)
         write_history_csv(train_pair(chicken, ("p1", "p2"), cfg, seed=11), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_encode_failure_leaves_no_file(self, chicken, tmp_path):
+        # train_pair takes a numpy integer seed, which json cannot encode
+        result = train_pair(chicken, ("p1", "p2"), tiny_config(epochs=1), seed=np.int64(5))
+        history, checkpoint = tmp_path / "history.csv", tmp_path / "checkpoint.json"
+        with pytest.raises(TypeError):
+            write_history_csv(result, history)
+        with pytest.raises(TypeError):
+            save_checkpoint(result.params["p1"], checkpoint, seed=result.seed)
+        assert not history.exists()
+        assert not checkpoint.exists()
 
     # sha256 of the 20-epoch default-config history, recorded with numpy 2.4 on
     # OpenBLAS; any drift in the numbers (rollout, update or CSV formatting)
