@@ -46,6 +46,7 @@ from .env import (
 )
 from .policy import (
     PolicyParams,
+    RolloutRecord,
     Workspace,
     forward,
     gradients,

@@ -9,7 +9,6 @@ state is a valid simplex point.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -181,20 +180,3 @@ def average_states(batch_a: EpisodeBatch, batch_b: EpisodeBatch) -> np.ndarray:
         )
     return (batch_a.states + batch_b.states) / 2.0
 
-
-def batch_to_csv(batch: EpisodeBatch, path) -> None:
-    """Write one row per recorded state: round, step, action_index, rho_1..rho_H.
-
-    The action index on a row is the action that produced that state; the
-    start-state rows carry -1.
-    """
-    h = batch.states.shape[2]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "step", "action_index"] + [f"rho_{i+1}" for i in range(h)])
-        for m in range(batch.rounds):
-            for n in range(batch.steps):
-                action = -1 if n == 0 else int(batch.action_indices[m, n - 1])
-                writer.writerow(
-                    [m + 1, n + 1, action] + [repr(float(x)) for x in batch.states[m, n]]
-                )

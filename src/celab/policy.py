@@ -3,10 +3,30 @@
 Topology: two linear analyzer layers (one per input state) whose outputs are
 concatenated, three dense layers with LeakyReLU (slope 0.2), three dense
 layers at double width with ReLU, and a softmax output over the J actions.
-`forward` records a trace so the analytic backward pass can run without any
-autodiff framework. Rollouts need no trace: `policy_fn` runs the same layer
-stack trace-free, and with several nets stacks their weights so one batched
-matmul per layer serves every player's rows at once.
+`forward` runs the layer stack and returns a trace of its layer inputs, from
+which `gradients` runs the analytic backward pass without any autodiff
+framework. `forward` also takes P stacked nets (`stack`), one batched matmul
+per layer serving every net's block of rows at once; rollouts use this, one
+call per step for all players (`policy_fn`).
+
+A rollout step evaluates exactly the rows that the following update will
+differentiate, with the same weights, so a training run keeps what the steps
+compute instead of running the pass again, and the update differentiates the
+very probabilities the rollout sampled from. The run owns a `RolloutRecord`
+for its whole life: layer inputs 2-8 and the probabilities of every step,
+for every net. A record slot holds one step, and it is step-major (step,
+net, round) because the rollout writes a whole step at once: each layer's
+result lands in one contiguous block, and no step allocates. The update
+reads one net in (round, step) row order, the order `forward` over the
+batch would use, so it copies one layer at a time into that order and every
+reduction sums in the same order as over a fresh pass. The copies then equal
+a fresh pass's arrays byte for byte wherever the matrix kernel gives a row
+the same bits whatever the row count. OpenBLAS's Haswell kernel does with
+the default 16 rounds; with 3 or 5 rounds it gives some rows of the 27-wide
+output layer other last bits, and there the update follows the
+probabilities that were sampled, not those of a fresh pass.
+The backward pass needs no pre-activations: the sign of a layer's
+activation output decides its derivative.
 
 An update pass (`forward`, `loss_value`, `gradients`) works on a few hundred
 rows, and its row-sized intermediates come to megabytes. Freed after every
@@ -14,13 +34,16 @@ call, that memory goes back to the operating system and is faulted in again
 on the next one, which costs more than the arithmetic. So these functions
 write every row-sized intermediate into a `Workspace` that the caller owns
 and passes to each call; `train_pair` keeps one per run. Called without one,
-each function makes a fresh workspace and runs the same code.
+`loss_value` and `gradients` make a fresh workspace and `forward` allocates
+fresh arrays, running the same arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,6 +132,20 @@ def init_policy(
     )
 
 
+def stack(nets) -> PolicyParams:
+    """P nets of one shape as one: (P, fan_in, fan_out) weights and
+    (P, 1, fan_out) biases, for `forward` over P blocks of rows."""
+    first = nets[0]
+    return PolicyParams(
+        h=first.h,
+        j=first.j,
+        width_in=first.width_in,
+        width_mid=first.width_mid,
+        weights=[np.stack(w) for w in zip(*(p.weights for p in nets))],
+        biases=[np.stack(b)[:, None, :] for b in zip(*(p.biases for p in nets))],
+    )
+
+
 class Workspace:
     """Reusable buffers for the row-sized intermediates of an update pass.
 
@@ -134,18 +171,84 @@ class Workspace:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer inputs and pre-activations from one forward pass (2-D batch).
+    """Per-layer inputs of one forward pass (2-D batch) and, from `forward`,
+    its pre-activations.
 
     `layer_inputs` has all nine layers; `pre_activations` stops at layer 7,
     because the logits become the probabilities in place. With a shared
-    workspace the arrays are views of its buffers.
+    workspace the arrays are views of its buffers. With P stacked nets each
+    per-layer array is P blocks, (P, B/P, width), and `probs` is (B, J). A
+    trace read from a `RolloutRecord` has no pre-activations, and its
+    layer inputs are copied on each read (`RolloutRecord.trace`).
     """
 
     current: np.ndarray
     previous: np.ndarray
-    layer_inputs: list[np.ndarray]
-    pre_activations: list[np.ndarray]
+    layer_inputs: Sequence[np.ndarray]
+    pre_activations: list[np.ndarray] | None
     probs: np.ndarray
+
+
+def _in_row_order(steps_first: np.ndarray, workspace: Workspace, name) -> np.ndarray:
+    """A (steps, rounds, width) block copied into `workspace` as
+    (rounds * steps, width) rows in (round, step) order."""
+    steps, rounds, width = steps_first.shape
+    rows = workspace.array(name, (rounds * steps, width))
+    np.copyto(rows.reshape(rounds, steps, width), steps_first.swapaxes(0, 1))
+    return rows
+
+
+class _RecordedInputs(Sequence):
+    """Layer inputs of one recorded net: the states for layers 0 and 1, and
+    for layers 2-8 a copy in (round, step) row order, made on each read into
+    one workspace buffer that the next read overwrites."""
+
+    def __init__(self, record, net, current, previous, workspace):
+        self._record, self._net, self._ws = record, net, workspace
+        self._states = (current, previous)
+
+    def __len__(self) -> int:
+        return 9
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        if not 0 <= i < 9:
+            raise IndexError(i)
+        if i < 2:
+            return self._states[i]
+        block = self._record.arrays[i - 2][:, self._net]
+        return _in_row_order(block, self._ws, "recorded_input")
+
+
+class RolloutRecord:
+    """Layer inputs 2-8 and probabilities of every step of a stacked rollout.
+
+    For rollouts of `steps` policy calls (N - 1 for N states),
+    `arrays[i - 2][n, k, m]` is layer i's input at step n for round m of net
+    k, and `arrays[7]` holds the probabilities the same way. `slots[n]` is
+    step n's eight contiguous (P, M, width) blocks, which that step's
+    `forward` writes in place (see `policy_fn`). The caller that runs the
+    rollouts and the updates owns the record; `train_pair` allocates one per
+    run and every epoch's rollout overwrites it.
+    """
+
+    def __init__(self, params: PolicyParams, nets: int, rounds: int, steps: int):
+        dims = layer_dims(params.h, params.j, params.width_in, params.width_mid)
+        widths = [fan_in for fan_in, _ in dims[2:]] + [params.j]
+        self.arrays = [np.empty((steps, nets, rounds, width)) for width in widths]
+        self.slots = [list(blocks) for blocks in zip(*self.arrays)]
+
+    def trace(
+        self, net: int, current: np.ndarray, previous: np.ndarray, workspace: Workspace
+    ) -> ForwardTrace:
+        """Net `net`'s recorded pass as a trace over `current` and
+        `previous`, its rows in (round, step) order, as `forward` lays them
+        out. Valid only while the net keeps the weights it rolled out with.
+        The probabilities are copied into `workspace`; the layer inputs are
+        copied one at a time as `gradients` reads them, so only one layer's
+        copy exists at a time."""
+        probs = _in_row_order(self.arrays[-1][:, net], workspace, "probs")
+        inputs = _RecordedInputs(self, net, current, previous, workspace)
+        return ForwardTrace(current, previous, inputs, None, probs)
 
 
 def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -170,22 +273,29 @@ def _state_rows(h: int, current, previous) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layers(
-    weights, biases, cur, prev, ws=None, inputs=None, pre_activations=None
+    weights, biases, cur, prev, ws=None, inputs=None, pre_activations=None, slot=None
 ) -> np.ndarray:
     """The nine-layer stack, returning action probabilities.
 
     Runs one net's (fan_in, fan_out) weights over (B, H) rows, or P stacked
     nets' (P, fan_in, fan_out) weights and (P, 1, fan_out) biases over
     (P, B, H) blocks. With a workspace `ws` every intermediate lands in its
-    buffers; without one each is a fresh array. When `inputs` and
-    `pre_activations` are lists, the layer inputs and the pre-activations of
-    layers 0-7 are appended to them.
+    buffers; without one each is a fresh array. A `RolloutRecord` slot, when
+    given, takes layer inputs 2-8 and the probabilities instead.
+    When `inputs` and `pre_activations` are lists, the layer inputs and the
+    pre-activations of layers 0-7 are appended to them.
     """
     lead = cur.shape[:-1]
 
     def buffer(name, width, dtype=np.float64):
         # None lets each numpy call allocate its own result
         return None if ws is None else ws.array(name, lead + (width,), dtype)
+
+    def landing(i, width):
+        # where layer i's input goes; i == 9 stands for the probabilities
+        if slot is not None:
+            return slot[i - 2]
+        return buffer(("input", i) if i < 9 else "probs", width)
 
     def dense(i: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         z = np.matmul(x, weights[i], out=out)
@@ -196,7 +306,7 @@ def _layers(
 
     # the two linear analyzers write the halves of layer 2's input
     half = weights[0].shape[-1]
-    x = buffer(("input", 2), 2 * half)
+    x = landing(2, 2 * half)
     if x is None:
         x = np.empty(lead + (2 * half,))
     za = dense(0, cur, x[..., :half])
@@ -209,11 +319,11 @@ def _layers(
         if inputs is not None:
             inputs.append(x)
             pre_activations.append(z)
-        x = _activate(_ACTIVATIONS[i], z, buffer(("input", i + 1), z.shape[-1]))
+        x = _activate(_ACTIVATIONS[i], z, landing(i + 1, z.shape[-1]))
     if inputs is not None:
         inputs.append(x)
     # softmax in place over the logits
-    probs = dense(8, x, buffer("probs", weights[8].shape[-1]))
+    probs = dense(8, x, landing(9, weights[8].shape[-1]))
     col = buffer("column", 1)
     probs -= probs.max(axis=-1, keepdims=True, out=col)
     np.exp(probs, out=probs)
@@ -226,20 +336,32 @@ def forward(
     current: np.ndarray,
     previous: np.ndarray,
     workspace: Workspace | None = None,
+    slot: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Action distribution for (current, previous) state pairs.
 
     Accepts single states (H,) or batches (B, H); the returned probabilities
-    match the input arity, while the trace always stores 2-D arrays. Both
-    live in `workspace` (a fresh one when omitted).
+    match the input arity, while the trace stores 2-D arrays. With P nets
+    stacked into `params` (`stack`), the B rows are P consecutive blocks of
+    B/P rows, block k played by net k, and the trace's per-layer arrays are
+    (P, B/P, width). Intermediates live in `workspace`, or in fresh arrays
+    when it is omitted; a `RolloutRecord` slot takes layer inputs 2-8 and
+    the probabilities.
     """
     cur, prev = _state_rows(params.h, current, previous)
-    ws = Workspace() if workspace is None else workspace
+    blocks_cur, blocks_prev = cur, prev
+    if params.weights[0].ndim == 3:
+        nets = params.weights[0].shape[0]
+        if cur.shape[0] % nets:
+            raise PreconditionError(f"{cur.shape[0]} rows do not split into {nets} nets")
+        blocks = (nets, cur.shape[0] // nets, params.h)
+        blocks_cur, blocks_prev = cur.reshape(blocks), prev.reshape(blocks)
     layer_inputs: list[np.ndarray] = []
     pre_activations: list[np.ndarray] = []
     probs = _layers(
-        params.weights, params.biases, cur, prev, ws, layer_inputs, pre_activations
-    )
+        params.weights, params.biases, blocks_cur, blocks_prev, workspace,
+        layer_inputs, pre_activations, slot,
+    ).reshape(-1, params.j)
     trace = ForwardTrace(
         current=cur,
         previous=prev,
@@ -247,8 +369,7 @@ def forward(
         pre_activations=pre_activations,
         probs=probs,
     )
-    out = probs[0] if np.asarray(current).ndim == 1 else probs
-    return out, trace
+    return (probs[0] if np.asarray(current).ndim == 1 else probs), trace
 
 
 def sample_action(distribution: np.ndarray, rng: np.random.Generator) -> int:
@@ -312,7 +433,8 @@ def gradients(
 
     targets: one-hot rows (B, J); weights: per-row scalars (or one scalar).
     Intermediates go to `workspace` (a fresh one when omitted); it may be the
-    one that holds `trace`, whose buffers this function only reads.
+    one that holds `trace`, whose buffers this function only reads. It reads
+    each of `trace.layer_inputs` 2-8 once, from layer 8 down.
     """
     ws = Workspace() if workspace is None else workspace
     p_raw = trace.probs
@@ -322,6 +444,13 @@ def gradients(
     p = np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS, out=ws.array("clipped", p_raw.shape))
     if not (p.min() > 0.0 and p.max() < 1.0):  # False on NaN as well
         raise NumericError("probabilities escaped the epsilon guard")
+
+    # both scratch buffers at the widest layer's size before any view of them
+    # is live, so a workspace's first update never holds a buffer and its
+    # grown copy at once
+    widest = max(p.shape[1], max(layer.shape[0] for layer in params.weights[2:]))
+    for k in (0, 1):
+        ws.array(("scratch", k), (batch, widest))
 
     # dL/dp per unit, then through the softmax jacobian:
     # dL/dz_j = p_j * (g_j - sum_k g_k p_k)
@@ -349,6 +478,8 @@ def gradients(
     grad_b: list = [None] * len(params.biases)
 
     for i in range(8, 1, -1):
+        # layer i's input is the activation output of the layer below; read
+        # once, it serves both this layer's weight gradient and the mask
         x = trace.layer_inputs[i]
         grad_w[i] = x.T @ delta
         grad_b[i] = delta.sum(axis=0)
@@ -359,15 +490,18 @@ def gradients(
         below = i - 1
         if below == 1:
             break
-        z_below = trace.pre_activations[below]
-        mask = ws.array("mask", z_below.shape, bool)
         act = _ACTIVATIONS[below]
-        # delta = upstream * activation'(z_below), in place
+        # delta = upstream * activation'(z_below), in place. The sign of the
+        # activation's output decides it: for both, act(z) > 0 iff z > 0
+        rising = np.greater(x, 0.0, out=ws.array("mask", x.shape, bool))
         if act == "leaky":
-            np.less_equal(z_below, 0.0, out=mask)
-            np.multiply(upstream, LEAKY_SLOPE, out=upstream, where=mask)
+            # 1 where rising, else the slope: a multiply by this exact factor
+            # gives the bits of a masked multiply, which costs about four
+            # times as much. The spent delta's buffer holds the factor.
+            factor = ws.array(("scratch", (i + 1) % 2), x.shape)
+            upstream *= np.maximum(rising, LEAKY_SLOPE, out=factor)
         elif act == "relu":
-            np.multiply(upstream, np.greater(z_below, 0.0, out=mask), out=upstream)
+            upstream *= rising
         else:
             raise AssertionError(act)
         delta = upstream
@@ -436,24 +570,19 @@ def load_checkpoint(path) -> tuple[PolicyParams, int | None]:
     return params, payload.get("seed")
 
 
-def policy_fn(*params: PolicyParams):
-    """Trace-free rollout closure: (current, previous) batches -> probabilities.
+def policy_fn(*params: PolicyParams, record: RolloutRecord | None = None):
+    """Rollout closure: (current, previous) batches -> probabilities.
 
-    With one net this is `forward` without the trace. With P nets the B rows
-    are P consecutive blocks of B/P rows, block k played by net k, and every
-    layer is one batched matmul over the stacked weights.
+    Each call is one `forward` over the nets' stacked weights: the B rows
+    are P consecutive blocks of B/P rows, block k played by net k. With a
+    `record`, call n writes its layer inputs and probabilities into
+    `record.slots[n]`, so the closure serves one rollout.
     """
-    first, nets = params[0], len(params)
-    weights = [np.stack(w) for w in zip(*(p.weights for p in params))]
-    biases = [np.stack(b)[:, None, :] for b in zip(*(p.biases for p in params))]
+    stacked = stack(params)
+    calls = itertools.count()
 
     def fn(cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
-        c, p = _state_rows(first.h, cur, prev)
-        if c.shape[0] % nets:
-            raise PreconditionError(f"{c.shape[0]} rows do not split into {nets} nets")
-        blocks = (nets, c.shape[0] // nets, first.h)
-        probs = _layers(weights, biases, c.reshape(blocks), p.reshape(blocks))
-        probs = probs.reshape(-1, first.j)
-        return probs[0] if np.asarray(cur).ndim == 1 else probs
+        slot = None if record is None else record.slots[next(calls)]
+        return forward(stacked, cur, prev, None, slot)[0]
 
     return fn

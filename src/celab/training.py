@@ -6,17 +6,23 @@ are averaged, and each agent takes one Adam step on the summed weighted log
 loss of its own choices, weighted by the standardized discounted rewards of
 the states those choices produced.
 
-`train_pair` owns one policy `Workspace` per run and hands it to every
-`update_policy` call. The two players update one after the other with nets
-of the same widths, so they share it: each update overwrites the buffers of
-the last, and no update's memory goes back to the operating system in
-between (see `celab.policy`).
+The rollout evaluates each net on exactly the (round, step) rows its update
+differentiates, with the weights the update starts from, so the update runs
+no forward pass of its own: its loss and backward pass read what the rollout
+recorded. `train_pair` owns, for the whole run, one `RolloutRecord` (both
+nets' layer inputs and probabilities at every step, written in place by the
+rollout) and one policy `Workspace`, which the two players' updates share
+one after the other; each update overwrites the buffers of the last, so no
+update's memory goes back to the operating system in between (see
+`celab.policy`). `update_policy` called without a record runs `forward`
+itself.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import deque
 from dataclasses import asdict, dataclass
 
@@ -28,6 +34,7 @@ from .games import Game
 from .policy import (
     Gradients,
     PolicyParams,
+    RolloutRecord,
     Workspace,
     forward,
     gradients,
@@ -59,10 +66,21 @@ class TrainingConfig:
     def __post_init__(self):
         if not (0.0 <= self.discount <= 1.0):
             raise PreconditionError(f"discount must lie in [0,1], got {self.discount}")
-        if self.learning_rate <= 0:
-            raise PreconditionError("learning rate must be positive")
-        if self.rounds < 1 or self.epochs < 1 or self.stability_window < 1:
-            raise PreconditionError("rounds, epochs and stability_window must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise PreconditionError(
+                f"learning rate must be positive and finite, got {self.learning_rate}"
+            )
+        if self.rounds < 2:
+            raise PreconditionError(
+                f"rounds must be >= 2, because rewards are standardized across "
+                f"rounds; got {self.rounds}"
+            )
+        if self.epochs < 1 or self.stability_window < 1:
+            raise PreconditionError("epochs and stability_window must be >= 1")
+        if self.stability_tol is not None and not self.stability_tol >= 0.0:
+            raise PreconditionError(
+                f"stability tolerance must be >= 0, got {self.stability_tol}"
+            )
         if self.width_in < 1 or self.width_mid < 1:
             raise PreconditionError("width_in and width_mid must be >= 1")
         if not (0.0 < self.step_size <= 1.0):
@@ -179,11 +197,14 @@ def update_policy(
     state: AdamState,
     config: TrainingConfig,
     workspace: Workspace | None = None,
+    recorded: tuple[RolloutRecord, int] | None = None,
 ) -> tuple[PolicyParams, AdamState, UpdateStats]:
     """One Adam step on the summed weighted log loss over all (round, step)
     units. Each choice is weighted by the standardized reward of the state it
-    produced (column n+1), never of the state it left. The forward, loss and
-    backward passes share `workspace` (a fresh one when omitted)."""
+    produced (column n+1), never of the state it left. `recorded`, a record
+    and the index of this net in it, gives the forward pass of the rollout
+    that produced `batch` with these `params`; without it the update runs
+    `forward`. The passes share `workspace` (a fresh one when omitted)."""
     states = batch.states
     m, n, h = states.shape
     cur = states[:, :-1].reshape(-1, h)
@@ -192,7 +213,12 @@ def update_policy(
     weights = rewards.standardized[:, 1:].reshape(-1)
 
     ws = Workspace() if workspace is None else workspace
-    probs, trace = forward(params, cur, prev, ws)
+    if recorded is None:
+        probs, trace = forward(params, cur, prev, ws)
+    else:
+        record, net = recorded
+        trace = record.trace(net, cur, prev, ws)
+        probs = trace.probs
     loss = loss_value(probs, targets, weights, config.loss_variant, ws)
     if not np.isfinite(loss):
         raise NumericError(
@@ -264,20 +290,22 @@ def train_pair(
         for i, p in enumerate((a, b))
     }
     adam = {p: AdamState.zeros_like(params[p]) for p in (a, b)}
-    workspace = Workspace()  # both players' updates, M * (N - 1) rows each
+    m = config.rounds
+    # both players' updates, M * (N - 1) rows each
+    workspace = Workspace()
+    record = RolloutRecord(params[a], nets=2, rounds=m, steps=config.steps - 1)
 
     window: deque[np.ndarray] = deque(maxlen=config.stability_window)
     history: list[EpochStats] = []
     stable = False
     epochs_run = 0
 
-    m = config.rounds
     for epoch in range(1, config.epochs + 1):
         epochs_run = epoch
         # both players roll out in lockstep: rows [0, M) are a's rounds and
         # [M, 2M) are b's, each row drawing from its own round RNG
         both = rollout(
-            policy_fn(params[a], params[b]),
+            policy_fn(params[a], params[b], record=record),
             rounds=2 * m,
             steps=config.steps,
             step_size=config.step_size,
@@ -294,10 +322,10 @@ def train_pair(
         }
         avg = average_states(batches[a], batches[b])
         mean_rewards = {}
-        for p in (a, b):
+        for k, p in enumerate((a, b)):
             shaped = shape_rewards(avg, payoffs[p], config.discount)
             params[p], adam[p], _ = update_policy(
-                params[p], batches[p], shaped, adam[p], config, workspace
+                params[p], batches[p], shaped, adam[p], config, workspace, (record, k)
             )
             mean_rewards[p] = float(shaped.raw[:, -1].mean())
 

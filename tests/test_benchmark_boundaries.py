@@ -1,0 +1,23 @@
+"""The benchmark's tracer rebinds named celab functions from outside
+(`perfbench/tracer.py`). A refactor that drops or renames one of those names
+should fail here, not only in the benchmark's own tests."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.append(str(ROOT))
+
+from perfbench.tracer import BOUNDARIES  # noqa: E402
+
+
+@pytest.mark.parametrize(
+    "module_name, attr", sorted({(module, attr) for module, attr, _ in BOUNDARIES})
+)
+def test_every_traced_boundary_resolves(module_name, attr):
+    module = importlib.import_module(module_name)
+    assert callable(getattr(module, attr, None)), f"{module_name}.{attr} is gone"

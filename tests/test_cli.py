@@ -407,6 +407,10 @@ _VALID_GAME = {
         (["train", "--step-size", "0"], {}, None),
         (["train", "--width-mid", "0"], {}, None),
         (["train", "--width-in", "0"], {}, None),
+        (["train", "--learning-rate", "nan"], {}, None),
+        (["train", "--stability-tol", "nan"], {}, None),
+        (["train", "--stability-tol", "-1"], {}, None),
+        (["train", "--rounds", "1"], {}, None),
         (["solve"], {"payoffs": {"p1": ["a", 0.2, 0.3, 0.5], "p2": [0.25] * 4}}, None),
         (["solve"], {"players": 5}, None),
         (["solve"], {"decisions": {"p1": "CD", "p2": ["C", "D"]}}, None),
@@ -414,7 +418,8 @@ _VALID_GAME = {
         (["estimate", "--known-player", "p1"], {}, [[0.5], [0.25, 0.25]]),
     ],
     ids=[
-        "zero-step-size", "zero-width-mid", "zero-width-in", "non-numeric-payoff",
+        "zero-step-size", "zero-width-mid", "zero-width-in", "nan-learning-rate",
+        "nan-stability-tol", "negative-stability-tol", "one-round", "non-numeric-payoff",
         "players-not-a-list", "menu-as-a-string", "non-numeric-distribution",
         "ragged-distribution",
     ],

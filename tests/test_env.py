@@ -8,7 +8,6 @@ from celab.env import (
     EpisodeBatch,
     apply_action,
     average_states,
-    batch_to_csv,
     default_state,
     enumerate_actions,
     is_simplex_point,
@@ -273,19 +272,3 @@ class TestAverageStates:
         bb = EpisodeBatch(sb, np.zeros((3, 6), int), 0.1)
         avg = average_states(ba, bb)
         assert np.allclose(avg.sum(axis=2), 1.0, atol=1e-12)
-
-
-def test_batch_csv_layout(tmp_path):
-    batch = rollout(
-        TestRollout.uniform_policy, rounds=2, steps=3, step_size=0.5,
-        rngs=[np.random.default_rng([4, i]) for i in range(2)],
-        start=default_state(2),
-    )
-    path = tmp_path / "batch.csv"
-    batch_to_csv(batch, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "round,step,action_index,rho_1,rho_2"
-    assert len(lines) == 1 + 2 * 3
-    first = lines[1].split(",")
-    assert first[:3] == ["1", "1", "-1"]
-    assert float(first[3]) == 0.5

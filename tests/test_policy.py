@@ -5,10 +5,12 @@ everything in training leans on."""
 import numpy as np
 import pytest
 
+from celab.env import rollout
 from celab.errors import NumericError, PreconditionError
 from celab.policy import (
     LEAKY_SLOPE,
     PolicyParams,
+    RolloutRecord,
     Workspace,
     _activate,
     forward,
@@ -20,6 +22,7 @@ from celab.policy import (
     policy_fn,
     sample_action,
     save_checkpoint,
+    stack,
 )
 
 H = 4
@@ -153,6 +156,108 @@ def test_leaky_relu_matches_where_form_bit_for_bit():
     assert _activate("leaky", z).tobytes() == expected.tobytes()
     out = np.empty_like(z)
     assert _activate("leaky", z, out).tobytes() == expected.tobytes()
+
+
+def test_masks_from_layer_inputs_equal_pre_activation_masks():
+    # gradients reads each activation's derivative off the sign of its
+    # output: act(z) > 0 iff z > 0, so leaky(z) <= 0 iff z <= 0 as well
+    tiny = np.nextafter(0.0, 1.0)
+    edge = np.array([0.0, -0.0, tiny, -tiny, 1e300, -1e300])
+    z = np.concatenate([edge, np.random.default_rng(12).normal(scale=3.0, size=1000)])
+    for act in ("leaky", "relu"):
+        assert np.array_equal(_activate(act, z) > 0.0, z > 0.0)
+    assert np.array_equal(_activate("leaky", z) <= 0.0, z <= 0.0)
+
+
+def test_leaky_derivative_factor_matches_a_masked_multiply_bit_for_bit():
+    tiny = np.nextafter(0.0, 1.0)
+    edge = np.array([0.0, -0.0, tiny, -tiny, 1e300, -1e300])
+    rng = np.random.default_rng(13)
+    x = np.concatenate([edge, rng.normal(size=994)])
+    upstream = np.concatenate([edge[::-1], rng.normal(size=994)])
+    want = upstream.copy()
+    np.multiply(want, LEAKY_SLOPE, out=want, where=x <= 0.0)
+    got = upstream * np.maximum(x > 0.0, LEAKY_SLOPE)
+    assert got.tobytes() == want.tobytes()
+
+
+def _update_rows(states):
+    """The (current, previous) rows of an update, in (round, step) order."""
+    cur = states[:, :-1].reshape(-1, H)
+    prev = np.concatenate([states[:, :1], states[:, :-2]], axis=1).reshape(-1, H)
+    return cur, prev
+
+
+def _recorded_rollout(nets, rounds, steps, widths):
+    params = [small_net(60 + k, *widths) for k in range(nets)]
+    record = RolloutRecord(params[0], nets, rounds, steps - 1)
+    rngs = [np.random.default_rng([61, m]) for m in range(nets * rounds)]
+    batch = rollout(
+        policy_fn(*params, record=record), nets * rounds, steps, 0.25, rngs,
+        start=np.full(H, 0.25),
+    )
+    return params, record, batch
+
+
+@pytest.mark.parametrize("widths", [(4, 6), (8, 16)])
+@pytest.mark.parametrize("nets, rounds", [(1, 3), (2, 5), (3, 7)])
+def test_recorded_rollout_pass_equals_forward_on_each_steps_rows(widths, nets, rounds):
+    steps = 9
+    params, record, batch = _recorded_rollout(nets, rounds, steps, widths)
+    ws = Workspace()
+    for k, net in enumerate(params):
+        states = batch.states[k * rounds:(k + 1) * rounds]
+        cur, prev = _update_rows(states)
+        # forward over the rows the rollout evaluated at each step, laid out
+        # in the update's (round, step) order
+        per_step = [
+            forward(net, states[:, n], states[:, max(n - 1, 0)]) for n in range(steps - 1)
+        ]
+        recorded = record.trace(k, cur, prev, ws)
+        want = np.stack([probs for probs, _ in per_step], axis=1).reshape(-1, J)
+        assert recorded.probs.tobytes() == want.tobytes()
+        for i in range(2, 9):
+            want = np.stack([t.layer_inputs[i] for _, t in per_step], axis=1)
+            assert recorded.layer_inputs[i].tobytes() == want.reshape(len(cur), -1).tobytes()
+        assert recorded.layer_inputs[0] is cur and recorded.layer_inputs[1] is prev
+
+
+@pytest.mark.parametrize("widths", [(4, 6), (8, 16)])
+def test_update_from_the_record_gives_the_bytes_of_one_that_runs_forward(widths):
+    # the training default of 16 rounds: one forward over the whole batch
+    # rounds every row as the rollout's per-step passes did
+    from celab.env import EpisodeBatch
+    from celab.training import AdamState, RewardTensor, TrainingConfig, update_policy
+
+    rounds, steps = 16, 9
+    params, record, batch = _recorded_rollout(2, rounds, steps, widths)
+    config = TrainingConfig(
+        rounds=rounds, steps=steps, step_size=0.25, width_in=widths[0], width_mid=widths[1]
+    )
+    ws = Workspace()
+    for k, net in enumerate(params):
+        mine = slice(k * rounds, (k + 1) * rounds)
+        probs, trace = forward(net, *_update_rows(batch.states[mine]))
+        recorded = record.trace(k, trace.current, trace.previous, ws)
+        assert recorded.probs.tobytes() == probs.tobytes()
+        for i in range(2, 9):
+            assert recorded.layer_inputs[i].tobytes() == trace.layer_inputs[i].tobytes()
+
+        own = EpisodeBatch(batch.states[mine], batch.action_indices[mine], 0.25)
+        std = np.random.default_rng(k).normal(size=(rounds, steps))
+        rewards = RewardTensor(raw=std, discounted=std, standardized=std)
+        state = AdamState.zeros_like(net)
+        want, _, want_stats = update_policy(net, own, rewards, state, config)
+        got, _, got_stats = update_policy(net, own, rewards, state, config, ws, (record, k))
+        assert (got_stats.loss, got_stats.grad_max) == (want_stats.loss, want_stats.grad_max)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_stacked_forward_names_the_net_count_it_cannot_split():
+    cur, prev = random_pairs(62, 7)
+    with pytest.raises(PreconditionError, match="7 rows do not split into 3 nets"):
+        forward(stack([small_net(k) for k in range(3)]), cur, prev)
 
 
 def test_reused_workspace_matches_fresh_allocation_bitwise():

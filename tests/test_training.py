@@ -270,6 +270,24 @@ class TestConfig:
         with pytest.raises(PreconditionError, match="width"):
             tiny_config(width_mid=0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("learning_rate", float("nan"), "learning rate"),
+            ("learning_rate", float("inf"), "learning rate"),
+            ("stability_tol", float("nan"), "stability tolerance"),
+            ("stability_tol", -1.0, "stability tolerance"),
+            ("rounds", 1, "rounds must be >= 2"),
+        ],
+    )
+    def test_rejects_inputs_that_would_fail_mid_run(self, field, value, message):
+        with pytest.raises(PreconditionError, match=message):
+            tiny_config(**{field: value})
+
+    def test_accepts_a_zero_or_infinite_tolerance(self):
+        assert tiny_config(stability_tol=0.0).tolerance == 0.0
+        assert tiny_config(stability_tol=float("inf")).tolerance == float("inf")
+
 
 class TestTrainPair:
     def test_smoke_and_shapes(self, chicken):
@@ -314,6 +332,31 @@ class TestTrainPair:
         )
         with pytest.raises(PreconditionError, match="p2"):
             train_pair(game, ("p1", "p2"), tiny_config(), seed=0)
+
+    def test_an_epoch_after_the_first_allocates_little(self, coordination, monkeypatch):
+        # a default-config run keeps about 4 MB of rollout record and update
+        # buffers; made once per run, they leave later epochs only small
+        # per-epoch arrays to allocate
+        import celab.training
+
+        marks = []
+        real_rollout = celab.training.rollout
+
+        def marking_rollout(*args, **kwargs):
+            marks.append(tracemalloc.get_traced_memory())
+            if len(marks) == 2:
+                tracemalloc.reset_peak()
+            return real_rollout(*args, **kwargs)
+
+        monkeypatch.setattr(celab.training, "rollout", marking_rollout)
+        config = TrainingConfig(epochs=3, stability_window=4)
+        tracemalloc.start()
+        try:
+            train_pair(coordination, ("p1", "p2"), config, seed=0)
+        finally:
+            tracemalloc.stop()
+        (start, _), (_, peak) = marks[1], marks[2]
+        assert peak - start < 1_000_000
 
 
 class TestHistoryCsv:
