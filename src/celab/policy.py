@@ -9,6 +9,11 @@ framework. `forward` also takes P stacked nets (`stack`), one batched matmul
 per layer serving every net's block of rows at once; rollouts use this, one
 call per step for all players (`policy_fn`).
 
+A net's parameters are one float64 vector (`PolicyParams`) whose per-layer
+views the layers use. Gradients share its layout, so an update is
+whole-vector arithmetic and P stacked nets are one (P, size) array.
+Checkpoints stay per layer.
+
 A rollout step evaluates exactly the rows that the following update will
 differentiate, with the same weights, so a training run keeps what the steps
 compute instead of running the pass again, and the update differentiates the
@@ -44,7 +49,7 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,28 +85,6 @@ _LAYER_NAMES = (
 )
 
 
-@dataclass
-class PolicyParams:
-    """Weights and biases for all nine layers, with the widths that shaped them."""
-
-    h: int
-    j: int
-    width_in: int
-    width_mid: int
-    weights: list[np.ndarray] = field(repr=False)
-    biases: list[np.ndarray] = field(repr=False)
-
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(
-            h=self.h,
-            j=self.j,
-            width_in=self.width_in,
-            width_mid=self.width_mid,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
-
 def layer_dims(h: int, j: int, width_in: int, width_mid: int) -> list[tuple[int, int]]:
     wide = 2 * width_mid
     return [
@@ -117,33 +100,68 @@ def layer_dims(h: int, j: int, width_in: int, width_mid: int) -> list[tuple[int,
     ]
 
 
+def _size(dims) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in dims)
+
+
+@dataclass
+class PolicyParams:
+    """All nine layers' parameters in one float64 vector `flat`, with the
+    widths that shaped them.
+
+    `flat` holds the layers in order, each as its weights (row-major) and
+    then its bias; `weights[i]` and `biases[i]` are views of it, of shape
+    (fan_in, fan_out) and (fan_out,). P nets stacked into one (`stack`)
+    have a (P, size) `flat`, and their views are (P, fan_in, fan_out) and
+    (P, 1, fan_out).
+    """
+
+    h: int
+    j: int
+    width_in: int
+    width_mid: int
+    flat: np.ndarray = field(repr=False)
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dims = layer_dims(self.h, self.j, self.width_in, self.width_mid)
+        if self.flat.ndim not in (1, 2) or self.flat.shape[-1] != _size(dims):
+            raise PreconditionError(
+                f"parameter vector of shape {self.flat.shape} does not hold the "
+                f"{_size(dims)} parameters of widths {dims}"
+            )
+        lead = self.flat.shape[:-1]
+        # stacked biases get a row axis, to broadcast over each net's rows
+        bias_lead = lead + (1,) if lead else ()
+        self.weights, self.biases = [], []
+        offset = 0
+        for fan_in, fan_out in dims:
+            end = offset + fan_in * fan_out
+            self.weights.append(self.flat[..., offset:end].reshape(lead + (fan_in, fan_out)))
+            offset = end + fan_out
+            self.biases.append(self.flat[..., end:offset].reshape(bias_lead + (fan_out,)))
+
+
 def init_policy(
     h: int, j: int, width_in: int, width_mid: int, rng: np.random.Generator
 ) -> PolicyParams:
     """Uniform(-limit, limit) weights with limit = sqrt(6/(fan_in+fan_out)); zero biases."""
-    weights = []
-    biases = []
-    for fan_in, fan_out in layer_dims(h, j, width_in, width_mid):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return PolicyParams(
-        h=h, j=j, width_in=width_in, width_mid=width_mid, weights=weights, biases=biases
+    dims = layer_dims(h, j, width_in, width_mid)
+    params = PolicyParams(
+        h=h, j=j, width_in=width_in, width_mid=width_mid, flat=np.zeros(_size(dims))
     )
+    for w, (fan_in, fan_out) in zip(params.weights, dims):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        w[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return params
 
 
 def stack(nets) -> PolicyParams:
-    """P nets of one shape as one: (P, fan_in, fan_out) weights and
-    (P, 1, fan_out) biases, for `forward` over P blocks of rows."""
-    first = nets[0]
-    return PolicyParams(
-        h=first.h,
-        j=first.j,
-        width_in=first.width_in,
-        width_mid=first.width_mid,
-        weights=[np.stack(w) for w in zip(*(p.weights for p in nets))],
-        biases=[np.stack(b)[:, None, :] for b in zip(*(p.biases for p in nets))],
-    )
+    """P nets of one shape as one: a (P, size) `flat`, whose views are
+    (P, fan_in, fan_out) weights and (P, 1, fan_out) biases, for `forward`
+    over P blocks of rows."""
+    return replace(nets[0], flat=np.stack([p.flat for p in nets]))
 
 
 class Workspace:
@@ -350,8 +368,8 @@ def forward(
     """
     cur, prev = _state_rows(params.h, current, previous)
     blocks_cur, blocks_prev = cur, prev
-    if params.weights[0].ndim == 3:
-        nets = params.weights[0].shape[0]
+    if params.flat.ndim == 2:
+        nets = params.flat.shape[0]
         if cur.shape[0] % nets:
             raise PreconditionError(f"{cur.shape[0]} rows do not split into {nets} nets")
         blocks = (nets, cur.shape[0] // nets, params.h)
@@ -415,12 +433,6 @@ def loss_value(
     return float(np.multiply(w, per_unit, out=per_unit).sum())
 
 
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
 def gradients(
     params: PolicyParams,
     trace: ForwardTrace,
@@ -428,8 +440,10 @@ def gradients(
     weights: np.ndarray | float,
     variant: str = "two_sided",
     workspace: Workspace | None = None,
-) -> Gradients:
-    """Analytic gradient of the weighted log loss, summed over the batch.
+) -> PolicyParams:
+    """Analytic gradient of the weighted log loss, summed over the batch,
+    laid out as `params` are: a fresh vector each call, so a gradient stays
+    valid after the next one.
 
     targets: one-hot rows (B, J); weights: per-row scalars (or one scalar).
     Intermediates go to `workspace` (a fresh one when omitted); it may be the
@@ -474,15 +488,13 @@ def gradients(
     g -= other.sum(axis=1, keepdims=True, out=ws.array("column", (batch, 1)))
     delta = np.multiply(p_raw, g, out=g)
 
-    grad_w: list = [None] * len(params.weights)
-    grad_b: list = [None] * len(params.biases)
-
+    grads = replace(params, flat=np.empty_like(params.flat))
     for i in range(8, 1, -1):
         # layer i's input is the activation output of the layer below; read
         # once, it serves both this layer's weight gradient and the mask
         x = trace.layer_inputs[i]
-        grad_w[i] = x.T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        np.matmul(x.T, delta, out=grads.weights[i])
+        delta.sum(axis=0, out=grads.biases[i])
         upstream = np.matmul(
             delta, params.weights[i].T,
             out=ws.array(("scratch", i % 2), (batch, params.weights[i].shape[0])),
@@ -509,11 +521,11 @@ def gradients(
     # upstream now spans the concatenated analyzer outputs (both linear)
     w_in = params.width_in
     da, db = upstream[:, :w_in], upstream[:, w_in:]
-    grad_w[0] = trace.current.T @ da
-    grad_b[0] = da.sum(axis=0)
-    grad_w[1] = trace.previous.T @ db
-    grad_b[1] = db.sum(axis=0)
-    return Gradients(weights=grad_w, biases=grad_b)
+    np.matmul(trace.current.T, da, out=grads.weights[0])
+    da.sum(axis=0, out=grads.biases[0])
+    np.matmul(trace.previous.T, db, out=grads.weights[1])
+    db.sum(axis=0, out=grads.biases[1])
+    return grads
 
 
 def save_checkpoint(
@@ -555,18 +567,24 @@ def load_checkpoint(path) -> tuple[PolicyParams, int | None]:
     names = [layer["name"] for layer in payload["layers"]]
     if tuple(names) != _LAYER_NAMES:
         raise PreconditionError(f"unexpected layer order {names}")
+    dims = layer_dims(widths["h"], widths["j"], widths["width_in"], widths["width_mid"])
+    # a wrong shape would shift every later layer's place in the flat vector
+    arrays = []
+    for layer, (fan_in, fan_out) in zip(payload["layers"], dims):
+        for key, shape in (("weights", (fan_in, fan_out)), ("bias", (fan_out,))):
+            arr = np.array(layer[key], dtype=np.float64)
+            if arr.shape != shape:
+                raise PreconditionError(
+                    f"checkpoint {key} shape {arr.shape} != {shape} in {layer['name']}"
+                )
+            arrays.append(arr.ravel())
     params = PolicyParams(
         h=widths["h"],
         j=widths["j"],
         width_in=widths["width_in"],
         width_mid=widths["width_mid"],
-        weights=[np.array(layer["weights"], dtype=np.float64) for layer in payload["layers"]],
-        biases=[np.array(layer["bias"], dtype=np.float64) for layer in payload["layers"]],
+        flat=np.concatenate(arrays),
     )
-    expected = layer_dims(params.h, params.j, params.width_in, params.width_mid)
-    for wt, dims in zip(params.weights, expected):
-        if wt.shape != dims:
-            raise PreconditionError(f"checkpoint weight shape {wt.shape} != {dims}")
     return params, payload.get("seed")
 
 

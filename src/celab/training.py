@@ -4,7 +4,9 @@ Per epoch both agents roll out M rounds against the shared environment, in
 lockstep with one stacked policy evaluation per step. The two state tensors
 are averaged, and each agent takes one Adam step on the summed weighted log
 loss of its own choices, weighted by the standardized discounted rewards of
-the states those choices produced.
+the states those choices produced. Parameters, gradients and Adam's moments
+share one flat layout (`PolicyParams.flat`), so the Adam step works on whole
+vectors.
 
 The rollout evaluates each net on exactly the (round, step) rows its update
 differentiates, with the weights the update starts from, so the update runs
@@ -24,7 +26,7 @@ import csv
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from .env import EpisodeBatch, average_states, min_steps, rollout
 from .errors import NumericError, PreconditionError
 from .games import Game
 from .policy import (
-    Gradients,
     PolicyParams,
     RolloutRecord,
     Workspace,
@@ -139,49 +140,28 @@ def shape_rewards(avg_states: np.ndarray, payoff: np.ndarray, discount: float) -
 
 @dataclass
 class AdamState:
+    """Adam's step count and its first and second moment estimates, `m` and
+    `v`, laid out as the net's `PolicyParams.flat`."""
+
     step: int
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def zeros_like(cls, params: PolicyParams) -> "AdamState":
-        return cls(
-            step=0,
-            m_weights=[np.zeros_like(w) for w in params.weights],
-            v_weights=[np.zeros_like(w) for w in params.weights],
-            m_biases=[np.zeros_like(b) for b in params.biases],
-            v_biases=[np.zeros_like(b) for b in params.biases],
-        )
+        return cls(step=0, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(
-    params: PolicyParams, grads: Gradients, state: AdamState, lr: float
+    params: PolicyParams, grads: PolicyParams, state: AdamState, lr: float
 ) -> tuple[PolicyParams, AdamState]:
     t = state.step + 1
-    new_params = params.copy()
-    new_state = AdamState(
-        step=t,
-        m_weights=[], v_weights=[], m_biases=[], v_biases=[],
-    )
-    correction1 = 1.0 - ADAM_BETA1**t
-    correction2 = 1.0 - ADAM_BETA2**t
-    for i in range(len(params.weights)):
-        for grad, value, m_list, v_list, m_prev, v_prev in (
-            (grads.weights[i], new_params.weights[i], new_state.m_weights,
-             new_state.v_weights, state.m_weights[i], state.v_weights[i]),
-            (grads.biases[i], new_params.biases[i], new_state.m_biases,
-             new_state.v_biases, state.m_biases[i], state.v_biases[i]),
-        ):
-            m = ADAM_BETA1 * m_prev + (1 - ADAM_BETA1) * grad
-            v = ADAM_BETA2 * v_prev + (1 - ADAM_BETA2) * grad * grad
-            m_hat = m / correction1
-            v_hat = v / correction2
-            value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            m_list.append(m)
-            v_list.append(v)
-    return new_params, new_state
+    m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grads.flat
+    v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grads.flat * grads.flat
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    flat = params.flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return replace(params, flat=flat), AdamState(step=t, m=m, v=v)
 
 
 @dataclass
@@ -226,10 +206,7 @@ def update_policy(
             f"(weight range [{weights.min()}, {weights.max()}])"
         )
     grads = gradients(params, trace, targets, weights, config.loss_variant, ws)
-    grad_max = max(
-        max((float(np.abs(g).max()) for g in grads.weights), default=0.0),
-        max((float(np.abs(g).max()) for g in grads.biases), default=0.0),
-    )
+    grad_max = float(np.abs(grads.flat).max())
     new_params, new_state = adam_step(params, grads, state, config.learning_rate)
     return new_params, new_state, UpdateStats(loss=loss, grad_max=grad_max)
 
@@ -300,50 +277,53 @@ def train_pair(
     stable = False
     epochs_run = 0
 
-    for epoch in range(1, config.epochs + 1):
-        epochs_run = epoch
-        # both players roll out in lockstep: rows [0, M) are a's rounds and
-        # [M, 2M) are b's, each row drawing from its own round RNG
-        both = rollout(
-            policy_fn(params[a], params[b], record=record),
-            rounds=2 * m,
-            steps=config.steps,
-            step_size=config.step_size,
-            rngs=_round_rngs(seed, epoch, 0, m) + _round_rngs(seed, epoch, 1, m),
-            start=np.full(h, 1.0 / h),
-        )
-        batches = {
-            p: EpisodeBatch(
-                states=both.states[k * m:(k + 1) * m],
-                action_indices=both.action_indices[k * m:(k + 1) * m],
-                step_size=both.step_size,
+    # an overflow or invalid value reaches a layer's finite check, the loss
+    # check or the epsilon guard, which raise NumericError; a warning would repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            epochs_run = epoch
+            # both players roll out in lockstep: rows [0, M) are a's rounds and
+            # [M, 2M) are b's, each row drawing from its own round RNG
+            both = rollout(
+                policy_fn(params[a], params[b], record=record),
+                rounds=2 * m,
+                steps=config.steps,
+                step_size=config.step_size,
+                rngs=_round_rngs(seed, epoch, 0, m) + _round_rngs(seed, epoch, 1, m),
+                start=np.full(h, 1.0 / h),
             )
-            for k, p in enumerate((a, b))
-        }
-        avg = average_states(batches[a], batches[b])
-        mean_rewards = {}
-        for k, p in enumerate((a, b)):
-            shaped = shape_rewards(avg, payoffs[p], config.discount)
-            params[p], adam[p], _ = update_policy(
-                params[p], batches[p], shaped, adam[p], config, workspace, (record, k)
-            )
-            mean_rewards[p] = float(shaped.raw[:, -1].mean())
+            batches = {
+                p: EpisodeBatch(
+                    states=both.states[k * m:(k + 1) * m],
+                    action_indices=both.action_indices[k * m:(k + 1) * m],
+                    step_size=both.step_size,
+                )
+                for k, p in enumerate((a, b))
+            }
+            avg = average_states(batches[a], batches[b])
+            mean_rewards = {}
+            for k, p in enumerate((a, b)):
+                shaped = shape_rewards(avg, payoffs[p], config.discount)
+                params[p], adam[p], _ = update_policy(
+                    params[p], batches[p], shaped, adam[p], config, workspace, (record, k)
+                )
+                mean_rewards[p] = float(shaped.raw[:, -1].mean())
 
-        terminal = avg[:, -1, :]  # (M, H)
-        window.append(terminal)
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                mean_terminal_reward=mean_rewards,
-                terminal_state=terminal.mean(axis=0),
+            terminal = avg[:, -1, :]  # (M, H)
+            window.append(terminal)
+            history.append(
+                EpochStats(
+                    epoch=epoch,
+                    mean_terminal_reward=mean_rewards,
+                    terminal_state=terminal.mean(axis=0),
+                )
             )
-        )
-        if len(window) == config.stability_window:
-            stacked = np.concatenate(window, axis=0)
-            center = stacked.mean(axis=0)
-            if np.abs(stacked - center).max() <= config.tolerance:
-                stable = True
-                break
+            if len(window) == config.stability_window:
+                stacked = np.concatenate(window, axis=0)
+                center = stacked.mean(axis=0)
+                if np.abs(stacked - center).max() <= config.tolerance:
+                    stable = True
+                    break
 
     if stable:
         p_tilde = np.concatenate(window, axis=0).mean(axis=0)

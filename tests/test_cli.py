@@ -211,7 +211,8 @@ class TestTrain:
         )
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
-        assert "error: training diverged to non-finite values" in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: training diverged to non-finite values")
 
     def test_output_dir_env_var(self, fx, tmp_path, monkeypatch):
         monkeypatch.setenv("CELAB_OUT_DIR", str(tmp_path / "from_env"))

@@ -51,6 +51,38 @@ def test_layer_dims_chain():
         assert fan_in == out_prev
 
 
+def test_views_tile_the_flat_vector_in_layer_order():
+    params = init_policy(4, 27, 8, 16, np.random.default_rng(0))
+    assert params.flat.shape == (4443,)
+    params.flat[:] = np.arange(4443)
+    tiles = []
+    for w, b, dims in zip(params.weights, params.biases, layer_dims(4, 27, 8, 16)):
+        assert w.shape == dims and b.shape == dims[1:]
+        assert np.shares_memory(w, params.flat) and np.shares_memory(b, params.flat)
+        tiles += [w.ravel(), b]
+    assert np.array_equal(np.concatenate(tiles), np.arange(4443))
+
+
+def test_stacked_views_share_one_array():
+    nets = [small_net(k) for k in range(3)]
+    stacked = stack(nets)
+    assert stacked.flat.shape == (3, nets[0].flat.size)
+    for i, dims in enumerate(layer_dims(H, J, 4, 6)):
+        w, b = stacked.weights[i], stacked.biases[i]
+        assert w.shape == (3,) + dims and b.shape == (3, 1, dims[1])
+        assert np.shares_memory(w, stacked.flat) and np.shares_memory(b, stacked.flat)
+        for k, net in enumerate(nets):
+            assert np.array_equal(w[k], net.weights[i])
+            assert np.array_equal(b[k, 0], net.biases[i])
+
+
+def test_wrong_parameter_count_rejected():
+    size = small_net(0).flat.size
+    for shape in [(size - 1,), (size + 1,), (2, size - 1), (2, 2, size), ()]:
+        with pytest.raises(PreconditionError, match="parameter vector"):
+            PolicyParams(h=H, j=J, width_in=4, width_mid=6, flat=np.zeros(shape))
+
+
 def test_init_respects_limits():
     params = small_net(0)
     for w, (fan_in, fan_out) in zip(params.weights, layer_dims(H, J, 4, 6)):
@@ -83,8 +115,7 @@ def test_zero_params_give_uniform_output():
     dims = layer_dims(H, J, 4, 6)
     params = PolicyParams(
         h=H, j=J, width_in=4, width_mid=6,
-        weights=[np.zeros(d) for d in dims],
-        biases=[np.zeros(d[1]) for d in dims],
+        flat=np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in dims)),
     )
     probs, _ = forward(params, np.full(H, 0.25), np.full(H, 0.25))
     np.testing.assert_allclose(probs, np.full(J, 1.0 / J))
@@ -411,11 +442,14 @@ def test_checkpoint_rejects_mangled_shapes(tmp_path):
     params = small_net(41)
     path = tmp_path / "policy.json"
     save_checkpoint(params, path)
-    payload = json.loads(path.read_text())
-    payload["layers"][3]["weights"] = [[0.0]]
-    path.write_text(json.dumps(payload))
-    with pytest.raises(PreconditionError, match="shape"):
-        load_checkpoint(path)
+    good = json.loads(path.read_text())
+    bias = good["layers"][3]["bias"]
+    for key, value in (("weights", [[0.0]]), ("bias", [0.0, 0.0]), ("bias", [bias])):
+        payload = json.loads(json.dumps(good))
+        payload["layers"][3][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(PreconditionError, match="shape"):
+            load_checkpoint(path)
 
 
 def test_policy_fn_shapes():

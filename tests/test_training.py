@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celab.env import rollout
-from celab.errors import PreconditionError
+from celab.errors import NumericError, PreconditionError
 from celab.games import load_game
 from celab.policy import Workspace, forward, init_policy, policy_fn, save_checkpoint
 from celab.training import (
@@ -91,13 +92,11 @@ class TestAdam:
     def test_first_step_moves_by_signed_learning_rate(self):
         params = init_policy(2, 3, 4, 6, np.random.default_rng(0))
         state = AdamState.zeros_like(params)
-        grads_w = [np.full_like(w, 0.5) for w in params.weights]
-        grads_b = [np.full_like(b, -2.0) for b in params.biases]
-        from celab.policy import Gradients
+        grads = replace(params, flat=np.empty_like(params.flat))
+        for w, b in zip(grads.weights, grads.biases):
+            w[...], b[...] = 0.5, -2.0
 
-        new_params, new_state = adam_step(
-            params, Gradients(weights=grads_w, biases=grads_b), state, lr=0.01
-        )
+        new_params, new_state = adam_step(params, grads, state, lr=0.01)
         for old, new in zip(params.weights, new_params.weights):
             np.testing.assert_allclose(new, old - 0.01, rtol=1e-6)
         for old, new in zip(params.biases, new_params.biases):
@@ -107,12 +106,7 @@ class TestAdam:
     def test_zero_gradient_is_a_fixed_point(self):
         params = init_policy(2, 3, 4, 6, np.random.default_rng(1))
         state = AdamState.zeros_like(params)
-        from celab.policy import Gradients
-
-        zeros = Gradients(
-            weights=[np.zeros_like(w) for w in params.weights],
-            biases=[np.zeros_like(b) for b in params.biases],
-        )
+        zeros = replace(params, flat=np.zeros_like(params.flat))
         new_params, _ = adam_step(params, zeros, state, lr=0.1)
         for old, new in zip(params.weights, new_params.weights):
             np.testing.assert_array_equal(new, old)
@@ -332,6 +326,13 @@ class TestTrainPair:
         )
         with pytest.raises(PreconditionError, match="p2"):
             train_pair(game, ("p1", "p2"), tiny_config(), seed=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_raises_numeric_error_and_no_warning(self, coordination):
+        # the overflow is caught by a finite check, not reported by numpy
+        cfg = tiny_config(epochs=3, learning_rate=1e300)
+        with pytest.raises(NumericError, match="non-finite"):
+            train_pair(coordination, ("p1", "p2"), cfg, seed=0)
 
     def test_an_epoch_after_the_first_allocates_little(self, coordination, monkeypatch):
         # a default-config run keeps about 4 MB of rollout record and update
