@@ -483,12 +483,15 @@ def _add_common_output_flags(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="celab",
+        allow_abbrev=False,
         description="Correlated-equilibrium tooling: solvers, self-play "
         "training, payoff estimation, and the pairwise pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="equilibria of a 2-player game file")
+    solve = sub.add_parser(
+        "solve", help="equilibria of a 2-player game file", allow_abbrev=False
+    )
     solve.add_argument("game", help="game JSON file")
     solve.add_argument("--mode", choices=("ne", "ce", "hull"), default="ce")
     solve.add_argument("--point", nargs=2, type=float, action="append",
@@ -498,7 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_output_flags(solve)
     solve.set_defaults(fn=cmd_solve)
 
-    train = sub.add_parser("train", help="self-play training on a 2-player game")
+    train = sub.add_parser(
+        "train", help="self-play training on a 2-player game", allow_abbrev=False
+    )
     train.add_argument("game", help="game JSON file")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--prefix", default="train",
@@ -508,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(fn=cmd_train)
 
     estimate = sub.add_parser(
-        "estimate", help="estimate the opposing payoff vector from a distribution"
+        "estimate", help="estimate the opposing payoff vector from a distribution",
+        allow_abbrev=False,
     )
     estimate.add_argument("game", help="game JSON file (known player's side)")
     estimate.add_argument("--known-player", required=True)
@@ -527,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.set_defaults(fn=cmd_estimate)
 
     pipeline = sub.add_parser(
-        "pipeline", help="pairwise decomposition over a multi-player game"
+        "pipeline", help="pairwise decomposition over a multi-player game",
+        allow_abbrev=False,
     )
     pipeline.add_argument("game", help="game JSON file")
     pipeline.add_argument("--main-player", default=None)

@@ -130,10 +130,10 @@ def rollout(
     steps: int,
     step_size: float,
     rngs: Sequence[np.random.Generator],
-    start: np.ndarray | None = None,
-    actions: np.ndarray | None = None,
+    start: np.ndarray,
 ) -> EpisodeBatch:
-    """Run M independent rounds of N-1 policy steps from the uniform start.
+    """Run M independent rounds of N-1 policy steps from `start`, whose
+    width H fixes the action set.
 
     `policy` maps (current states (M,H), previous states (M,H)) to action
     distributions (M,J). One RNG per round; round m draws only from rngs[m],
@@ -148,13 +148,8 @@ def rollout(
         )
     if len(rngs) != rounds:
         raise PreconditionError("one RNG per round required")
-    if actions is None:
-        if start is None:
-            raise PreconditionError("pass start or actions to fix the state width")
-        actions = enumerate_actions(np.asarray(start).size, step_size)
-    h = actions.shape[1] + 1
-    if start is None:
-        start = default_state(h)
+    h = np.asarray(start).size
+    actions = enumerate_actions(h, step_size)
 
     uniforms = np.stack([rng.random(steps - 1) for rng in rngs])  # (M, N-1)
     states = np.empty((rounds, steps, h))

@@ -53,6 +53,8 @@ class LinearProgram:
         for lo, hi in self.bounds:
             if not math.isfinite(lo):
                 raise ValueError("lower bounds must be finite")
+            if math.isnan(hi):
+                raise ValueError("upper bounds must not be NaN")
             if hi < lo:
                 raise ValueError(f"bound lo {lo} exceeds hi {hi}")
 

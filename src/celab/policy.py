@@ -33,14 +33,16 @@ probabilities that were sampled, not those of a fresh pass.
 The backward pass needs no pre-activations: the sign of a layer's
 activation output decides its derivative.
 
-An update pass (`forward`, `loss_value`, `gradients`) works on a few hundred
-rows, and its row-sized intermediates come to megabytes. Freed after every
+`forward` has one output path: it writes layer inputs 2-8 and the
+probabilities into a record slot when given one, and into eight fresh
+arrays otherwise. An update's loss and backward pass (`loss_value`,
+`gradients`) and its copies out of the record work on a few hundred rows,
+and their row-sized intermediates come to megabytes. Freed after every
 call, that memory goes back to the operating system and is faulted in again
-on the next one, which costs more than the arithmetic. So these functions
-write every row-sized intermediate into a `Workspace` that the caller owns
-and passes to each call; `train_pair` keeps one per run. Called without one,
-`loss_value` and `gradients` make a fresh workspace and `forward` allocates
-fresh arrays, running the same arithmetic.
+on the next one, which costs more than the arithmetic. So these write every
+row-sized intermediate into a `Workspace` that the caller owns and passes
+to each call; `train_pair` keeps one per run. Called without one,
+`loss_value` and `gradients` make a fresh workspace.
 """
 
 from __future__ import annotations
@@ -165,15 +167,16 @@ def stack(nets) -> PolicyParams:
 
 
 class Workspace:
-    """Reusable buffers for the row-sized intermediates of an update pass.
+    """Reusable buffers for the row-sized intermediates of an update's loss
+    and backward pass and of its copies out of a `RolloutRecord`.
 
     Each buffer has a name and is reshaped to whatever shape its user asks
     for, growing when a request is larger than what it holds, so one
     workspace serves any batch size and any net. A request for a name ends
-    the use of what the buffer held before: a trace or probabilities that
-    `forward` returned stay valid only until the next call given the same
-    workspace. The workspace belongs to the caller that runs the updates;
-    it keeps no reference to any net.
+    the use of what the buffer held before: a trace that
+    `RolloutRecord.trace` returned stays valid only until the next call
+    given the same workspace. The workspace belongs to the caller that runs
+    the updates; it keeps no reference to any net.
     """
 
     def __init__(self):
@@ -189,21 +192,15 @@ class Workspace:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer inputs of one forward pass (2-D batch) and, from `forward`,
-    its pre-activations.
+    """The inputs of all nine layers of one forward pass, from the current
+    and previous states (layers 0 and 1) on, and its (B, J) probabilities.
 
-    `layer_inputs` has all nine layers; `pre_activations` stops at layer 7,
-    because the logits become the probabilities in place. With a shared
-    workspace the arrays are views of its buffers. With P stacked nets each
-    per-layer array is P blocks, (P, B/P, width), and `probs` is (B, J). A
-    trace read from a `RolloutRecord` has no pre-activations, and its
-    layer inputs are copied on each read (`RolloutRecord.trace`).
+    With P stacked nets each per-layer array is P blocks, (P, B/P, width).
+    A trace read from a `RolloutRecord` copies its layer inputs on each read
+    (`RolloutRecord.trace`).
     """
 
-    current: np.ndarray
-    previous: np.ndarray
     layer_inputs: Sequence[np.ndarray]
-    pre_activations: list[np.ndarray] | None
     probs: np.ndarray
 
 
@@ -237,6 +234,13 @@ class _RecordedInputs(Sequence):
         return _in_row_order(block, self._ws, "recorded_input")
 
 
+def _record_widths(params: PolicyParams) -> list[int]:
+    """Widths of the eight arrays a recorded pass writes: layer inputs 2-8,
+    then the probabilities."""
+    dims = layer_dims(params.h, params.j, params.width_in, params.width_mid)
+    return [fan_in for fan_in, _ in dims[2:]] + [params.j]
+
+
 class RolloutRecord:
     """Layer inputs 2-8 and probabilities of every step of a stacked rollout.
 
@@ -250,9 +254,9 @@ class RolloutRecord:
     """
 
     def __init__(self, params: PolicyParams, nets: int, rounds: int, steps: int):
-        dims = layer_dims(params.h, params.j, params.width_in, params.width_mid)
-        widths = [fan_in for fan_in, _ in dims[2:]] + [params.j]
-        self.arrays = [np.empty((steps, nets, rounds, width)) for width in widths]
+        self.arrays = [
+            np.empty((steps, nets, rounds, width)) for width in _record_widths(params)
+        ]
         self.slots = [list(blocks) for blocks in zip(*self.arrays)]
 
     def trace(
@@ -266,7 +270,7 @@ class RolloutRecord:
         copy exists at a time."""
         probs = _in_row_order(self.arrays[-1][:, net], workspace, "probs")
         inputs = _RecordedInputs(self, net, current, previous, workspace)
-        return ForwardTrace(current, previous, inputs, None, probs)
+        return ForwardTrace(inputs, probs)
 
 
 def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -290,62 +294,34 @@ def _state_rows(h: int, current, previous) -> tuple[np.ndarray, np.ndarray]:
     return cur, prev
 
 
-def _layers(
-    weights, biases, cur, prev, ws=None, inputs=None, pre_activations=None, slot=None
-) -> np.ndarray:
+def _layers(weights, biases, cur, prev, out) -> np.ndarray:
     """The nine-layer stack, returning action probabilities.
 
     Runs one net's (fan_in, fan_out) weights over (B, H) rows, or P stacked
     nets' (P, fan_in, fan_out) weights and (P, 1, fan_out) biases over
-    (P, B, H) blocks. With a workspace `ws` every intermediate lands in its
-    buffers; without one each is a fresh array. A `RolloutRecord` slot, when
-    given, takes layer inputs 2-8 and the probabilities instead.
-    When `inputs` and `pre_activations` are lists, the layer inputs and the
-    pre-activations of layers 0-7 are appended to them.
+    (P, B, H) blocks. Layer inputs 2-8 and the probabilities land in the
+    eight arrays of `out`, whose widths `_record_widths` gives.
     """
-    lead = cur.shape[:-1]
 
-    def buffer(name, width, dtype=np.float64):
-        # None lets each numpy call allocate its own result
-        return None if ws is None else ws.array(name, lead + (width,), dtype)
-
-    def landing(i, width):
-        # where layer i's input goes; i == 9 stands for the probabilities
-        if slot is not None:
-            return slot[i - 2]
-        return buffer(("input", i) if i < 9 else "probs", width)
-
-    def dense(i: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        z = np.matmul(x, weights[i], out=out)
+    def dense(i: int, x: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
+        z = np.matmul(x, weights[i], out=into)
         z += biases[i]
-        if not np.isfinite(z, out=buffer("mask", z.shape[-1], bool)).all():
+        if not np.isfinite(z).all():
             raise NumericError(f"non-finite activation in layer {i} ({_LAYER_NAMES[i]})")
         return z
 
     # the two linear analyzers write the halves of layer 2's input
     half = weights[0].shape[-1]
-    x = landing(2, 2 * half)
-    if x is None:
-        x = np.empty(lead + (2 * half,))
-    za = dense(0, cur, x[..., :half])
-    zb = dense(1, prev, x[..., half:])
-    if inputs is not None:
-        inputs += [cur, prev]
-        pre_activations += [za, zb]
+    x = out[0]
+    dense(0, cur, x[..., :half])
+    dense(1, prev, x[..., half:])
     for i in range(2, 8):
-        z = dense(i, x, buffer(("pre", i), weights[i].shape[-1]))
-        if inputs is not None:
-            inputs.append(x)
-            pre_activations.append(z)
-        x = _activate(_ACTIVATIONS[i], z, landing(i + 1, z.shape[-1]))
-    if inputs is not None:
-        inputs.append(x)
+        x = _activate(_ACTIVATIONS[i], dense(i, x), out[i - 1])
     # softmax in place over the logits
-    probs = dense(8, x, landing(9, weights[8].shape[-1]))
-    col = buffer("column", 1)
-    probs -= probs.max(axis=-1, keepdims=True, out=col)
+    probs = dense(8, x, out[7])
+    probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True, out=col)
+    probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
 
@@ -353,7 +329,6 @@ def forward(
     params: PolicyParams,
     current: np.ndarray,
     previous: np.ndarray,
-    workspace: Workspace | None = None,
     slot: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Action distribution for (current, previous) state pairs.
@@ -362,31 +337,20 @@ def forward(
     match the input arity, while the trace stores 2-D arrays. With P nets
     stacked into `params` (`stack`), the B rows are P consecutive blocks of
     B/P rows, block k played by net k, and the trace's per-layer arrays are
-    (P, B/P, width). Intermediates live in `workspace`, or in fresh arrays
-    when it is omitted; a `RolloutRecord` slot takes layer inputs 2-8 and
-    the probabilities.
+    (P, B/P, width). Layer inputs 2-8 and the probabilities land in a
+    `RolloutRecord` slot when given one, and in fresh arrays otherwise.
     """
     cur, prev = _state_rows(params.h, current, previous)
-    blocks_cur, blocks_prev = cur, prev
     if params.flat.ndim == 2:
         nets = params.flat.shape[0]
         if cur.shape[0] % nets:
             raise PreconditionError(f"{cur.shape[0]} rows do not split into {nets} nets")
         blocks = (nets, cur.shape[0] // nets, params.h)
-        blocks_cur, blocks_prev = cur.reshape(blocks), prev.reshape(blocks)
-    layer_inputs: list[np.ndarray] = []
-    pre_activations: list[np.ndarray] = []
-    probs = _layers(
-        params.weights, params.biases, blocks_cur, blocks_prev, workspace,
-        layer_inputs, pre_activations, slot,
-    ).reshape(-1, params.j)
-    trace = ForwardTrace(
-        current=cur,
-        previous=prev,
-        layer_inputs=layer_inputs,
-        pre_activations=pre_activations,
-        probs=probs,
-    )
+        cur, prev = cur.reshape(blocks), prev.reshape(blocks)
+    if slot is None:
+        slot = [np.empty(cur.shape[:-1] + (width,)) for width in _record_widths(params)]
+    probs = _layers(params.weights, params.biases, cur, prev, slot).reshape(-1, params.j)
+    trace = ForwardTrace(layer_inputs=[cur, prev, *slot[:7]], probs=probs)
     return (probs[0] if np.asarray(current).ndim == 1 else probs), trace
 
 
@@ -448,7 +412,7 @@ def gradients(
     targets: one-hot rows (B, J); weights: per-row scalars (or one scalar).
     Intermediates go to `workspace` (a fresh one when omitted); it may be the
     one that holds `trace`, whose buffers this function only reads. It reads
-    each of `trace.layer_inputs` 2-8 once, from layer 8 down.
+    each of `trace.layer_inputs` once, from layer 8 down.
     """
     ws = Workspace() if workspace is None else workspace
     p_raw = trace.probs
@@ -521,9 +485,9 @@ def gradients(
     # upstream now spans the concatenated analyzer outputs (both linear)
     w_in = params.width_in
     da, db = upstream[:, :w_in], upstream[:, w_in:]
-    np.matmul(trace.current.T, da, out=grads.weights[0])
+    np.matmul(trace.layer_inputs[0].T, da, out=grads.weights[0])
     da.sum(axis=0, out=grads.biases[0])
-    np.matmul(trace.previous.T, db, out=grads.weights[1])
+    np.matmul(trace.layer_inputs[1].T, db, out=grads.weights[1])
     db.sum(axis=0, out=grads.biases[1])
     return grads
 
@@ -601,6 +565,6 @@ def policy_fn(*params: PolicyParams, record: RolloutRecord | None = None):
 
     def fn(cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
         slot = None if record is None else record.slots[next(calls)]
-        return forward(stacked, cur, prev, None, slot)[0]
+        return forward(stacked, cur, prev, slot)[0]
 
     return fn

@@ -14,10 +14,10 @@ no forward pass of its own: its loss and backward pass read what the rollout
 recorded. `train_pair` owns, for the whole run, one `RolloutRecord` (both
 nets' layer inputs and probabilities at every step, written in place by the
 rollout) and one policy `Workspace`, which the two players' updates share
-one after the other; each update overwrites the buffers of the last, so no
-update's memory goes back to the operating system in between (see
-`celab.policy`). `update_policy` called without a record runs `forward`
-itself.
+one after the other for their loss and backward passes; each update
+overwrites the buffers of the last, so no update's memory goes back to the
+operating system in between (see `celab.policy`). `update_policy` called
+without a record runs `forward` itself, into fresh arrays.
 """
 
 from __future__ import annotations
@@ -184,7 +184,8 @@ def update_policy(
     produced (column n+1), never of the state it left. `recorded`, a record
     and the index of this net in it, gives the forward pass of the rollout
     that produced `batch` with these `params`; without it the update runs
-    `forward`. The passes share `workspace` (a fresh one when omitted)."""
+    `forward`. The loss and backward passes share `workspace` (a fresh one
+    when omitted)."""
     states = batch.states
     m, n, h = states.shape
     cur = states[:, :-1].reshape(-1, h)
@@ -194,7 +195,7 @@ def update_policy(
 
     ws = Workspace() if workspace is None else workspace
     if recorded is None:
-        probs, trace = forward(params, cur, prev, ws)
+        probs, trace = forward(params, cur, prev)
     else:
         record, net = recorded
         trace = record.trace(net, cur, prev, ws)

@@ -116,3 +116,13 @@ def random_valid_2x2(rng: np.random.Generator, require_two_ne: bool = True):
         # a 2x2 game with two pure NE also has the interior mixed one
         if len(cells) >= 2:
             return u1, u2
+
+
+def kink_margin(params, trace) -> float:
+    """Smallest |z| over the pre-activations of the LeakyReLU/ReLU layers
+    (2-7), recomputed as z = layer_inputs[i] @ W[i] + b[i] from the trace's
+    layer inputs and the net's weights."""
+    return min(
+        float(np.abs(trace.layer_inputs[i] @ params.weights[i] + params.biases[i]).min())
+        for i in range(2, 8)
+    )

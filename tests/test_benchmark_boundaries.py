@@ -3,6 +3,7 @@
 should fail here, not only in the benchmark's own tests."""
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -21,3 +22,12 @@ from perfbench.tracer import BOUNDARIES  # noqa: E402
 def test_every_traced_boundary_resolves(module_name, attr):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, attr, None)), f"{module_name}.{attr} is gone"
+
+
+def test_forward_takes_params_and_current_states_first():
+    # the tracer's flop count reads args[0] as the params and args[1] as the
+    # current states (`perfbench.tracer._forward_info`)
+    import celab.policy
+
+    names = list(inspect.signature(celab.policy.forward).parameters)
+    assert names[:3] == ["params", "current", "previous"]

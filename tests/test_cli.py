@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -444,6 +445,26 @@ def test_malformed_input_exits_2_with_one_error_line(
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ")
+
+
+def test_abbreviated_flags_exit_2_and_write_nothing(fx, tmp_path):
+    # with abbreviations allowed, train's --out meant --out-dir, and solve's
+    # --mo, --fo and --out-d meant --mode, --force and --out-dir
+    runs = [
+        ["train", fx("coordination_2x2.json"), "--epochs", "1",
+         "--out", str(tmp_path / "run")],
+        ["solve", fx("chicken.json"), "--mo", "ne", "--fo",
+         "--out-d", str(tmp_path / "od")],
+    ]
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "celab.cli", *argv],
+            env={**os.environ, "CELAB_OUT_DIR": str(tmp_path / "default")},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr
+    assert not any(tmp_path.iterdir())
 
 
 def test_module_entry_point_runs(fx, tmp_path):

@@ -78,6 +78,12 @@ def test_rejects_inverted_bounds():
         LinearProgram(objective=[1.0], bounds=[(2.0, 1.0)])
 
 
+def test_rejects_nan_upper_bound():
+    # hi < lo is false for NaN, and the solver would read it as +inf
+    with pytest.raises(ValueError, match="NaN"):
+        LinearProgram(objective=[1.0], bounds=[(0.0, np.nan)])
+
+
 def _random_feasible_lp(rng: np.random.Generator) -> LinearProgram:
     n = int(rng.integers(2, 7))
     m = int(rng.integers(1, 6))

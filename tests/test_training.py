@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from celab.env import rollout
 from celab.errors import NumericError, PreconditionError
 from celab.games import load_game
-from celab.policy import Workspace, forward, init_policy, policy_fn, save_checkpoint
+from celab.policy import (
+    RolloutRecord,
+    Workspace,
+    forward,
+    init_policy,
+    policy_fn,
+    save_checkpoint,
+)
 from celab.training import (
     AdamState,
     RewardTensor,
@@ -221,23 +228,25 @@ class TestUpdatePolicy:
 
 
     def test_update_with_a_warm_workspace_allocates_little(self, coordination):
-        # default-config shapes: 944 rows. Without a reused workspace one
-        # update allocates about 4 MB of row-sized intermediates.
+        # default-config shapes: 944 rows, read from the rollout's record as
+        # train_pair does. Without a reused workspace one update allocates
+        # about 4 MB of row-sized intermediates.
         cfg = TrainingConfig()
         params = init_policy(4, 27, cfg.width_in, cfg.width_mid, np.random.default_rng(12))
+        record = RolloutRecord(params, nets=1, rounds=cfg.rounds, steps=cfg.steps - 1)
         rngs = [np.random.default_rng(m) for m in range(cfg.rounds)]
         batch = rollout(
-            policy_fn(params), cfg.rounds, cfg.steps, cfg.step_size, rngs,
+            policy_fn(params, record=record), cfg.rounds, cfg.steps, cfg.step_size, rngs,
             start=np.full(4, 0.25),
         )
         rt = shape_rewards(batch.states, coordination.payoff("p1"), cfg.discount)
         ws = Workspace()
-        params, state, _ = update_policy(
-            params, batch, rt, AdamState.zeros_like(params), cfg, ws
-        )
+        # the record holds these params' pass, so both updates start from them
+        state = AdamState.zeros_like(params)
+        update_policy(params, batch, rt, state, cfg, ws, (record, 0))
         tracemalloc.start()
         try:
-            update_policy(params, batch, rt, state, cfg, ws)
+            update_policy(params, batch, rt, state, cfg, ws, (record, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
