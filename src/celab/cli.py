@@ -210,6 +210,8 @@ def cmd_solve(args) -> int:
     else:  # hull
         if not args.point:
             raise PreconditionError("--mode hull needs at least one --point U1 U2")
+        if not np.isfinite(args.point).all():
+            raise PreconditionError("--point payoffs must be finite numbers")
         equilibria = enumerate_equilibria(game)
         if not equilibria:
             raise PreconditionError("hull test needs at least one equilibrium payoff")

@@ -4,6 +4,21 @@ Problems in this package are tiny (tens of variables), so the solver favors
 exact reproducibility over scale: dense float64 tableau, Bland's anti-cycling
 rule (smallest eligible index enters; ratio ties leave by smallest basis
 index), fixed tolerances. Identical inputs produce bit-identical outputs.
+With these tolerances the rule can still cycle: some 5x5 CE programs never
+terminate.
+
+Per-pivot cost is mostly Python and numpy call overhead, so each step is a
+few whole-array operations:
+
+- A pivot is one rank-1 update of the tableau. Every element gets the same
+  product and difference a per-row loop would give, so the bits are those
+  of that loop; only zero factors differ, as x - (+-0.0), which can flip
+  the sign of a zero and nothing else.
+- The entering column is the first reduced cost above TOL, in one array op.
+- The ratio test is a sequential scan over Python floats, because Bland's
+  tie rule compares each ratio with the running best (within TOL), which
+  no single array reduction reproduces. Python float division and
+  comparison are the same IEEE operations as on numpy scalars.
 
 Maximization form:
 
@@ -16,11 +31,33 @@ Maximization form:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 TOL = 1e-9
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    # half the cost of np.isfinite(a).all() on arrays this small
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _row_block(name: str, rows, rhs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One constraint block as float64 (rows, rhs). A 1-D `rows` is one row,
+    or no rows when empty; any other width than `n` is an error, not a
+    re-cut of the same numbers into rows of another length."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim == 1:
+        rows = rows.reshape(1, -1) if rows.size else rows.reshape(0, n)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"{name}_rows must have {n} columns, got shape {rows.shape}")
+    rhs = np.asarray(rhs, dtype=np.float64).reshape(-1)
+    if rows.shape[0] != rhs.size:
+        raise ValueError(f"{name}_rows/{name}_rhs length mismatch")
+    if not (_all_finite(rows) and _all_finite(rhs)):
+        raise ValueError(f"{name}_rows and {name}_rhs must be finite")
+    return rows, rhs
 
 
 @dataclass
@@ -35,16 +72,13 @@ class LinearProgram:
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=np.float64)
         n = self.objective.size
+        if not _all_finite(self.objective):
+            raise ValueError("objective must be finite")
         if self.ineq_rows is not None:
-            self.ineq_rows = np.asarray(self.ineq_rows, dtype=np.float64).reshape(-1, n)
-            self.ineq_rhs = np.asarray(self.ineq_rhs, dtype=np.float64).reshape(-1)
-            if self.ineq_rows.shape[0] != self.ineq_rhs.size:
-                raise ValueError("ineq_rows/ineq_rhs length mismatch")
+            self.ineq_rows, self.ineq_rhs = _row_block(
+                "ineq", self.ineq_rows, self.ineq_rhs, n)
         if self.eq_rows is not None:
-            self.eq_rows = np.asarray(self.eq_rows, dtype=np.float64).reshape(-1, n)
-            self.eq_rhs = np.asarray(self.eq_rhs, dtype=np.float64).reshape(-1)
-            if self.eq_rows.shape[0] != self.eq_rhs.size:
-                raise ValueError("eq_rows/eq_rhs length mismatch")
+            self.eq_rows, self.eq_rhs = _row_block("eq", self.eq_rows, self.eq_rhs, n)
         if self.bounds is None:
             self.bounds = [(0.0, np.inf)] * n
         if len(self.bounds) != n:
@@ -68,10 +102,15 @@ class LPSolution:
 
 
 def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    t[row] /= t[row, col]
-    for r in range(t.shape[0]):
-        if r != row and t[r, col] != 0.0:
-            t[r] -= t[r, col] * t[row]
+    pivot_row = t[row]
+    pivot_row /= pivot_row[col]
+    # Rank-1 update. Rows whose factor is zero (the pivot row included) get
+    # x - (+-0.0): for finite x that moves at most the sign of a zero, which
+    # no reader of the tableau sees. LinearProgram rejects non-finite data,
+    # so the starting tableau is finite.
+    factors = t[:, col].copy()
+    factors[row] = 0.0
+    t -= factors[:, None] * pivot_row
     basis[row] = col
 
 
@@ -79,25 +118,24 @@ def _simplex_max(t: np.ndarray, basis: list[int], cost: np.ndarray,
                  allowed: int) -> tuple[str, int]:
     """Run primal simplex on tableau t (rows = constraints, last col = rhs),
     maximizing `cost` over the first `allowed` columns. Bland's rule both ways."""
-    m = t.shape[0]
+    # views: pivots update t in place
+    body, rhs_col, priced = t[:, :allowed], t[:, -1], cost[:allowed]
     iters = 0
     while True:
         # reduced costs relative to the current basis
-        cb = cost[basis]
-        reduced = cost[:allowed] - cb @ t[:, :allowed]
-        entering = -1
-        for j in range(allowed):
-            if reduced[j] > TOL:
-                entering = j
-                break
-        if entering < 0:
+        reduced = priced - cost[basis] @ body
+        eligible = reduced > TOL
+        entering = int(eligible.argmax())
+        if not eligible[entering]:
             return "optimal", iters
+        # Bland's ratio test: ties within TOL of the running best leave by the
+        # smallest basis index, so the scan is sequential (over Python floats).
         leaving = -1
-        best_ratio = np.inf
-        for r in range(m):
-            a = t[r, entering]
+        best_ratio = math.inf
+        rhs = rhs_col.tolist()
+        for r, a in enumerate(t[:, entering].tolist()):
             if a > TOL:
-                ratio = t[r, -1] / a
+                ratio = rhs[r] / a
                 if ratio < best_ratio - TOL or (
                     abs(ratio - best_ratio) <= TOL
                     and (leaving < 0 or basis[r] < basis[leaving])
@@ -181,21 +219,17 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         if val < -TOL:
             return LPSolution(status="infeasible", iterations=iterations)
         # drive leftover artificials out of the basis; drop redundant rows
-        keep = np.ones(t.shape[0], dtype=bool)
+        redundant = []
         for r in range(t.shape[0]):
             if basis[r] >= n + n_ub:
-                pivot_col = -1
-                for j in range(n + n_ub):
-                    if abs(t[r, j]) > TOL:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(t, basis, r, pivot_col)
+                candidates = np.flatnonzero(np.abs(t[r, : n + n_ub]) > TOL)
+                if candidates.size:
+                    _pivot(t, basis, r, int(candidates[0]))
                 else:
-                    keep[r] = False
-        if not keep.all():
-            t = t[keep]
-            basis = [b for b, k in zip(basis, keep) if k]
+                    redundant.append(r)
+        if redundant:
+            t = np.delete(t, redundant, axis=0)
+            basis = [b for r, b in enumerate(basis) if r not in redundant]
 
     # phase 2 over original + slack columns only
     phase2_cost = np.zeros(t.shape[1] - 1)

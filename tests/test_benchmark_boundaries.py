@@ -7,7 +7,9 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from oracles import random_valid_2x2
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -31,3 +33,77 @@ def test_forward_takes_params_and_current_states_first():
 
     names = list(inspect.signature(celab.policy.forward).parameters)
     assert names[:3] == ["params", "current", "previous"]
+
+
+def _tableau_programs(monkeypatch):
+    """CE programs of 2x2..4x4 games, every LP estimate_payoff builds for a
+    few 2x2 inputs, and general programs with shifted, partly bounded boxes
+    and negative right-hand sides (surplus and artificial columns)."""
+    from celab import estimation
+    from celab.equilibrium import (
+        correlated_equilibrium_program,
+        max_welfare_correlated_equilibrium,
+    )
+    from celab.games import make_game
+    from celab.lp import LinearProgram, solve_lp
+
+    rng = np.random.default_rng(5)
+    programs = []
+    for n in (2, 3, 4):
+        menu = [f"a{i + 1}" for i in range(n)]
+        payoffs = {p: rng.dirichlet(np.ones(n * n)) for p in ("p1", "p2")}
+        game = make_game(["p1", "p2"], [menu, menu], payoffs)
+        programs.append(correlated_equilibrium_program(game))
+
+    def record(lp):
+        programs.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(estimation, "solve_lp", record)
+    for _ in range(6):
+        u1, u2 = random_valid_2x2(rng)
+        game = make_game(
+            ["p1", "p2"],
+            {"p1": ["a1", "a2"], "p2": ["b1", "b2"]},
+            {"p1": u1.reshape(-1), "p2": u2.reshape(-1)},
+        )
+        p = max_welfare_correlated_equilibrium(game).distribution
+        for p_tilde in (p, np.array([0.4, 0.1, 0.1, 0.4])):
+            estimation.estimate_payoff(game.payoff("p1"), p_tilde, round_trip=False)
+    monkeypatch.undo()
+
+    for _ in range(12):
+        n, m_ub, m_eq = 3, int(rng.integers(0, 4)), int(rng.integers(0, 2))
+        lo = rng.choice([0.0, -1.0, 0.5], size=n)
+        hi = np.where(rng.random(n) < 0.5, np.inf, lo + 2.0 * rng.random(n))
+        programs.append(LinearProgram(
+            objective=rng.normal(size=n),
+            ineq_rows=rng.normal(size=(m_ub, n)),
+            ineq_rhs=rng.normal(size=m_ub),
+            eq_rows=rng.normal(size=(m_eq, n)) if m_eq else None,
+            eq_rhs=rng.normal(size=m_eq) if m_eq else None,
+            bounds=list(zip(lo, hi)),
+        ))
+    return programs
+
+
+def test_lp_cells_is_the_tableau_solve_lp_builds(monkeypatch):
+    # the tracer's lp.tableau_cells re-derives the tableau's size from the
+    # program (`perfbench.tracer.lp_cells`) instead of reading the solver
+    import celab.lp
+    from perfbench.tracer import lp_cells
+
+    programs = _tableau_programs(monkeypatch)
+    assert any(lp.objective.size > 4 for lp in programs)  # a diagnosis LP
+    simplex_max = celab.lp._simplex_max
+    for lp in programs:
+        shapes = []
+
+        def first_tableau(t, *args):
+            shapes.append(t.shape)
+            return simplex_max(t, *args)
+
+        monkeypatch.setattr(celab.lp, "_simplex_max", first_tableau)
+        celab.lp.solve_lp(lp)
+        monkeypatch.undo()
+        assert lp_cells(lp) == shapes[0][0] * shapes[0][1]

@@ -72,6 +72,15 @@ class TestSolve:
         code = main(["solve", fx("chicken.json"), "--mode", "hull", "--out", str(out)])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_hull_rejects_a_non_finite_point(self, fx, tmp_path, capsys, value):
+        out = tmp_path / "hull.json"
+        code = main(["solve", fx("chicken.json"), "--mode", "hull",
+                     "--point", value, "0.5", "--out", str(out)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_file_diagnoses_the_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"players": ["p1","p2"],\n "decisions"\n}')

@@ -1,6 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from oracles import random_valid_2x2
 
+from celab import estimation
+from celab.equilibrium import (
+    correlated_equilibrium_program,
+    max_welfare_correlated_equilibrium,
+)
+from celab.games import make_game
 from celab.lp import LinearProgram, solve_lp
 
 
@@ -68,6 +77,18 @@ def test_negative_rhs_needs_phase_one():
     np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-12)
 
 
+def test_redundant_equality_row_is_dropped():
+    # the second row repeats the first; its artificial cannot leave the
+    # basis after phase 1, so the row goes before phase 2
+    lp = LinearProgram(
+        objective=[1.0, 2.0], eq_rows=[[1.0, 1.0], [2.0, 2.0]], eq_rhs=[1.0, 2.0]
+    )
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    np.testing.assert_array_equal(sol.x, [0.0, 1.0])
+    assert sol.objective == 2.0
+
+
 def test_rejects_infinite_lower_bound():
     with pytest.raises(ValueError):
         LinearProgram(objective=[1.0], bounds=[(-np.inf, 1.0)])
@@ -82,6 +103,52 @@ def test_rejects_nan_upper_bound():
     # hi < lo is false for NaN, and the solver would read it as +inf
     with pytest.raises(ValueError, match="NaN"):
         LinearProgram(objective=[1.0], bounds=[(0.0, np.nan)])
+
+
+@pytest.mark.parametrize("n, field, rows, rhs", [
+    # four numbers under two variables must not become the 2x2 identity
+    (2, "ineq", [[1.0, 0.0, 0.0, 1.0]], [1.0, 2.0]),
+    # nor a 2x2 block under four variables one 1x4 row
+    (4, "eq", np.eye(2), [1.0]),
+])
+def test_rejects_rows_of_the_wrong_width(n, field, rows, rhs):
+    with pytest.raises(ValueError, match=f"{n} columns"):
+        LinearProgram(objective=np.ones(n), **{f"{field}_rows": rows, f"{field}_rhs": rhs})
+
+
+def test_one_dimensional_row_is_one_row():
+    lp = LinearProgram(objective=[1.0, 1.0], ineq_rows=[1.0, 2.0], ineq_rhs=2.0)
+    assert lp.ineq_rows.shape == (1, 2)
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [2.0, 0.0], atol=1e-12)
+
+
+def test_empty_row_block_is_no_rows():
+    lp = LinearProgram(objective=[1.0], ineq_rows=[], ineq_rhs=[], bounds=[(0.0, 1.0)])
+    assert lp.ineq_rows.shape == (0, 1)
+    assert solve_lp(lp).x[0] == 1.0
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("objective", np.nan),
+    ("objective", np.inf),
+    ("ineq_rows", np.inf),
+    ("ineq_rhs", np.nan),
+    ("eq_rows", -np.inf),
+    ("eq_rhs", np.nan),
+])
+def test_rejects_non_finite_data(field, bad):
+    data = {
+        "objective": np.array([1.0, 1.0]),
+        "ineq_rows": np.array([[1.0, 2.0]]),
+        "ineq_rhs": np.array([2.0]),
+        "eq_rows": np.array([[1.0, 1.0]]),
+        "eq_rhs": np.array([1.5]),
+    }
+    data[field].flat[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        LinearProgram(**data)
 
 
 def _random_feasible_lp(rng: np.random.Generator) -> LinearProgram:
@@ -141,3 +208,96 @@ def test_against_scipy_with_equalities():
             -c, A_eq=a_eq, b_eq=[1.0], bounds=lp.bounds, method="highs"
         )
         assert mine.objective == pytest.approx(-ref.fun, abs=1e-9)
+
+
+def _simplex_point(rng: np.random.Generator, size: int) -> np.ndarray:
+    v = rng.random(size)
+    return v / v.sum()
+
+
+def _golden_ce_programs(rng: np.random.Generator) -> list[LinearProgram]:
+    """Max-welfare CE programs of random n x n games, n = 2..5. With this
+    seed every one terminates; on some 5x5 programs Bland's rule with its
+    tolerances cycles forever, and a digest needs an answer."""
+    programs = []
+    for n, count in ((2, 40), (3, 20), (4, 12), (5, 8)):
+        menu = [f"a{i + 1}" for i in range(n)]
+        for _ in range(count):
+            game = make_game(
+                ["p1", "p2"], [menu, menu],
+                {"p1": _simplex_point(rng, n * n), "p2": _simplex_point(rng, n * n)},
+            )
+            programs.append(correlated_equilibrium_program(game))
+    return programs
+
+
+def _golden_estimation_programs(rng, monkeypatch) -> list[LinearProgram]:
+    """Every LP estimate_payoff builds (both sign branches, and the diagnosis
+    when both fail) for exact and sigma=0.002-noised 2x2 CE inputs."""
+    programs = []
+
+    def record(lp):
+        programs.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(estimation, "solve_lp", record)
+    for i in range(24):
+        u1, u2 = random_valid_2x2(rng, require_two_ne=i % 4 != 3)
+        game = make_game(
+            ["p1", "p2"],
+            {"p1": ["a1", "a2"], "p2": ["b1", "b2"]},
+            {"p1": u1.reshape(-1), "p2": u2.reshape(-1)},
+        )
+        p = max_welfare_correlated_equilibrium(game).distribution
+        noisy = np.maximum(p + rng.normal(0.0, 0.002, 4), 0.0)
+        for p_tilde in (p, noisy / noisy.sum()):
+            for rotated in (False, True):
+                estimation.estimate_payoff(
+                    game.payoff("p1"), p_tilde, rotate_opponent=rotated, round_trip=False
+                )
+    monkeypatch.undo()
+    return programs
+
+
+def _golden_general_programs(rng: np.random.Generator) -> list[LinearProgram]:
+    """Random LPs with mixed-sign right-hand sides, equality rows and shifted,
+    partly unbounded boxes: some are infeasible and some unbounded."""
+    programs = []
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        m_ub, m_eq = int(rng.integers(0, 5)), int(rng.integers(0, 3))
+        lo = rng.choice([0.0, -1.0, 0.5], size=n)
+        hi = np.where(rng.random(n) < 0.4, np.inf, lo + 3.0 * rng.random(n))
+        programs.append(LinearProgram(
+            objective=rng.normal(size=n),
+            ineq_rows=rng.normal(size=(m_ub, n)) if m_ub else None,
+            ineq_rhs=rng.normal(size=m_ub) if m_ub else None,
+            eq_rows=rng.normal(size=(m_eq, n)) if m_eq else None,
+            eq_rhs=rng.normal(size=m_eq) if m_eq else None,
+            bounds=list(zip(lo, hi)),
+        ))
+    return programs
+
+
+def test_golden_solution_digest(monkeypatch):
+    # sha256 over status, pivot count, x bytes and repr(objective) of every
+    # program in a seeded corpus, recorded with numpy 2.4 on OpenBLAS. A
+    # change to pivoting, pricing, the ratio test or the tableau assembly
+    # that moves any bit of any answer changes it.
+    rng = np.random.default_rng(910)
+    programs = _golden_ce_programs(rng)
+    estimated = _golden_estimation_programs(rng, monkeypatch)
+    assert any(lp.objective.size > 4 for lp in estimated)  # diagnosis LPs
+    programs += estimated + _golden_general_programs(rng)
+    digest = hashlib.sha256()
+    statuses = []
+    for lp in programs:
+        sol = solve_lp(lp)
+        statuses.append(sol.status)
+        x = b"" if sol.x is None else sol.x.tobytes()
+        digest.update(f"{sol.status}|{sol.iterations}|{sol.objective!r}|".encode() + x)
+    assert len(programs) == 514
+    assert statuses.count("infeasible") >= 5 and statuses.count("unbounded") >= 5
+    assert digest.hexdigest() == (
+        "5cac03c978cddc83c41bf219c8591ccd3c4a6e00e3a931d72d02f9a3a9b06727"
+    )
