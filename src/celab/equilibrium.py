@@ -11,6 +11,7 @@ independent routes to the same definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -77,29 +78,17 @@ def correlated_equilibrium_program(game: Game) -> LinearProgram:
     a'), stored in <= form; the objective is total welfare.
     """
     u1, u2 = _two_player(game)
-    n1, n2 = u1.shape
-    h = n1 * n2
-
-    def flat(i: int, j: int) -> int:
-        return i * n2 + j
-
+    h = u1.size
+    # keep >= 0 rows as -row <= 0; negating the whole row makes its zeros -0.0
     rows = []
-    for a in range(n1):
-        for a_alt in range(n1):
-            if a_alt == a:
-                continue
-            row = np.zeros(h)
-            for j in range(n2):
-                row[flat(a, j)] = u1[a, j] - u1[a_alt, j]
-            rows.append(-row)  # keep >= 0 rows as -row <= 0
-    for b in range(n2):
-        for b_alt in range(n2):
-            if b_alt == b:
-                continue
-            row = np.zeros(h)
-            for i in range(n1):
-                row[flat(i, b)] = u2[i, b] - u2[i, b_alt]
-            rows.append(-row)
+    for a, a_alt in permutations(range(u1.shape[0]), 2):
+        row = np.zeros(u1.shape)
+        row[a] = u1[a] - u1[a_alt]
+        rows.append(-row.reshape(-1))
+    for b, b_alt in permutations(range(u2.shape[1]), 2):
+        row = np.zeros(u2.shape)
+        row[:, b] = u2[:, b] - u2[:, b_alt]
+        rows.append(-row.reshape(-1))
 
     welfare = (u1 + u2).reshape(-1)
     return LinearProgram(

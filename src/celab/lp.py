@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverError
+
 TOL = 1e-9
 
 
@@ -117,10 +119,13 @@ def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
 def _simplex_max(t: np.ndarray, basis: list[int], cost: np.ndarray,
                  allowed: int) -> tuple[str, int]:
     """Run primal simplex on tableau t (rows = constraints, last col = rhs),
-    maximizing `cost` over the first `allowed` columns. Bland's rule both ways."""
+    maximizing `cost` over the first `allowed` columns. Bland's rule both ways.
+    A repeated basis raises SolverError instead of cycling forever: Brent's
+    method compares each basis with a copy saved at pivots 1, 2, 4, 8, ..."""
     # views: pivots update t in place
     body, rhs_col, priced = t[:, :allowed], t[:, -1], cost[:allowed]
     iters = 0
+    saved, stride = list(basis), 1
     while True:
         # reduced costs relative to the current basis
         reduced = priced - cost[basis] @ body
@@ -146,6 +151,10 @@ def _simplex_max(t: np.ndarray, basis: list[int], cost: np.ndarray,
             return "unbounded", iters
         _pivot(t, basis, leaving, entering)
         iters += 1
+        if basis == saved:
+            raise SolverError(f"simplex cycled: a basis repeated after {iters} pivots")
+        if iters == stride:
+            saved, stride = list(basis), 2 * stride
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
