@@ -78,7 +78,6 @@ def correlated_equilibrium_program(game: Game) -> LinearProgram:
     a'), stored in <= form; the objective is total welfare.
     """
     u1, u2 = _two_player(game)
-    h = u1.size
     # keep >= 0 rows as -row <= 0; negating the whole row makes its zeros -0.0
     rows = []
     for a, a_alt in permutations(range(u1.shape[0]), 2):
@@ -95,9 +94,8 @@ def correlated_equilibrium_program(game: Game) -> LinearProgram:
         objective=welfare,
         ineq_rows=np.array(rows),
         ineq_rhs=np.zeros(len(rows)),
-        eq_rows=np.ones((1, h)),
+        eq_rows=np.ones((1, u1.size)),
         eq_rhs=np.array([1.0]),
-        bounds=[(0.0, 1.0)] * h,
     )
 
 
@@ -241,6 +239,5 @@ def in_nash_payoff_hull(
         objective=np.zeros(k),
         eq_rows=np.vstack([pts.T, np.ones((1, k))]),
         eq_rhs=np.concatenate([target, [1.0]]),
-        bounds=[(0.0, 1.0)] * k,
     )
     return solve_lp(lp).status == "optimal"

@@ -250,7 +250,6 @@ def _diagnose(rows: list[PressureConstraint], signed) -> list[str]:
             ineq_rhs=rhs[~equality],
             eq_rows=np.concatenate([elastic[equality], simplex[None]]),
             eq_rhs=np.concatenate([rhs[equality], [1.0]]),
-            bounds=[(0.0, 1.0)] * h + [(0.0, None)] * (elastic.shape[1] - h),
         )
     )
     if solution.status != "optimal":
@@ -324,7 +323,6 @@ def estimate_payoff(
                 ineq_rhs=ineq_rhs,
                 eq_rows=eq_rows,
                 eq_rhs=eq_rhs,
-                bounds=[(0.0, 1.0)] * view.size,
             )
         )
         if solution.status == "optimal":

@@ -4,8 +4,12 @@ Problems in this package are tiny (tens of variables), so the solver favors
 exact reproducibility over scale: dense float64 tableau, Bland's anti-cycling
 rule (smallest eligible index enters; ratio ties leave by smallest basis
 index), fixed tolerances. Identical inputs produce bit-identical outputs.
-With these tolerances the rule can still cycle: some 5x5 CE programs never
-terminate.
+With these tolerances the rule can still cycle (on some CE programs from
+5x5 up); a repeated basis raises SolverError instead of pivoting forever.
+
+Each finite upper bound costs one tableau row, so the programs this package
+builds state none that other constraints imply: on the simplex, sum(x) = 1
+and x >= 0 already give x <= 1.
 
 Per-pivot cost is mostly Python and numpy call overhead, so each step is a
 few whole-array operations:

@@ -118,6 +118,13 @@ def random_valid_2x2(rng: np.random.Generator, require_two_ne: bool = True):
             return u1, u2
 
 
+def random_square_payoffs(seed: int, n: int) -> np.ndarray:
+    """(2, n*n) payoffs of an n x n game from `default_rng(seed)`: each
+    player's cells drawn uniformly, then normalized to sum 1."""
+    u = np.random.default_rng(seed).random((2, n * n))
+    return u / u.sum(axis=1, keepdims=True)
+
+
 def kink_margin(params, trace) -> float:
     """Smallest |z| over the pre-activations of the LeakyReLU/ReLU layers
     (2-7), recomputed as z = layer_inputs[i] @ W[i] + b[i] from the trace's

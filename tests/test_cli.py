@@ -102,12 +102,20 @@ class TestSolve:
         )
         assert code == 2
 
-    def test_ce_with_a_tiny_violation_writes_valid_json(self, tmp_path):
-        # the LP point misses one deviation row by about 9e-17, inside the
-        # check's tolerance; the check's verdict must still serialize
+    def test_ce_with_a_tiny_violation_writes_valid_json(self, tmp_path, monkeypatch):
+        import celab.equilibrium
+        from celab.lp import LPSolution
+
+        # an LP point that misses one deviation row by about 9e-17, inside the
+        # check's tolerance; the check's verdict must still serialize. The
+        # point is given as a literal (a vertex the simplex once picked for
+        # this game), so the premise does not depend on the pivot path.
         rng = np.random.default_rng(7)
         u = rng.random((2, 4))
         u /= u.sum(axis=1, keepdims=True)
+        point = LPSolution(status="optimal", x=np.array([0.0, 1.0, 0.0, 3.330669073875469e-16]),
+                           objective=0.7923154945118368)
+        monkeypatch.setattr(celab.equilibrium, "solve_lp", lambda lp: point)
         game = write_game(tmp_path / "g.json", {"p1": u[0].tolist(), "p2": u[1].tolist()})
         out = tmp_path / "ce.json"
         assert main(["solve", game, "--mode", "ce", "--out", str(out)]) == 0
@@ -129,6 +137,25 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: correlated-equilibrium solve failed: ")
         assert "deviation check" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_cycling_ce_solve_exits_3_with_one_error_line(self, tmp_path, capsys):
+        from oracles import random_square_payoffs
+
+        # the simplex repeats a basis on this 6x6 game's CE program
+        u = random_square_payoffs(6003, 6)
+        menu = [f"a{i + 1}" for i in range(6)]
+        game = tmp_path / "g.json"
+        game.write_text(json.dumps({
+            "players": ["p1", "p2"],
+            "decisions": {"p1": menu, "p2": menu},
+            "payoffs": {"p1": u[0].tolist(), "p2": u[1].tolist()},
+        }))
+        out = tmp_path / "ce.json"
+        assert main(["solve", str(game), "--mode", "ce", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: correlated-equilibrium solve failed: simplex cycled: ")
+        assert len(err.splitlines()) == 1
         assert not out.exists()
 
     def test_unserializable_payload_leaves_no_file(self, tmp_path):

@@ -13,7 +13,7 @@ from celab.equilibrium import (
 from celab.errors import PreconditionError
 from celab.games import make_game
 
-from oracles import ce_polytope_vertices, random_valid_2x2
+from oracles import ce_polytope_vertices, random_square_payoffs, random_valid_2x2
 
 
 def game_from_matrices(u1, u2):
@@ -254,3 +254,31 @@ def test_random_games_lp_vs_oracle():
         verts = ce_polytope_vertices(u1, u2)
         oracle_best = (verts @ (u1 + u2).reshape(-1)).max()
         assert sol.welfare == pytest.approx(oracle_best, abs=1e-9)
+
+
+def test_max_welfare_ce_matches_highs():
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(12)
+    for n in (2, 2, 3, 3, 4, 4) * 5:
+        u = rng.random((2, n * n))
+        u /= u.sum(axis=1, keepdims=True)
+        g = game_from_matrices(u[0].reshape(n, n), u[1].reshape(n, n))
+        sol = max_welfare_correlated_equilibrium(g)
+        assert is_correlated_equilibrium(g, sol.distribution).ok
+        lp = correlated_equilibrium_program(g)
+        ref = scipy_opt.linprog(
+            -lp.objective, A_ub=lp.ineq_rows, b_ub=lp.ineq_rhs,
+            A_eq=lp.eq_rows, b_eq=lp.eq_rhs, method="highs",
+        )
+        assert sol.welfare == pytest.approx(-ref.fun, abs=1e-9)
+
+
+def test_6x6_ce_reaches_the_highs_welfare():
+    # With x <= 1 bound rows in the tableau, the simplex stopped on this
+    # game at a CE of welfare 0.09088 that passed the deviation check, where
+    # HiGHS finds 0.10052: a silent wrong answer.
+    u = random_square_payoffs(6004, 6)
+    g = game_from_matrices(u[0].reshape(6, 6), u[1].reshape(6, 6))
+    sol = max_welfare_correlated_equilibrium(g)
+    assert is_correlated_equilibrium(g, sol.distribution).ok
+    assert sol.welfare == pytest.approx(0.10051930800506961, abs=1e-9)

@@ -273,5 +273,5 @@ def test_golden_report_digest():
             digest.update(json.dumps(estimation_report(res), sort_keys=True).encode())
     assert statuses.count("ok") >= 5 and statuses.count("infeasible") >= 5
     assert digest.hexdigest() == (
-        "eb049d9cf7468998e9115ee6132ccd4a84938a34c5d9846326b899485447645b"
+        "42c5b835cbbcfaf03d372ba388f6b1141d982b0f5f152a092e4241c7f8146e9b"
     )

@@ -2,13 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
-from oracles import random_valid_2x2
+from oracles import random_square_payoffs, random_valid_2x2
 
+import celab.lp
 from celab import estimation
 from celab.equilibrium import (
     correlated_equilibrium_program,
     max_welfare_correlated_equilibrium,
 )
+from celab.errors import SolverError
 from celab.games import make_game
 from celab.lp import LinearProgram, solve_lp
 
@@ -210,6 +212,62 @@ def test_against_scipy_with_equalities():
         assert mine.objective == pytest.approx(-ref.fun, abs=1e-9)
 
 
+def _first_tableau_rows(monkeypatch, lp: LinearProgram) -> int:
+    """Rows of the tableau solve_lp builds for `lp`, read at the first
+    _simplex_max call."""
+    simplex_max = celab.lp._simplex_max
+    shapes = []
+
+    def first_tableau(t, *args):
+        shapes.append(t.shape)
+        return simplex_max(t, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(celab.lp, "_simplex_max", first_tableau)
+        solve_lp(lp)
+    return shapes[0][0]
+
+
+def test_package_programs_state_no_bound_rows(monkeypatch):
+    # sum(x) = 1 and x >= 0 imply x <= 1, so no package LP states that bound
+    # and solve_lp adds no row for it: a 2x2 CE tableau is 4 deviation rows
+    # and the simplex row, and an estimation LP has only its own rows
+    u1, u2 = random_valid_2x2(np.random.default_rng(11))
+    game = make_game(
+        ["p1", "p2"],
+        {"p1": ["a1", "a2"], "p2": ["b1", "b2"]},
+        {"p1": u1.reshape(-1), "p2": u2.reshape(-1)},
+    )
+    programs = [correlated_equilibrium_program(game)]
+    assert _first_tableau_rows(monkeypatch, programs[0]) == 5
+
+    def record(lp):
+        programs.append(lp)
+        return solve_lp(lp)
+
+    with monkeypatch.context() as m:
+        m.setattr(estimation, "solve_lp", record)
+        p = max_welfare_correlated_equilibrium(game).distribution
+        for p_tilde in (p, np.array([0.4, 0.1, 0.1, 0.4])):
+            estimation.estimate_payoff(game.payoff("p1"), p_tilde, round_trip=False)
+    assert any(lp.objective.size > 4 for lp in programs)  # a diagnosis LP
+    for lp in programs:
+        assert all(hi == np.inf for _, hi in lp.bounds)
+        own_rows = lp.ineq_rows.shape[0] + lp.eq_rows.shape[0]
+        assert _first_tableau_rows(monkeypatch, lp) == own_rows
+
+
+def test_a_repeated_basis_raises_instead_of_cycling():
+    # With its tolerances, Bland's rule cycles on this 6x6 CE program: it
+    # goes through 11,989 distinct bases, then repeats one. Brent's check
+    # stops it after 16,537 pivots.
+    u = random_square_payoffs(6003, 6)
+    menu = [f"a{i + 1}" for i in range(6)]
+    game = make_game(["p1", "p2"], [menu, menu], {"p1": u[0], "p2": u[1]})
+    with pytest.raises(SolverError, match="^simplex cycled: "):
+        solve_lp(correlated_equilibrium_program(game))
+
+
 def _simplex_point(rng: np.random.Generator, size: int) -> np.ndarray:
     v = rng.random(size)
     return v / v.sum()
@@ -217,8 +275,8 @@ def _simplex_point(rng: np.random.Generator, size: int) -> np.ndarray:
 
 def _golden_ce_programs(rng: np.random.Generator) -> list[LinearProgram]:
     """Max-welfare CE programs of random n x n games, n = 2..5. With this
-    seed every one terminates; on some 5x5 programs Bland's rule with its
-    tolerances cycles forever, and a digest needs an answer."""
+    seed every one has an answer; on some 5x5 programs Bland's rule with its
+    tolerances repeats a basis, and solve_lp raises instead."""
     programs = []
     for n, count in ((2, 40), (3, 20), (4, 12), (5, 8)):
         menu = [f"a{i + 1}" for i in range(n)]
@@ -299,5 +357,5 @@ def test_golden_solution_digest(monkeypatch):
     assert len(programs) == 514
     assert statuses.count("infeasible") >= 5 and statuses.count("unbounded") >= 5
     assert digest.hexdigest() == (
-        "5cac03c978cddc83c41bf219c8591ccd3c4a6e00e3a931d72d02f9a3a9b06727"
+        "db643820064aee91f3b0b2d51d84b76ba4376ed9dca495e3a789dadbb096db11"
     )
