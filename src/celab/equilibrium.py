@@ -112,6 +112,9 @@ def max_welfare_correlated_equilibrium(game: Game) -> CESolution:
         raise SolverError(
             f"CE solver output violates deviation check by {check.max_violation}"
         )
+    # the deviation rows are homogeneous, so a scaled point passes them
+    if abs(dist.sum() - 1.0) > CE_TOL:
+        raise SolverError(f"CE solver output sums to {float(dist.sum())!r}, not 1")
     return CESolution(distribution=dist, welfare=float(sol.objective), status="optimal")
 
 

@@ -7,9 +7,8 @@ index), fixed tolerances. Identical inputs produce bit-identical outputs.
 With these tolerances the rule can still cycle (on some CE programs from
 5x5 up); a repeated basis raises SolverError instead of pivoting forever.
 
-Each finite upper bound costs one tableau row, so the programs this package
-builds state none that other constraints imply: on the simplex, sum(x) = 1
-and x >= 0 already give x <= 1.
+Programs built in this package state no upper bound that sum(x) = 1 and
+x >= 0 already imply: each finite upper bound costs a tableau row.
 
 Per-pivot cost is mostly Python and numpy call overhead, so each step is a
 few whole-array operations:
@@ -124,8 +123,9 @@ def _simplex_max(t: np.ndarray, basis: list[int], cost: np.ndarray,
                  allowed: int) -> tuple[str, int]:
     """Run primal simplex on tableau t (rows = constraints, last col = rhs),
     maximizing `cost` over the first `allowed` columns. Bland's rule both ways.
-    A repeated basis raises SolverError instead of cycling forever: Brent's
-    method compares each basis with a copy saved at pivots 1, 2, 4, 8, ..."""
+    A repeated basis raises SolverError (Brent's cycle detection: compare with
+    a copy saved at pivots 1, 2, 4, ...). In floating point a cycle can be left
+    after some rounds, so this also stops a few solves that would have ended."""
     # views: pivots update t in place
     body, rhs_col, priced = t[:, :allowed], t[:, -1], cost[:allowed]
     iters = 0

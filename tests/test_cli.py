@@ -108,8 +108,8 @@ class TestSolve:
 
         # an LP point that misses one deviation row by about 9e-17, inside the
         # check's tolerance; the check's verdict must still serialize. The
-        # point is given as a literal (a vertex the simplex once picked for
-        # this game), so the premise does not depend on the pivot path.
+        # point is a literal, so the premise does not depend on which vertex
+        # the simplex picks.
         rng = np.random.default_rng(7)
         u = rng.random((2, 4))
         u /= u.sum(axis=1, keepdims=True)

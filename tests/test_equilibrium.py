@@ -10,7 +10,7 @@ from celab.equilibrium import (
     max_welfare_correlated_equilibrium,
     mixed_nash_2x2,
 )
-from celab.errors import PreconditionError
+from celab.errors import PreconditionError, SolverError
 from celab.games import make_game
 
 from oracles import ce_polytope_vertices, random_square_payoffs, random_valid_2x2
@@ -92,6 +92,20 @@ class TestChickenCE:
         welfare = verts @ (chicken.payoff("p1") + chicken.payoff("p2"))
         sol = max_welfare_correlated_equilibrium(chicken)
         assert sol.welfare == pytest.approx(welfare.max(), abs=1e-9)
+
+
+    def test_scaled_point_is_not_an_answer(self, chicken, monkeypatch):
+        # the deviation rows are homogeneous: twice a CE passes them, but it
+        # is not a distribution
+        import celab.equilibrium
+        from celab.lp import LPSolution
+
+        ce = max_welfare_correlated_equilibrium(chicken)
+        scaled = LPSolution(status="optimal", x=2 * ce.distribution, objective=2 * ce.welfare)
+        monkeypatch.setattr(celab.equilibrium, "solve_lp", lambda lp: scaled)
+        assert is_correlated_equilibrium(chicken, scaled.x).ok
+        with pytest.raises(SolverError, match="sums to"):
+            max_welfare_correlated_equilibrium(chicken)
 
 
 class TestIsCE:
