@@ -133,3 +133,32 @@ def kink_margin(params, trace) -> float:
         float(np.abs(trace.layer_inputs[i] @ params.weights[i] + params.biases[i]).min())
         for i in range(2, 8)
     )
+
+
+def reference_apply_action(state: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """`celab.env.apply_action` as it stood before its calls were trimmed,
+    kept verbatim as the byte-for-byte reference: clamp to [0, 1], then roll
+    back the applied increases in proportion when the absorbing component
+    would go negative."""
+    s = np.asarray(state, dtype=np.float64)
+    d = np.asarray(deltas, dtype=np.float64)
+    head = s[..., :-1]
+    tentative = np.clip(head + d, 0.0, 1.0)
+    increases = np.maximum(tentative - head, 0.0)
+    deficit = np.maximum(tentative.sum(axis=-1) - 1.0, 0.0)
+    inc_total = increases.sum(axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(inc_total > 0.0, deficit / np.where(inc_total > 0, inc_total, 1.0), 0.0)
+    adjusted = np.maximum(tentative - increases * scale[..., None], 0.0)
+    last = np.maximum(1.0 - adjusted.sum(axis=-1), 0.0)
+    return np.concatenate([adjusted, last[..., None]], axis=-1)
+
+
+def reference_sample_index(distribution: np.ndarray, u) -> np.ndarray:
+    """`celab.env.sample_index` as it stood before its calls were trimmed:
+    the count of prefix sums <= u, clipped to the last index."""
+    p = np.asarray(distribution, dtype=np.float64)
+    cum = np.cumsum(p, axis=-1)
+    uu = np.asarray(u, dtype=np.float64)[..., None]
+    idx = (cum <= uu).sum(axis=-1)
+    return np.minimum(idx, p.shape[-1] - 1)

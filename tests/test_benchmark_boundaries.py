@@ -107,3 +107,31 @@ def test_lp_cells_is_the_tableau_solve_lp_builds(monkeypatch):
         celab.lp.solve_lp(lp)
         monkeypatch.undo()
         assert lp_cells(lp) == shapes[0][0] * shapes[0][1]
+
+
+def test_rollout_steps_call_apply_action_and_forward_through_their_modules(monkeypatch):
+    # the tracer's env.apply_action and policy.forward spans exist only while
+    # the rollout looks both names up on `celab.env` and `celab.policy`; a
+    # rollout that inlined either would drop its spans without failing
+    import celab.env
+    import celab.policy
+    from celab.games import load_game
+    from celab.training import TrainingConfig, train_pair
+
+    calls = {"apply_action": 0, "forward": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(celab.env, "apply_action")
+    counting(celab.policy, "forward")
+    game = load_game(ROOT / "fixtures" / "coordination_2x2.json")
+    config = TrainingConfig(epochs=1, rounds=2)
+    train_pair(game, ("p1", "p2"), config, seed=0)
+    assert calls == {"apply_action": config.steps - 1, "forward": config.steps - 1}

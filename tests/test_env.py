@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import reference_apply_action, reference_sample_index
 
 from celab.env import (
     EpisodeBatch,
@@ -98,6 +99,99 @@ class TestApplyAction:
         out = apply_action(state, delta)
         assert is_simplex_point(out)
         assert np.all(np.abs(out[:-1] - state[:-1]) <= theta + 1e-12)
+
+
+def _apply_action_case(seed: int, h: int, form: str):
+    """A state (H,) or (B, H) and delta rows for `apply_action`: "single" is
+    one state and one row, "batch" is B of each, "broadcast" one state
+    against B rows. A state is interior, on a face (components exactly 0),
+    a vertex (one component exactly 1) or has its last component at 0, so
+    that any increase rolls back; deltas are -theta/0/+theta steps or
+    arbitrary values in [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    b = int(rng.integers(1, 7))
+
+    def point():
+        kind = int(rng.integers(4))
+        raw = rng.random(h)
+        if kind == 1:
+            raw[rng.random(h) < 0.5] = 0.0
+            raw[int(rng.integers(h))] += 0.5
+        elif kind == 2:
+            raw = np.zeros(h)
+            raw[int(rng.integers(h))] = 1.0
+        elif kind == 3:
+            raw[-1] = 0.0
+        return raw / raw.sum()
+
+    state = point() if form != "batch" else np.stack([point() for _ in range(b)])
+    rows = () if form == "single" else (b,)
+    if rng.random() < 0.8:
+        theta = float(rng.choice([0.005, 0.02, 0.1, 0.25, 1 / 3, 0.5, 1.0]))
+        deltas = (rng.integers(0, 3, size=rows + (h - 1,)) - 1) * theta
+    else:
+        deltas = rng.uniform(-1.0, 1.0, size=rows + (h - 1,))
+    return state, deltas
+
+
+_FORMS = ("single", "batch", "broadcast")
+
+
+class TestApplyActionMatchesReference:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from(_FORMS))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_the_reference(self, seed, h, form):
+        state, deltas = _apply_action_case(seed, h, form)
+        got = apply_action(state, deltas)
+        want = reference_apply_action(state, deltas)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_cases_reach_the_edges(self):
+        # the property above sees exact 0 and 1 components and rollbacks
+        zeros = ones = rollbacks = 0
+        for seed in range(60):
+            for form in _FORMS:
+                state, deltas = _apply_action_case(seed, 4, form)
+                zeros += int((state == 0.0).any())
+                ones += int((state == 1.0).any())
+                head = np.broadcast_to(state[..., :-1], np.shape(deltas))
+                tentative = np.clip(head + deltas, 0.0, 1.0)
+                rolled = (tentative.sum(axis=-1) > 1.0) & (tentative > head).any(axis=-1)
+                rollbacks += int(rolled.any())
+        assert min(zeros, ones, rollbacks) >= 10
+
+
+def _sample_index_case(seed: int, j: int, form: str):
+    """A distribution (J,) with a scalar u, or (B, J) with (B,) draws; some
+    entries are exactly 0, some rows point masses, and some draws equal a
+    prefix sum, or are exactly 0 or 1."""
+    rng = np.random.default_rng(seed)
+    b = 1 if form == "single" else int(rng.integers(1, 7))
+    p = rng.random((b, j))
+    p[rng.random((b, j)) < 0.3] = 0.0
+    masses = rng.random(b) < 0.2
+    p[masses] = 0.0
+    p[masses, rng.integers(0, j, size=int(masses.sum()))] = 1.0
+    p[p.sum(axis=1) == 0.0, 0] = 1.0
+    p /= p.sum(axis=1, keepdims=True)
+    u = rng.random(b)
+    on_edge = rng.random(b) < 0.3
+    u[on_edge] = np.cumsum(p, axis=1)[on_edge, rng.integers(0, j, size=int(on_edge.sum()))]
+    u[rng.random(b) < 0.1] = 0.0
+    u[rng.random(b) < 0.1] = 1.0
+    return (p[0], float(u[0])) if form == "single" else (p, u)
+
+
+class TestSampleIndexMatchesReference:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from(_FORMS[:2]))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_the_reference(self, seed, h, form):
+        p, u = _sample_index_case(seed, 3 ** (h - 1), form)
+        got = sample_index(p, u)
+        want = reference_sample_index(p, u)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fuzz_simplex_preserved():

@@ -2,6 +2,8 @@
 central finite-difference oracle on small networks, which is the ground truth
 everything in training leans on."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from oracles import kink_margin
 from celab.env import rollout
 from celab.errors import NumericError, PreconditionError
 from celab.policy import (
+    _LAYER_NAMES,
     LEAKY_SLOPE,
     PolicyParams,
     RolloutRecord,
@@ -167,12 +170,31 @@ def _update_with_warm_workspace(params):
         update_policy(net, batch, rewards, AdamState.zeros_like(net), config, ws)
 
 
+# (layer, bias value, whether the next layer's weights are all zero); the
+# output layer has no next layer
+_NONFINITE_BIASES = [
+    pytest.param(layer, value, zero_next, id=f"layer{layer}-{name}" + "-zero_next" * zero_next)
+    for layer in range(9)
+    for name, value in (("inf", np.inf), ("neginf", -np.inf), ("nan", np.nan))
+    for zero_next in (False, True)
+    if not (zero_next and layer == 8)
+]
+
+
 @pytest.mark.parametrize("path", ["forward", "second_stacked_net", "update_workspace"])
-def test_nonfinite_activation_names_the_layer(path):
+@pytest.mark.parametrize("layer, value, zero_next", _NONFINITE_BIASES)
+def test_nonfinite_activation_names_the_layer(layer, value, zero_next, path):
+    # a non-finite bias makes that layer's pre-activation non-finite, and the
+    # error names that layer, whatever the layers above do with it: -inf at a
+    # ReLU layer (5-7) is erased by the activation, and an all-zero weight
+    # matrix in the next layer turns inf into NaN (inf * 0)
     params = small_net(8)
-    params.biases[0][0] = np.inf
+    params.biases[layer][0] = value
+    if zero_next:
+        params.weights[max(layer + 1, 2)][...] = 0.0
     states = np.full((2, H), 0.25)
-    with pytest.raises(NumericError, match="layer 0"):
+    message = f"non-finite activation in layer {layer} ({_LAYER_NAMES[layer]})"
+    with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
         if path == "second_stacked_net":
             policy_fn(small_net(9), params)(states, states)
         elif path == "update_workspace":

@@ -407,25 +407,35 @@ class TestHistoryCsv:
         assert not history.exists()
         assert not checkpoint.exists()
 
-    # sha256 of the 20-epoch default-config history, recorded with numpy 2.4 on
-    # OpenBLAS; any drift in the numbers (rollout, update or CSV formatting)
-    # changes these bytes
+    # sha256 of the 20-epoch history, recorded with numpy 2.4 on OpenBLAS; any
+    # drift in the numbers (rollout, update or CSV formatting) changes these
+    # bytes. The default config has 16 rounds. With 3, OpenBLAS gives some
+    # rows of the output layer other last bits in a rollout step than in a
+    # pass over the whole batch (see `celab.policy`), which the 16-round
+    # cases do not reach.
     @pytest.mark.parametrize(
-        "fixture, seed, digest",
+        "fixture, seed, rounds, digest",
         [
-            ("coordination_2x2", 0,
-             "4beb7e43688746f80c133728563e6c8bd1baf42c37c9ca1c63cc3fc4028ed869"),
-            ("coordination_2x2", 3,
-             "104f8334df7a8cc4b96cf3b918584ea9494d01355a7b5d5268953f8610bad460"),
-            ("chicken", 0,
-             "06aef657dd008322e2aa1c58f7296931c29844229ea5b40f6e517e546986d484"),
-            ("chicken", 3,
-             "0bd8b926dd678072481d3166865c9e18712250c4e0dad9f858926cd18c3eff78"),
+            pytest.param(fixture, seed, rounds, digest, id=f"{fixture}-{seed}-{digest}"
+                         + ("" if rounds == 16 else f"-rounds{rounds}"))
+            for fixture, seed, rounds, digest in [
+                ("coordination_2x2", 0, 16,
+                 "4beb7e43688746f80c133728563e6c8bd1baf42c37c9ca1c63cc3fc4028ed869"),
+                ("coordination_2x2", 3, 16,
+                 "104f8334df7a8cc4b96cf3b918584ea9494d01355a7b5d5268953f8610bad460"),
+                ("chicken", 0, 16,
+                 "06aef657dd008322e2aa1c58f7296931c29844229ea5b40f6e517e546986d484"),
+                ("chicken", 3, 16,
+                 "0bd8b926dd678072481d3166865c9e18712250c4e0dad9f858926cd18c3eff78"),
+                ("coordination_2x2", 0, 3,
+                 "4493958437b1888be80a7025fe1170d024ac5cdcd6a79e17e7049a260f2de711"),
+            ]
         ],
     )
-    def test_golden_digest(self, fixtures_dir, tmp_path, fixture, seed, digest):
+    def test_golden_digest(self, fixtures_dir, tmp_path, fixture, seed, rounds, digest):
         game = load_game(fixtures_dir / f"{fixture}.json")
-        result = train_pair(game, ("p1", "p2"), TrainingConfig(epochs=20), seed)
+        config = TrainingConfig(epochs=20, rounds=rounds)
+        result = train_pair(game, ("p1", "p2"), config, seed)
         path = tmp_path / "history.csv"
         write_history_csv(result, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
