@@ -70,15 +70,22 @@ def apply_action(state: np.ndarray, deltas: np.ndarray) -> np.ndarray:
             f"state width {s.shape[-1]} does not match delta width {d.shape[-1]} + 1"
         )
     head = s[..., :-1]
-    tentative = np.clip(head + d, 0.0, 1.0)
-    increases = np.maximum(tentative - head, 0.0)
-    deficit = np.maximum(tentative.sum(axis=-1) - 1.0, 0.0)
-    inc_total = increases.sum(axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(inc_total > 0.0, deficit / np.where(inc_total > 0, inc_total, 1.0), 0.0)
-    adjusted = np.maximum(tentative - increases * scale[..., None], 0.0)
-    last = np.maximum(1.0 - adjusted.sum(axis=-1), 0.0)
-    return np.concatenate([adjusted, last[..., None]], axis=-1)
+    tentative = np.add(head, d)
+    np.minimum(np.maximum(tentative, 0.0, out=tentative), 1.0, out=tentative)
+    increases = np.subtract(tentative, head)
+    np.maximum(increases, 0.0, out=increases)
+    # per-row sums keep a trailing axis, so they broadcast against the rows
+    deficit = np.add.reduce(tentative, axis=-1, keepdims=True)
+    np.maximum(np.subtract(deficit, 1.0, out=deficit), 0.0, out=deficit)
+    inc_total = np.add.reduce(increases, axis=-1, keepdims=True)
+    scale = np.divide(deficit, inc_total, out=np.zeros(deficit.shape), where=inc_total > 0.0)
+    np.subtract(tentative, np.multiply(increases, scale, out=increases), out=tentative)
+    out = np.empty(tentative.shape[:-1] + s.shape[-1:])
+    adjusted = np.maximum(tentative, 0.0, out=out[..., :-1])
+    last = out[..., -1:]
+    np.subtract(1.0, np.add.reduce(adjusted, axis=-1, keepdims=True), out=last)
+    np.maximum(last, 0.0, out=last)
+    return out
 
 
 @dataclass
@@ -118,9 +125,9 @@ def sample_index(distribution: np.ndarray, u: float | np.ndarray) -> np.ndarray:
     Vectorized over leading dimensions of `distribution` and `u`.
     """
     p = np.asarray(distribution, dtype=np.float64)
-    cum = np.cumsum(p, axis=-1)
+    cum = np.add.accumulate(p, axis=-1)
     uu = np.asarray(u, dtype=np.float64)[..., None]
-    idx = (cum <= uu).sum(axis=-1)
+    idx = np.add.reduce(np.less_equal(cum, uu), axis=-1)
     return np.minimum(idx, p.shape[-1] - 1)
 
 

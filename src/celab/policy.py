@@ -285,13 +285,35 @@ def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.nda
 
 
 def _state_rows(h: int, current, previous) -> tuple[np.ndarray, np.ndarray]:
-    cur = np.atleast_2d(np.asarray(current, dtype=np.float64))
-    prev = np.atleast_2d(np.asarray(previous, dtype=np.float64))
+    cur = np.asarray(current, dtype=np.float64)
+    prev = np.asarray(previous, dtype=np.float64)
+    # a single state (or a 0-d one, rejected below) becomes one row
+    if cur.ndim < 2:
+        cur = cur.reshape(1, -1)
+    if prev.ndim < 2:
+        prev = prev.reshape(1, -1)
     if cur.shape != prev.shape or cur.shape[1] != h:
         raise PreconditionError(
             f"state widths {cur.shape}/{prev.shape} do not match H={h}"
         )
     return cur, prev
+
+
+def _check_finite(layer: int, z: np.ndarray, out) -> None:
+    """Raise NumericError if pre-activation `z` of a checked layer holds a
+    non-finite value, naming the first layer whose pre-activation does: the
+    first of layers 0-4 whose output in `out` holds one, else `layer`.
+    Layers 0-4 are linear or LeakyReLU, so their outputs are non-finite
+    exactly where their pre-activations are."""
+    if np.count_nonzero(np.isfinite(z)) == z.size:
+        return
+    half = out[0].shape[-1] // 2
+    unchecked = (out[0][..., :half], out[0][..., half:], out[1], out[2], out[3])
+    first = next(
+        (i for i, a in enumerate(unchecked) if np.count_nonzero(np.isfinite(a)) != a.size),
+        layer,
+    )
+    raise NumericError(f"non-finite activation in layer {first} ({_LAYER_NAMES[first]})")
 
 
 def _layers(weights, biases, cur, prev, out) -> np.ndarray:
@@ -301,27 +323,37 @@ def _layers(weights, biases, cur, prev, out) -> np.ndarray:
     nets' (P, fan_in, fan_out) weights and (P, 1, fan_out) biases over
     (P, B, H) blocks. Layer inputs 2-8 and the probabilities land in the
     eight arrays of `out`, whose widths `_record_widths` gives.
+
+    Raises NumericError naming the first layer whose pre-activation holds a
+    non-finite value, but checks only four of them: those of the ReLU layers
+    (5-7) and the logits (8). In IEEE arithmetic a non-finite input reaches
+    every output of its row in the next matmul (inf * 0 and inf - inf are
+    NaN), and the linear and LeakyReLU layers (0-4) keep it, so it arrives
+    at layer 5's check. Only ReLU can erase one (max(-inf, 0) = 0), so each
+    ReLU layer is checked before its activation. The stack runs under
+    `np.errstate`: a non-finite value now passes through matmuls, which
+    would warn about it before a check raises.
     """
-
-    def dense(i: int, x: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
-        z = np.matmul(x, weights[i], out=into)
-        z += biases[i]
-        if not np.isfinite(z).all():
-            raise NumericError(f"non-finite activation in layer {i} ({_LAYER_NAMES[i]})")
-        return z
-
-    # the two linear analyzers write the halves of layer 2's input
-    half = weights[0].shape[-1]
-    x = out[0]
-    dense(0, cur, x[..., :half])
-    dense(1, prev, x[..., half:])
-    for i in range(2, 8):
-        x = _activate(_ACTIVATIONS[i], dense(i, x), out[i - 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the two linear analyzers write the halves of layer 2's input
+        x = out[0]
+        half = weights[0].shape[-1]
+        for i, (rows, into) in enumerate(((cur, x[..., :half]), (prev, x[..., half:]))):
+            np.matmul(rows, weights[i], out=into)
+            into += biases[i]
+        for i in range(2, 8):
+            z = np.matmul(x, weights[i])
+            z += biases[i]
+            if i >= 5:
+                _check_finite(i, z, out)
+            x = _activate(_ACTIVATIONS[i], z, out[i - 1])
+        probs = np.matmul(x, weights[8], out=out[7])
+        probs += biases[8]
+        _check_finite(8, probs, out)
     # softmax in place over the logits
-    probs = dense(8, x, out[7])
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     return probs
 
 
@@ -351,7 +383,7 @@ def forward(
         slot = [np.empty(cur.shape[:-1] + (width,)) for width in _record_widths(params)]
     probs = _layers(params.weights, params.biases, cur, prev, slot).reshape(-1, params.j)
     trace = ForwardTrace(layer_inputs=[cur, prev, *slot[:7]], probs=probs)
-    return (probs[0] if np.asarray(current).ndim == 1 else probs), trace
+    return (probs[0] if np.ndim(current) == 1 else probs), trace
 
 
 def sample_action(distribution: np.ndarray, rng: np.random.Generator) -> int:

@@ -104,10 +104,11 @@ class TestApplyAction:
 def _apply_action_case(seed: int, h: int, form: str):
     """A state (H,) or (B, H) and delta rows for `apply_action`: "single" is
     one state and one row, "batch" is B of each, "broadcast" one state
-    against B rows. A state is interior, on a face (components exactly 0),
-    a vertex (one component exactly 1) or has its last component at 0, so
-    that any increase rolls back; deltas are -theta/0/+theta steps or
-    arbitrary values in [-1, 1]."""
+    against B rows. A state is interior, on a face (components exactly 0,
+    of either sign), a vertex (one component exactly 1) or has its last
+    component at 0, so that any increase rolls back; deltas are
+    -theta/0/+theta steps, their zeros of either sign, or arbitrary values
+    in [-1, 1]."""
     rng = np.random.default_rng(seed)
     b = int(rng.integers(1, 7))
 
@@ -115,7 +116,7 @@ def _apply_action_case(seed: int, h: int, form: str):
         kind = int(rng.integers(4))
         raw = rng.random(h)
         if kind == 1:
-            raw[rng.random(h) < 0.5] = 0.0
+            raw[rng.random(h) < 0.5] = rng.choice([0.0, -0.0])
             raw[int(rng.integers(h))] += 0.5
         elif kind == 2:
             raw = np.zeros(h)
@@ -129,6 +130,7 @@ def _apply_action_case(seed: int, h: int, form: str):
     if rng.random() < 0.8:
         theta = float(rng.choice([0.005, 0.02, 0.1, 0.25, 1 / 3, 0.5, 1.0]))
         deltas = (rng.integers(0, 3, size=rows + (h - 1,)) - 1) * theta
+        deltas[(deltas == 0.0) & (rng.random(deltas.shape) < 0.5)] = -0.0
     else:
         deltas = rng.uniform(-1.0, 1.0, size=rows + (h - 1,))
     return state, deltas
