@@ -33,6 +33,12 @@ probabilities that were sampled, not those of a fresh pass.
 The backward pass needs no pre-activations: the sign of a layer's
 activation output decides its derivative.
 
+A forward pass raises NumericError naming the first layer whose
+pre-activation is non-finite, but checks only the three ReLU layers and the
+logits: a non-finite value survives every other layer into the next check,
+and only ReLU can erase one (`_layers`). The stack runs under `np.errstate`,
+so such a value raises NumericError, not a RuntimeWarning from a matmul.
+
 `forward` has one output path: it writes layer inputs 2-8 and the
 probabilities into a record slot when given one, and into eight fresh
 arrays otherwise. An update's loss and backward pass (`loss_value`,
@@ -331,8 +337,8 @@ def _layers(weights, biases, cur, prev, out) -> np.ndarray:
     NaN), and the linear and LeakyReLU layers (0-4) keep it, so it arrives
     at layer 5's check. Only ReLU can erase one (max(-inf, 0) = 0), so each
     ReLU layer is checked before its activation. The stack runs under
-    `np.errstate`: a non-finite value now passes through matmuls, which
-    would warn about it before a check raises.
+    `np.errstate`: a non-finite value passes through the matmuls of
+    unchecked layers, which would warn about it before a check raises.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         # the two linear analyzers write the halves of layer 2's input
@@ -344,7 +350,7 @@ def _layers(weights, biases, cur, prev, out) -> np.ndarray:
         for i in range(2, 8):
             z = np.matmul(x, weights[i])
             z += biases[i]
-            if i >= 5:
+            if _ACTIVATIONS[i] == "relu":
                 _check_finite(i, z, out)
             x = _activate(_ACTIVATIONS[i], z, out[i - 1])
         probs = np.matmul(x, weights[8], out=out[7])

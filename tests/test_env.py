@@ -128,7 +128,7 @@ def _apply_action_case(seed: int, h: int, form: str):
     state = point() if form != "batch" else np.stack([point() for _ in range(b)])
     rows = () if form == "single" else (b,)
     if rng.random() < 0.8:
-        theta = float(rng.choice([0.005, 0.02, 0.1, 0.25, 1 / 3, 0.5, 1.0]))
+        theta = float(rng.choice([1e-9, 1e-4, 0.005, 0.02, 0.1, 0.25, 1 / 3, 0.5, 1.0]))
         deltas = (rng.integers(0, 3, size=rows + (h - 1,)) - 1) * theta
         deltas[(deltas == 0.0) & (rng.random(deltas.shape) < 0.5)] = -0.0
     else:
