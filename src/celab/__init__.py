@@ -54,7 +54,6 @@ from .policy import (
     load_checkpoint,
     loss_value,
     policy_fn,
-    sample_action,
     save_checkpoint,
 )
 from .training import (

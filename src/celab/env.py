@@ -101,14 +101,6 @@ class EpisodeBatch:
     step_size: float
 
     @property
-    def rounds(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def steps(self) -> int:
-        return self.states.shape[1]
-
-    @property
     def num_actions(self) -> int:
         return 3 ** (self.states.shape[2] - 1)
 

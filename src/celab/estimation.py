@@ -35,7 +35,6 @@ class ReorderedView:
     permutation: tuple[int, ...]
     v_bar_main: np.ndarray
     p_bar: np.ndarray
-    labels_bar: tuple[str, ...]
 
     @property
     def size(self) -> int:
@@ -60,9 +59,9 @@ class ReorderedView:
         return out
 
 
-def reorder(v_main, p_tilde, labels=None) -> ReorderedView:
-    """Stable ascending sort keyed by the known payoffs; the distribution and
-    labels ride along under the same permutation."""
+def reorder(v_main, p_tilde) -> ReorderedView:
+    """Stable ascending sort keyed by the known payoffs; the distribution
+    rides along under the same permutation."""
     v = np.asarray(v_main, dtype=np.float64)
     p = np.asarray(p_tilde, dtype=np.float64)
     if v.ndim != 1 or v.shape != p.shape:
@@ -71,14 +70,11 @@ def reorder(v_main, p_tilde, labels=None) -> ReorderedView:
         raise PreconditionError("payoffs and distribution must be finite")
     if p.min() < -1e-9 or abs(p.sum() - 1.0) > 1e-6:
         raise PreconditionError("distribution must be a point on the simplex")
-    if labels is None:
-        labels = tuple(f"outcome_{i + 1}" for i in range(v.size))
     perm = tuple(int(i) for i in np.argsort(v, kind="stable"))
     return ReorderedView(
         permutation=perm,
         v_bar_main=v[list(perm)],
         p_bar=p[list(perm)],
-        labels_bar=tuple(labels[i] for i in perm),
     )
 
 
@@ -285,6 +281,9 @@ def estimate_payoff(
     v = np.asarray(v_main, dtype=np.float64)
     if v.size != 4:
         raise PreconditionError(f"a 2x2 interaction has 4 outcomes, got {v.size}")
+    # a NaN or negative tolerance would skip every window
+    if not comparison_tol >= 0.0:
+        raise PreconditionError(f"comparison tolerance must be >= 0, got {comparison_tol}")
     view = reorder(v, p_tilde)
     rows, skipped = build_pressure_constraints(view, comparison_tol)
 

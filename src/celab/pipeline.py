@@ -304,6 +304,9 @@ def run_pipeline(
         raise PreconditionError("the main player's payoff vector must be known")
     if config is None:
         config = TrainingConfig()
+    # estimate_payoff's check, made before any task trains
+    if not comparison_tol >= 0.0:
+        raise PreconditionError(f"comparison tolerance must be >= 0, got {comparison_tol}")
 
     knowledge: dict[str, KnownVector | None] = {p: None for p in game.players}
     for p in known_players:

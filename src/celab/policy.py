@@ -3,8 +3,9 @@
 Topology: two linear analyzer layers (one per input state) whose outputs are
 concatenated, three dense layers with LeakyReLU (slope 0.2), three dense
 layers at double width with ReLU, and a softmax output over the J actions.
-`forward` runs the layer stack and returns a trace of its layer inputs, from
-which `gradients` runs the analytic backward pass without any autodiff
+`forward` runs the layer stack over (B, H) rows of state pairs and returns a
+trace of its layer inputs, from which `gradients` runs the analytic backward
+pass of the two-sided weighted log loss (`loss_value`) without any autodiff
 framework. `forward` also takes P stacked nets (`stack`), one batched matmul
 per layer serving every net's block of rows at once; rollouts use this, one
 call per step for all players (`policy_fn`).
@@ -61,7 +62,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .env import sample_index
 from .errors import NumericError, PreconditionError
 
 LEAKY_SLOPE = 0.2
@@ -293,14 +293,9 @@ def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.nda
 def _state_rows(h: int, current, previous) -> tuple[np.ndarray, np.ndarray]:
     cur = np.asarray(current, dtype=np.float64)
     prev = np.asarray(previous, dtype=np.float64)
-    # a single state (or a 0-d one, rejected below) becomes one row
-    if cur.ndim < 2:
-        cur = cur.reshape(1, -1)
-    if prev.ndim < 2:
-        prev = prev.reshape(1, -1)
-    if cur.shape != prev.shape or cur.shape[1] != h:
+    if cur.ndim != 2 or cur.shape != prev.shape or cur.shape[1] != h:
         raise PreconditionError(
-            f"state widths {cur.shape}/{prev.shape} do not match H={h}"
+            f"states {cur.shape}/{prev.shape} are not matching (B, H={h}) rows"
         )
     return cur, prev
 
@@ -369,14 +364,12 @@ def forward(
     previous: np.ndarray,
     slot: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Action distribution for (current, previous) state pairs.
-
-    Accepts single states (H,) or batches (B, H); the returned probabilities
-    match the input arity, while the trace stores 2-D arrays. With P nets
-    stacked into `params` (`stack`), the B rows are P consecutive blocks of
-    B/P rows, block k played by net k, and the trace's per-layer arrays are
-    (P, B/P, width). Layer inputs 2-8 and the probabilities land in a
-    `RolloutRecord` slot when given one, and in fresh arrays otherwise.
+    """Action distributions (B, J) for (B, H) rows of (current, previous)
+    state pairs; a single pair is one row. With P nets stacked into `params`
+    (`stack`), the B rows are P consecutive blocks of B/P rows, block k
+    played by net k, and the trace's per-layer arrays are (P, B/P, width).
+    Layer inputs 2-8 and the probabilities land in a `RolloutRecord` slot
+    when given one, and in fresh arrays otherwise.
     """
     cur, prev = _state_rows(params.h, current, previous)
     if params.flat.ndim == 2:
@@ -389,47 +382,33 @@ def forward(
         slot = [np.empty(cur.shape[:-1] + (width,)) for width in _record_widths(params)]
     probs = _layers(params.weights, params.biases, cur, prev, slot).reshape(-1, params.j)
     trace = ForwardTrace(layer_inputs=[cur, prev, *slot[:7]], probs=probs)
-    return (probs[0] if np.ndim(current) == 1 else probs), trace
-
-
-def sample_action(distribution: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw over the canonical action order."""
-    return int(sample_index(distribution, rng.random()))
+    return probs, trace
 
 
 def loss_value(
     probs: np.ndarray,
     targets: np.ndarray,
     weights: np.ndarray,
-    variant: str = "two_sided",
     workspace: Workspace | None = None,
 ) -> float:
-    """Weighted logarithmic loss, summed over the batch.
-
-    two_sided: every action's probability enters (chosen via log p, the rest
-    via log(1-p)), so a positive weight pushes unchosen probabilities down.
-    chosen_only: classic score-function form, -w log p_chosen.
-    Intermediates go to `workspace` (a fresh one when omitted).
+    """Two-sided weighted logarithmic loss over (B, J) probabilities, summed
+    over the batch: every action's probability enters (chosen via log p, the
+    rest via log(1-p)), so a positive weight pushes unchosen probabilities
+    down. Intermediates go to `workspace` (a fresh one when omitted).
     """
     ws = Workspace() if workspace is None else workspace
-    p2 = np.atleast_2d(probs)
-    rows = p2.shape[:1]
-    p = np.clip(p2, PROB_EPS, 1.0 - PROB_EPS, out=ws.array("clipped", p2.shape))
+    rows = probs.shape[:1]
+    p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS, out=ws.array("clipped", probs.shape))
     y = np.atleast_2d(targets)
     w = np.atleast_1d(weights)
+    # y log p + (1 - y) log(1 - p); the second product goes first, so two
+    # scratch buffers suffice
     terms = ws.array(("scratch", 0), p.shape)
-    if variant == "two_sided":
-        # y log p + (1 - y) log(1 - p); the second product goes first, so
-        # two scratch buffers suffice
-        other = ws.array(("scratch", 1), p.shape)
-        np.log(np.subtract(1.0, p, out=other), out=other)
-        other *= np.subtract(1.0, y, out=terms)
-        np.multiply(y, np.log(p, out=terms), out=terms)
-        terms += other
-    elif variant == "chosen_only":
-        np.multiply(y, np.log(p, out=terms), out=terms)
-    else:
-        raise PreconditionError(f"unknown loss variant {variant!r}")
+    other = ws.array(("scratch", 1), p.shape)
+    np.log(np.subtract(1.0, p, out=other), out=other)
+    other *= np.subtract(1.0, y, out=terms)
+    np.multiply(y, np.log(p, out=terms), out=terms)
+    terms += other
     per_unit = terms.sum(axis=1, out=ws.array("per_row", rows))
     np.negative(per_unit, out=per_unit)
     return float(np.multiply(w, per_unit, out=per_unit).sum())
@@ -440,10 +419,9 @@ def gradients(
     trace: ForwardTrace,
     targets: np.ndarray,
     weights: np.ndarray | float,
-    variant: str = "two_sided",
     workspace: Workspace | None = None,
 ) -> PolicyParams:
-    """Analytic gradient of the weighted log loss, summed over the batch,
+    """Analytic gradient of `loss_value`'s loss, summed over the batch,
     laid out as `params` are: a fresh vector each call, so a gradient stays
     valid after the next one.
 
@@ -474,17 +452,12 @@ def gradients(
     # i % 2) while its delta sits in the other one.
     g = ws.array(("scratch", 1), p.shape)
     other = ws.array(("scratch", 0), p.shape)
-    if variant == "two_sided":
-        # -(y / p) + (1 - y) / (1 - p); the second quotient goes first, so
-        # two scratch buffers suffice
-        np.subtract(1.0, p, out=g)
-        np.divide(np.subtract(1.0, y, out=other), g, out=other)
-        np.negative(np.divide(y, p, out=g), out=g)
-        g += other
-    elif variant == "chosen_only":
-        np.negative(np.divide(y, p, out=g), out=g)
-    else:
-        raise PreconditionError(f"unknown loss variant {variant!r}")
+    # -(y / p) + (1 - y) / (1 - p); the second quotient goes first, so two
+    # scratch buffers suffice
+    np.subtract(1.0, p, out=g)
+    np.divide(np.subtract(1.0, y, out=other), g, out=other)
+    np.negative(np.divide(y, p, out=g), out=g)
+    g += other
     g *= w[:, None]
     np.multiply(g, p_raw, out=other)
     g -= other.sum(axis=1, keepdims=True, out=ws.array("column", (batch, 1)))

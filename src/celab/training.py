@@ -2,11 +2,11 @@
 
 Per epoch both agents roll out M rounds against the shared environment, in
 lockstep with one stacked policy evaluation per step. The two state tensors
-are averaged, and each agent takes one Adam step on the summed weighted log
-loss of its own choices, weighted by the standardized discounted rewards of
-the states those choices produced. Parameters, gradients and Adam's moments
-share one flat layout (`PolicyParams.flat`), so the Adam step works on whole
-vectors.
+are averaged, and each agent takes one Adam step on the summed two-sided
+weighted log loss of its own choices, weighted by the standardized
+discounted rewards of the states those choices produced. Parameters,
+gradients and Adam's moments share one flat layout (`PolicyParams.flat`),
+so the Adam step works on whole vectors.
 
 The rollout evaluates each net on exactly the (round, step) rows its update
 differentiates, with the weights the update starts from, so the update runs
@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .env import EpisodeBatch, average_states, min_steps, rollout
+from .env import EpisodeBatch, average_states, default_state, min_steps, rollout
 from .errors import NumericError, PreconditionError
 from .games import Game
 from .policy import (
@@ -62,7 +62,6 @@ class TrainingConfig:
     stability_tol: float | None = None  # default 2 * step_size
     width_in: int = 8
     width_mid: int = 16
-    loss_variant: str = "two_sided"
 
     def __post_init__(self):
         if not (0.0 <= self.discount <= 1.0):
@@ -92,16 +91,17 @@ class TrainingConfig:
                 f"stays reachable; got N={self.steps}, "
                 f"need >= {min_steps(self.step_size)}"
             )
-        if self.loss_variant not in ("two_sided", "chosen_only"):
-            raise PreconditionError(f"unknown loss variant {self.loss_variant!r}")
 
     @property
     def tolerance(self) -> float:
         return 2 * self.step_size if self.stability_tol is None else self.stability_tol
 
     def to_dict(self) -> dict:
+        """The resolved fields, then `loss_variant`: stored artifacts keep
+        the key, always "two_sided", the one loss the package trains with."""
         d = asdict(self)
         d["stability_tol"] = self.tolerance
+        d["loss_variant"] = "two_sided"
         return d
 
 
@@ -200,13 +200,13 @@ def update_policy(
         record, net = recorded
         trace = record.trace(net, cur, prev, ws)
         probs = trace.probs
-    loss = loss_value(probs, targets, weights, config.loss_variant, ws)
+    loss = loss_value(probs, targets, weights, ws)
     if not np.isfinite(loss):
         raise NumericError(
             f"non-finite training loss {loss!r} "
             f"(weight range [{weights.min()}, {weights.max()}])"
         )
-    grads = gradients(params, trace, targets, weights, config.loss_variant, ws)
+    grads = gradients(params, trace, targets, weights, ws)
     grad_max = float(np.abs(grads.flat).max())
     new_params, new_state = adam_step(params, grads, state, config.learning_rate)
     return new_params, new_state, UpdateStats(loss=loss, grad_max=grad_max)
@@ -291,7 +291,7 @@ def train_pair(
                 steps=config.steps,
                 step_size=config.step_size,
                 rngs=_round_rngs(seed, epoch, 0, m) + _round_rngs(seed, epoch, 1, m),
-                start=np.full(h, 1.0 / h),
+                start=default_state(h),
             )
             batches = {
                 p: EpisodeBatch(

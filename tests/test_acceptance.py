@@ -122,7 +122,7 @@ def test_criterion_04_gradients_match_finite_differences():
         _, trace = forward(params, cur, prev)
         # central differences are only valid away from activation kinks
         assert kink_margin(params, trace) > 1e-3
-        analytic = gradients(params, trace, targets, weights, "two_sided")
+        analytic = gradients(params, trace, targets, weights)
 
         step = 1e-5
         for arrays, grads in (
@@ -134,13 +134,9 @@ def test_criterion_04_gradients_match_finite_differences():
                 for k in range(flat.size):
                     keep = flat[k]
                     flat[k] = keep + step
-                    hi = loss_value(
-                        forward(params, cur, prev)[0], targets, weights, "two_sided"
-                    )
+                    hi = loss_value(forward(params, cur, prev)[0], targets, weights)
                     flat[k] = keep - step
-                    lo = loss_value(
-                        forward(params, cur, prev)[0], targets, weights, "two_sided"
-                    )
+                    lo = loss_value(forward(params, cur, prev)[0], targets, weights)
                     flat[k] = keep
                     fd = (hi - lo) / (2 * step)
                     denom = max(abs(fd), 1e-3)

@@ -432,6 +432,31 @@ def test_golden_artifact_digest(fx, tmp_path):
     )
 
 
+def test_train_and_pipeline_raw_bytes_digest(fixtures_dir, tmp_path, monkeypatch):
+    # sha256 over the raw bytes of the four files `train` writes and one
+    # pipeline manifest, recorded with numpy 2.4 on OpenBLAS. Unlike the
+    # golden digest above nothing is re-serialized, so the key order of
+    # every JSON object (the stored training config's among them) counts.
+    # The games are named relative to a copy, so the bytes do not depend on
+    # where the checkout lives.
+    for name in ("coordination_2x2.json", "three_player.json"):
+        (tmp_path / name).write_bytes((fixtures_dir / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    code = main(["train", "coordination_2x2.json", "--seed", "0", "--epochs", "3",
+                 "--out-dir", "train"])
+    assert code == 3
+    code = main(["pipeline", "three_player.json", "--epochs", "4", "--out", "manifest.json"])
+    assert code == 4
+    digest = hashlib.sha256()
+    for name in ("train/train_history.csv", "train/train_checkpoint_p1.json",
+                 "train/train_checkpoint_p2.json", "train/train_p_tilde.json",
+                 "manifest.json"):
+        digest.update((tmp_path / name).read_bytes())
+    assert digest.hexdigest() == (
+        "e6e19a808b083fc2bd928ffc36184194535ec79b678aeb518610ff84fcbbd517"
+    )
+
+
 _VALID_GAME = {
     "players": ["p1", "p2"],
     "decisions": {"p1": ["C", "D"], "p2": ["C", "D"]},
@@ -454,12 +479,16 @@ _VALID_GAME = {
         (["solve"], {"decisions": {"p1": "CD", "p2": ["C", "D"]}}, None),
         (["estimate", "--known-player", "p1"], {}, ["a", "b", "c", "d"]),
         (["estimate", "--known-player", "p1"], {}, [[0.5], [0.25, 0.25]]),
+        (["estimate", "--known-player", "p1", "--comparison-tol", "nan"], {}, [0.25] * 4),
+        (["estimate", "--known-player", "p1", "--comparison-tol", "-1"], {}, [0.25] * 4),
+        (["pipeline", "--epochs", "2", "--comparison-tol", "nan"], {}, None),
     ],
     ids=[
         "zero-step-size", "zero-width-mid", "zero-width-in", "nan-learning-rate",
         "nan-stability-tol", "negative-stability-tol", "one-round", "non-numeric-payoff",
         "players-not-a-list", "menu-as-a-string", "non-numeric-distribution",
-        "ragged-distribution",
+        "ragged-distribution", "nan-comparison-tol", "negative-comparison-tol",
+        "pipeline-nan-comparison-tol",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(

@@ -36,7 +36,6 @@ class TestReorder:
         assert view.permutation == (3, 2, 0, 1)
         np.testing.assert_allclose(view.v_bar_main, [0.0, 0.2143, 0.3571, 0.4286])
         np.testing.assert_allclose(view.p_bar, [0.0, 1 / 3, 1 / 3, 1 / 3])
-        assert view.labels_bar[0] == "outcome_4"
 
     def test_sorted_input_is_identity(self):
         view = reorder([0.1, 0.2, 0.3, 0.4], [0.25] * 4)
@@ -182,6 +181,12 @@ class TestEstimatePayoff:
     def test_menu_and_width_validation(self):
         with pytest.raises(PreconditionError, match="4 outcomes"):
             estimate_payoff([0.2] * 5, [0.2] * 5)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -0.5])
+    def test_comparison_tol_must_be_nonnegative(self, mirror, tol):
+        # either would skip every window and leave no pressure rows
+        with pytest.raises(PreconditionError, match="comparison tolerance"):
+            estimate_payoff(mirror.payoff("p1"), THIRDS, comparison_tol=tol)
 
     def test_degenerate_known_side_is_diagnostic_only(self):
         # equal decision gaps make the known-side indifference undefined;

@@ -149,6 +149,15 @@ class TestRunPipelinePreconditions:
         with pytest.raises(PreconditionError, match="no payoff vector"):
             run_pipeline(stalled_three_player, known_players=("p1", "p2"))
 
+    @pytest.mark.parametrize("tol", [float("nan"), -0.5])
+    def test_comparison_tol_is_checked_before_training(self, three_player, monkeypatch, tol):
+        def no_training(*args):
+            raise AssertionError("a task trained")
+
+        monkeypatch.setattr("celab.pipeline.train_pair", no_training)
+        with pytest.raises(PreconditionError, match="comparison tolerance"):
+            run_pipeline(three_player, comparison_tol=tol)
+
 
 @pytest.fixture(scope="module")
 def analytic_run(request):

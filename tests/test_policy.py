@@ -25,7 +25,6 @@ from celab.policy import (
     load_checkpoint,
     loss_value,
     policy_fn,
-    sample_action,
     save_checkpoint,
     stack,
 )
@@ -122,8 +121,8 @@ def test_zero_params_give_uniform_output():
         h=H, j=J, width_in=4, width_mid=6,
         flat=np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in dims)),
     )
-    probs, _ = forward(params, np.full(H, 0.25), np.full(H, 0.25))
-    np.testing.assert_allclose(probs, np.full(J, 1.0 / J))
+    probs, _ = forward(params, np.full((1, H), 0.25), np.full((1, H), 0.25))
+    np.testing.assert_allclose(probs, np.full((1, J), 1.0 / J))
 
 
 def test_single_state_matches_batch_row():
@@ -131,14 +130,15 @@ def test_single_state_matches_batch_row():
     cur, prev = random_pairs(4, 5)
     batch_probs, _ = forward(params, cur, prev)
     for i in range(5):
-        single, _ = forward(params, cur[i], prev[i])
-        np.testing.assert_allclose(single, batch_probs[i], rtol=1e-12, atol=1e-15)
+        single, _ = forward(params, cur[i:i + 1], prev[i:i + 1])
+        assert single.shape == (1, J)
+        np.testing.assert_allclose(single[0], batch_probs[i], rtol=1e-12, atol=1e-15)
 
 
 def test_swapping_inputs_changes_output():
     params = small_net(5)
-    s1 = np.array([0.7, 0.1, 0.1, 0.1])
-    s2 = np.array([0.1, 0.1, 0.1, 0.7])
+    s1 = np.array([[0.7, 0.1, 0.1, 0.1]])
+    s2 = np.array([[0.1, 0.1, 0.1, 0.7]])
     p12, _ = forward(params, s1, s2)
     p21, _ = forward(params, s2, s1)
     assert np.abs(p12 - p21).max() > 1e-6
@@ -147,7 +147,12 @@ def test_swapping_inputs_changes_output():
 def test_width_mismatch_rejected():
     params = small_net(6)
     with pytest.raises(PreconditionError, match="H=4"):
-        forward(params, np.full(3, 1 / 3), np.full(3, 1 / 3))
+        forward(params, np.full((1, 3), 1 / 3), np.full((1, 3), 1 / 3))
+    # forward takes (B, H) rows only: a single state, unequal row counts and
+    # a third axis are rejected as well
+    for cur, prev in (((H,), (H,)), ((2, H), (3, H)), ((1, 2, H), (1, 2, H))):
+        with pytest.raises(PreconditionError, match=r"\(B, H=4\) rows"):
+            forward(params, np.full(cur, 0.25), np.full(prev, 0.25))
 
 
 def _update_with_warm_workspace(params):
@@ -200,7 +205,7 @@ def test_nonfinite_activation_names_the_layer(layer, value, zero_next, path):
         elif path == "update_workspace":
             _update_with_warm_workspace(params)
         else:
-            forward(params, states[0], states[0])
+            forward(params, states[:1], states[:1])
 
 
 def test_leaky_relu_matches_where_form_bit_for_bit():
@@ -327,33 +332,26 @@ def test_reused_workspace_matches_fresh_allocation_bitwise():
         targets = np.eye(J)[rng.integers(0, J, size=batch)]
         weights = rng.normal(size=batch)
         probs, trace = forward(params, cur, prev)
-        for variant in ("two_sided", "chosen_only"):
-            assert loss_value(probs, targets, weights, variant, ws) == loss_value(
-                probs, targets, weights, variant
-            )
-            got = gradients(params, trace, targets, weights, variant, ws)
-            want = gradients(params, trace, targets, weights, variant)
-            for a, b in zip(got.weights + got.biases, want.weights + want.biases):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert loss_value(probs, targets, weights, ws) == loss_value(probs, targets, weights)
+        got = gradients(params, trace, targets, weights, ws)
+        want = gradients(params, trace, targets, weights)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_loss_value_hand_case():
     p = np.array([[0.5, 0.25, 0.25]])
     y = np.array([[1.0, 0.0, 0.0]])
-    two = loss_value(p, y, np.array([2.0]), "two_sided")
-    chosen = loss_value(p, y, np.array([2.0]), "chosen_only")
-    assert chosen == pytest.approx(-2 * np.log(0.5))
+    two = loss_value(p, y, np.array([2.0]))
     assert two == pytest.approx(-2 * (np.log(0.5) + 2 * np.log(0.75)))
-    with pytest.raises(PreconditionError):
-        loss_value(p, y, np.array([1.0]), "nonsense")
 
 
-def _flat_loss(params, cur, prev, targets, weights, variant):
+def _flat_loss(params, cur, prev, targets, weights):
     probs, _ = forward(params, cur, prev)
-    return loss_value(probs, targets, weights, variant)
+    return loss_value(probs, targets, weights)
 
 
-def _finite_difference(params, cur, prev, targets, weights, variant, step=1e-5):
+def _finite_difference(params, cur, prev, targets, weights, step=1e-5):
     grad_w = [np.zeros_like(w) for w in params.weights]
     grad_b = [np.zeros_like(b) for b in params.biases]
     for store, arrays in ((grad_w, params.weights), (grad_b, params.biases)):
@@ -363,9 +361,9 @@ def _finite_difference(params, cur, prev, targets, weights, variant, step=1e-5):
             for k in range(flat.size):
                 keep = flat[k]
                 flat[k] = keep + step
-                hi = _flat_loss(params, cur, prev, targets, weights, variant)
+                hi = _flat_loss(params, cur, prev, targets, weights)
                 flat[k] = keep - step
-                lo = _flat_loss(params, cur, prev, targets, weights, variant)
+                lo = _flat_loss(params, cur, prev, targets, weights)
                 flat[k] = keep
                 out[k] = (hi - lo) / (2 * step)
     return grad_w, grad_b
@@ -379,33 +377,29 @@ def _max_rel_err(analytic, numeric):
     return worst
 
 
-@pytest.mark.parametrize("seed", [26, 36, 40, 42, 53])
-def test_gradients_match_finite_differences(seed):
-    params = small_net(seed)
-    cur, prev = random_pairs(seed + 100, 3)
-    rng = np.random.default_rng(seed + 200)
-    targets = np.eye(J)[rng.integers(0, J, size=3)]
-    weights = np.array([1.3, -0.7, 0.4])
+# (net seed, state-pair seed, chosen actions, weights)
+_FD_CASES = [
+    pytest.param(
+        seed, seed + 100, np.random.default_rng(seed + 200).integers(0, J, size=3),
+        [1.3, -0.7, 0.4], id=str(seed),
+    )
+    for seed in (26, 36, 40, 42, 53)
+] + [pytest.param(20, 21, [3, 19], [0.9, -1.1], id="20")]
+
+
+@pytest.mark.parametrize("net_seed, pair_seed, actions, weights", _FD_CASES)
+def test_gradients_match_finite_differences(net_seed, pair_seed, actions, weights):
+    params = small_net(net_seed)
+    cur, prev = random_pairs(pair_seed, len(actions))
+    targets = np.eye(J)[actions]
+    weights = np.array(weights)
 
     _, trace = forward(params, cur, prev)
     # the finite-difference oracle is only valid when no pre-activation sits
     # within the difference window of a LeakyReLU/ReLU kink
     assert kink_margin(params, trace) > 1e-3
-    analytic = gradients(params, trace, targets, weights, "two_sided")
-    fd_w, fd_b = _finite_difference(params, cur, prev, targets, weights, "two_sided")
-    assert _max_rel_err(analytic.weights, fd_w) < 1e-4
-    assert _max_rel_err(analytic.biases, fd_b) < 1e-4
-
-
-def test_gradients_match_finite_differences_chosen_only():
-    params = small_net(20)
-    cur, prev = random_pairs(21, 2)
-    targets = np.eye(J)[[3, 19]]
-    weights = np.array([0.9, -1.1])
-    _, trace = forward(params, cur, prev)
-    assert kink_margin(params, trace) > 1e-3
-    analytic = gradients(params, trace, targets, weights, "chosen_only")
-    fd_w, fd_b = _finite_difference(params, cur, prev, targets, weights, "chosen_only")
+    analytic = gradients(params, trace, targets, weights)
+    fd_w, fd_b = _finite_difference(params, cur, prev, targets, weights)
     assert _max_rel_err(analytic.weights, fd_w) < 1e-4
     assert _max_rel_err(analytic.biases, fd_b) < 1e-4
 
@@ -430,13 +424,6 @@ def test_gradients_linear_in_weights():
     two = gradients(params, trace, targets, 2 * w)
     for g1, g2 in zip(one.weights + one.biases, two.weights + two.biases):
         np.testing.assert_allclose(g2, 2 * g1, rtol=1e-12, atol=1e-15)
-
-
-def test_sample_action_point_mass():
-    rng = np.random.default_rng(0)
-    dist = np.zeros(J)
-    dist[7] = 1.0
-    assert all(sample_action(dist, rng) == 7 for _ in range(20))
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):

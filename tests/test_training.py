@@ -162,15 +162,15 @@ class TestUpdatePolicy:
         std = np.zeros((2, n))
         std[0, 1] = 1.0  # reward the state produced by round 0's first action
         rt = RewardTensor(raw=np.zeros((2, n)), discounted=np.zeros((2, n)), standardized=std)
-        cur = batch.states[0, 0]
-        prev = batch.states[0, 0]
+        cur = batch.states[0, :1]
+        prev = batch.states[0, :1]
         chosen = batch.action_indices[0, 0]
         before, _ = forward(params, cur, prev)
         new_params, _, _ = update_policy(
             params, batch, rt, AdamState.zeros_like(params), tiny_config(learning_rate=1e-3)
         )
         after, _ = forward(new_params, cur, prev)
-        assert after[chosen] > before[chosen]
+        assert after[0, chosen] > before[0, chosen]
 
     def test_negative_weight_lowers_chosen_probability(self):
         params = init_policy(2, 3, 4, 6, np.random.default_rng(4))
@@ -179,15 +179,15 @@ class TestUpdatePolicy:
         std = np.zeros((2, n))
         std[1, 2] = -1.0
         rt = RewardTensor(raw=np.zeros((2, n)), discounted=np.zeros((2, n)), standardized=std)
-        cur = batch.states[1, 1]
-        prev = batch.states[1, 0]
+        cur = batch.states[1, 1:2]
+        prev = batch.states[1, :1]
         chosen = batch.action_indices[1, 1]
         before, _ = forward(params, cur, prev)
         new_params, _, _ = update_policy(
             params, batch, rt, AdamState.zeros_like(params), tiny_config(learning_rate=1e-3)
         )
         after, _ = forward(new_params, cur, prev)
-        assert after[chosen] < before[chosen]
+        assert after[0, chosen] < before[0, chosen]
 
     def test_start_column_reward_is_ignored(self):
         # the weight for an action is the reward of the state it produced, so
@@ -212,19 +212,6 @@ class TestUpdatePolicy:
             results.append(new_params)
         for a, b in zip(results[0].weights, results[1].weights):
             np.testing.assert_array_equal(a, b)
-
-    def test_chosen_only_variant_runs(self):
-        params = init_policy(2, 3, 4, 6, np.random.default_rng(7))
-        batch = tiny_batch(params, seed=7)
-        n = batch.states.shape[1]
-        std = np.random.default_rng(8).normal(size=(2, n))
-        rt = RewardTensor(raw=np.zeros((2, n)), discounted=np.zeros((2, n)), standardized=std)
-        cfg = tiny_config(loss_variant="chosen_only")
-        new_params, _, stats = update_policy(
-            params, batch, rt, AdamState.zeros_like(params), cfg
-        )
-        assert np.isfinite(stats.loss)
-        assert stats.grad_max > 0
 
 
     def test_update_with_a_warm_workspace_allocates_little(self, coordination):
@@ -264,8 +251,6 @@ class TestConfig:
             tiny_config(discount=1.5)
         with pytest.raises(PreconditionError, match="ceil"):
             tiny_config(steps=2, step_size=0.25)
-        with pytest.raises(PreconditionError, match="variant"):
-            tiny_config(loss_variant="huber")
         with pytest.raises(PreconditionError, match="learning rate"):
             tiny_config(learning_rate=0.0)
         with pytest.raises(PreconditionError, match="step size"):
