@@ -301,6 +301,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if not args.round_trip_tol >= 0.0:  # False on NaN as well
+        raise PreconditionError(
+            f"round-trip tolerance must be >= 0, got {args.round_trip_tol}"
+        )
     game = _load_game_file(args.game)
     a, b = _two_players(game)
     if game.menu_sizes != (2, 2):

@@ -18,9 +18,11 @@ Checkpoints stay per layer.
 A rollout step evaluates exactly the rows that the following update will
 differentiate, with the same weights, so a training run keeps what the steps
 compute instead of running the pass again, and the update differentiates the
-very probabilities the rollout sampled from. The run owns a `RolloutRecord`
-for its whole life: layer inputs 2-8 and the probabilities of every step,
-for every net. A record slot holds one step, and it is step-major (step,
+very probabilities the rollout sampled from. A `RolloutRecord` holds layer
+inputs 2-8 and the probabilities of every step, for every net; the caller
+that runs the rollouts and updates owns it (`train_pair` keeps one across
+runs of the same shapes, see `celab.training`), and every rollout
+overwrites it. A record slot holds one step, and it is step-major (step,
 net, round) because the rollout writes a whole step at once: each layer's
 result lands in one contiguous block, and no step allocates. The update
 reads one net in (round, step) row order, the order `forward` over the
@@ -40,6 +42,12 @@ logits: a non-finite value survives every other layer into the next check,
 and only ReLU can erase one (`_layers`). The stack runs under `np.errstate`,
 so such a value raises NumericError, not a RuntimeWarning from a matmul.
 
+A recording `policy_fn` tiles the stacked biases once per rollout into
+contiguous (P, M, fan_out) copies, which each step adds in place of
+broadcast (P, 1, fan_out) views of `flat`: the broadcast add costs about
+twice as much, nine times a step. The values added are the same, so are
+the bytes. The copies are not views of `flat`.
+
 `forward` has one output path: it writes layer inputs 2-8 and the
 probabilities into a record slot when given one, and into eight fresh
 arrays otherwise. An update's loss and backward pass (`loss_value`,
@@ -48,7 +56,7 @@ and their row-sized intermediates come to megabytes. Freed after every
 call, that memory goes back to the operating system and is faulted in again
 on the next one, which costs more than the arithmetic. So these write every
 row-sized intermediate into a `Workspace` that the caller owns and passes
-to each call; `train_pair` keeps one per run. Called without one,
+to each call; `train_pair` keeps one with its record. Called without one,
 `loss_value` and `gradients` make a fresh workspace.
 """
 
@@ -121,7 +129,8 @@ class PolicyParams:
     then its bias; `weights[i]` and `biases[i]` are views of it, of shape
     (fan_in, fan_out) and (fan_out,). P nets stacked into one (`stack`)
     have a (P, size) `flat`, and their views are (P, fan_in, fan_out) and
-    (P, 1, fan_out).
+    (P, 1, fan_out). The stacked params of a recording `policy_fn` hold
+    (P, M, fan_out) bias copies instead, which are not views of `flat`.
     """
 
     h: int
@@ -255,8 +264,8 @@ class RolloutRecord:
     k, and `arrays[7]` holds the probabilities the same way. `slots[n]` is
     step n's eight contiguous (P, M, width) blocks, which that step's
     `forward` writes in place (see `policy_fn`). The caller that runs the
-    rollouts and the updates owns the record; `train_pair` allocates one per
-    run and every epoch's rollout overwrites it.
+    rollouts and the updates owns the record; `train_pair` reuses one across
+    runs of the same shapes, and every epoch's rollout overwrites it.
     """
 
     def __init__(self, params: PolicyParams, nets: int, rounds: int, steps: int):
@@ -321,9 +330,10 @@ def _layers(weights, biases, cur, prev, out) -> np.ndarray:
     """The nine-layer stack, returning action probabilities.
 
     Runs one net's (fan_in, fan_out) weights over (B, H) rows, or P stacked
-    nets' (P, fan_in, fan_out) weights and (P, 1, fan_out) biases over
-    (P, B, H) blocks. Layer inputs 2-8 and the probabilities land in the
-    eight arrays of `out`, whose widths `_record_widths` gives.
+    nets' (P, fan_in, fan_out) weights and (P, 1, fan_out) or
+    (P, B, fan_out) biases over (P, B, H) blocks. Layer inputs 2-8 and the
+    probabilities land in the eight arrays of `out`, whose widths
+    `_record_widths` gives.
 
     Raises NumericError naming the first layer whose pre-activation holds a
     non-finite value, but checks only four of them: those of the ReLU layers
@@ -569,10 +579,15 @@ def policy_fn(*params: PolicyParams, record: RolloutRecord | None = None):
     Each call is one `forward` over the nets' stacked weights: the B rows
     are P consecutive blocks of B/P rows, block k played by net k. With a
     `record`, call n writes its layer inputs and probabilities into
-    `record.slots[n]`, so the closure serves one rollout.
+    `record.slots[n]`, so the closure serves one rollout, and the stacked
+    biases are tiled once to the record's M rounds: (P, M, fan_out) copies,
+    not views of the stacked `flat`.
     """
     stacked = stack(params)
     calls = itertools.count()
+    if record is not None:
+        rounds = record.slots[0][0].shape[1]  # a slot block is (P, M, width)
+        stacked.biases = [np.repeat(b, rounds, axis=1) for b in stacked.biases]
 
     def fn(cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
         slot = None if record is None else record.slots[next(calls)]

@@ -11,13 +11,23 @@ so the Adam step works on whole vectors.
 The rollout evaluates each net on exactly the (round, step) rows its update
 differentiates, with the weights the update starts from, so the update runs
 no forward pass of its own: its loss and backward pass read what the rollout
-recorded. `train_pair` owns, for the whole run, one `RolloutRecord` (both
-nets' layer inputs and probabilities at every step, written in place by the
-rollout) and one policy `Workspace`, which the two players' updates share
-one after the other for their loss and backward passes; each update
-overwrites the buffers of the last, so no update's memory goes back to the
-operating system in between (see `celab.policy`). `update_policy` called
-without a record runs `forward` itself, into fresh arrays.
+recorded. A run holds, from its first epoch to its end, one arena: a
+`RolloutRecord` (both nets' layer inputs and probabilities at every step,
+written in place by the rollout) and a policy `Workspace`, which the two
+players' updates share one after the other for their loss and backward
+passes; each update overwrites the buffers of the last, so no update's
+memory goes back to the operating system in between (see `celab.policy`).
+
+The arena also outlives the run. When a run ends, by returning or by
+raising, its arena becomes this module's one spare, and the next run of the
+same shapes (h, j, width_in, width_mid, rounds, steps) takes it instead of
+allocating about 4 MB and faulting its pages in again; the pipeline runs
+several such short runs in a row. A run of other shapes drops the spare and
+allocates its own, so at most one spare stays alive. A run takes the spare
+for itself, so a nested or concurrent run finds none and allocates its own.
+Every epoch writes each arena buffer before reading it, so a reused arena
+gives the bytes of a fresh one. `update_policy` called without a record
+runs `forward` itself, into fresh arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ import csv
 import json
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -244,6 +255,30 @@ def _round_rngs(seed: int, epoch: int, player_index: int, rounds: int):
     ]
 
 
+# the spare arena, when there is one: [(shapes, (Workspace, RolloutRecord))]
+_spare: list = []
+
+
+@contextmanager
+def _arena(params: PolicyParams, rounds: int, steps: int):
+    """A run's (Workspace, RolloutRecord) for nets shaped as `params`: the
+    spare if it was sized for the same shapes, else a fresh pair; it becomes
+    the spare when the run ends. `pop` and the slice assignment are single
+    list operations, so two runs never take the same spare."""
+    shapes = (params.h, params.j, params.width_in, params.width_mid, rounds, steps)
+    try:
+        spare_shapes, arena = _spare.pop()
+    except IndexError:
+        spare_shapes = None
+    if spare_shapes != shapes:
+        # both players' updates, M * (N - 1) rows each
+        arena = Workspace(), RolloutRecord(params, nets=2, rounds=rounds, steps=steps - 1)
+    try:
+        yield arena
+    finally:
+        _spare[:] = [(shapes, arena)]
+
+
 def train_pair(
     game: Game,
     pair: tuple[str, str],
@@ -269,9 +304,6 @@ def train_pair(
     }
     adam = {p: AdamState.zeros_like(params[p]) for p in (a, b)}
     m = config.rounds
-    # both players' updates, M * (N - 1) rows each
-    workspace = Workspace()
-    record = RolloutRecord(params[a], nets=2, rounds=m, steps=config.steps - 1)
 
     window: deque[np.ndarray] = deque(maxlen=config.stability_window)
     history: list[EpochStats] = []
@@ -280,7 +312,10 @@ def train_pair(
 
     # an overflow or invalid value reaches a layer's finite check, the loss
     # check or the epsilon guard, which raise NumericError; a warning would repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
+    with (
+        np.errstate(over="ignore", invalid="ignore"),
+        _arena(params[a], m, config.steps) as (workspace, record),
+    ):
         for epoch in range(1, config.epochs + 1):
             epochs_run = epoch
             # both players roll out in lockstep: rows [0, M) are a's rounds and

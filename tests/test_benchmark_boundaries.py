@@ -135,3 +135,29 @@ def test_rollout_steps_call_apply_action_and_forward_through_their_modules(monke
     config = TrainingConfig(epochs=1, rounds=2)
     train_pair(game, ("p1", "p2"), config, seed=0)
     assert calls == {"apply_action": config.steps - 1, "forward": config.steps - 1}
+
+
+def test_pipeline_trains_each_trained_task_through_its_module(monkeypatch):
+    # the tracer's training.train_pair spans on pipeline_3p exist only while
+    # run_pipeline looks train_pair up on `celab.pipeline` once per trained
+    # task; training the tasks in one batch would drop them without failing
+    import celab.pipeline
+    from celab.games import load_game
+    from celab.training import TrainingConfig
+
+    seeds = []
+    original = celab.pipeline.train_pair
+
+    def counting(game, pair, config, seed):
+        seeds.append(seed)
+        return original(game, pair, config, seed)
+
+    monkeypatch.setattr(celab.pipeline, "train_pair", counting)
+    game = load_game(ROOT / "fixtures" / "three_player.json")
+    result = celab.pipeline.run_pipeline(
+        game, main_player="p1", known_players=("p1",),
+        config=TrainingConfig(epochs=1, stability_window=2), seed=0,
+    )
+    trained = [r.detail["seed"] for r in result.records if "epochs_run" in r.detail]
+    assert trained
+    assert sorted(seeds) == sorted(trained)

@@ -482,13 +482,17 @@ _VALID_GAME = {
         (["estimate", "--known-player", "p1", "--comparison-tol", "nan"], {}, [0.25] * 4),
         (["estimate", "--known-player", "p1", "--comparison-tol", "-1"], {}, [0.25] * 4),
         (["pipeline", "--epochs", "2", "--comparison-tol", "nan"], {}, None),
+        (["estimate", "--known-player", "p1", "--round-trip", "--round-trip-tol", "nan"],
+         {}, [0.25] * 4),
+        (["estimate", "--known-player", "p1", "--round-trip", "--round-trip-tol", "-1"],
+         {}, [0.25] * 4),
     ],
     ids=[
         "zero-step-size", "zero-width-mid", "zero-width-in", "nan-learning-rate",
         "nan-stability-tol", "negative-stability-tol", "one-round", "non-numeric-payoff",
         "players-not-a-list", "menu-as-a-string", "non-numeric-distribution",
         "ragged-distribution", "nan-comparison-tol", "negative-comparison-tol",
-        "pipeline-nan-comparison-tol",
+        "pipeline-nan-comparison-tol", "nan-round-trip-tol", "negative-round-trip-tol",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(

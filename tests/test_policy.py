@@ -315,6 +315,24 @@ def test_update_from_the_record_gives_the_bytes_of_one_that_runs_forward(widths)
             assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("rounds", [2, 3, 5, 16])
+def test_recording_policy_fn_with_tiled_biases_gives_the_bytes_of_forward(rounds):
+    # a recording closure adds (P, M, fan_out) bias copies where `forward`
+    # on the stacked params broadcasts (P, 1, fan_out) views of `flat`
+    rng = np.random.default_rng(rounds)
+    nets = [small_net(70 + k) for k in range(2)]
+    for net in nets:
+        for b in net.biases:
+            b[...] = rng.normal(size=b.shape)
+    record = RolloutRecord(nets[0], 2, rounds, 1)
+    cur, prev = random_pairs(72, 2 * rounds)
+    got = policy_fn(*nets, record=record)(cur, prev)
+    want, trace = forward(stack(nets), cur, prev)
+    assert got.tobytes() == want.tobytes()
+    for recorded, fresh in zip(record.slots[0], [*trace.layer_inputs[2:], want]):
+        assert recorded.tobytes() == fresh.tobytes()
+
+
 def test_stacked_forward_names_the_net_count_it_cannot_split():
     cur, prev = random_pairs(62, 7)
     with pytest.raises(PreconditionError, match="7 rows do not split into 3 nets"):

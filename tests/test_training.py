@@ -353,6 +353,153 @@ class TestTrainPair:
         (start, _), (_, peak) = marks[1], marks[2]
         assert peak - start < 1_000_000
 
+    def test_a_second_run_of_the_same_shapes_allocates_little_before_its_update(
+        self, coordination, monkeypatch
+    ):
+        # the first run's rollout record and workspace, about 4 MB, serve the
+        # second, which allocates only its nets, its RNGs and its states
+        import celab.training
+
+        peaks = []
+        real_update = celab.training.update_policy
+
+        def marking_update(*args, **kwargs):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return real_update(*args, **kwargs)
+
+        config = TrainingConfig(epochs=1, stability_window=2)
+        train_pair(coordination, ("p1", "p2"), config, seed=0)
+        monkeypatch.setattr(celab.training, "update_policy", marking_update)
+        tracemalloc.start()
+        try:
+            train_pair(coordination, ("p1", "p2"), config, seed=1)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < 1_000_000
+
+
+class TestArenaReuse:
+    # (game, config fields, seed, whether the run allocates an arena): runs
+    # of other shapes in turn, so that some take the arena the run before
+    # them gave back, one of them after a run that raised
+    RUNS = [
+        ("coordination_2x2", {}, 0, True),
+        ("coordination_2x2", {}, 1, False),
+        ("coordination_2x2", {"rounds": 3}, 0, True),
+        ("chicken", {}, 2, True),
+        ("chicken", {}, 3, False),
+        ("chicken", {"steps": 55}, 0, True),
+        ("coordination_2x2", {"steps": 55, "learning_rate": 1e300}, 0, False),
+        ("chicken", {"steps": 55}, 1, False),
+        ("coordination_2x2", {"rounds": 3}, 4, True),
+    ]
+
+    @staticmethod
+    def _outcome(game, fields, seed, path):
+        """The history CSV's bytes and both nets' parameter bytes of a run,
+        or the message of the NumericError it raised."""
+        config = TrainingConfig(epochs=3, stability_window=4, **fields)
+        try:
+            result = train_pair(game, ("p1", "p2"), config, seed)
+        except NumericError as exc:
+            return str(exc)
+        write_history_csv(result, path)
+        return path.read_bytes(), [result.params[p].flat.tobytes() for p in ("p1", "p2")]
+
+    def test_a_reused_arena_gives_the_bytes_of_a_fresh_one(
+        self, fixtures_dir, tmp_path, monkeypatch
+    ):
+        import celab.training
+
+        games = {
+            name: load_game(fixtures_dir / f"{name}.json")
+            for name in ("coordination_2x2", "chicken")
+        }
+        fresh = []
+        for name, fields, seed, _ in self.RUNS:
+            celab.training._spare.clear()
+            fresh.append(self._outcome(games[name], fields, seed, tmp_path / "fresh.csv"))
+        assert isinstance(fresh[6], str) and "non-finite" in fresh[6]
+
+        allocated = []
+        real_record = celab.training.RolloutRecord
+
+        def counting_record(*args, **kwargs):
+            allocated[-1] = True
+            return real_record(*args, **kwargs)
+
+        monkeypatch.setattr(celab.training, "RolloutRecord", counting_record)
+        celab.training._spare.clear()
+        for (name, fields, seed, _), want in zip(self.RUNS, fresh):
+            allocated.append(False)
+            assert self._outcome(games[name], fields, seed, tmp_path / "reused.csv") == want
+        assert allocated == [allocates for *_, allocates in self.RUNS]
+        assert len(celab.training._spare) == 1
+
+    def test_a_nested_run_allocates_its_own_arena(self, coordination, tmp_path, monkeypatch):
+        import celab.training
+
+        fresh = {}
+        for seed in (0, 1):
+            celab.training._spare.clear()
+            fresh[seed] = self._outcome(coordination, {}, seed, tmp_path / "fresh.csv")
+
+        nested = []
+        real_rollout = celab.training.rollout
+
+        def rollout_with_a_nested_run(*args, **kwargs):
+            if not nested:  # the outer run's first epoch holds the arena
+                nested.append(None)
+                nested[0] = self._outcome(coordination, {}, 1, tmp_path / "inner.csv")
+            return real_rollout(*args, **kwargs)
+
+        allocations = []
+        real_record = celab.training.RolloutRecord
+
+        def counting_record(*args, **kwargs):
+            allocations.append(args)
+            return real_record(*args, **kwargs)
+
+        self._outcome(coordination, {}, 2, tmp_path / "warm.csv")  # leaves a spare
+        monkeypatch.setattr(celab.training, "rollout", rollout_with_a_nested_run)
+        monkeypatch.setattr(celab.training, "RolloutRecord", counting_record)
+        assert self._outcome(coordination, {}, 0, tmp_path / "outer.csv") == fresh[0]
+        assert nested == [fresh[1]]
+        assert len(allocations) == 1  # the nested run's; the outer took the spare
+
+    def test_concurrent_runs_never_share_an_arena(self, chicken):
+        # more threads than cores, switching often: a run whose arena another
+        # run wrote into mid-epoch would end with other parameters
+        import sys
+        import threading
+
+        config = tiny_config(epochs=4)
+
+        def run(seed):
+            result = train_pair(chicken, ("p1", "p2"), config, seed)
+            return [result.params[p].flat.tobytes() for p in ("p1", "p2")]
+
+        seeds = range(6)
+        want = {seed: [run(seed)] * 3 for seed in seeds}
+        got = {seed: [] for seed in seeds}
+
+        def worker(seed):
+            for _ in range(3):
+                got[seed].append(run(seed))
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
 
 class TestHistoryCsv:
     def test_layout_and_header(self, chicken, tmp_path):
