@@ -34,7 +34,7 @@ from .estimation import estimate_payoff, estimation_report
 from .games import Game, load_game
 from .pipeline import _oriented, run_pipeline, validate_manifest
 from .policy import save_checkpoint
-from .training import TrainingConfig, train_pair, write_history_csv
+from .training import TrainingConfig, require_seed, train_pair, write_history_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -247,6 +247,7 @@ def cmd_train(args) -> int:
     pair = _two_players(game)
     _require_payoffs(game, pair)
     config = _training_config(args)
+    require_seed(args.seed)  # before the output directory is made
 
     out_dir = _out_dir(args)
     prefix = args.prefix

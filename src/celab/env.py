@@ -100,16 +100,6 @@ class EpisodeBatch:
     action_indices: np.ndarray  # (M, N-1) into the canonical action order
     step_size: float
 
-    @property
-    def num_actions(self) -> int:
-        return 3 ** (self.states.shape[2] - 1)
-
-    def choices_one_hot(self) -> np.ndarray:
-        """(M, N-1, J) one-hot encoding of the recorded action indices."""
-        j = self.num_actions
-        eye = np.eye(j)
-        return eye[self.action_indices]
-
 
 def sample_index(distribution: np.ndarray, u: float | np.ndarray) -> np.ndarray:
     """Inverse-CDF sampling: count of prefix sums <= u, clipped to range.
@@ -150,7 +140,8 @@ def rollout(
     h = np.asarray(start).size
     actions = enumerate_actions(h, step_size)
 
-    uniforms = np.stack([rng.random(steps - 1) for rng in rngs])  # (M, N-1)
+    # (N-1, M): step n's draws are one contiguous row
+    uniforms = np.stack([rng.random(steps - 1) for rng in rngs], axis=1)
     states = np.empty((rounds, steps, h))
     idx = np.empty((rounds, steps - 1), dtype=np.int64)
     states[:, 0] = start
@@ -158,7 +149,7 @@ def rollout(
     cur = prev.copy()
     for n in range(steps - 1):
         probs = policy(cur, prev)
-        chosen = sample_index(probs, uniforms[:, n])
+        chosen = sample_index(probs, uniforms[n])
         idx[:, n] = chosen
         nxt = apply_action(cur, actions[chosen])
         states[:, n + 1] = nxt

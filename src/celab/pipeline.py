@@ -30,7 +30,7 @@ from .equilibrium import (
 from .errors import PreconditionError
 from .estimation import estimate_payoff, estimation_report
 from .games import Game, make_game
-from .training import TrainingConfig, train_pair
+from .training import TrainingConfig, require_seed, train_pair
 
 SLICE_MASS_TOL = 1e-9
 
@@ -304,9 +304,10 @@ def run_pipeline(
         raise PreconditionError("the main player's payoff vector must be known")
     if config is None:
         config = TrainingConfig()
-    # estimate_payoff's check, made before any task trains
+    # the checks of estimate_payoff and train_pair, made before any task trains
     if not comparison_tol >= 0.0:
         raise PreconditionError(f"comparison tolerance must be >= 0, got {comparison_tol}")
+    require_seed(seed)
 
     knowledge: dict[str, KnownVector | None] = {p: None for p in game.players}
     for p in known_players:

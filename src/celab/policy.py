@@ -6,9 +6,12 @@ layers at double width with ReLU, and a softmax output over the J actions.
 `forward` runs the layer stack over (B, H) rows of state pairs and returns a
 trace of its layer inputs, from which `gradients` runs the analytic backward
 pass of the two-sided weighted log loss (`loss_value`) without any autodiff
-framework. `forward` also takes P stacked nets (`stack`), one batched matmul
-per layer serving every net's block of rows at once; rollouts use this, one
-call per step for all players (`policy_fn`).
+framework. Both take each row's target as the index of its chosen action,
+(B,), not as a one-hot row: the loss needs log p only at that entry and
+log(1-p) at the others, and gives the bits of the one-hot form, whose other
+products are signed zeros. `forward` also takes P stacked nets (`stack`),
+one batched matmul per layer serving every net's block of rows at once;
+rollouts use this, one call per step for all players (`policy_fn`).
 
 A net's parameters are one float64 vector (`PolicyParams`) whose per-layer
 views the layers use. Gradients share its layout, so an update is
@@ -34,13 +37,19 @@ the default 16 rounds; with 3 or 5 rounds it gives some rows of the 27-wide
 output layer other last bits, and there the update follows the
 probabilities that were sampled, not those of a fresh pass.
 The backward pass needs no pre-activations: the sign of a layer's
-activation output decides its derivative.
+activation output decides its derivative. Its bias gradients sum rows in
+order with einsum, which gives `sum(axis=0)`'s bits at less cost
+(`_sum_rows`).
 
 A forward pass raises NumericError naming the first layer whose
-pre-activation is non-finite, but checks only the three ReLU layers and the
-logits: a non-finite value survives every other layer into the next check,
-and only ReLU can erase one (`_layers`). The stack runs under `np.errstate`,
-so such a value raises NumericError, not a RuntimeWarning from a matmul.
+pre-activation is non-finite, and checks once: layers 2-8 write their
+pre-activations into one contiguous block, which is checked whole after the
+logits (`_layers`). A record owns one such block, shared by all its slots:
+every step of every rollout overwrites it, so it holds the last step's
+values only, and nothing reads it after the step's check. A `forward` call
+without a slot allocates a fresh block that is dropped when the call
+returns. The stack runs under `np.errstate`, so a non-finite value raises
+NumericError, not a RuntimeWarning from a matmul.
 
 A recording `policy_fn` tiles the stacked biases once per rollout into
 contiguous (P, M, fan_out) copies, which each step adds in place of
@@ -48,11 +57,11 @@ broadcast (P, 1, fan_out) views of `flat`: the broadcast add costs about
 twice as much, nine times a step. The values added are the same, so are
 the bytes. The copies are not views of `flat`.
 
-`forward` has one output path: it writes layer inputs 2-8 and the
-probabilities into a record slot when given one, and into eight fresh
-arrays otherwise. An update's loss and backward pass (`loss_value`,
-`gradients`) and its copies out of the record work on a few hundred rows,
-and their row-sized intermediates come to megabytes. Freed after every
+`forward` has one output path: it writes layer inputs 2-8, the
+probabilities and the pre-activations into a record slot when given one,
+and into fresh arrays otherwise. An update's loss and backward pass
+(`loss_value`, `gradients`) and its copies out of the record work on a few
+hundred rows, and their row-sized intermediates come to megabytes. Freed after every
 call, that memory goes back to the operating system and is faulted in again
 on the next one, which costs more than the arithmetic. So these write every
 row-sized intermediate into a `Workspace` that the caller owns and passes
@@ -200,7 +209,7 @@ class Workspace:
     def array(self, name, shape: tuple, dtype=np.float64) -> np.ndarray:
         size = math.prod(shape)
         flat = self._flat.get(name)
-        if flat is None or flat.size < size:
+        if flat is None or flat.size < size or flat.dtype != dtype:
             flat = self._flat[name] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
 
@@ -256,6 +265,19 @@ def _record_widths(params: PolicyParams) -> list[int]:
     return [fan_in for fan_in, _ in dims[2:]] + [params.j]
 
 
+def _pre_activations(params: PolicyParams, lead: tuple) -> list[np.ndarray]:
+    """One contiguous block for pre-activations 2-8 over `lead`-shaped rows,
+    then its seven (*lead, fan_out) views, one per layer, in layer order."""
+    dims = layer_dims(params.h, params.j, params.width_in, params.width_mid)[2:]
+    rows = math.prod(lead)
+    block = np.empty(rows * sum(fan_out for _, fan_out in dims))
+    views, offset = [], 0
+    for _, fan_out in dims:
+        views.append(block[offset:offset + rows * fan_out].reshape(lead + (fan_out,)))
+        offset += rows * fan_out
+    return [block, *views]
+
+
 class RolloutRecord:
     """Layer inputs 2-8 and probabilities of every step of a stacked rollout.
 
@@ -263,7 +285,9 @@ class RolloutRecord:
     `arrays[i - 2][n, k, m]` is layer i's input at step n for round m of net
     k, and `arrays[7]` holds the probabilities the same way. `slots[n]` is
     step n's eight contiguous (P, M, width) blocks, which that step's
-    `forward` writes in place (see `policy_fn`). The caller that runs the
+    `forward` writes in place (see `policy_fn`), followed by the record's
+    one pre-activation block and its per-layer views, which every step
+    shares and overwrites (`_pre_activations`). The caller that runs the
     rollouts and the updates owns the record; `train_pair` reuses one across
     runs of the same shapes, and every epoch's rollout overwrites it.
     """
@@ -272,7 +296,8 @@ class RolloutRecord:
         self.arrays = [
             np.empty((steps, nets, rounds, width)) for width in _record_widths(params)
         ]
-        self.slots = [list(blocks) for blocks in zip(*self.arrays)]
+        pre = _pre_activations(params, (nets, rounds))
+        self.slots = [[*blocks, *pre] for blocks in zip(*self.arrays)]
 
     def trace(
         self, net: int, current: np.ndarray, previous: np.ndarray, workspace: Workspace
@@ -309,19 +334,19 @@ def _state_rows(h: int, current, previous) -> tuple[np.ndarray, np.ndarray]:
     return cur, prev
 
 
-def _check_finite(layer: int, z: np.ndarray, out) -> None:
-    """Raise NumericError if pre-activation `z` of a checked layer holds a
+def _check_finite(out) -> None:
+    """Raise NumericError if the pre-activation block `out[8]` holds a
     non-finite value, naming the first layer whose pre-activation does: the
-    first of layers 0-4 whose output in `out` holds one, else `layer`.
-    Layers 0-4 are linear or LeakyReLU, so their outputs are non-finite
-    exactly where their pre-activations are."""
-    if np.count_nonzero(np.isfinite(z)) == z.size:
+    first of layers 0-4 whose output holds one, else the first of
+    pre-activations 5-8 (`out[12:]`) that does. Layers 0-4 are linear or LeakyReLU, so
+    their outputs are non-finite exactly where their pre-activations are."""
+    block = out[8]
+    if np.count_nonzero(np.isfinite(block)) == block.size:
         return
     half = out[0].shape[-1] // 2
-    unchecked = (out[0][..., :half], out[0][..., half:], out[1], out[2], out[3])
+    scanned = (out[0][..., :half], out[0][..., half:], out[1], out[2], out[3], *out[12:])
     first = next(
-        (i for i, a in enumerate(unchecked) if np.count_nonzero(np.isfinite(a)) != a.size),
-        layer,
+        i for i, a in enumerate(scanned) if np.count_nonzero(np.isfinite(a)) != a.size
     )
     raise NumericError(f"non-finite activation in layer {first} ({_LAYER_NAMES[first]})")
 
@@ -332,18 +357,20 @@ def _layers(weights, biases, cur, prev, out) -> np.ndarray:
     Runs one net's (fan_in, fan_out) weights over (B, H) rows, or P stacked
     nets' (P, fan_in, fan_out) weights and (P, 1, fan_out) or
     (P, B, fan_out) biases over (P, B, H) blocks. Layer inputs 2-8 and the
-    probabilities land in the eight arrays of `out`, whose widths
-    `_record_widths` gives.
+    probabilities land in the eight arrays `out[:8]`, whose widths
+    `_record_widths` gives; pre-activations 2-8 land in the views `out[9:]`
+    of the one block `out[8]` (`_pre_activations`).
 
     Raises NumericError naming the first layer whose pre-activation holds a
-    non-finite value, but checks only four of them: those of the ReLU layers
-    (5-7) and the logits (8). In IEEE arithmetic a non-finite input reaches
-    every output of its row in the next matmul (inf * 0 and inf - inf are
-    NaN), and the linear and LeakyReLU layers (0-4) keep it, so it arrives
-    at layer 5's check. Only ReLU can erase one (max(-inf, 0) = 0), so each
-    ReLU layer is checked before its activation. The stack runs under
-    `np.errstate`: a non-finite value passes through the matmuls of
-    unchecked layers, which would warn about it before a check raises.
+    non-finite value, and checks once, over the whole block, after the
+    logits. In IEEE arithmetic a non-finite input reaches every output of
+    its row in the next matmul (inf * 0 and inf - inf are NaN), and the
+    linear and LeakyReLU layers (0-4) keep it, so a non-finite analyzer
+    output reaches pre-activation 2. Only ReLU can erase one
+    (max(-inf, 0) = 0), and the block keeps each ReLU layer's value from
+    before its activation. The stack runs under `np.errstate`: a non-finite
+    value passes through the matmuls of every layer before the check, which
+    would warn about it before the check raises.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         # the two linear analyzers write the halves of layer 2's input
@@ -352,17 +379,14 @@ def _layers(weights, biases, cur, prev, out) -> np.ndarray:
         for i, (rows, into) in enumerate(((cur, x[..., :half]), (prev, x[..., half:]))):
             np.matmul(rows, weights[i], out=into)
             into += biases[i]
-        for i in range(2, 8):
-            z = np.matmul(x, weights[i])
+        for i in range(2, 9):
+            z = np.matmul(x, weights[i], out=out[i + 7])
             z += biases[i]
-            if _ACTIVATIONS[i] == "relu":
-                _check_finite(i, z, out)
-            x = _activate(_ACTIVATIONS[i], z, out[i - 1])
-        probs = np.matmul(x, weights[8], out=out[7])
-        probs += biases[8]
-        _check_finite(8, probs, out)
-    # softmax in place over the logits
-    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+            if i < 8:
+                x = _activate(_ACTIVATIONS[i], z, out[i - 1])
+        _check_finite(out)
+    # softmax over the logits
+    probs = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out[7])
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     return probs
@@ -379,7 +403,8 @@ def forward(
     (`stack`), the B rows are P consecutive blocks of B/P rows, block k
     played by net k, and the trace's per-layer arrays are (P, B/P, width).
     Layer inputs 2-8 and the probabilities land in a `RolloutRecord` slot
-    when given one, and in fresh arrays otherwise.
+    when given one, and in fresh arrays otherwise; so do the pre-activations,
+    into the record's shared block or a fresh one.
     """
     cur, prev = _state_rows(params.h, current, previous)
     if params.flat.ndim == 2:
@@ -389,45 +414,72 @@ def forward(
         blocks = (nets, cur.shape[0] // nets, params.h)
         cur, prev = cur.reshape(blocks), prev.reshape(blocks)
     if slot is None:
-        slot = [np.empty(cur.shape[:-1] + (width,)) for width in _record_widths(params)]
+        lead = cur.shape[:-1]
+        slot = [np.empty(lead + (width,)) for width in _record_widths(params)]
+        slot += _pre_activations(params, lead)
     probs = _layers(params.weights, params.biases, cur, prev, slot).reshape(-1, params.j)
     trace = ForwardTrace(layer_inputs=[cur, prev, *slot[:7]], probs=probs)
     return probs, trace
 
 
+def _clipped(probs: np.ndarray, ws: Workspace) -> np.ndarray:
+    """`probs` clipped to [PROB_EPS, 1 - PROB_EPS], in `ws`; the bits of
+    `np.clip`, which costs more."""
+    p = np.maximum(probs, PROB_EPS, out=ws.array("clipped", probs.shape))
+    return np.minimum(p, 1.0 - PROB_EPS, out=p)
+
+
+def _chosen_entries(chosen, shape: tuple) -> np.ndarray:
+    """Flat indices into C-ordered (B, J) rows of each row's chosen action,
+    for (B,) action indices `chosen`."""
+    batch, j = shape
+    c = np.asarray(chosen)
+    if c.shape != (batch,) or c.dtype.kind not in "iu" or not (c.min() >= 0 and c.max() < j):
+        raise PreconditionError(
+            f"chosen actions {c.shape} {c.dtype} are not {batch} indices into {j} actions"
+        )
+    return np.add(np.arange(0, batch * j, j), c, dtype=np.intp)
+
+
 def loss_value(
     probs: np.ndarray,
-    targets: np.ndarray,
+    chosen: np.ndarray,
     weights: np.ndarray,
     workspace: Workspace | None = None,
 ) -> float:
     """Two-sided weighted logarithmic loss over (B, J) probabilities, summed
-    over the batch: every action's probability enters (chosen via log p, the
-    rest via log(1-p)), so a positive weight pushes unchosen probabilities
-    down. Intermediates go to `workspace` (a fresh one when omitted).
+    over the batch: every action's probability enters (the chosen one via
+    log p, the rest via log(1-p)), so a positive weight pushes unchosen
+    probabilities down. `chosen` holds each row's action index, (B,).
+    Intermediates go to `workspace` (a fresh one when omitted).
     """
     ws = Workspace() if workspace is None else workspace
-    rows = probs.shape[:1]
-    p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS, out=ws.array("clipped", probs.shape))
-    y = np.atleast_2d(targets)
+    p = _clipped(probs, ws)
+    at = _chosen_entries(chosen, p.shape)
     w = np.atleast_1d(weights)
-    # y log p + (1 - y) log(1 - p); the second product goes first, so two
-    # scratch buffers suffice
+    # log(1 - p) everywhere, then log p at the chosen entries: the bits of
+    # y log p + (1 - y) log(1 - p) over one-hot rows y, whose other products
+    # are signed zeros added to non-zero terms
     terms = ws.array(("scratch", 0), p.shape)
-    other = ws.array(("scratch", 1), p.shape)
-    np.log(np.subtract(1.0, p, out=other), out=other)
-    other *= np.subtract(1.0, y, out=terms)
-    np.multiply(y, np.log(p, out=terms), out=terms)
-    terms += other
-    per_unit = terms.sum(axis=1, out=ws.array("per_row", rows))
+    np.log(np.subtract(1.0, p, out=terms), out=terms)
+    terms.put(at, np.log(p.take(at)))
+    per_unit = terms.sum(axis=1, out=ws.array("per_row", p.shape[:1]))
     np.negative(per_unit, out=per_unit)
     return float(np.multiply(w, per_unit, out=per_unit).sum())
+
+
+def _sum_rows(delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`delta.sum(axis=0, out=out)`, bit for bit: einsum adds the rows in
+    order as that sum does, without its per-row reduce overhead."""
+    if delta.shape[1] == 1:  # a 1-wide sum(axis=0) adds pairwise; einsum does not
+        return delta.sum(axis=0, out=out)
+    return np.einsum("ij->j", delta, out=out)
 
 
 def gradients(
     params: PolicyParams,
     trace: ForwardTrace,
-    targets: np.ndarray,
+    chosen: np.ndarray,
     weights: np.ndarray | float,
     workspace: Workspace | None = None,
 ) -> PolicyParams:
@@ -435,17 +487,17 @@ def gradients(
     laid out as `params` are: a fresh vector each call, so a gradient stays
     valid after the next one.
 
-    targets: one-hot rows (B, J); weights: per-row scalars (or one scalar).
-    Intermediates go to `workspace` (a fresh one when omitted); it may be the
-    one that holds `trace`, whose buffers this function only reads. It reads
-    each of `trace.layer_inputs` once, from layer 8 down.
+    chosen: each row's action index (B,); weights: per-row scalars (or one
+    scalar). Intermediates go to `workspace` (a fresh one when omitted); it
+    may be the one that holds `trace`, whose buffers this function only
+    reads. It reads each of `trace.layer_inputs` once, from layer 8 down.
     """
     ws = Workspace() if workspace is None else workspace
     p_raw = trace.probs
     batch = p_raw.shape[0]
-    y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     w = np.broadcast_to(np.asarray(weights, dtype=np.float64), (batch,))
-    p = np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS, out=ws.array("clipped", p_raw.shape))
+    p = _clipped(p_raw, ws)
+    at = _chosen_entries(chosen, p.shape)
     if not (p.min() > 0.0 and p.max() < 1.0):  # False on NaN as well
         raise NumericError("probabilities escaped the epsilon guard")
 
@@ -462,12 +514,11 @@ def gradients(
     # i % 2) while its delta sits in the other one.
     g = ws.array(("scratch", 1), p.shape)
     other = ws.array(("scratch", 0), p.shape)
-    # -(y / p) + (1 - y) / (1 - p); the second quotient goes first, so two
-    # scratch buffers suffice
-    np.subtract(1.0, p, out=g)
-    np.divide(np.subtract(1.0, y, out=other), g, out=other)
-    np.negative(np.divide(y, p, out=g), out=g)
-    g += other
+    # 1 / (1 - p) everywhere, then -(1 / p) at the chosen entries: the bits
+    # of -(y / p) + (1 - y) / (1 - p) over one-hot rows y
+    np.divide(1.0, np.subtract(1.0, p, out=g), out=g)
+    picked = p.take(at)
+    g.put(at, np.negative(np.divide(1.0, picked, out=picked), out=picked))
     g *= w[:, None]
     np.multiply(g, p_raw, out=other)
     g -= other.sum(axis=1, keepdims=True, out=ws.array("column", (batch, 1)))
@@ -479,7 +530,7 @@ def gradients(
         # once, it serves both this layer's weight gradient and the mask
         x = trace.layer_inputs[i]
         np.matmul(x.T, delta, out=grads.weights[i])
-        delta.sum(axis=0, out=grads.biases[i])
+        _sum_rows(delta, grads.biases[i])
         upstream = np.matmul(
             delta, params.weights[i].T,
             out=ws.array(("scratch", i % 2), (batch, params.weights[i].shape[0])),
@@ -507,9 +558,9 @@ def gradients(
     w_in = params.width_in
     da, db = upstream[:, :w_in], upstream[:, w_in:]
     np.matmul(trace.layer_inputs[0].T, da, out=grads.weights[0])
-    da.sum(axis=0, out=grads.biases[0])
+    _sum_rows(da, grads.biases[0])
     np.matmul(trace.layer_inputs[1].T, db, out=grads.weights[1])
-    db.sum(axis=0, out=grads.biases[1])
+    _sum_rows(db, grads.biases[1])
     return grads
 
 

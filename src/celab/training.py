@@ -4,7 +4,9 @@ Per epoch both agents roll out M rounds against the shared environment, in
 lockstep with one stacked policy evaluation per step. The two state tensors
 are averaged, and each agent takes one Adam step on the summed two-sided
 weighted log loss of its own choices, weighted by the standardized
-discounted rewards of the states those choices produced. Parameters,
+discounted rewards of the states those choices produced. The update reads
+the choices as the rollout's action indices, one per (round, step) row,
+and builds no one-hot rows. Parameters,
 gradients and Adam's moments share one flat layout (`PolicyParams.flat`),
 so the Adam step works on whole vectors.
 
@@ -13,10 +15,11 @@ differentiates, with the weights the update starts from, so the update runs
 no forward pass of its own: its loss and backward pass read what the rollout
 recorded. A run holds, from its first epoch to its end, one arena: a
 `RolloutRecord` (both nets' layer inputs and probabilities at every step,
-written in place by the rollout) and a policy `Workspace`, which the two
-players' updates share one after the other for their loss and backward
-passes; each update overwrites the buffers of the last, so no update's
-memory goes back to the operating system in between (see `celab.policy`).
+written in place by the rollout, and one pre-activation block that every
+step overwrites) and a policy `Workspace`, which the two players' updates
+share one after the other for their loss and backward passes; each update
+overwrites the buffers of the last, so no update's memory goes back to the
+operating system in between (see `celab.policy`).
 
 The arena also outlives the run. When a run ends, by returning or by
 raising, its arena becomes this module's one spare, and the next run of the
@@ -191,17 +194,17 @@ def update_policy(
     recorded: tuple[RolloutRecord, int] | None = None,
 ) -> tuple[PolicyParams, AdamState, UpdateStats]:
     """One Adam step on the summed weighted log loss over all (round, step)
-    units. Each choice is weighted by the standardized reward of the state it
-    produced (column n+1), never of the state it left. `recorded`, a record
-    and the index of this net in it, gives the forward pass of the rollout
-    that produced `batch` with these `params`; without it the update runs
-    `forward`. The loss and backward passes share `workspace` (a fresh one
-    when omitted)."""
+    units. Each choice, an index into the actions, is weighted by the
+    standardized reward of the state it produced (column n+1), never of the
+    state it left. `recorded`, a record and the index of this net in it,
+    gives the forward pass of the rollout that produced `batch` with these
+    `params`; without it the update runs `forward`. The loss and backward
+    passes share `workspace` (a fresh one when omitted)."""
     states = batch.states
     m, n, h = states.shape
     cur = states[:, :-1].reshape(-1, h)
     prev = np.concatenate([states[:, :1], states[:, : n - 2]], axis=1).reshape(-1, h)
-    targets = batch.choices_one_hot().reshape(m * (n - 1), -1)
+    chosen = batch.action_indices.reshape(-1)
     weights = rewards.standardized[:, 1:].reshape(-1)
 
     ws = Workspace() if workspace is None else workspace
@@ -211,13 +214,13 @@ def update_policy(
         record, net = recorded
         trace = record.trace(net, cur, prev, ws)
         probs = trace.probs
-    loss = loss_value(probs, targets, weights, ws)
+    loss = loss_value(probs, chosen, weights, ws)
     if not np.isfinite(loss):
         raise NumericError(
             f"non-finite training loss {loss!r} "
             f"(weight range [{weights.min()}, {weights.max()}])"
         )
-    grads = gradients(params, trace, targets, weights, ws)
+    grads = gradients(params, trace, chosen, weights, ws)
     grad_max = float(np.abs(grads.flat).max())
     new_params, new_state = adam_step(params, grads, state, config.learning_rate)
     return new_params, new_state, UpdateStats(loss=loss, grad_max=grad_max)
@@ -240,6 +243,13 @@ class TrainResult:
     config: TrainingConfig
     seed: int
     players: tuple[str, str]
+
+
+def require_seed(seed) -> None:
+    """Raise PreconditionError unless `seed` is a non-negative integer, the
+    seeds numpy's `SeedSequence` takes."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise PreconditionError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _init_rng(seed: int, player_index: int) -> np.random.Generator:
@@ -293,6 +303,7 @@ def train_pair(
     epochs sits within the L-inf tolerance of the window mean, or at the
     epoch cap (flagged unstable).
     """
+    require_seed(seed)
     a, b = pair
     payoffs = {p: game.payoff(p) for p in (a, b)}
     h = game.num_outcomes

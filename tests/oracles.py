@@ -7,8 +7,11 @@ with the library paths it checks.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
+
+from celab.errors import NumericError
 
 
 def deviation_matrix(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -162,3 +165,119 @@ def reference_sample_index(distribution: np.ndarray, u) -> np.ndarray:
     uu = np.asarray(u, dtype=np.float64)[..., None]
     idx = (cum <= uu).sum(axis=-1)
     return np.minimum(idx, p.shape[-1] - 1)
+
+
+_PROB_EPS = 1e-12
+_LEAKY_SLOPE = 0.2
+_LAYER_NAMES = (
+    "analyzer_a", "analyzer_b", "dense_1", "dense_2", "dense_3",
+    "wide_1", "wide_2", "wide_3", "output",
+)
+
+
+def reference_loss_value(probs: np.ndarray, targets: np.ndarray, weights) -> float:
+    """`celab.policy.loss_value` as it stood when it took (B, J) one-hot
+    target rows, kept as the byte-for-byte reference: y log p +
+    (1 - y) log(1 - p) over every entry, summed per row, negated, weighted
+    and summed."""
+    p = np.clip(probs, _PROB_EPS, 1.0 - _PROB_EPS)
+    y = np.atleast_2d(targets)
+    w = np.atleast_1d(weights)
+    other = np.log(1.0 - p)
+    other *= 1.0 - y
+    terms = y * np.log(p)
+    terms += other
+    per_unit = -terms.sum(axis=1)
+    return float((w * per_unit).sum())
+
+
+def reference_gradients(params, trace, targets: np.ndarray, weights):
+    """`celab.policy.gradients` as it stood when it took (B, J) one-hot
+    target rows, kept as the byte-for-byte reference, with fresh arrays in
+    place of its workspace: the dense softmax head -(y / p) +
+    (1 - y) / (1 - p), then the backward pass with `sum(axis=0)` bias sums.
+    Returns a params-shaped copy holding the gradient."""
+    p_raw = trace.probs
+    batch = p_raw.shape[0]
+    y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), (batch,))
+    p = np.clip(p_raw, _PROB_EPS, 1.0 - _PROB_EPS)
+    if not (p.min() > 0.0 and p.max() < 1.0):
+        raise NumericError("probabilities escaped the epsilon guard")
+    g = -(y / p) + (1.0 - y) / (1.0 - p)
+    g *= w[:, None]
+    g -= (g * p_raw).sum(axis=1, keepdims=True)
+    delta = p_raw * g
+
+    grads = replace(params, flat=np.empty_like(params.flat))
+    for i in range(8, 1, -1):
+        x = trace.layer_inputs[i]
+        np.matmul(x.T, delta, out=grads.weights[i])
+        delta.sum(axis=0, out=grads.biases[i])
+        upstream = delta @ params.weights[i].T
+        if i == 2:
+            break
+        rising = x > 0.0
+        if i - 1 <= 4:  # layers 2-4 are LeakyReLU, 5-7 ReLU
+            upstream *= np.maximum(rising, _LEAKY_SLOPE)
+        else:
+            upstream *= rising
+        delta = upstream
+    w_in = params.width_in
+    da, db = upstream[:, :w_in], upstream[:, w_in:]
+    np.matmul(trace.layer_inputs[0].T, da, out=grads.weights[0])
+    da.sum(axis=0, out=grads.biases[0])
+    np.matmul(trace.layer_inputs[1].T, db, out=grads.weights[1])
+    db.sum(axis=0, out=grads.biases[1])
+    return grads
+
+
+def _reference_check(layer, z, out):
+    if np.count_nonzero(np.isfinite(z)) == z.size:
+        return
+    half = out[0].shape[-1] // 2
+    unchecked = (out[0][..., :half], out[0][..., half:], out[1], out[2], out[3])
+    first = next(
+        (i for i, a in enumerate(unchecked) if np.count_nonzero(np.isfinite(a)) != a.size),
+        layer,
+    )
+    raise NumericError(f"non-finite activation in layer {first} ({_LAYER_NAMES[first]})")
+
+
+def reference_forward(params, current: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """`celab.policy.forward`'s probabilities as they stood when its layer
+    stack checked four pre-activations (the ReLU layers 5-7, each before its
+    activation, and the logits), kept as the reference for outcome and
+    message: the first of layers 0-4 whose output is non-finite, else the
+    checked layer."""
+    cur = np.asarray(current, dtype=np.float64)
+    prev = np.asarray(previous, dtype=np.float64)
+    weights, biases = params.weights, params.biases
+    if params.flat.ndim == 2:
+        blocks = (params.flat.shape[0], cur.shape[0] // params.flat.shape[0], cur.shape[1])
+        cur, prev = cur.reshape(blocks), prev.reshape(blocks)
+    lead = cur.shape[:-1]
+    out = [np.empty(lead + (w.shape[-2],)) for w in weights[2:]]
+    out.append(np.empty(lead + (weights[8].shape[-1],)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = out[0]
+        half = weights[0].shape[-1]
+        for i, (rows, into) in enumerate(((cur, x[..., :half]), (prev, x[..., half:]))):
+            np.matmul(rows, weights[i], out=into)
+            into += biases[i]
+        for i in range(2, 8):
+            z = np.matmul(x, weights[i])
+            z += biases[i]
+            if i >= 5:
+                _reference_check(i, z, out)
+                x = np.maximum(z, 0.0, out=out[i - 1])
+            else:
+                scaled = np.multiply(z, _LEAKY_SLOPE, out=out[i - 1])
+                x = np.maximum(z, scaled, out=scaled)
+        probs = np.matmul(x, weights[8], out=out[7])
+        probs += biases[8]
+        _reference_check(8, probs, out)
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+    return probs.reshape(-1, weights[8].shape[-1])

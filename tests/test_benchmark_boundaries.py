@@ -161,3 +161,42 @@ def test_pipeline_trains_each_trained_task_through_its_module(monkeypatch):
     trained = [r.detail["seed"] for r in result.records if "epochs_run" in r.detail]
     assert trained
     assert sorted(seeds) == sorted(trained)
+
+
+def test_update_looks_up_loss_and_gradients_through_its_module(monkeypatch):
+    # the tracer's policy.loss_value and policy.gradients spans on
+    # train_coord exist only while update_policy looks both names up on
+    # `celab.training`, once each per update
+    import celab.training
+    from celab.env import EpisodeBatch
+    from celab.policy import init_policy
+    from celab.training import AdamState, RewardTensor, TrainingConfig, update_policy
+
+    calls = {"loss_value": 0, "gradients": 0}
+
+    def counting(name):
+        original = getattr(celab.training, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(celab.training, name, wrapper)
+
+    counting("loss_value")
+    counting("gradients")
+    rng = np.random.default_rng(3)
+    raw = rng.random((2, 5, 4))
+    batch = EpisodeBatch(
+        states=raw / raw.sum(axis=2, keepdims=True),
+        action_indices=rng.integers(0, 27, size=(2, 4)),
+        step_size=0.25,
+    )
+    std = rng.normal(size=(2, 5))
+    params = init_policy(4, 27, 4, 6, rng)
+    config = TrainingConfig(rounds=2, steps=5, step_size=0.25, width_in=4, width_mid=6)
+    update_policy(
+        params, batch, RewardTensor(raw=std, discounted=std, standardized=std),
+        AdamState.zeros_like(params), config,
+    )
+    assert calls == {"loss_value": 1, "gradients": 1}

@@ -486,6 +486,8 @@ _VALID_GAME = {
          {}, [0.25] * 4),
         (["estimate", "--known-player", "p1", "--round-trip", "--round-trip-tol", "-1"],
          {}, [0.25] * 4),
+        (["train", "--epochs", "2", "--seed", "-1"], {}, None),
+        (["pipeline", "--epochs", "2", "--seed", "-1"], {}, None),
     ],
     ids=[
         "zero-step-size", "zero-width-mid", "zero-width-in", "nan-learning-rate",
@@ -493,6 +495,7 @@ _VALID_GAME = {
         "players-not-a-list", "menu-as-a-string", "non-numeric-distribution",
         "ragged-distribution", "nan-comparison-tol", "negative-comparison-tol",
         "pipeline-nan-comparison-tol", "nan-round-trip-tol", "negative-round-trip-tol",
+        "train-negative-seed", "pipeline-negative-seed",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(
@@ -514,6 +517,13 @@ def test_malformed_input_exits_2_with_one_error_line(
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ")
+
+
+def test_negative_train_seed_exits_2_before_making_the_output_directory(fx, tmp_path):
+    code = main(["train", fx("coordination_2x2.json"), "--seed", "-1",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_abbreviated_flags_exit_2_and_write_nothing(fx, tmp_path):

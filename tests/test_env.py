@@ -273,8 +273,6 @@ class TestRollout:
         )
         assert batch.states.shape == (3, 12, 3)
         assert batch.action_indices.shape == (3, 11)
-        assert batch.choices_one_hot().shape == (3, 11, 9)
-        assert np.all(batch.choices_one_hot().sum(axis=2) == 1.0)
 
     def test_starts_at_default_state(self):
         batch = rollout(

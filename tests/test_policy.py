@@ -6,14 +6,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import kink_margin
+from oracles import kink_margin, reference_forward, reference_gradients, reference_loss_value
 
 from celab.env import rollout
 from celab.errors import NumericError, PreconditionError
 from celab.policy import (
     _LAYER_NAMES,
     LEAKY_SLOPE,
+    PROB_EPS,
+    ForwardTrace,
     PolicyParams,
     RolloutRecord,
     Workspace,
@@ -347,7 +351,7 @@ def test_reused_workspace_matches_fresh_allocation_bitwise():
     for params, batch in cases * 2:
         cur, prev = random_pairs(batch, batch)
         rng = np.random.default_rng(batch)
-        targets = np.eye(J)[rng.integers(0, J, size=batch)]
+        targets = rng.integers(0, J, size=batch)
         weights = rng.normal(size=batch)
         probs, trace = forward(params, cur, prev)
         assert loss_value(probs, targets, weights, ws) == loss_value(probs, targets, weights)
@@ -357,10 +361,172 @@ def test_reused_workspace_matches_fresh_allocation_bitwise():
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_workspace_reuses_a_buffer_only_for_the_dtype_asked_for():
+    ws = Workspace()
+    assert ws.array("name", (4,)).dtype == np.float64
+    assert ws.array("name", (4,), bool).dtype == np.bool_
+    rows = ws.array("name", (2, 3), np.intp)
+    assert rows.dtype == np.intp
+    # the same dtype again, no larger, reuses the buffer
+    assert np.shares_memory(ws.array("name", (5,), np.intp), rows)
+
+
+# probabilities at and beyond the clip bounds
+_EDGE_PROBS = [0.0, -0.5, PROB_EPS / 2, PROB_EPS, 1.0 - PROB_EPS, 1.0 - PROB_EPS / 4, 1.0, 1.5]
+
+
+def _edge_weights(rng, kind, batch):
+    if kind == "zero":
+        return np.zeros(batch)
+    if kind == "negative":
+        return -np.abs(rng.normal(size=batch))
+    if kind == "huge":
+        return rng.choice([1e300, -1e300, 1e200], size=batch)
+    if kind == "mixed":
+        return rng.choice([0.0, -0.0, -2.5, 1.3, 1e300, -1e300, 1e-300], size=batch)
+    return rng.normal(size=batch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=st.sampled_from([2, 3, 4]),
+    batch=st.integers(1, 1000),
+    widths=st.sampled_from([(1, 6), (4, 1), (1, 1), (2, 2), (3, 5), (8, 16)]),
+    edge_share=st.sampled_from([0.0, 0.05, 0.5]),
+    weight_kind=st.sampled_from(["normal", "zero", "negative", "huge", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_index_forms_give_the_bytes_of_one_hot_rows(
+    h, batch, widths, edge_share, weight_kind, seed
+):
+    # loss_value and gradients take (B,) chosen indices; the dense forms
+    # they replaced took np.eye(J)[chosen] rows, and every byte must agree
+    j = 3 ** (h - 1)
+    rng = np.random.default_rng(seed)
+    params = init_policy(h, j, *widths, rng)
+    cur, prev = rng.dirichlet(np.ones(h), size=(2, batch))
+    _, fresh = forward(params, cur, prev)
+    probs = fresh.probs.copy()
+    edge = rng.random(probs.shape) < edge_share
+    probs[edge] = rng.choice(_EDGE_PROBS, size=int(edge.sum()))
+    trace = ForwardTrace(fresh.layer_inputs, probs)
+    chosen = rng.integers(0, j, size=batch)
+    weights = _edge_weights(rng, weight_kind, batch)
+    one_hot = np.eye(j)[chosen]
+
+    ws = Workspace()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = np.float64(loss_value(probs, chosen, weights, ws))
+        want = np.float64(reference_loss_value(probs, one_hot, weights))
+        assert got.tobytes() == want.tobytes()
+        got = gradients(params, trace, chosen, weights, ws)
+        want = reference_gradients(params, trace, one_hot, weights)
+    assert got.flat.tobytes() == want.flat.tobytes()
+
+
+def test_nan_probability_raises_the_one_hot_forms_message():
+    params = small_net(14)
+    cur, prev = random_pairs(15, 6)
+    _, fresh = forward(params, cur, prev)
+    probs = fresh.probs.copy()
+    probs[3, 7] = np.nan
+    trace = ForwardTrace(fresh.layer_inputs, probs)
+    chosen = np.array([0, 5, 7, 7, 26, 1])
+    messages = []
+    for call in (
+        lambda: reference_gradients(params, trace, np.eye(J)[chosen], np.ones(6)),
+        lambda: gradients(params, trace, chosen, np.ones(6)),
+    ):
+        with pytest.raises(NumericError) as err:
+            call()
+        messages.append(str(err.value))
+    assert messages == ["probabilities escaped the epsilon guard"] * 2
+
+
+@pytest.mark.parametrize(
+    "chosen", [[0, 27, 3], [-1, 2, 3], [0, 1], [[0], [1], [2]], [0.0, 1.0, 2.0]],
+    ids=["past-the-last-action", "negative", "too-few", "column", "floats"],
+)
+def test_chosen_actions_must_be_one_index_per_row(chosen):
+    params = small_net(16)
+    cur, prev = random_pairs(17, 3)
+    probs, trace = forward(params, cur, prev)
+    for call in (
+        lambda: loss_value(probs, np.array(chosen), np.ones(3)),
+        lambda: gradients(params, trace, np.array(chosen), np.ones(3)),
+    ):
+        with pytest.raises(PreconditionError, match="indices into 27 actions"):
+            call()
+
+
+def _inject(nets, target, layer, value, rng):
+    """Put `value` into one random entry of layer `layer`'s weights or bias
+    in a random net of `nets`; states are handled by the caller."""
+    net = nets[rng.integers(len(nets))]
+    arrays = net.weights if target == "weights" else net.biases
+    flat = arrays[layer].reshape(-1)
+    flat[rng.integers(flat.size)] = value
+
+
+_INJECTED = [np.inf, -np.inf, np.nan, 1e300, -1e300]
+_MODES = ["unstacked", "stacked", "stacked_slot", "recording"]
+_TARGETS = ["weights", "biases", "states"]
+
+
+@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("target", _TARGETS)
+@pytest.mark.parametrize("value", _INJECTED, ids=["inf", "neginf", "nan", "huge", "neghuge"])
+def test_single_finiteness_check_gives_the_four_check_outcome(value, target, mode):
+    # the layer stack checks its one pre-activation block once; the stack
+    # that checked the ReLU layers and the logits one by one must raise the
+    # same message, or return the same bytes
+    rng = np.random.default_rng(
+        [_INJECTED.index(value), _TARGETS.index(target), _MODES.index(mode)]
+    )
+    nets_per_case = 1 if mode == "unstacked" else 2
+    rounds = 3
+    layers = range(9) if target != "states" else range(2)
+    outcomes = []
+    for layer in layers:
+        for zero_next in (False, True):
+            nets = [small_net(80 + k) for k in range(nets_per_case)]
+            for net in nets:
+                for b in net.biases:
+                    b[...] = rng.normal(scale=0.5, size=b.shape)
+            cur, prev = random_pairs(rng.integers(1 << 31), nets_per_case * rounds)
+            if target == "states":
+                states = (cur, prev)[layer]
+                states[rng.integers(len(states)), rng.integers(H)] = value
+            else:
+                _inject(nets, target, layer, value, rng)
+            if zero_next and layer < 8:
+                for net in nets:
+                    net.weights[max(layer + 1, 2)][...] = 0.0
+            params = nets[0] if mode == "unstacked" else stack(nets)
+
+            def fresh():
+                if mode in ("unstacked", "stacked"):
+                    return forward(params, cur, prev)[0]
+                record = RolloutRecord(nets[0], len(nets), rounds, 1)
+                if mode == "stacked_slot":
+                    return forward(params, cur, prev, record.slots[0])[0]
+                return policy_fn(*nets, record=record)(cur, prev)
+
+            results = []
+            for run in (lambda: reference_forward(params, cur, prev), fresh):
+                try:
+                    results.append(run().tobytes())
+                except NumericError as err:
+                    results.append(str(err))
+            assert results[0] == results[1], (layer, zero_next)
+            outcomes.append(isinstance(results[0], str))
+    if not np.isfinite(value):
+        assert all(outcomes)
+
+
 def test_loss_value_hand_case():
     p = np.array([[0.5, 0.25, 0.25]])
-    y = np.array([[1.0, 0.0, 0.0]])
-    two = loss_value(p, y, np.array([2.0]))
+    two = loss_value(p, np.array([0]), np.array([2.0]))
     assert two == pytest.approx(-2 * (np.log(0.5) + 2 * np.log(0.75)))
 
 
@@ -409,7 +575,7 @@ _FD_CASES = [
 def test_gradients_match_finite_differences(net_seed, pair_seed, actions, weights):
     params = small_net(net_seed)
     cur, prev = random_pairs(pair_seed, len(actions))
-    targets = np.eye(J)[actions]
+    targets = np.array(actions)
     weights = np.array(weights)
 
     _, trace = forward(params, cur, prev)
@@ -425,7 +591,7 @@ def test_gradients_match_finite_differences(net_seed, pair_seed, actions, weight
 def test_zero_weight_gives_zero_gradients():
     params = small_net(30)
     cur, prev = random_pairs(31, 4)
-    targets = np.eye(J)[[0, 5, 9, 26]]
+    targets = np.array([0, 5, 9, 26])
     _, trace = forward(params, cur, prev)
     grads = gradients(params, trace, targets, np.zeros(4))
     for g in grads.weights + grads.biases:
@@ -435,7 +601,7 @@ def test_zero_weight_gives_zero_gradients():
 def test_gradients_linear_in_weights():
     params = small_net(32)
     cur, prev = random_pairs(33, 3)
-    targets = np.eye(J)[[1, 2, 3]]
+    targets = np.array([1, 2, 3])
     w = np.array([0.5, -0.25, 1.5])
     _, trace = forward(params, cur, prev)
     one = gradients(params, trace, targets, w)
