@@ -50,9 +50,11 @@ def _header(args, seed: int | None, options: dict) -> dict:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, not yet made: an input error leaves nothing behind."""
     raw = getattr(args, "out_dir", None) or os.environ.get(OUT_DIR_ENV) or "."
     path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
+    if path.exists() and not path.is_dir():
+        raise PreconditionError(f"output directory {path} is not a directory")
     return path
 
 
@@ -256,6 +258,7 @@ def cmd_train(args) -> int:
     checkpoint_paths = {p: out_dir / f"{prefix}_checkpoint_{p}.json" for p in pair}
     for path in (history_path, p_tilde_path, *checkpoint_paths.values()):
         _refuse_overwrite(path, args.force)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     result = train_pair(game, pair, config, args.seed)
 

@@ -4,10 +4,11 @@ The pipeline decomposes an I-player game into two-player interactions: one
 task per unordered player pair per combination of the remaining players'
 decisions. Tasks whose pair has exactly one known payoff vector are trained
 in self-play and the unknown side estimated from the stable distribution;
-tasks whose pair is fully known get their correlated equilibrium computed
-directly, without interaction. Estimated slices are stitched back into full
-payoff vectors, which unlocks further tasks, until the queue drains or a full
-pass makes no progress (a stall, reported as a partial result).
+tasks whose pair is fully known settle without interaction. Estimated slices
+are stitched back into full payoff vectors, which unlocks further tasks, until
+the queue drains or a full pass makes no progress (a stall, reported as a
+partial result). Then every settled task whose pair is fully known gets its
+correlated equilibrium computed and checked.
 
 The game object carries the simulation ground truth for every player that can
 act; `known_players` declares which of those vectors the estimator is given.
@@ -89,23 +90,8 @@ def slice_indices(game: Game, task: InteractionTask) -> tuple[int, ...]:
     """Flat outcome indices matching a task's fixed decisions, in view order
     (player_a-major, player_b-minor)."""
     fixed = dict(task.fixed_decisions)
-    per_player: list[Sequence[int]] = []
-    for p, menu in zip(game.players, game.decisions):
-        if p in fixed:
-            label = fixed[p]
-            if label not in menu:
-                raise PreconditionError(f"unknown decision label {label!r} for {p!r}")
-            per_player.append([menu.index(label)])
-        else:
-            per_player.append(range(len(menu)))
-    sizes = game.menu_sizes
-    indices = []
-    for combo in itertools.product(*per_player):
-        flat = 0
-        for pos, n in zip(combo, sizes):
-            flat = flat * n + pos
-        indices.append(flat)
-    return tuple(indices)
+    menus = [[fixed[p]] if p in fixed else menu for p, menu in zip(game.players, game.decisions)]
+    return tuple(game.outcome_index(combo) for combo in itertools.product(*menus))
 
 
 def _renormalized_slice(
@@ -172,7 +158,7 @@ class CERecord:
     task_index: int
     players: tuple[str, str]
     fixed_decisions: tuple[tuple[str, str], ...]
-    source: str  # "analytic" (both known when processed) | "post_estimation"
+    source: str  # "analytic" (settled without training) | "post_estimation"
     distribution: np.ndarray
     welfare: float
     ce_ok: bool
@@ -290,8 +276,9 @@ def run_pipeline(
     Every task is either processed exactly once (trained and estimated,
     solved analytically, or skipped because the pair is not against each
     other) or reported stalled when a full pass over the queue makes no
-    progress. Finally, a correlated equilibrium is computed for every task
-    whose pair is fully known, each verified with the deviation check.
+    progress. Once the queue drains, a correlated equilibrium is computed for
+    every settled task whose pair is fully known, each verified with the
+    deviation check.
     """
     if main_player is None:
         main_player = game.players[0]
@@ -320,29 +307,9 @@ def run_pipeline(
             )
         knowledge[p] = KnownVector(values=np.asarray(v, dtype=np.float64), provenance="given")
 
-    tasks = build_task_set(game)
-    records = [TaskRecord(index=i, task=t) for i, t in enumerate(tasks)]
-    queue: list[TaskRecord] = list(records)
-    ce_records: list[CERecord] = []
-    # per unknown player, per partner pair: {task index: (indices, slice)}
-    pieces: dict[str, dict[tuple[str, str], dict[int, tuple[tuple[int, ...], np.ndarray]]]] = {}
-
-    def try_assemble(player: str) -> None:
-        for pair_key, got in pieces.get(player, {}).items():
-            count = sum(len(idx) for idx, _ in got.values())
-            if count != game.num_outcomes:
-                continue
-            full = np.zeros(game.num_outcomes)
-            weight = 1.0 / len(got)
-            for idx, vec in got.values():
-                full[list(idx)] = weight * vec
-            knowledge[player] = KnownVector(
-                values=full,
-                provenance="estimated",
-                source=f"slices from pair {pair_key[0]}-{pair_key[1]} "
-                f"({len(got)} combination(s), weight {weight:g} each)",
-            )
-            return
+    records = [TaskRecord(index=i, task=t) for i, t in enumerate(build_task_set(game))]
+    # per (unknown player, partner pair): {task index: (indices, slice)}
+    pieces: dict[tuple[str, tuple[str, str]], dict[int, tuple[tuple[int, ...], np.ndarray]]] = {}
 
     def settle(record: TaskRecord) -> str | None:
         """Process a task if what is known allows it; returns its final
@@ -350,7 +317,6 @@ def run_pipeline(
         task = record.task
         a, b = task.pair
         if knowledge[a] is not None and knowledge[b] is not None:
-            ce_records.append(_ce_record(game, knowledge, record, "analytic"))
             return "analytic_ce"
         if knowledge[a] is None and knowledge[b] is None:
             return None
@@ -394,42 +360,54 @@ def run_pipeline(
         }
         if est.status != "ok":
             return "estimation_infeasible"
-        store = pieces.setdefault(unknown_p, {}).setdefault(task.pair, {})
-        store[record.index] = (indices, est.estimate[order])
-        try_assemble(unknown_p)
+        # A complete pair sets the player's vector, and a known player gains
+        # no more slices, so only this pair can have just become complete.
+        got = pieces.setdefault((unknown_p, task.pair), {})
+        got[record.index] = (indices, est.estimate[order])
+        if sum(len(idx) for idx, _ in got.values()) == game.num_outcomes:
+            full = np.zeros(game.num_outcomes)
+            weight = 1.0 / len(got)
+            for idx, vec in got.values():
+                full[list(idx)] = weight * vec
+            knowledge[unknown_p] = KnownVector(
+                values=full,
+                provenance="estimated",
+                source=f"slices from pair {a}-{b} "
+                f"({len(got)} combination(s), weight {weight:g} each)",
+            )
         return "trained_estimated"
 
+    queue = records
     passes = 0
-    stalled = False
     while queue:
         passes += 1
-        progress = False
-        for record in list(queue):
-            status = settle(record)
-            if status is not None:
-                record.status = status
-                queue.remove(record)
-                progress = True
-        if not progress:
-            stalled = True
-            break
-
-    if stalled:
+        pending = []
         for record in queue:
-            record.status = "stalled"
+            status = settle(record)
+            if status is None:
+                pending.append(record)
+            else:
+                record.status = status
+        if len(pending) == len(queue):
+            break
+        queue = pending
+    for record in queue:
+        record.status = "stalled"
 
-    sweep = [
-        r
+    # Every vector is set once (given, or at assembly), so the knowledge an
+    # analytic task saw when it settled is the knowledge read here.
+    ce_records = [
+        _ce_record(
+            game, knowledge, r, "analytic" if r.status == "analytic_ce" else "post_estimation"
+        )
         for r in records
-        if r.status in ("trained_estimated", "skipped_not_against")
+        if r.status in ("analytic_ce", "trained_estimated", "skipped_not_against")
         and knowledge[r.task.player_a] is not None
         and knowledge[r.task.player_b] is not None
     ]
-    ce_records.extend(_ce_record(game, knowledge, r, "post_estimation") for r in sweep)
-    ce_records.sort(key=lambda c: c.task_index)
 
     return PipelineResult(
-        status="partial" if stalled else "complete",
+        status="partial" if queue else "complete",
         main_player=main_player,
         seed=seed,
         config=config,

@@ -128,6 +128,24 @@ def random_square_payoffs(seed: int, n: int) -> np.ndarray:
     return u / u.sum(axis=1, keepdims=True)
 
 
+def reference_slice_indices(game, task) -> tuple[int, ...]:
+    """Flat outcome indices of a pipeline task's view, player_a-major: the
+    product over each player's menu positions (one position for a fixed
+    player), folded row-major as flat = flat * n + pos."""
+    fixed = dict(task.fixed_decisions)
+    per_player = [
+        [menu.index(fixed[p])] if p in fixed else range(len(menu))
+        for p, menu in zip(game.players, game.decisions)
+    ]
+    indices = []
+    for combo in itertools.product(*per_player):
+        flat = 0
+        for pos, menu in zip(combo, game.decisions):
+            flat = flat * len(menu) + pos
+        indices.append(flat)
+    return tuple(indices)
+
+
 def kink_margin(params, trace) -> float:
     """Smallest |z| over the pre-activations of the LeakyReLU/ReLU layers
     (2-7), recomputed as z = layer_inputs[i] @ W[i] + b[i] from the trace's

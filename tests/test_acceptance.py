@@ -2,6 +2,7 @@
 runtime budgets. Each test prints one verdict line (visible with -v -s or in
 the captured output); the assertions are the gate itself."""
 
+import hashlib
 import json
 import time
 
@@ -285,6 +286,12 @@ def test_criterion_09_pipeline_end_to_end(three_player):
     assert len(result.ce_records) == 6
     findings = validate_manifest(json.loads(json.dumps(result.manifest())))
     assert findings == []
+    # sha256 of the sorted-key manifest, recorded with numpy 2.4 on OpenBLAS:
+    # pins the assembled vectors and both kinds of CE result
+    text = json.dumps(result.manifest(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5281863c1d1a492742cdc79372f005665def8d947366bf29ec8474451dca7892"
+    )
     print(
         "criterion 9: PASS (pipeline complete; p2-p3 equilibria analytic "
         "without interaction; manifest validates; all 6 equilibria verified)"

@@ -163,6 +163,33 @@ def test_pipeline_trains_each_trained_task_through_its_module(monkeypatch):
     assert sorted(seeds) == sorted(trained)
 
 
+def test_pipeline_solves_each_ce_once_through_its_module(monkeypatch):
+    # perfbench's equilibrium.ce span on pipeline_3p rebinds
+    # max_welfare_correlated_equilibrium on `celab.pipeline`; every CE result
+    # must come from exactly one call through that name. The fast-learning
+    # config of the CLI's golden digest yields both analytic and
+    # post-estimation results in well under a second.
+    import celab.pipeline
+    from celab.games import load_game
+    from celab.training import TrainingConfig
+
+    calls = []
+    original = celab.pipeline.max_welfare_correlated_equilibrium
+
+    def counting(view):
+        calls.append(view)
+        return original(view)
+
+    monkeypatch.setattr(celab.pipeline, "max_welfare_correlated_equilibrium", counting)
+    game = load_game(ROOT / "fixtures" / "three_player.json")
+    config = TrainingConfig(step_size=0.05, steps=20, learning_rate=0.01, epochs=20)
+    result = celab.pipeline.run_pipeline(
+        game, main_player="p1", known_players=("p1", "p2"), config=config, seed=0
+    )
+    assert {c.source for c in result.ce_records} == {"analytic", "post_estimation"}
+    assert len(calls) == len(result.ce_records)
+
+
 def test_update_looks_up_loss_and_gradients_through_its_module(monkeypatch):
     # the tracer's policy.loss_value and policy.gradients spans on
     # train_coord exist only while update_policy looks both names up on

@@ -463,6 +463,19 @@ _VALID_GAME = {
     "payoffs": {"p1": [0.4, 0.1, 0.3, 0.2], "p2": [0.4, 0.3, 0.1, 0.2]},
 }
 
+# p1 and p2 given, p3 unknown: the p1-p2 task at p3=D settles without
+# training, and p1 has no mass on any p3=D outcome, so its view cannot be
+# renormalized for the correlated-equilibrium solve.
+_ZERO_MASS_GAME = {
+    "players": ["p1", "p2", "p3"],
+    "decisions": {p: ["C", "D"] for p in ("p1", "p2", "p3")},
+    "payoffs": {
+        "p1": [0.25, 0.0, 0.25, 0.0, 0.25, 0.0, 0.25, 0.0],
+        "p2": [0.125] * 8,
+        "p3": None,
+    },
+}
+
 
 @pytest.mark.parametrize(
     "argv, game_fields, distribution",
@@ -488,6 +501,9 @@ _VALID_GAME = {
          {}, [0.25] * 4),
         (["train", "--epochs", "2", "--seed", "-1"], {}, None),
         (["pipeline", "--epochs", "2", "--seed", "-1"], {}, None),
+        (["solve", "--mode", "hull"], {}, None),
+        (["pipeline", "--epochs", "0"], {}, None),
+        (["pipeline", "--known-player", "p1", "--known-player", "p2"], _ZERO_MASS_GAME, None),
     ],
     ids=[
         "zero-step-size", "zero-width-mid", "zero-width-in", "nan-learning-rate",
@@ -495,7 +511,8 @@ _VALID_GAME = {
         "players-not-a-list", "menu-as-a-string", "non-numeric-distribution",
         "ragged-distribution", "nan-comparison-tol", "negative-comparison-tol",
         "pipeline-nan-comparison-tol", "nan-round-trip-tol", "negative-round-trip-tol",
-        "train-negative-seed", "pipeline-negative-seed",
+        "train-negative-seed", "pipeline-negative-seed", "hull-without-point",
+        "pipeline-zero-epochs", "pipeline-zero-mass-analytic-slice",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(
@@ -517,6 +534,27 @@ def test_malformed_input_exits_2_with_one_error_line(
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_dir_naming_a_file_exits_2_with_one_error_line(fx, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps([0.5, 0.0, 0.0, 0.5]))
+    runs = [
+        ["solve", fx("chicken.json")],
+        ["train", fx("coordination_2x2.json"), "--epochs", "1"],
+        ["estimate", fx("coordination_2x2.json"), "--known-player", "p1",
+         "--distribution", str(dist)],
+        ["pipeline", fx("three_player.json"), "--epochs", "1"],
+    ]
+    for argv in runs:
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(blocker)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+    assert blocker.read_text() == "keep\n"
 
 
 def test_negative_train_seed_exits_2_before_making_the_output_directory(fx, tmp_path):

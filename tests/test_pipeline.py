@@ -1,10 +1,12 @@
 """Task scheduling, pair views, and the pairwise estimation pipeline."""
 
 import copy
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from oracles import reference_slice_indices
 
 from celab.errors import PreconditionError
 from celab.games import make_game
@@ -73,6 +75,21 @@ class TestPairView:
         assert slice_indices(three_player, tasks[1]) == (1, 3, 5, 7)
         # (p2, p3) with p1=B: contiguous block, p2-major.
         assert slice_indices(three_player, tasks[5]) == (4, 5, 6, 7)
+
+    def test_outcome_indices_match_the_row_major_reference(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            players = [f"p{i + 1}" for i in range(int(rng.integers(2, 5)))]
+            menus = {p: [f"d{k}" for k in range(int(rng.integers(1, 4)))] for p in players}
+            n = int(np.prod([len(m) for m in menus.values()]))
+            game = make_game(players, menus, uniform_payoffs(players, n))
+            for task in build_task_set(game):
+                assert slice_indices(game, task) == reference_slice_indices(game, task)
+
+    def test_unknown_fixed_label_is_rejected(self, three_player):
+        task = InteractionTask("p1", "p2", (("p3", "Q"),))
+        with pytest.raises(PreconditionError, match="unknown decision label 'Q'"):
+            slice_indices(three_player, task)
 
     def test_slices_renormalize(self, three_player):
         view = pair_view(three_player, build_task_set(three_player)[0])
@@ -260,6 +277,14 @@ class TestStalledRun:
         assert validate_manifest(manifest) == []
         assert manifest["stalled_tasks"] == [0, 1, 4, 5]
         assert manifest["knowledge"]["p2"] == {"provenance": "unknown", "vector": None}
+
+    def test_manifest_digest(self, stalled_run):
+        # sha256 of the sorted-key manifest, recorded with numpy 2.4 on
+        # OpenBLAS: pins the stalled tasks and the post-estimation sweep
+        text = json.dumps(stalled_run.manifest(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ed46f84b14f1cd14aabb948722fd539cafa196d1db03f7aa08d915d853112575"
+        )
 
 
 @pytest.fixture(scope="module")
