@@ -250,18 +250,22 @@ def cmd_train(args) -> int:
     _require_payoffs(game, pair)
     config = _training_config(args)
     require_seed(args.seed)  # before the output directory is made
+    prefix = args.prefix
+    if Path(prefix).name != prefix:  # so that every file lands in the output directory
+        raise PreconditionError(
+            f"--prefix {prefix!r} is not a file-name stem: it has a directory part"
+        )
 
     out_dir = _out_dir(args)
-    prefix = args.prefix
     history_path = out_dir / f"{prefix}_history.csv"
     p_tilde_path = out_dir / f"{prefix}_p_tilde.json"
     checkpoint_paths = {p: out_dir / f"{prefix}_checkpoint_{p}.json" for p in pair}
     for path in (history_path, p_tilde_path, *checkpoint_paths.values()):
         _refuse_overwrite(path, args.force)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     result = train_pair(game, pair, config, args.seed)
 
+    out_dir.mkdir(parents=True, exist_ok=True)  # once there is something to write
     write_history_csv(result, history_path)
     for p in pair:
         save_checkpoint(
@@ -517,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("game", help="game JSON file")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--prefix", default="train",
-                       help="output file name prefix (default: train)")
+                       help="output file name prefix, a file-name stem with no "
+                       "directory part (default: train)")
     _add_training_flags(train)
     _add_common_output_flags(train)
     train.set_defaults(fn=cmd_train)
@@ -569,6 +574,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (InvalidGameError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # sizes from flags, such as --rounds, too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericError as exc:
         print(f"error: training diverged to non-finite values: {exc}", file=sys.stderr)

@@ -5,6 +5,11 @@ the first H-1 components by -theta, 0, or +theta; the last component absorbs
 the slack. Transitions clamp to [0,1] and, when the absorbing component would
 go negative, roll back the applied increases proportionally, so every reached
 state is a valid simplex point.
+
+A rollout step makes three calls: the policy over every round's (current,
+previous) rows, `sample_index` over its distributions and `apply_action` on
+the chosen delta rows, which skips the rollback when no row needs one. The
+step writes its indices and states whole into step-major buffers.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ import numpy as np
 from .errors import PreconditionError
 
 SIMPLEX_TOL = 1e-12
+# apply_action's scalar operands as 0-d arrays: numpy converts a Python float
+# operand on every call, about 0.3 us of a 1 us call on a rollout step
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
 
 
 def default_state(h: int) -> np.ndarray:
@@ -61,7 +69,10 @@ def apply_action(state: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Apply delta rows to states; both arguments may carry batch dimensions.
 
     Clamp each adjusted component to [0,1]; if the absorbing component would
-    drop below zero, scale back the applied increases in proportion.
+    drop below zero, scale back the applied increases in proportion. When no
+    row's clamped head sums above 1, every increase would be scaled by +0.0,
+    which keeps the clamped head's bits, so that arithmetic is skipped. (Only
+    a head component of -inf, outside the simplex, made such a product NaN.)
     """
     s = np.asarray(state, dtype=np.float64)
     d = np.asarray(deltas, dtype=np.float64)
@@ -71,20 +82,22 @@ def apply_action(state: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         )
     head = s[..., :-1]
     tentative = np.add(head, d)
-    np.minimum(np.maximum(tentative, 0.0, out=tentative), 1.0, out=tentative)
-    increases = np.subtract(tentative, head)
-    np.maximum(increases, 0.0, out=increases)
+    np.minimum(np.maximum(tentative, _ZERO, out=tentative), _ONE, out=tentative)
     # per-row sums keep a trailing axis, so they broadcast against the rows
-    deficit = np.add.reduce(tentative, axis=-1, keepdims=True)
-    np.maximum(np.subtract(deficit, 1.0, out=deficit), 0.0, out=deficit)
-    inc_total = np.add.reduce(increases, axis=-1, keepdims=True)
-    scale = np.divide(deficit, inc_total, out=np.zeros(deficit.shape), where=inc_total > 0.0)
-    np.subtract(tentative, np.multiply(increases, scale, out=increases), out=tentative)
+    total = np.add.reduce(tentative, axis=-1, keepdims=True)
+    # any row above 1; unlike total.max() > 1.0, no NaN row hides another
+    if np.count_nonzero(total > _ONE):
+        increases = np.subtract(tentative, head)
+        np.maximum(increases, _ZERO, out=increases)
+        deficit = np.maximum(np.subtract(total, _ONE, out=total), _ZERO, out=total)
+        inc_total = np.add.reduce(increases, axis=-1, keepdims=True)
+        scale = np.divide(deficit, inc_total, out=np.zeros(deficit.shape), where=inc_total > _ZERO)
+        np.subtract(tentative, np.multiply(increases, scale, out=increases), out=tentative)
     out = np.empty(tentative.shape[:-1] + s.shape[-1:])
-    adjusted = np.maximum(tentative, 0.0, out=out[..., :-1])
+    adjusted = np.maximum(tentative, _ZERO, out=out[..., :-1])
     last = out[..., -1:]
-    np.subtract(1.0, np.add.reduce(adjusted, axis=-1, keepdims=True), out=last)
-    np.maximum(last, 0.0, out=last)
+    np.subtract(_ONE, np.add.reduce(adjusted, axis=-1, keepdims=True), out=last)
+    np.maximum(last, _ZERO, out=last)
     return out
 
 
@@ -102,15 +115,16 @@ class EpisodeBatch:
 
 
 def sample_index(distribution: np.ndarray, u: float | np.ndarray) -> np.ndarray:
-    """Inverse-CDF sampling: count of prefix sums <= u, clipped to range.
+    """Inverse-CDF sampling: the count of the first J-1 prefix sums <= u.
 
-    Vectorized over leading dimensions of `distribution` and `u`.
+    Vectorized over leading dimensions of `distribution` and `u`. The
+    distribution must be non-negative: its prefix sums then never decrease,
+    so this is the count over all J clipped to J-1, the last index.
     """
     p = np.asarray(distribution, dtype=np.float64)
-    cum = np.add.accumulate(p, axis=-1)
+    cum = np.add.accumulate(p[..., :-1], axis=-1)
     uu = np.asarray(u, dtype=np.float64)[..., None]
-    idx = np.add.reduce(np.less_equal(cum, uu), axis=-1)
-    return np.minimum(idx, p.shape[-1] - 1)
+    return np.add.reduce(np.less_equal(cum, uu), axis=-1)
 
 
 def rollout(
@@ -142,18 +156,16 @@ def rollout(
 
     # (N-1, M): step n's draws are one contiguous row
     uniforms = np.stack([rng.random(steps - 1) for rng in rngs], axis=1)
-    states = np.empty((rounds, steps, h))
-    idx = np.empty((rounds, steps - 1), dtype=np.int64)
-    states[:, 0] = start
-    prev = np.broadcast_to(start, (rounds, h)).copy()
-    cur = prev.copy()
+    # step-major: each step writes its (M,) indices and (M, H) states whole
+    states = np.empty((steps, rounds, h))
+    idx = np.empty((steps - 1, rounds), dtype=np.int64)
+    states[0] = start
+    prev = cur = states[0]
     for n in range(steps - 1):
-        probs = policy(cur, prev)
-        chosen = sample_index(probs, uniforms[n])
-        idx[:, n] = chosen
-        nxt = apply_action(cur, actions[chosen])
-        states[:, n + 1] = nxt
-        prev, cur = cur, nxt
+        idx[n] = chosen = sample_index(policy(cur, prev), uniforms[n])
+        prev, cur = cur, apply_action(cur, actions.take(chosen, axis=0))
+        states[n + 1] = cur
+    states, idx = np.ascontiguousarray(states.swapaxes(0, 1)), np.ascontiguousarray(idx.T)
     return EpisodeBatch(states=states, action_indices=idx, step_size=step_size)
 
 

@@ -59,13 +59,18 @@ the bytes. The copies are not views of `flat`.
 
 `forward` has one output path: it writes layer inputs 2-8, the
 probabilities and the pre-activations into a record slot when given one,
-and into fresh arrays otherwise. An update's loss and backward pass
-(`loss_value`, `gradients`) and its copies out of the record work on a few
-hundred rows, and their row-sized intermediates come to megabytes. Freed after every
-call, that memory goes back to the operating system and is faulted in again
-on the next one, which costs more than the arithmetic. So these write every
-row-sized intermediate into a `Workspace` that the caller owns and passes
-to each call; `train_pair` keeps one with its record. Called without one,
+and into fresh arrays otherwise. A slot also holds the views a pass needs
+(`_slot`), so a rollout step's `forward` makes only its numpy calls: per
+layer one matmul and one bias add, the activations, one check and the
+softmax (`_layers`).
+
+An update's loss and backward pass (`loss_value`, `gradients`) and its
+copies out of the record work on a few hundred rows, and their row-sized
+intermediates come to megabytes. Freed after every call, that memory goes
+back to the operating system and is faulted in again on the next one,
+which costs more than the arithmetic. So these write every row-sized
+intermediate into a `Workspace` that the caller owns and passes to each
+call; `train_pair` keeps one with its record. Called without one,
 `loss_value` and `gradients` make a fresh workspace.
 """
 
@@ -83,20 +88,10 @@ from .errors import NumericError, PreconditionError
 
 LEAKY_SLOPE = 0.2
 PROB_EPS = 1e-12
+# a forward pass's scalar operands as 0-d arrays: numpy converts a Python
+# float operand on every call, about 0.3 us of a 1-2 us call on a rollout step
+_SLOPE, _ZERO = np.array(LEAKY_SLOPE), np.array(0.0)
 
-# activation per layer position; analyzers are linear (assumption recorded in
-# package docs: only the later blocks carry activation labels)
-_ACTIVATIONS = (
-    "linear",
-    "linear",
-    "leaky",
-    "leaky",
-    "leaky",
-    "relu",
-    "relu",
-    "relu",
-    "softmax",
-)
 _LAYER_NAMES = (
     "analyzer_a",
     "analyzer_b",
@@ -265,6 +260,16 @@ def _record_widths(params: PolicyParams) -> list[int]:
     return [fan_in for fan_in, _ in dims[2:]] + [params.j]
 
 
+def _slot(arrays, pre) -> list[np.ndarray]:
+    """A pass's outputs: the eight arrays `arrays` (layer inputs 2-8, then
+    the probabilities), the pre-activation block and views `pre`, then the
+    two halves of layer 2's input that the analyzers write and the
+    probabilities as (rows, J), all made once so that no pass rebuilds them."""
+    x, probs = arrays[0], arrays[7]
+    half = x.shape[-1] // 2
+    return [*arrays, *pre, x[..., :half], x[..., half:], probs.reshape(-1, probs.shape[-1])]
+
+
 def _pre_activations(params: PolicyParams, lead: tuple) -> list[np.ndarray]:
     """One contiguous block for pre-activations 2-8 over `lead`-shaped rows,
     then its seven (*lead, fan_out) views, one per layer, in layer order."""
@@ -287,9 +292,10 @@ class RolloutRecord:
     step n's eight contiguous (P, M, width) blocks, which that step's
     `forward` writes in place (see `policy_fn`), followed by the record's
     one pre-activation block and its per-layer views, which every step
-    shares and overwrites (`_pre_activations`). The caller that runs the
-    rollouts and the updates owns the record; `train_pair` reuses one across
-    runs of the same shapes, and every epoch's rollout overwrites it.
+    shares and overwrites (`_pre_activations`), and by views of the step's
+    blocks (`_slot`). The caller that runs the rollouts and the updates owns
+    the record; `train_pair` reuses one across runs of the same shapes, and
+    every epoch's rollout overwrites it.
     """
 
     def __init__(self, params: PolicyParams, nets: int, rounds: int, steps: int):
@@ -297,7 +303,7 @@ class RolloutRecord:
             np.empty((steps, nets, rounds, width)) for width in _record_widths(params)
         ]
         pre = _pre_activations(params, (nets, rounds))
-        self.slots = [[*blocks, *pre] for blocks in zip(*self.arrays)]
+        self.slots = [_slot(blocks, pre) for blocks in zip(*self.arrays)]
 
     def trace(
         self, net: int, current: np.ndarray, previous: np.ndarray, workspace: Workspace
@@ -313,15 +319,11 @@ class RolloutRecord:
         return ForwardTrace(inputs, probs)
 
 
-def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    if name == "leaky":
-        # max(z, 0.2 z) equals np.where(z > 0, z, 0.2 z) bit for bit on every
-        # finite z, signed zeros and subnormals included
-        scaled = np.multiply(z, LEAKY_SLOPE, out=out)
-        return np.maximum(z, scaled, out=scaled)
-    if name == "relu":
-        return np.maximum(z, 0.0, out=out)
-    raise ValueError(name)
+def _leaky(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """LeakyReLU as max(z, 0.2 z), which equals np.where(z > 0, z, 0.2 z)
+    bit for bit on every finite z, signed zeros and subnormals included."""
+    scaled = np.multiply(z, _SLOPE, out=out)
+    return np.maximum(z, scaled, out=scaled)
 
 
 def _state_rows(h: int, current, previous) -> tuple[np.ndarray, np.ndarray]:
@@ -338,13 +340,13 @@ def _check_finite(out) -> None:
     """Raise NumericError if the pre-activation block `out[8]` holds a
     non-finite value, naming the first layer whose pre-activation does: the
     first of layers 0-4 whose output holds one, else the first of
-    pre-activations 5-8 (`out[12:]`) that does. Layers 0-4 are linear or LeakyReLU, so
-    their outputs are non-finite exactly where their pre-activations are."""
+    pre-activations 5-8 (`out[12:16]`) that does. Layers 0-4 are linear or
+    LeakyReLU, so their outputs are non-finite exactly where their
+    pre-activations are; layers 0 and 1 write the halves `out[16:18]`."""
     block = out[8]
     if np.count_nonzero(np.isfinite(block)) == block.size:
         return
-    half = out[0].shape[-1] // 2
-    scanned = (out[0][..., :half], out[0][..., half:], out[1], out[2], out[3], *out[12:])
+    scanned = (*out[16:18], *out[1:4], *out[12:16])
     first = next(
         i for i, a in enumerate(scanned) if np.count_nonzero(np.isfinite(a)) != a.size
     )
@@ -358,8 +360,10 @@ def _layers(weights, biases, cur, prev, out) -> np.ndarray:
     nets' (P, fan_in, fan_out) weights and (P, 1, fan_out) or
     (P, B, fan_out) biases over (P, B, H) blocks. Layer inputs 2-8 and the
     probabilities land in the eight arrays `out[:8]`, whose widths
-    `_record_widths` gives; pre-activations 2-8 land in the views `out[9:]`
-    of the one block `out[8]` (`_pre_activations`).
+    `_record_widths` gives; pre-activations 2-8 land in the views
+    `out[9:16]` of the one block `out[8]` (`_pre_activations`). `out` is a
+    `_slot`: its views `out[16:]` come ready-made, and the probabilities
+    are returned as the (rows, J) view `out[18]`.
 
     Raises NumericError naming the first layer whose pre-activation holds a
     non-finite value, and checks once, over the whole block, after the
@@ -373,23 +377,24 @@ def _layers(weights, biases, cur, prev, out) -> np.ndarray:
     would warn about it before the check raises.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        # the two linear analyzers write the halves of layer 2's input
+        # the two analyzers, linear, write the halves of layer 2's input
+        np.matmul(cur, weights[0], out=out[16])
+        out[16] += biases[0]
+        np.matmul(prev, weights[1], out=out[17])
+        out[17] += biases[1]
         x = out[0]
-        half = weights[0].shape[-1]
-        for i, (rows, into) in enumerate(((cur, x[..., :half]), (prev, x[..., half:]))):
-            np.matmul(rows, weights[i], out=into)
-            into += biases[i]
-        for i in range(2, 9):
+        for i in range(2, 8):  # LeakyReLU at 2-4, ReLU at 5-7
             z = np.matmul(x, weights[i], out=out[i + 7])
             z += biases[i]
-            if i < 8:
-                x = _activate(_ACTIVATIONS[i], z, out[i - 1])
+            x = _leaky(z, out[i - 1]) if i < 5 else np.maximum(z, _ZERO, out=out[i - 1])
+        z = np.matmul(x, weights[8], out=out[15])
+        z += biases[8]
         _check_finite(out)
     # softmax over the logits
     probs = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out[7])
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=-1, keepdims=True)
-    return probs
+    return out[18]
 
 
 def forward(
@@ -415,11 +420,10 @@ def forward(
         cur, prev = cur.reshape(blocks), prev.reshape(blocks)
     if slot is None:
         lead = cur.shape[:-1]
-        slot = [np.empty(lead + (width,)) for width in _record_widths(params)]
-        slot += _pre_activations(params, lead)
-    probs = _layers(params.weights, params.biases, cur, prev, slot).reshape(-1, params.j)
-    trace = ForwardTrace(layer_inputs=[cur, prev, *slot[:7]], probs=probs)
-    return probs, trace
+        arrays = [np.empty(lead + (width,)) for width in _record_widths(params)]
+        slot = _slot(arrays, _pre_activations(params, lead))
+    probs = _layers(params.weights, params.biases, cur, prev, slot)
+    return probs, ForwardTrace(layer_inputs=[cur, prev, *slot[:7]], probs=probs)
 
 
 def _clipped(probs: np.ndarray, ws: Workspace) -> np.ndarray:
@@ -535,23 +539,19 @@ def gradients(
             delta, params.weights[i].T,
             out=ws.array(("scratch", i % 2), (batch, params.weights[i].shape[0])),
         )
-        below = i - 1
-        if below == 1:
+        if i == 2:
             break
-        act = _ACTIVATIONS[below]
         # delta = upstream * activation'(z_below), in place. The sign of the
         # activation's output decides it: for both, act(z) > 0 iff z > 0
         rising = np.greater(x, 0.0, out=ws.array("mask", x.shape, bool))
-        if act == "leaky":
+        if i <= 5:  # LeakyReLU below (layers 2-4)
             # 1 where rising, else the slope: a multiply by this exact factor
             # gives the bits of a masked multiply, which costs about four
             # times as much. The spent delta's buffer holds the factor.
             factor = ws.array(("scratch", (i + 1) % 2), x.shape)
             upstream *= np.maximum(rising, LEAKY_SLOPE, out=factor)
-        elif act == "relu":
+        else:  # ReLU below (layers 5-7)
             upstream *= rising
-        else:
-            raise AssertionError(act)
         delta = upstream
 
     # upstream now spans the concatenated analyzer outputs (both linear)

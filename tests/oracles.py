@@ -299,3 +299,26 @@ def reference_forward(params, current: np.ndarray, previous: np.ndarray) -> np.n
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     return probs.reshape(-1, weights[8].shape[-1])
+
+
+def reference_rollout(params, rounds: int, steps: int, step_size: float, rngs, start):
+    """`celab.env.rollout` under `params`' nets (stacked, see
+    `celab.policy.stack`) as a plain round-major step loop built from
+    `reference_forward`, `reference_sample_index` and
+    `reference_apply_action`, over actions rebuilt here as the ternary grid
+    (first component most significant). Returns the (rounds, steps, H)
+    states, the (rounds, steps - 1) action indices and every step's
+    probabilities, (steps - 1, rounds, J)."""
+    h = np.asarray(start).size
+    actions = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=h - 1))) * step_size
+    draws = np.array([rng.random(steps - 1) for rng in rngs])
+    states = np.zeros((rounds, steps, h))
+    states[:, 0] = start
+    indices = np.zeros((rounds, steps - 1), dtype=np.int64)
+    probs = []
+    for n in range(steps - 1):
+        cur, prev = states[:, n].copy(), states[:, max(n - 1, 0)].copy()
+        probs.append(reference_forward(params, cur, prev))
+        indices[:, n] = reference_sample_index(probs[-1], draws[:, n])
+        states[:, n + 1] = reference_apply_action(cur, actions[indices[:, n]])
+    return states, indices, np.stack(probs)

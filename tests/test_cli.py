@@ -504,6 +504,8 @@ _ZERO_MASS_GAME = {
         (["solve", "--mode", "hull"], {}, None),
         (["pipeline", "--epochs", "0"], {}, None),
         (["pipeline", "--known-player", "p1", "--known-player", "p2"], _ZERO_MASS_GAME, None),
+        (["train", "--epochs", "1", "--prefix", "a/b"], {}, None),
+        (["train", "--epochs", "1", "--prefix", "../escape"], {}, None),
     ],
     ids=[
         "zero-step-size", "zero-width-mid", "zero-width-in", "nan-learning-rate",
@@ -513,6 +515,7 @@ _ZERO_MASS_GAME = {
         "pipeline-nan-comparison-tol", "nan-round-trip-tol", "negative-round-trip-tol",
         "train-negative-seed", "pipeline-negative-seed", "hull-without-point",
         "pipeline-zero-epochs", "pipeline-zero-mass-analytic-slice",
+        "prefix-with-a-directory", "prefix-leaving-the-out-dir",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(
@@ -535,6 +538,24 @@ def test_malformed_input_exits_2_with_one_error_line(
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ")
     assert not (tmp_path / "out").exists()
+    # nothing beside out/ either: a prefix such as ../escape points there
+    inputs = {"game.json"} | ({"dist.json"} if distribution is not None else set())
+    assert {p.name for p in tmp_path.iterdir()} == inputs
+
+
+@pytest.mark.parametrize(
+    "command, fixture", [("train", "coordination_2x2.json"), ("pipeline", "three_player.json")]
+)
+def test_arena_too_large_to_allocate_exits_2_with_one_error_line(
+    fx, tmp_path, capsys, command, fixture
+):
+    # 10^11 rounds ask for a rollout record of about 1.3 PiB, beyond any
+    # address space, so numpy refuses it at once instead of granting it
+    out = tmp_path / "out"
+    assert main([command, fx(fixture), "--rounds", "100000000000", "--out-dir", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: out of memory: ")
+    assert not out.exists()
 
 
 def test_out_dir_naming_a_file_exits_2_with_one_error_line(fx, tmp_path, capsys):

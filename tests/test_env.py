@@ -1,9 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import reference_apply_action, reference_sample_index
+from oracles import reference_apply_action, reference_rollout, reference_sample_index
 
 from celab.env import (
     EpisodeBatch,
@@ -17,6 +18,11 @@ from celab.env import (
     sample_index,
 )
 from celab.errors import PreconditionError
+from celab.games import load_game
+from celab.policy import RolloutRecord, forward, policy_fn, stack
+from celab.training import TrainingConfig, train_pair
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestEnumerateActions:
@@ -150,8 +156,10 @@ class TestApplyActionMatchesReference:
         assert got.tobytes() == want.tobytes()
 
     def test_cases_reach_the_edges(self):
-        # the property above sees exact 0 and 1 components and rollbacks
-        zeros = ones = rollbacks = 0
+        # the property above sees exact 0 and 1 components and rollbacks,
+        # and so both of apply_action's paths: some row's clamped head sums
+        # above 1 (the rollback arithmetic runs) or none does (it is skipped)
+        zeros = ones = rollbacks = skips = 0
         for seed in range(60):
             for form in _FORMS:
                 state, deltas = _apply_action_case(seed, 4, form)
@@ -159,15 +167,16 @@ class TestApplyActionMatchesReference:
                 ones += int((state == 1.0).any())
                 head = np.broadcast_to(state[..., :-1], np.shape(deltas))
                 tentative = np.clip(head + deltas, 0.0, 1.0)
-                rolled = (tentative.sum(axis=-1) > 1.0) & (tentative > head).any(axis=-1)
-                rollbacks += int(rolled.any())
-        assert min(zeros, ones, rollbacks) >= 10
+                over = tentative.sum(axis=-1) > 1.0
+                rollbacks += int((over & (tentative > head).any(axis=-1)).any())
+                skips += int(not over.any())
+        assert min(zeros, ones, rollbacks, skips) >= 10
 
 
 def _sample_index_case(seed: int, j: int, form: str):
     """A distribution (J,) with a scalar u, or (B, J) with (B,) draws; some
     entries are exactly 0, some rows point masses, and some draws equal a
-    prefix sum, or are exactly 0 or 1."""
+    prefix sum (the last one among them), or are exactly 0 or 1."""
     rng = np.random.default_rng(seed)
     b = 1 if form == "single" else int(rng.integers(1, 7))
     p = rng.random((b, j))
@@ -179,7 +188,10 @@ def _sample_index_case(seed: int, j: int, form: str):
     p /= p.sum(axis=1, keepdims=True)
     u = rng.random(b)
     on_edge = rng.random(b) < 0.3
-    u[on_edge] = np.cumsum(p, axis=1)[on_edge, rng.integers(0, j, size=int(on_edge.sum()))]
+    cum = np.cumsum(p, axis=1)
+    u[on_edge] = cum[on_edge, rng.integers(0, j, size=int(on_edge.sum()))]
+    at_last = rng.random(b) < 0.1
+    u[at_last] = cum[at_last, -1]
     u[rng.random(b) < 0.1] = 0.0
     u[rng.random(b) < 0.1] = 1.0
     return (p[0], float(u[0])) if form == "single" else (p, u)
@@ -194,6 +206,16 @@ class TestSampleIndexMatchesReference:
         want = reference_sample_index(p, u)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+    def test_cases_reach_the_last_index(self):
+        # draws at or above the last prefix sum, where the reference clips
+        # its count of all J prefix sums and sample_index counts J - 1
+        beyond = 0
+        for seed in range(60):
+            for form in _FORMS[:2]:
+                p, u = _sample_index_case(seed, 27, form)
+                beyond += int(np.count_nonzero(np.cumsum(p, axis=-1)[..., -1] <= u))
+        assert beyond >= 10
 
 
 def test_fuzz_simplex_preserved():
@@ -317,6 +339,51 @@ class TestRollout:
         )
         assert a.states.tobytes() == b.states.tobytes()
         assert a.action_indices.tobytes() == b.action_indices.tobytes()
+
+
+def _trained_nets(fixture: str, widths: tuple[int, int]):
+    config = TrainingConfig(epochs=3, stability_window=4, width_in=widths[0], width_mid=widths[1])
+    result = train_pair(load_game(FIXTURES / f"{fixture}.json"), ("p1", "p2"), config, seed=7)
+    return result.params["p1"], result.params["p2"]
+
+
+class TestRolloutMatchesReference:
+    @pytest.mark.parametrize("widths", [(8, 16), (1, 6), (4, 1)])
+    @pytest.mark.parametrize("fixture", ["coordination_2x2", "chicken"])
+    def test_bytes_equal_the_reference_step_loop(self, fixture, widths):
+        # a recording rollout of two trained nets: its states, indices and
+        # recorded probabilities are those of the reference step loop, and
+        # each slot's layer inputs are a fresh forward pass's over that step
+        nets = _trained_nets(fixture, widths)
+        stacked = stack(nets)
+        steps, step_size, start = 60, 0.02, default_state(4)
+        overshoots = skips = 0
+        for rounds in (2, 3, 5, 16):
+            record = RolloutRecord(nets[0], 2, rounds, steps - 1)
+            rngs = [np.random.default_rng([rounds, m]) for m in range(2 * rounds)]
+            batch = rollout(policy_fn(*nets, record=record), 2 * rounds, steps, step_size,
+                            rngs, start)
+            rngs = [np.random.default_rng([rounds, m]) for m in range(2 * rounds)]
+            states, indices, probs = reference_rollout(
+                stacked, 2 * rounds, steps, step_size, rngs, start
+            )
+            assert batch.states.tobytes() == states.tobytes()
+            assert batch.action_indices.dtype == indices.dtype
+            assert batch.action_indices.tobytes() == indices.tobytes()
+            assert record.arrays[-1].tobytes() == probs.tobytes()
+            for n, slot in enumerate(record.slots):
+                cur, prev = states[:, n], states[:, max(n - 1, 0)]
+                _, trace = forward(stacked, cur, prev)
+                for recorded, fresh in zip(slot, trace.layer_inputs[2:]):
+                    assert recorded.tobytes() == fresh.tobytes()
+            # which of apply_action's paths each step took
+            actions = enumerate_actions(4, step_size)
+            head = states[:, :-1, :-1]
+            tentative = np.clip(head + actions[indices], 0.0, 1.0)
+            over = (tentative.sum(axis=-1) > 1.0).any(axis=0)
+            overshoots += int(over.sum())
+            skips += int((~over).sum())
+        assert min(overshoots, skips) >= 10
 
 
 class TestSampleIndex:
