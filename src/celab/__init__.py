@@ -7,11 +7,9 @@ opponent's payoff vector from an observed stable joint distribution.
 """
 
 from .games import (
-    DecisionSet,
     Game,
     RenormalizedPayoffWarning,
     ValidationReport,
-    expected_reward,
     game_from_dict,
     game_to_dict,
     load_game,
@@ -26,7 +24,6 @@ from .equilibrium import (
     CESolution,
     NashEquilibrium,
     correlated_equilibrium_program,
-    count_equilibria,
     enumerate_equilibria,
     enumerate_pure_nash,
     in_nash_payoff_hull,
@@ -40,7 +37,6 @@ from .env import (
     average_states,
     default_state,
     enumerate_actions,
-    is_simplex_point,
     min_steps,
     rollout,
 )

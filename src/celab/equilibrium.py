@@ -28,7 +28,6 @@ __all__ = [
     "solve_lp",
     "enumerate_pure_nash",
     "mixed_nash_2x2",
-    "count_equilibria",
     "in_nash_payoff_hull",
     "is_correlated_equilibrium",
 ]
@@ -223,10 +222,6 @@ def enumerate_equilibria(game: Game) -> list[NashEquilibrium]:
         if mixed is not None:
             out.append(mixed)
     return out
-
-
-def count_equilibria(game: Game) -> int:
-    return len(enumerate_equilibria(game))
 
 
 def in_nash_payoff_hull(

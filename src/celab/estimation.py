@@ -40,10 +40,6 @@ class ReorderedView:
     def size(self) -> int:
         return len(self.permutation)
 
-    def original_index(self, position: int, rotated: bool = False) -> int:
-        """Original outcome index carried by sorted slot `position`."""
-        return int(self._slots(rotated)[position])
-
     def _slots(self, rotated: bool = False) -> np.ndarray:
         """Original outcome index of every sorted slot.
 

@@ -32,14 +32,6 @@ class RenormalizedPayoffWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class DecisionSet:
-    """One joint outcome: its 1-based index and the per-player decision labels."""
-
-    index: int
-    labels: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Game:
     """Immutable normal-form game. Build with :func:`make_game` or :func:`load_game`."""
 
@@ -54,13 +46,6 @@ class Game:
     @property
     def num_outcomes(self) -> int:
         return math.prod(self.menu_sizes)
-
-    def decision_sets(self) -> tuple[DecisionSet, ...]:
-        """All joint outcomes in canonical (row-major) order, 1-based indices."""
-        combos = itertools.product(*self.decisions)
-        return tuple(
-            DecisionSet(index=i + 1, labels=labels) for i, labels in enumerate(combos)
-        )
 
     def outcome_index(self, labels: Sequence[str]) -> int:
         """0-based canonical index of a joint decision combination."""
@@ -181,15 +166,6 @@ def make_game(
     return Game(players=players_t, decisions=menus, payoffs=vectors)
 
 
-def expected_reward(state: np.ndarray, payoff: np.ndarray) -> float:
-    """Dot product of a distribution state with a payoff vector."""
-    s = np.asarray(state, dtype=np.float64)
-    v = np.asarray(payoff, dtype=np.float64)
-    if s.shape != v.shape or s.ndim != 1:
-        raise ValueError(f"shape mismatch: state {s.shape} vs payoff {v.shape}")
-    return float(s @ v)
-
-
 @dataclass
 class ValidationReport:
     """Outcome of validate_game: per-check verdicts plus human-readable findings."""
@@ -256,9 +232,9 @@ def validate_game(game: Game, tol: float = 1e-9) -> ValidationReport:
     all_known = all(game.payoffs.get(p) is not None for p in game.players)
     if len(game.players) == 2 and all_known:
         if all(restriction.values()):
-            from .equilibrium import count_equilibria
+            from .equilibrium import enumerate_equilibria
 
-            eq_count = count_equilibria(game)
+            eq_count = len(enumerate_equilibria(game))
             multiple = eq_count >= 2
             if not multiple:
                 findings.append(

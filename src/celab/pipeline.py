@@ -278,7 +278,8 @@ def run_pipeline(
     other) or reported stalled when a full pass over the queue makes no
     progress. Once the queue drains, a correlated equilibrium is computed for
     every settled task whose pair is fully known, each verified with the
-    deviation check.
+    deviation check. A task that would train on a view that is not 2x2
+    raises PreconditionError before it trains: estimation reads 2x2 views.
     """
     if main_player is None:
         main_player = game.players[0]
@@ -326,6 +327,11 @@ def run_pipeline(
         if not against_set(true_view):
             record.detail = {"reason": "induced view has fewer than 2 equilibria"}
             return "skipped_not_against"
+        if true_view.menu_sizes != (2, 2):
+            raise PreconditionError(
+                f"task {task.describe()} would train on a view with menus "
+                f"{true_view.decisions}; estimation takes 2x2 views only"
+            )
 
         task_seed = _task_seed(seed, record.index)
         trained = train_pair(true_view, task.pair, config, task_seed)

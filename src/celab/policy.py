@@ -24,8 +24,9 @@ compute instead of running the pass again, and the update differentiates the
 very probabilities the rollout sampled from. A `RolloutRecord` holds layer
 inputs 2-8 and the probabilities of every step, for every net; the caller
 that runs the rollouts and updates owns it (`train_pair` keeps one across
-runs of the same shapes, see `celab.training`), and every rollout
-overwrites it. A record slot holds one step, and it is step-major (step,
+runs of the same shapes, see `celab.training`). Every rollout records,
+over what the last one left: `policy_fn` writes its step n into slot n. A
+record slot holds one step, and it is step-major (step,
 net, round) because the rollout writes a whole step at once: each layer's
 result lands in one contiguous block, and no step allocates. The update
 reads one net in (round, step) row order, the order `forward` over the
@@ -51,7 +52,7 @@ without a slot allocates a fresh block that is dropped when the call
 returns. The stack runs under `np.errstate`, so a non-finite value raises
 NumericError, not a RuntimeWarning from a matmul.
 
-A recording `policy_fn` tiles the stacked biases once per rollout into
+`policy_fn` tiles the stacked biases once per rollout into
 contiguous (P, M, fan_out) copies, which each step adds in place of
 broadcast (P, 1, fan_out) views of `flat`: the broadcast add costs about
 twice as much, nine times a step. The values added are the same, so are
@@ -133,7 +134,7 @@ class PolicyParams:
     then its bias; `weights[i]` and `biases[i]` are views of it, of shape
     (fan_in, fan_out) and (fan_out,). P nets stacked into one (`stack`)
     have a (P, size) `flat`, and their views are (P, fan_in, fan_out) and
-    (P, 1, fan_out). The stacked params of a recording `policy_fn` hold
+    (P, 1, fan_out). The stacked params of a `policy_fn` hold
     (P, M, fan_out) bias copies instead, which are not views of `flat`.
     """
 
@@ -624,24 +625,22 @@ def load_checkpoint(path) -> tuple[PolicyParams, int | None]:
     return params, payload.get("seed")
 
 
-def policy_fn(*params: PolicyParams, record: RolloutRecord | None = None):
+def policy_fn(*params: PolicyParams, record: RolloutRecord):
     """Rollout closure: (current, previous) batches -> probabilities.
 
     Each call is one `forward` over the nets' stacked weights: the B rows
-    are P consecutive blocks of B/P rows, block k played by net k. With a
-    `record`, call n writes its layer inputs and probabilities into
-    `record.slots[n]`, so the closure serves one rollout, and the stacked
-    biases are tiled once to the record's M rounds: (P, M, fan_out) copies,
-    not views of the stacked `flat`.
+    are P consecutive blocks of B/P rows, block k played by net k. Call n
+    writes its layer inputs and probabilities into `record.slots[n]`, so the
+    closure serves one rollout, and the stacked biases are tiled once to the
+    record's M rounds: (P, M, fan_out) copies, not views of the stacked
+    `flat`.
     """
     stacked = stack(params)
     calls = itertools.count()
-    if record is not None:
-        rounds = record.slots[0][0].shape[1]  # a slot block is (P, M, width)
-        stacked.biases = [np.repeat(b, rounds, axis=1) for b in stacked.biases]
+    rounds = record.slots[0][0].shape[1]  # a slot block is (P, M, width)
+    stacked.biases = [np.repeat(b, rounds, axis=1) for b in stacked.biases]
 
     def fn(cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
-        slot = None if record is None else record.slots[next(calls)]
-        return forward(stacked, cur, prev, slot)[0]
+        return forward(stacked, cur, prev, record.slots[next(calls)])[0]
 
     return fn

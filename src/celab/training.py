@@ -29,8 +29,7 @@ several such short runs in a row. A run of other shapes drops the spare and
 allocates its own, so at most one spare stays alive. A run takes the spare
 for itself, so a nested or concurrent run finds none and allocates its own.
 Every epoch writes each arena buffer before reading it, so a reused arena
-gives the bytes of a fresh one. `update_policy` called without a record
-runs `forward` itself, into fresh arrays.
+gives the bytes of a fresh one.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .policy import (
     PolicyParams,
     RolloutRecord,
     Workspace,
-    forward,
+    forward,  # no update calls it; perfbench's tracer rebinds celab.training.forward
     gradients,
     init_policy,
     loss_value,
@@ -99,6 +98,10 @@ class TrainingConfig:
             raise PreconditionError("width_in and width_mid must be >= 1")
         if not (0.0 < self.step_size <= 1.0):
             raise PreconditionError(f"step size must lie in (0, 1], got {self.step_size}")
+        if self.steps < 2:
+            raise PreconditionError(
+                f"steps must be >= 2, so a round takes at least one action; got {self.steps}"
+            )
         if self.steps < min_steps(self.step_size):
             raise PreconditionError(
                 f"steps must satisfy N >= ceil(1/step_size) so every grid state "
@@ -190,16 +193,15 @@ def update_policy(
     rewards: RewardTensor,
     state: AdamState,
     config: TrainingConfig,
-    workspace: Workspace | None = None,
-    recorded: tuple[RolloutRecord, int] | None = None,
+    workspace: Workspace,
+    recorded: tuple[RolloutRecord, int],
 ) -> tuple[PolicyParams, AdamState, UpdateStats]:
     """One Adam step on the summed weighted log loss over all (round, step)
     units. Each choice, an index into the actions, is weighted by the
     standardized reward of the state it produced (column n+1), never of the
     state it left. `recorded`, a record and the index of this net in it,
     gives the forward pass of the rollout that produced `batch` with these
-    `params`; without it the update runs `forward`. The loss and backward
-    passes share `workspace` (a fresh one when omitted)."""
+    `params`. The loss and backward passes share `workspace`."""
     states = batch.states
     m, n, h = states.shape
     cur = states[:, :-1].reshape(-1, h)
@@ -207,20 +209,15 @@ def update_policy(
     chosen = batch.action_indices.reshape(-1)
     weights = rewards.standardized[:, 1:].reshape(-1)
 
-    ws = Workspace() if workspace is None else workspace
-    if recorded is None:
-        probs, trace = forward(params, cur, prev)
-    else:
-        record, net = recorded
-        trace = record.trace(net, cur, prev, ws)
-        probs = trace.probs
-    loss = loss_value(probs, chosen, weights, ws)
+    record, net = recorded
+    trace = record.trace(net, cur, prev, workspace)
+    loss = loss_value(trace.probs, chosen, weights, workspace)
     if not np.isfinite(loss):
         raise NumericError(
             f"non-finite training loss {loss!r} "
             f"(weight range [{weights.min()}, {weights.max()}])"
         )
-    grads = gradients(params, trace, chosen, weights, ws)
+    grads = gradients(params, trace, chosen, weights, workspace)
     grad_max = float(np.abs(grads.flat).max())
     new_params, new_state = adam_step(params, grads, state, config.learning_rate)
     return new_params, new_state, UpdateStats(loss=loss, grad_max=grad_max)

@@ -322,3 +322,37 @@ def reference_rollout(params, rounds: int, steps: int, step_size: float, rngs, s
         indices[:, n] = reference_sample_index(probs[-1], draws[:, n])
         states[:, n + 1] = reference_apply_action(cur, actions[indices[:, n]])
     return states, indices, np.stack(probs)
+
+
+def reference_update(params, batch, rewards, state, config):
+    """`celab.training.update_policy` as it stood when it could run without
+    a rollout record, kept as the byte-for-byte reference for the update
+    that reads one: a fresh `forward` over the batch's (round, step) rows,
+    then `loss_value`, `gradients` and `adam_step` with fresh workspaces.
+    Returns the new params, the new Adam state and the update's stats."""
+    from celab.policy import forward, gradients, loss_value
+    from celab.training import UpdateStats, adam_step
+
+    states = batch.states
+    m, n, h = states.shape
+    cur = states[:, :-1].reshape(-1, h)
+    prev = np.concatenate([states[:, :1], states[:, : n - 2]], axis=1).reshape(-1, h)
+    chosen = batch.action_indices.reshape(-1)
+    weights = rewards.standardized[:, 1:].reshape(-1)
+    probs, trace = forward(params, cur, prev)
+    loss = loss_value(probs, chosen, weights)
+    if not np.isfinite(loss):
+        raise NumericError(f"non-finite training loss {loss!r}")
+    grads = gradients(params, trace, chosen, weights)
+    new_params, new_state = adam_step(params, grads, state, config.learning_rate)
+    stats = UpdateStats(loss=loss, grad_max=float(np.abs(grads.flat).max()))
+    return new_params, new_state, stats
+
+
+def is_simplex_point(state: np.ndarray, tol: float = 1e-12) -> bool:
+    """Whether every entry lies in [-tol, 1 + tol] and the entries sum to 1
+    within `tol`."""
+    s = np.asarray(state)
+    return bool(
+        np.all(s >= -tol) and np.all(s <= 1 + tol) and abs(float(s.sum()) - 1.0) <= tol
+    )

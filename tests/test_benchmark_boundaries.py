@@ -195,8 +195,8 @@ def test_update_looks_up_loss_and_gradients_through_its_module(monkeypatch):
     # train_coord exist only while update_policy looks both names up on
     # `celab.training`, once each per update
     import celab.training
-    from celab.env import EpisodeBatch
-    from celab.policy import init_policy
+    from celab.env import rollout
+    from celab.policy import RolloutRecord, Workspace, init_policy, policy_fn
     from celab.training import AdamState, RewardTensor, TrainingConfig, update_policy
 
     calls = {"loss_value": 0, "gradients": 0}
@@ -213,17 +213,16 @@ def test_update_looks_up_loss_and_gradients_through_its_module(monkeypatch):
     counting("loss_value")
     counting("gradients")
     rng = np.random.default_rng(3)
-    raw = rng.random((2, 5, 4))
-    batch = EpisodeBatch(
-        states=raw / raw.sum(axis=2, keepdims=True),
-        action_indices=rng.integers(0, 27, size=(2, 4)),
-        step_size=0.25,
+    params = init_policy(4, 27, 4, 6, rng)
+    record = RolloutRecord(params, nets=1, rounds=2, steps=4)
+    batch = rollout(
+        policy_fn(params, record=record), 2, 5, 0.25,
+        [np.random.default_rng(m) for m in range(2)], start=np.full(4, 0.25),
     )
     std = rng.normal(size=(2, 5))
-    params = init_policy(4, 27, 4, 6, rng)
     config = TrainingConfig(rounds=2, steps=5, step_size=0.25, width_in=4, width_mid=6)
     update_policy(
         params, batch, RewardTensor(raw=std, discounted=std, standardized=std),
-        AdamState.zeros_like(params), config,
+        AdamState.zeros_like(params), config, Workspace(), (record, 0),
     )
     assert calls == {"loss_value": 1, "gradients": 1}

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,6 +379,17 @@ class TestPipeline:
         )
         assert code == 2
 
+    def test_a_view_that_is_not_2x2_exits_2_naming_the_task(
+        self, three_by_two_game, tmp_path, capsys
+    ):
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(three_by_two_game))
+        out = tmp_path / "manifest.json"
+        assert main(["pipeline", str(game), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: task p1-p2 [p3=A] would train on a view with menus")
+        assert not out.exists()
+
 
 def _golden_runs():
     """(fixture, argv tail, distribution) for every run the golden digest covers."""
@@ -457,6 +469,10 @@ def test_train_and_pipeline_raw_bytes_digest(fixtures_dir, tmp_path, monkeypatch
     )
 
 
+_THREE_PLAYER_GAME = json.loads(
+    (Path(__file__).resolve().parent.parent / "fixtures" / "three_player.json").read_text()
+)
+
 _VALID_GAME = {
     "players": ["p1", "p2"],
     "decisions": {"p1": ["C", "D"], "p2": ["C", "D"]},
@@ -506,6 +522,8 @@ _ZERO_MASS_GAME = {
         (["pipeline", "--known-player", "p1", "--known-player", "p2"], _ZERO_MASS_GAME, None),
         (["train", "--epochs", "1", "--prefix", "a/b"], {}, None),
         (["train", "--epochs", "1", "--prefix", "../escape"], {}, None),
+        (["train", "--step-size", "1", "--steps", "1"], {}, None),
+        (["pipeline", "--step-size", "1", "--steps", "1"], _THREE_PLAYER_GAME, None),
     ],
     ids=[
         "zero-step-size", "zero-width-mid", "zero-width-in", "nan-learning-rate",
@@ -516,6 +534,7 @@ _ZERO_MASS_GAME = {
         "train-negative-seed", "pipeline-negative-seed", "hull-without-point",
         "pipeline-zero-epochs", "pipeline-zero-mass-analytic-slice",
         "prefix-with-a-directory", "prefix-leaving-the-out-dir",
+        "train-one-state-round", "pipeline-one-state-round",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(

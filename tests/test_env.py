@@ -4,7 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import reference_apply_action, reference_rollout, reference_sample_index
+from oracles import (
+    is_simplex_point,
+    reference_apply_action,
+    reference_rollout,
+    reference_sample_index,
+)
 
 from celab.env import (
     EpisodeBatch,
@@ -12,7 +17,6 @@ from celab.env import (
     average_states,
     default_state,
     enumerate_actions,
-    is_simplex_point,
     min_steps,
     rollout,
     sample_index,

@@ -3,7 +3,7 @@ import pytest
 
 from celab.equilibrium import (
     correlated_equilibrium_program,
-    count_equilibria,
+    enumerate_equilibria,
     enumerate_pure_nash,
     in_nash_payoff_hull,
     is_correlated_equilibrium,
@@ -193,13 +193,13 @@ class TestMixedNash:
 
 class TestEquilibriumCounts:
     def test_chicken(self, chicken):
-        assert count_equilibria(chicken) == 3
+        assert len(enumerate_equilibria(chicken)) == 3
 
     def test_mirror(self, mirror):
-        assert count_equilibria(mirror) == 1
+        assert len(enumerate_equilibria(mirror)) == 1
 
     def test_dominant(self, dominant):
-        assert count_equilibria(dominant) == 1
+        assert len(enumerate_equilibria(dominant)) == 1
 
 
 class TestMirrorGameCE:

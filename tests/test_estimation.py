@@ -58,7 +58,7 @@ class TestReorder:
     def test_rotated_mapping_shifts_one_slot(self, mirror):
         view = reorder(mirror.payoff("p1"), THIRDS)
         for k in range(4):
-            assert view.original_index(k, rotated=True) == view.permutation[(k + 1) % 4]
+            assert view._slots(True)[k] == view.permutation[(k + 1) % 4]
 
     def test_rejects_malformed_inputs(self):
         with pytest.raises(PreconditionError, match="must match"):

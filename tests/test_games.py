@@ -1,13 +1,12 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from celab.errors import InvalidGameError, PreconditionError
 from celab.games import (
     RenormalizedPayoffWarning,
-    expected_reward,
     game_to_dict,
     load_game,
     make_game,
@@ -25,9 +24,9 @@ def simple_game(v1, v2):
 
 
 def test_decision_set_order(chicken):
-    sets = chicken.decision_sets()
-    assert [d.index for d in sets] == [1, 2, 3, 4]
-    assert [d.labels for d in sets] == [
+    combos = list(itertools.product(*chicken.decisions))
+    assert [chicken.outcome_index(c) + 1 for c in combos] == [1, 2, 3, 4]
+    assert combos == [
         ("C", "C"),
         ("C", "D"),
         ("D", "C"),
@@ -42,37 +41,6 @@ def test_outcome_index(chicken):
         chicken.outcome_index(["C"])
     with pytest.raises(PreconditionError):
         chicken.outcome_index(["C", "Z"])
-
-
-def test_expected_reward_uniform_support(mirror):
-    state = np.array([1 / 3, 1 / 3, 1 / 3, 0.0])
-    r = expected_reward(state, mirror.payoff("p1"))
-    assert abs(r - (0.3571 + 0.4286 + 0.2143) / 3) < 1e-15
-    assert abs(r - 1 / 3) < 1e-4
-
-
-def test_expected_reward_point_mass(mirror):
-    state = np.array([0.0, 1.0, 0.0, 0.0])
-    assert expected_reward(state, mirror.payoff("p1")) == pytest.approx(0.4286)
-
-
-def test_expected_reward_shape_mismatch(mirror):
-    with pytest.raises(ValueError):
-        expected_reward(np.ones(3) / 3, mirror.payoff("p1"))
-
-
-@given(
-    st.lists(st.floats(0, 1), min_size=4, max_size=4),
-    st.lists(st.floats(0, 1), min_size=4, max_size=4),
-    st.floats(0, 1),
-)
-def test_expected_reward_is_linear(a, b, alpha):
-    v = np.array([0.1, 0.2, 0.3, 0.4])
-    a = np.array(a)
-    b = np.array(b)
-    lhs = expected_reward(alpha * a + (1 - alpha) * b, v)
-    rhs = alpha * expected_reward(a, v) + (1 - alpha) * expected_reward(b, v)
-    assert abs(lhs - rhs) < 1e-12
 
 
 def test_make_game_rejects_bad_sum():

@@ -3,13 +3,14 @@
 import copy
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 from oracles import reference_slice_indices
 
 from celab.errors import PreconditionError
-from celab.games import make_game
+from celab.games import game_from_dict, make_game
 from celab.pipeline import (
     InteractionTask,
     against_set,
@@ -174,6 +175,31 @@ class TestRunPipelinePreconditions:
         monkeypatch.setattr("celab.pipeline.train_pair", no_training)
         with pytest.raises(PreconditionError, match="comparison tolerance"):
             run_pipeline(three_player, comparison_tol=tol)
+
+
+class TestViewsThatAreNot2x2:
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a task trained")
+
+        monkeypatch.setattr("celab.pipeline.train_pair", no_training)
+
+    def test_a_task_that_would_train_on_one_is_refused(self, three_by_two_game):
+        # the estimator reads 2x2 views only, so training task 0's 3x2 view
+        # would be wasted
+        message = (
+            "task p1-p2 [p3=A] would train on a view with menus (('A', 'B', 'C'), ('A', 'B'))"
+        )
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}"):
+            run_pipeline(game_from_dict(three_by_two_game))
+
+    def test_views_that_are_not_against_are_still_skipped(self, three_by_two_game):
+        result = run_pipeline(game_from_dict(three_by_two_game), known_players=("p1", "p2"))
+        assert result.status == "complete"
+        statuses = [r.status for r in result.records]
+        assert statuses == ["analytic_ce"] * 2 + ["skipped_not_against"] * 5
+        assert validate_manifest(result.manifest()) == []
 
 
 @pytest.fixture(scope="module")

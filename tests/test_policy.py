@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kink_margin, reference_forward, reference_gradients, reference_loss_value
+from oracles import (
+    kink_margin,
+    reference_forward,
+    reference_gradients,
+    reference_loss_value,
+    reference_update,
+)
 
 from celab.env import rollout
 from celab.errors import NumericError, PreconditionError
@@ -159,24 +165,13 @@ def test_width_mismatch_rejected():
             forward(params, np.full(cur, 0.25), np.full(prev, 0.25))
 
 
-def _update_with_warm_workspace(params):
-    """update_policy on a workspace that a finite update has already used."""
-    from celab.env import EpisodeBatch
-    from celab.training import AdamState, RewardTensor, TrainingConfig, update_policy
-
-    rng = np.random.default_rng(10)
-    raw = rng.random((2, 4, H))
-    batch = EpisodeBatch(
-        states=raw / raw.sum(axis=2, keepdims=True),
-        action_indices=rng.integers(0, J, size=(2, 3)),
-        step_size=0.25,
-    )
-    std = rng.normal(size=(2, 4))
-    rewards = RewardTensor(raw=std, discounted=std, standardized=std)
-    config = TrainingConfig(rounds=2, steps=4, step_size=0.25, width_in=4, width_mid=6)
-    ws = Workspace()
+def _pass_into_a_filled_record(params, states):
+    """A recording pass of `params` into the slot, and the shared
+    pre-activation block, of the record an update reads, after a finite
+    pass has filled both."""
+    record = RolloutRecord(params, nets=1, rounds=len(states), steps=1)
     for net in (small_net(9), params):
-        update_policy(net, batch, rewards, AdamState.zeros_like(net), config, ws)
+        policy_fn(net, record=record)(states, states)
 
 
 # (layer, bias value, whether the next layer's weights are all zero); the
@@ -205,9 +200,10 @@ def test_nonfinite_activation_names_the_layer(layer, value, zero_next, path):
     message = f"non-finite activation in layer {layer} ({_LAYER_NAMES[layer]})"
     with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
         if path == "second_stacked_net":
-            policy_fn(small_net(9), params)(states, states)
+            record = RolloutRecord(params, nets=2, rounds=1, steps=1)
+            policy_fn(small_net(9), params, record=record)(states, states)
         elif path == "update_workspace":
-            _update_with_warm_workspace(params)
+            _pass_into_a_filled_record(params, states)
         else:
             forward(params, states[:1], states[:1])
 
@@ -312,7 +308,7 @@ def test_update_from_the_record_gives_the_bytes_of_one_that_runs_forward(widths)
         std = np.random.default_rng(k).normal(size=(rounds, steps))
         rewards = RewardTensor(raw=std, discounted=std, standardized=std)
         state = AdamState.zeros_like(net)
-        want, _, want_stats = update_policy(net, own, rewards, state, config)
+        want, _, want_stats = reference_update(net, own, rewards, state, config)
         got, _, got_stats = update_policy(net, own, rewards, state, config, ws, (record, k))
         assert (got_stats.loss, got_stats.grad_max) == (want_stats.loss, want_stats.grad_max)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
@@ -643,7 +639,7 @@ def test_checkpoint_rejects_mangled_shapes(tmp_path):
 
 def test_policy_fn_shapes():
     params = small_net(42)
-    fn = policy_fn(params)
+    fn = policy_fn(params, record=RolloutRecord(params, nets=1, rounds=6, steps=1))
     cur, prev = random_pairs(43, 6)
     probs = fn(cur, prev)
     assert probs.shape == (6, J)
@@ -653,12 +649,14 @@ def test_policy_fn_shapes():
 def test_stacked_policy_fn_matches_forward_per_block():
     pa, pb = small_net(44), small_net(45)
     cur, prev = random_pairs(46, 10)
-    probs = policy_fn(pa, pb)(cur, prev)
+    probs = policy_fn(pa, pb, record=RolloutRecord(pa, nets=2, rounds=5, steps=1))(cur, prev)
     assert np.array_equal(probs[:5], forward(pa, cur[:5], prev[:5])[0])
     assert np.array_equal(probs[5:], forward(pb, cur[5:], prev[5:])[0])
 
 
 def test_stacked_policy_fn_rejects_uneven_rows():
     cur, prev = random_pairs(47, 5)
+    nets = small_net(48), small_net(49)
+    record = RolloutRecord(nets[0], nets=2, rounds=2, steps=1)
     with pytest.raises(PreconditionError, match="split"):
-        policy_fn(small_net(48), small_net(49))(cur, prev)
+        policy_fn(*nets, record=record)(cur, prev)

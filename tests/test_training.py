@@ -120,18 +120,21 @@ class TestAdam:
 
 
 def tiny_batch(params, seed=0, rounds=2, steps=4, step_size=0.25):
+    """A rollout of `params` and its record, which the update reads."""
     rngs = [
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, 1, 0, m)))
         for m in range(rounds)
     ]
-    return rollout(
-        policy_fn(params),
+    record = RolloutRecord(params, nets=1, rounds=rounds, steps=steps - 1)
+    batch = rollout(
+        policy_fn(params, record=record),
         rounds=rounds,
         steps=steps,
         step_size=step_size,
         rngs=rngs,
         start=np.full(params.h, 1.0 / params.h),
     )
+    return batch, record
 
 
 def tiny_config(**kw):
@@ -143,13 +146,14 @@ def tiny_config(**kw):
 class TestUpdatePolicy:
     def test_zero_weights_leave_params_unchanged(self):
         params = init_policy(2, 3, 4, 6, np.random.default_rng(2))
-        batch = tiny_batch(params)
+        batch, record = tiny_batch(params)
         n = batch.states.shape[1]
         rt = RewardTensor(
             raw=np.zeros((2, n)), discounted=np.zeros((2, n)), standardized=np.zeros((2, n))
         )
         new_params, _, stats = update_policy(
-            params, batch, rt, AdamState.zeros_like(params), tiny_config()
+            params, batch, rt, AdamState.zeros_like(params), tiny_config(),
+            Workspace(), (record, 0),
         )
         assert stats.grad_max == 0.0
         for old, new in zip(params.weights, new_params.weights):
@@ -157,7 +161,7 @@ class TestUpdatePolicy:
 
     def test_positive_weight_raises_chosen_probability(self):
         params = init_policy(2, 3, 4, 6, np.random.default_rng(3))
-        batch = tiny_batch(params, seed=3)
+        batch, record = tiny_batch(params, seed=3)
         n = batch.states.shape[1]
         std = np.zeros((2, n))
         std[0, 1] = 1.0  # reward the state produced by round 0's first action
@@ -167,14 +171,15 @@ class TestUpdatePolicy:
         chosen = batch.action_indices[0, 0]
         before, _ = forward(params, cur, prev)
         new_params, _, _ = update_policy(
-            params, batch, rt, AdamState.zeros_like(params), tiny_config(learning_rate=1e-3)
+            params, batch, rt, AdamState.zeros_like(params), tiny_config(learning_rate=1e-3),
+            Workspace(), (record, 0),
         )
         after, _ = forward(new_params, cur, prev)
         assert after[0, chosen] > before[0, chosen]
 
     def test_negative_weight_lowers_chosen_probability(self):
         params = init_policy(2, 3, 4, 6, np.random.default_rng(4))
-        batch = tiny_batch(params, seed=4)
+        batch, record = tiny_batch(params, seed=4)
         n = batch.states.shape[1]
         std = np.zeros((2, n))
         std[1, 2] = -1.0
@@ -184,7 +189,8 @@ class TestUpdatePolicy:
         chosen = batch.action_indices[1, 1]
         before, _ = forward(params, cur, prev)
         new_params, _, _ = update_policy(
-            params, batch, rt, AdamState.zeros_like(params), tiny_config(learning_rate=1e-3)
+            params, batch, rt, AdamState.zeros_like(params), tiny_config(learning_rate=1e-3),
+            Workspace(), (record, 0),
         )
         after, _ = forward(new_params, cur, prev)
         assert after[0, chosen] < before[0, chosen]
@@ -193,7 +199,7 @@ class TestUpdatePolicy:
         # the weight for an action is the reward of the state it produced, so
         # column 0 (the fixed start state) must never influence the update
         params = init_policy(2, 3, 4, 6, np.random.default_rng(5))
-        batch = tiny_batch(params, seed=5)
+        batch, record = tiny_batch(params, seed=5)
         n = batch.states.shape[1]
         base = np.zeros((2, n))
         base[:, 1:] = np.random.default_rng(6).normal(size=(2, n - 1))
@@ -207,7 +213,8 @@ class TestUpdatePolicy:
                 raw=np.zeros((2, n)), discounted=np.zeros((2, n)), standardized=std
             )
             new_params, _, _ = update_policy(
-                params, batch, rt, AdamState.zeros_like(params), tiny_config()
+                params, batch, rt, AdamState.zeros_like(params), tiny_config(),
+                Workspace(), (record, 0),
             )
             results.append(new_params)
         for a, b in zip(results[0].weights, results[1].weights):
@@ -251,6 +258,9 @@ class TestConfig:
             tiny_config(discount=1.5)
         with pytest.raises(PreconditionError, match="ceil"):
             tiny_config(steps=2, step_size=0.25)
+        # ceil(1/1) is 1, but a round of one state takes no action
+        with pytest.raises(PreconditionError, match="steps must be >= 2"):
+            tiny_config(steps=1, step_size=1.0)
         with pytest.raises(PreconditionError, match="learning rate"):
             tiny_config(learning_rate=0.0)
         with pytest.raises(PreconditionError, match="step size"):
