@@ -19,6 +19,7 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,9 @@ from .equilibrium import (
     max_welfare_correlated_equilibrium,
 )
 from .errors import InvalidGameError, NumericError, PreconditionError, SolverError
-from .estimation import estimate_payoff, estimation_report
-from .games import Game, load_game
-from .pipeline import _oriented, run_pipeline, validate_manifest
+from .estimation import COMPARISON_TOL, estimate_payoff, estimation_report, known_major_order
+from .games import Game, load_game, on_simplex
+from .pipeline import run_pipeline, validate_manifest
 from .policy import save_checkpoint
 from .training import TrainingConfig, require_seed, train_pair, write_history_csv
 
@@ -126,7 +127,7 @@ def _load_distribution(path: str, expected: int) -> np.ndarray:
         raise PreconditionError(
             f"{path}: distribution must be a flat array of {expected} probabilities"
         )
-    if np.any(vec < -1e-9) or abs(float(vec.sum()) - 1.0) > 1e-6:
+    if not on_simplex(vec):
         raise PreconditionError(f"{path}: distribution is not a point on the simplex")
     return np.clip(vec, 0.0, None)
 
@@ -140,18 +141,7 @@ def _outcome_labels(game: Game) -> list[str]:
 
 
 def _training_config(args) -> TrainingConfig:
-    return TrainingConfig(
-        rounds=args.rounds,
-        steps=args.steps,
-        step_size=args.step_size,
-        discount=args.discount,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        stability_window=args.stability_window,
-        stability_tol=args.stability_tol,
-        width_in=args.width_in,
-        width_mid=args.width_mid,
-    )
+    return TrainingConfig(**{f.name: getattr(args, f.name) for f in fields(TrainingConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +205,6 @@ def cmd_solve(args) -> int:
         if not np.isfinite(args.point).all():
             raise PreconditionError("--point payoffs must be finite numbers")
         equilibria = enumerate_equilibria(game)
-        if not equilibria:
-            raise PreconditionError("hull test needs at least one equilibrium payoff")
         ne_payoffs = [eq.payoffs for eq in equilibria]
         verdicts = []
         for point in args.point:
@@ -328,8 +316,7 @@ def cmd_estimate(args) -> int:
     _refuse_overwrite(target, args.force)
     distribution = _load_distribution(args.distribution, game.num_outcomes)
 
-    # The estimator expects the known player on the major axis.
-    order = _oriented(known_first=known == a)
+    order = known_major_order(known_first=known == a)
     v_main = game.payoff(known)[order]
     p_view = distribution[order]
 
@@ -467,24 +454,25 @@ def cmd_pipeline(args) -> int:
 # parser
 
 
+_TRAINING_HELP = {
+    "rounds": "simulation rounds per epoch (M)",
+    "steps": "environment steps per round (N)",
+    "step_size": "per-component action step (theta)",
+    "discount": "reward discount per remaining step (gamma)",
+    "stability_window": "trailing epochs that must agree for stability (K)",
+    "stability_tol": "stability tolerance (default: 2 * step size)",
+}
+
+
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = TrainingConfig()
-    parser.add_argument("--rounds", type=int, default=defaults.rounds,
-                        help="simulation rounds per epoch (M)")
-    parser.add_argument("--steps", type=int, default=defaults.steps,
-                        help="environment steps per round (N)")
-    parser.add_argument("--step-size", type=float, default=defaults.step_size,
-                        help="per-component action step (theta)")
-    parser.add_argument("--discount", type=float, default=defaults.discount,
-                        help="reward discount per remaining step (gamma)")
-    parser.add_argument("--learning-rate", type=float, default=defaults.learning_rate)
-    parser.add_argument("--epochs", type=int, default=defaults.epochs)
-    parser.add_argument("--stability-window", type=int, default=defaults.stability_window,
-                        help="trailing epochs that must agree for stability (K)")
-    parser.add_argument("--stability-tol", type=float, default=None,
-                        help="stability tolerance (default: 2 * step size)")
-    parser.add_argument("--width-in", type=int, default=defaults.width_in)
-    parser.add_argument("--width-mid", type=int, default=defaults.width_mid)
+    """One flag per TrainingConfig field, with the field's default."""
+    for f in fields(TrainingConfig):
+        parser.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=int if isinstance(f.default, int) else float,  # stability_tol=None: float
+            default=f.default,
+            help=_TRAINING_HELP.get(f.name),
+        )
 
 
 def _add_common_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -535,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--known-player", required=True)
     estimate.add_argument("--distribution", required=True,
                           help="JSON file with the observed joint distribution")
-    estimate.add_argument("--comparison-tol", type=float, default=1e-9,
+    estimate.add_argument("--comparison-tol", type=float, default=COMPARISON_TOL,
                           help="tolerance for ranking ties in the sorted view")
     estimate.add_argument("--rotate-opponent", action="store_true",
                           help="assume the opposing decision axis is flipped")
@@ -557,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="player whose payoffs are given (repeatable; "
                           "default: the main player)")
     pipeline.add_argument("--seed", type=int, default=0)
-    pipeline.add_argument("--comparison-tol", type=float, default=1e-9)
+    pipeline.add_argument("--comparison-tol", type=float, default=COMPARISON_TOL)
     pipeline.add_argument("--rotate-opponent", action="store_true")
     pipeline.add_argument("--out", default=None, help="JSON output path")
     _add_training_flags(pipeline)

@@ -1,11 +1,13 @@
-"""Nash and correlated equilibria for two-player views.
+"""Correlated equilibria of I-player games; Nash equilibria of two-player views.
 
 Correlated equilibria are joint distributions over the H outcome cells such
 that no player, told its own component of a sampled cell, gains by swapping
 to a different decision. The welfare-maximal CE comes out of a small LP; the
 deviation checker `is_correlated_equilibrium` is written as direct sums,
 deliberately not sharing code with the LP row builder, so the two act as
-independent routes to the same definition.
+independent routes to the same definition. Both take any number of players;
+the Nash helpers (`enumerate_pure_nash`, `mixed_nash_2x2`,
+`enumerate_equilibria`) take 2-player views only.
 """
 
 from __future__ import annotations
@@ -74,36 +76,37 @@ def correlated_equilibrium_program(game: Game) -> LinearProgram:
     """LP over cell probabilities rho whose feasible set is the CE polytope.
 
     One row per player per ordered pair of own decisions (told a, deviate to
-    a'), stored in <= form; the objective is total welfare.
+    a'), summed over the other players' decisions and stored in <= form; the
+    objective is total welfare.
     """
-    u1, u2 = _two_player(game)
+    grids = [game.payoff_matrix(p) for p in game.players]
     # keep >= 0 rows as -row <= 0; negating the whole row makes its zeros -0.0
     rows = []
-    for a, a_alt in permutations(range(u1.shape[0]), 2):
-        row = np.zeros(u1.shape)
-        row[a] = u1[a] - u1[a_alt]
-        rows.append(-row.reshape(-1))
-    for b, b_alt in permutations(range(u2.shape[1]), 2):
-        row = np.zeros(u2.shape)
-        row[:, b] = u2[:, b] - u2[:, b_alt]
-        rows.append(-row.reshape(-1))
+    for k, u in enumerate(grids):
+        own = u.swapaxes(0, k)  # the player's own decision first
+        for a, a_alt in permutations(range(u.shape[k]), 2):
+            row = np.zeros(u.shape)
+            row.swapaxes(0, k)[a] = own[a] - own[a_alt]
+            rows.append(-row.reshape(-1))
 
-    welfare = (u1 + u2).reshape(-1)
+    # from the first payoff, not 0.0, so that a -0.0 entry stays -0.0
+    welfare = sum(grids[1:], grids[0]).reshape(-1)
     return LinearProgram(
         objective=welfare,
         ineq_rows=np.array(rows),
         ineq_rhs=np.zeros(len(rows)),
-        eq_rows=np.ones((1, u1.size)),
+        eq_rows=np.ones((1, game.num_outcomes)),
         eq_rhs=np.array([1.0]),
     )
 
 
 def max_welfare_correlated_equilibrium(game: Game) -> CESolution:
-    """Welfare-maximal correlated equilibrium of a 2-player view."""
+    """Welfare-maximal correlated equilibrium of a game with any number of
+    players, every payoff vector known."""
     lp = correlated_equilibrium_program(game)
     sol: LPSolution = solve_lp(lp)
     if sol.status != "optimal":
-        # any pure NE point mass is feasible for valid games, so this is a bug
+        # every finite game has a CE, so this is a solver bug
         raise SolverError(f"CE program unexpectedly {sol.status}")
     dist = np.maximum(sol.x, 0.0)
     check = is_correlated_equilibrium(game, dist)
@@ -124,35 +127,26 @@ def is_correlated_equilibrium(
 
     For each player and each decision it might be told, compare the expected
     payoff of obeying with every unilateral swap, conditioning on the told
-    decision. Returns the worst slack found.
+    decision: one cell at a time over the other players' decisions.
+    Returns the worst slack found.
     """
-    u1, u2 = _two_player(game)
-    n1, n2 = u1.shape
-    rho = np.asarray(distribution, dtype=np.float64).reshape(n1, n2)
+    rho = np.asarray(distribution, dtype=np.float64).reshape(game.menu_sizes)
     worst = 0.0
     worst_desc = None
-    for a in range(n1):
-        for a_alt in range(n1):
-            if a_alt == a:
-                continue
+    for k, p in enumerate(game.players):
+        # (own decision, other players' decisions) tables, as float lists:
+        # the sums take numpy's bits at a fraction of its per-scalar cost
+        n = rho.shape[k]
+        r = rho.swapaxes(0, k).reshape(n, -1).tolist()
+        u = game.payoff_matrix(p).swapaxes(0, k).reshape(n, -1).tolist()
+        for a, a_alt in permutations(range(n), 2):
             gain = 0.0
-            for j in range(n2):
-                gain += rho[a, j] * (u1[a, j] - u1[a_alt, j])
+            for mass, obey, swap in zip(r[a], u[a], u[a_alt]):
+                gain += mass * (obey - swap)
             if gain < -worst:
                 worst = -gain
-                worst_desc = f"player 1 told {a + 1} prefers {a_alt + 1}"
-    for b in range(n2):
-        for b_alt in range(n2):
-            if b_alt == b:
-                continue
-            gain = 0.0
-            for i in range(n1):
-                gain += rho[i, b] * (u2[i, b] - u2[i, b_alt])
-            if gain < -worst:
-                worst = -gain
-                worst_desc = f"player 2 told {b + 1} prefers {b_alt + 1}"
-    # worst turns into np.float64 at the first violation; callers serialize these
-    return CECheck(ok=bool(worst <= tol), max_violation=float(worst), worst=worst_desc)
+                worst_desc = f"player {k + 1} told {a + 1} prefers {a_alt + 1}"
+    return CECheck(ok=bool(worst <= tol), max_violation=worst, worst=worst_desc)
 
 
 def enumerate_pure_nash(game: Game) -> list[NashEquilibrium]:

@@ -17,12 +17,19 @@ import numpy as np
 
 from .equilibrium import max_welfare_correlated_equilibrium
 from .errors import PreconditionError
-from .games import make_game
+from .games import make_game, on_simplex
 from .lp import LinearProgram, solve_lp
 
 COMPARISON_TOL = 1e-9
 SLACK_TOL = 1e-7
 MIX_DEGENERATE_TOL = 1e-12
+
+
+def known_major_order(known_first: bool) -> np.ndarray:
+    """Outcome permutation of a 2x2 view that puts the known player on the
+    major axis, where the estimator expects it: the identity or the 2x2
+    transpose, each its own inverse."""
+    return np.arange(4) if known_first else np.array([0, 2, 1, 3])
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,7 @@ def reorder(v_main, p_tilde) -> ReorderedView:
         raise PreconditionError(f"payoffs {v.shape} and distribution {p.shape} must match")
     if not np.all(np.isfinite(v)) or not np.all(np.isfinite(p)):
         raise PreconditionError("payoffs and distribution must be finite")
-    if p.min() < -1e-9 or abs(p.sum() - 1.0) > 1e-6:
+    if not on_simplex(p):
         raise PreconditionError("distribution must be a point on the simplex")
     perm = tuple(int(i) for i in np.argsort(v, kind="stable"))
     return ReorderedView(

@@ -27,6 +27,13 @@ NORMALIZATION_TOL = 1e-9
 RENORMALIZE_TOL = 1e-6
 
 
+def on_simplex(v) -> bool:
+    """Whether `v` is a probability vector: every entry >= -1e-9 and a sum
+    within 1e-6 of 1. NaN fails both, so a vector holding one is not."""
+    v = np.asarray(v, dtype=np.float64)
+    return bool(np.all(v >= -NORMALIZATION_TOL)) and abs(float(v.sum()) - 1.0) <= RENORMALIZE_TOL
+
+
 class RenormalizedPayoffWarning(UserWarning):
     """A payoff vector was off simplex by more than 1e-9 and got rescaled."""
 

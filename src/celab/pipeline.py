@@ -29,14 +29,11 @@ from .equilibrium import (
     max_welfare_correlated_equilibrium,
 )
 from .errors import PreconditionError
-from .estimation import estimate_payoff, estimation_report
-from .games import Game, make_game
+from .estimation import COMPARISON_TOL, estimate_payoff, estimation_report, known_major_order
+from .games import Game, make_game, on_simplex
 from .training import TrainingConfig, require_seed, train_pair
 
 SLICE_MASS_TOL = 1e-9
-
-# 2x2 transpose as an outcome permutation; its own inverse.
-_SWAP_2X2 = np.array([0, 2, 1, 3])
 
 TASK_STATUSES = frozenset(
     {
@@ -235,11 +232,6 @@ def _task_seed(seed: int, task_index: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(2, task_index)).generate_state(1)[0])
 
 
-def _oriented(known_first: bool) -> np.ndarray:
-    """Outcome permutation putting the known player on the major axis."""
-    return np.arange(4) if known_first else _SWAP_2X2
-
-
 def _ce_record(
     game: Game,
     knowledge: Mapping[str, KnownVector | None],
@@ -268,7 +260,7 @@ def run_pipeline(
     known_players: Sequence[str] | None = None,
     config: TrainingConfig | None = None,
     seed: int = 0,
-    comparison_tol: float = 1e-9,
+    comparison_tol: float = COMPARISON_TOL,
     rotate_opponent: bool = False,
 ) -> PipelineResult:
     """Run the full pairwise estimation pipeline.
@@ -337,7 +329,7 @@ def run_pipeline(
         trained = train_pair(true_view, task.pair, config, task_seed)
 
         known_p, unknown_p = (a, b) if knowledge[a] is not None else (b, a)
-        order = _oriented(known_first=known_p == a)
+        order = known_major_order(known_first=known_p == a)
         indices = slice_indices(game, task)
         known_slice = _renormalized_slice(
             knowledge[known_p].values, indices, task, "known payoff mass"
@@ -481,7 +473,7 @@ def validate_manifest(manifest: Mapping) -> list[str]:
             findings.append(f"{p}: provenance {prov} but no vector")
             continue
         v = np.asarray(vector, dtype=np.float64)
-        if abs(float(v.sum()) - 1.0) > 1e-6 or np.any(v < -1e-9):
+        if not on_simplex(v):
             findings.append(f"{p}: vector is not a distribution (sum={v.sum()})")
     main_entry = knowledge.get(main) or {}
     if main_entry.get("provenance") != "given":
@@ -506,7 +498,7 @@ def validate_manifest(manifest: Mapping) -> list[str]:
         if idx not in indices:
             findings.append(f"ce result references unknown task {idx}")
         dist = np.asarray(c.get("distribution", ()), dtype=np.float64)
-        if dist.size == 0 or abs(float(dist.sum()) - 1.0) > 1e-6 or np.any(dist < -1e-9):
+        if not on_simplex(dist):
             findings.append(f"ce result for task {idx}: not a distribution")
         if not c.get("is_ce", False):
             findings.append(f"ce result for task {idx}: deviation check failed")

@@ -71,8 +71,7 @@ intermediates come to megabytes. Freed after every call, that memory goes
 back to the operating system and is faulted in again on the next one,
 which costs more than the arithmetic. So these write every row-sized
 intermediate into a `Workspace` that the caller owns and passes to each
-call; `train_pair` keeps one with its record. Called without one,
-`loss_value` and `gradients` make a fresh workspace.
+call; `train_pair` keeps one with its record.
 """
 
 from __future__ import annotations
@@ -450,25 +449,24 @@ def loss_value(
     probs: np.ndarray,
     chosen: np.ndarray,
     weights: np.ndarray,
-    workspace: Workspace | None = None,
+    workspace: Workspace,
 ) -> float:
     """Two-sided weighted logarithmic loss over (B, J) probabilities, summed
     over the batch: every action's probability enters (the chosen one via
     log p, the rest via log(1-p)), so a positive weight pushes unchosen
     probabilities down. `chosen` holds each row's action index, (B,).
-    Intermediates go to `workspace` (a fresh one when omitted).
+    Intermediates go to `workspace`.
     """
-    ws = Workspace() if workspace is None else workspace
-    p = _clipped(probs, ws)
+    p = _clipped(probs, workspace)
     at = _chosen_entries(chosen, p.shape)
     w = np.atleast_1d(weights)
     # log(1 - p) everywhere, then log p at the chosen entries: the bits of
     # y log p + (1 - y) log(1 - p) over one-hot rows y, whose other products
     # are signed zeros added to non-zero terms
-    terms = ws.array(("scratch", 0), p.shape)
+    terms = workspace.array(("scratch", 0), p.shape)
     np.log(np.subtract(1.0, p, out=terms), out=terms)
     terms.put(at, np.log(p.take(at)))
-    per_unit = terms.sum(axis=1, out=ws.array("per_row", p.shape[:1]))
+    per_unit = terms.sum(axis=1, out=workspace.array("per_row", p.shape[:1]))
     np.negative(per_unit, out=per_unit)
     return float(np.multiply(w, per_unit, out=per_unit).sum())
 
@@ -486,22 +484,21 @@ def gradients(
     trace: ForwardTrace,
     chosen: np.ndarray,
     weights: np.ndarray | float,
-    workspace: Workspace | None = None,
+    workspace: Workspace,
 ) -> PolicyParams:
     """Analytic gradient of `loss_value`'s loss, summed over the batch,
     laid out as `params` are: a fresh vector each call, so a gradient stays
     valid after the next one.
 
     chosen: each row's action index (B,); weights: per-row scalars (or one
-    scalar). Intermediates go to `workspace` (a fresh one when omitted); it
-    may be the one that holds `trace`, whose buffers this function only
-    reads. It reads each of `trace.layer_inputs` once, from layer 8 down.
+    scalar). Intermediates go to `workspace`; it may be the one that holds
+    `trace`, whose buffers this function only reads. It reads each of
+    `trace.layer_inputs` once, from layer 8 down.
     """
-    ws = Workspace() if workspace is None else workspace
     p_raw = trace.probs
     batch = p_raw.shape[0]
     w = np.broadcast_to(np.asarray(weights, dtype=np.float64), (batch,))
-    p = _clipped(p_raw, ws)
+    p = _clipped(p_raw, workspace)
     at = _chosen_entries(chosen, p.shape)
     if not (p.min() > 0.0 and p.max() < 1.0):  # False on NaN as well
         raise NumericError("probabilities escaped the epsilon guard")
@@ -511,14 +508,14 @@ def gradients(
     # grown copy at once
     widest = max(p.shape[1], max(layer.shape[0] for layer in params.weights[2:]))
     for k in (0, 1):
-        ws.array(("scratch", k), (batch, widest))
+        workspace.array(("scratch", k), (batch, widest))
 
     # dL/dp per unit, then through the softmax jacobian:
     # dL/dz_j = p_j * (g_j - sum_k g_k p_k)
     # The scratch buffers alternate: layer i's upstream goes to ("scratch",
     # i % 2) while its delta sits in the other one.
-    g = ws.array(("scratch", 1), p.shape)
-    other = ws.array(("scratch", 0), p.shape)
+    g = workspace.array(("scratch", 1), p.shape)
+    other = workspace.array(("scratch", 0), p.shape)
     # 1 / (1 - p) everywhere, then -(1 / p) at the chosen entries: the bits
     # of -(y / p) + (1 - y) / (1 - p) over one-hot rows y
     np.divide(1.0, np.subtract(1.0, p, out=g), out=g)
@@ -526,7 +523,7 @@ def gradients(
     g.put(at, np.negative(np.divide(1.0, picked, out=picked), out=picked))
     g *= w[:, None]
     np.multiply(g, p_raw, out=other)
-    g -= other.sum(axis=1, keepdims=True, out=ws.array("column", (batch, 1)))
+    g -= other.sum(axis=1, keepdims=True, out=workspace.array("column", (batch, 1)))
     delta = np.multiply(p_raw, g, out=g)
 
     grads = replace(params, flat=np.empty_like(params.flat))
@@ -538,18 +535,18 @@ def gradients(
         _sum_rows(delta, grads.biases[i])
         upstream = np.matmul(
             delta, params.weights[i].T,
-            out=ws.array(("scratch", i % 2), (batch, params.weights[i].shape[0])),
+            out=workspace.array(("scratch", i % 2), (batch, params.weights[i].shape[0])),
         )
         if i == 2:
             break
         # delta = upstream * activation'(z_below), in place. The sign of the
         # activation's output decides it: for both, act(z) > 0 iff z > 0
-        rising = np.greater(x, 0.0, out=ws.array("mask", x.shape, bool))
+        rising = np.greater(x, 0.0, out=workspace.array("mask", x.shape, bool))
         if i <= 5:  # LeakyReLU below (layers 2-4)
             # 1 where rising, else the slope: a multiply by this exact factor
             # gives the bits of a masked multiply, which costs about four
             # times as much. The spent delta's buffer holds the factor.
-            factor = ws.array(("scratch", (i + 1) % 2), x.shape)
+            factor = workspace.array(("scratch", (i + 1) % 2), x.shape)
             upstream *= np.maximum(rising, LEAKY_SLOPE, out=factor)
         else:  # ReLU below (layers 5-7)
             upstream *= rising

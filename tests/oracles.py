@@ -32,6 +32,63 @@ def deviation_matrix(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
+def ce_deviation_rows(payoffs, sizes) -> np.ndarray:
+    """Rows D such that rho is a CE iff D @ rho >= 0, for any number of
+    players: one row per player per (told, deviate) pair, built cell by cell
+    over the row-major outcome list."""
+    cells = list(itertools.product(*(range(n) for n in sizes)))
+    where = {c: f for f, c in enumerate(cells)}
+    rows = []
+    for k, u in enumerate(payoffs):
+        for a, a_alt in itertools.permutations(range(sizes[k]), 2):
+            row = np.zeros(len(cells))
+            for f, c in enumerate(cells):
+                if c[k] == a:
+                    row[f] = u[f] - u[where[c[:k] + (a_alt,) + c[k + 1 :]]]
+            rows.append(row)
+    return np.array(rows)
+
+
+def two_player_ce_program(u1: np.ndarray, u2: np.ndarray):
+    """(objective, rows, rhs) of the CE program as the two-player builder
+    wrote it, block by block: the byte reference for the I-player one."""
+    rows = []
+    for a, a_alt in itertools.permutations(range(u1.shape[0]), 2):
+        row = np.zeros(u1.shape)
+        row[a] = u1[a] - u1[a_alt]
+        rows.append(-row.reshape(-1))
+    for b, b_alt in itertools.permutations(range(u2.shape[1]), 2):
+        row = np.zeros(u2.shape)
+        row[:, b] = u2[:, b] - u2[:, b_alt]
+        rows.append(-row.reshape(-1))
+    return (u1 + u2).reshape(-1), np.array(rows), np.zeros(len(rows))
+
+
+def two_player_ce_check(u1: np.ndarray, u2: np.ndarray, rho: np.ndarray, tol: float = 1e-9):
+    """(ok, max_violation, worst) of the two-player deviation check, summed
+    cell by cell in its order: the byte reference for the I-player one."""
+    n1, n2 = u1.shape
+    rho = np.asarray(rho, dtype=np.float64).reshape(n1, n2)
+    worst, worst_desc = 0.0, None
+    for a in range(n1):
+        for a_alt in range(n1):
+            if a_alt != a:
+                gain = 0.0
+                for j in range(n2):
+                    gain += rho[a, j] * (u1[a, j] - u1[a_alt, j])
+                if gain < -worst:
+                    worst, worst_desc = -gain, f"player 1 told {a + 1} prefers {a_alt + 1}"
+    for b in range(n2):
+        for b_alt in range(n2):
+            if b_alt != b:
+                gain = 0.0
+                for i in range(n1):
+                    gain += rho[i, b] * (u2[i, b] - u2[i, b_alt])
+                if gain < -worst:
+                    worst, worst_desc = -gain, f"player 2 told {b + 1} prefers {b_alt + 1}"
+    return bool(worst <= tol), float(worst), worst_desc
+
+
 def simplex_grid(h: int, resolution: float) -> np.ndarray:
     """All simplex points whose coordinates are multiples of `resolution`."""
     r = round(1.0 / resolution)
@@ -330,7 +387,7 @@ def reference_update(params, batch, rewards, state, config):
     that reads one: a fresh `forward` over the batch's (round, step) rows,
     then `loss_value`, `gradients` and `adam_step` with fresh workspaces.
     Returns the new params, the new Adam state and the update's stats."""
-    from celab.policy import forward, gradients, loss_value
+    from celab.policy import Workspace, forward, gradients, loss_value
     from celab.training import UpdateStats, adam_step
 
     states = batch.states
@@ -340,10 +397,10 @@ def reference_update(params, batch, rewards, state, config):
     chosen = batch.action_indices.reshape(-1)
     weights = rewards.standardized[:, 1:].reshape(-1)
     probs, trace = forward(params, cur, prev)
-    loss = loss_value(probs, chosen, weights)
+    loss = loss_value(probs, chosen, weights, Workspace())
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss {loss!r}")
-    grads = gradients(params, trace, chosen, weights)
+    grads = gradients(params, trace, chosen, weights, Workspace())
     new_params, new_state = adam_step(params, grads, state, config.learning_rate)
     stats = UpdateStats(loss=loss, grad_max=float(np.abs(grads.flat).max()))
     return new_params, new_state, stats

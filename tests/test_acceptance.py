@@ -21,7 +21,7 @@ from celab.equilibrium import (
 from celab.estimation import constraint_slacks, estimate_payoff, estimation_report
 from celab.games import make_game
 from celab.pipeline import run_pipeline, validate_manifest
-from celab.policy import forward, gradients, init_policy, loss_value
+from celab.policy import Workspace, forward, gradients, init_policy, loss_value
 from celab.training import TrainingConfig, shape_rewards, train_pair
 
 
@@ -123,7 +123,8 @@ def test_criterion_04_gradients_match_finite_differences():
         _, trace = forward(params, cur, prev)
         # central differences are only valid away from activation kinks
         assert kink_margin(params, trace) > 1e-3
-        analytic = gradients(params, trace, targets, weights)
+        ws = Workspace()
+        analytic = gradients(params, trace, targets, weights, ws)
 
         step = 1e-5
         for arrays, grads in (
@@ -135,9 +136,9 @@ def test_criterion_04_gradients_match_finite_differences():
                 for k in range(flat.size):
                     keep = flat[k]
                     flat[k] = keep + step
-                    hi = loss_value(forward(params, cur, prev)[0], targets, weights)
+                    hi = loss_value(forward(params, cur, prev)[0], targets, weights, ws)
                     flat[k] = keep - step
-                    lo = loss_value(forward(params, cur, prev)[0], targets, weights)
+                    lo = loss_value(forward(params, cur, prev)[0], targets, weights, ws)
                     flat[k] = keep
                     fd = (hi - lo) / (2 * step)
                     denom = max(abs(fd), 1e-3)

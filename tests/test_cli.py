@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from celab.cli import main
+from celab.cli import _training_config, build_parser, main
+from celab.training import TrainingConfig
 
 CHICKEN = "fixtures/chicken.json"
 COORDINATION = "fixtures/coordination_2x2.json"
@@ -80,6 +82,24 @@ class TestSolve:
                      "--point", value, "0.5", "--out", str(out)])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hull_without_equilibria_exits_2_with_one_error_line(self, tmp_path, capsys):
+        # rock-paper-scissors: no pure equilibrium, and a 3x3 view has no
+        # mixed one enumerated, so the hull has no points
+        beats = np.array([[1, 0, 2], [2, 1, 0], [0, 2, 1]]) / 9
+        game = tmp_path / "rps.json"
+        game.write_text(json.dumps({
+            "players": ["p1", "p2"],
+            "decisions": {"p1": ["R", "P", "S"], "p2": ["R", "P", "S"]},
+            "payoffs": {"p1": beats.ravel().tolist(), "p2": (2 / 9 - beats).ravel().tolist()},
+        }))
+        out = tmp_path / "out"
+        code = main(["solve", str(game), "--mode", "hull", "--point", "0.1", "0.1",
+                     "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: hull test needs at least one equilibrium payoff"]
         assert not out.exists()
 
     def test_malformed_file_diagnoses_the_line(self, tmp_path, capsys):
@@ -508,6 +528,7 @@ _ZERO_MASS_GAME = {
         (["solve"], {"decisions": {"p1": "CD", "p2": ["C", "D"]}}, None),
         (["estimate", "--known-player", "p1"], {}, ["a", "b", "c", "d"]),
         (["estimate", "--known-player", "p1"], {}, [[0.5], [0.25, 0.25]]),
+        (["estimate", "--known-player", "p1"], {}, [0.5, 0.25, float("nan"), 0.25]),
         (["estimate", "--known-player", "p1", "--comparison-tol", "nan"], {}, [0.25] * 4),
         (["estimate", "--known-player", "p1", "--comparison-tol", "-1"], {}, [0.25] * 4),
         (["pipeline", "--epochs", "2", "--comparison-tol", "nan"], {}, None),
@@ -529,7 +550,7 @@ _ZERO_MASS_GAME = {
         "zero-step-size", "zero-width-mid", "zero-width-in", "nan-learning-rate",
         "nan-stability-tol", "negative-stability-tol", "one-round", "non-numeric-payoff",
         "players-not-a-list", "menu-as-a-string", "non-numeric-distribution",
-        "ragged-distribution", "nan-comparison-tol", "negative-comparison-tol",
+        "ragged-distribution", "nan-distribution", "nan-comparison-tol", "negative-comparison-tol",
         "pipeline-nan-comparison-tol", "nan-round-trip-tol", "negative-round-trip-tol",
         "train-negative-seed", "pipeline-negative-seed", "hull-without-point",
         "pipeline-zero-epochs", "pipeline-zero-mass-analytic-slice",
@@ -538,7 +559,7 @@ _ZERO_MASS_GAME = {
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(
-    tmp_path, argv, game_fields, distribution
+    tmp_path, request, argv, game_fields, distribution
 ):
     game = tmp_path / "game.json"
     game.write_text(json.dumps({**_VALID_GAME, **game_fields}))
@@ -556,6 +577,8 @@ def test_malformed_input_exits_2_with_one_error_line(
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ")
+    if request.node.callspec.id.endswith("-distribution"):  # the file's contents are at fault
+        assert str(tmp_path / "dist.json") in line
     assert not (tmp_path / "out").exists()
     # nothing beside out/ either: a prefix such as ../escape points there
     inputs = {"game.json"} | ({"dist.json"} if distribution is not None else set())
@@ -633,3 +656,19 @@ def test_module_entry_point_runs(fx, tmp_path):
     )
     assert proc.returncode == 0
     assert "welfare" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_every_training_field_has_its_flag(command):
+    parser = build_parser()
+    assert _training_config(parser.parse_args([command, "game.json"])) == TrainingConfig()
+    values = {
+        "rounds": 3, "steps": 70, "step_size": 0.05, "discount": 0.5,
+        "learning_rate": 0.01, "epochs": 7, "stability_window": 4,
+        "stability_tol": 0.1, "width_in": 5, "width_mid": 9,
+    }
+    assert set(values) == {f.name for f in fields(TrainingConfig)}
+    argv = [command, "game.json"]
+    for name, value in values.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    assert _training_config(parser.parse_args(argv)) == TrainingConfig(**values)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,16 @@ from celab.equilibrium import (
     mixed_nash_2x2,
 )
 from celab.errors import PreconditionError, SolverError
-from celab.games import make_game
+from celab.games import Game, make_game
 
-from oracles import ce_polytope_vertices, random_square_payoffs, random_valid_2x2
+from oracles import (
+    ce_deviation_rows,
+    ce_polytope_vertices,
+    random_square_payoffs,
+    random_valid_2x2,
+    two_player_ce_check,
+    two_player_ce_program,
+)
 
 
 def game_from_matrices(u1, u2):
@@ -127,13 +136,13 @@ class TestIsCE:
                 rho = np.outer(ne.strategies[0], ne.strategies[1]).reshape(-1)
                 assert is_correlated_equilibrium(g, rho).ok
 
-    def test_requires_two_players(self):
+    def test_unknown_payoff_rejected(self):
         g = make_game(
             ["p1", "p2", "p3"],
             [["a", "b"]] * 3,
             {"p1": [0.125] * 8},
         )
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="'p2' is unknown"):
             is_correlated_equilibrium(g, np.full(8, 0.125))
 
 
@@ -145,6 +154,12 @@ class TestPureNash:
             for ne in cells
         }
         assert supports == {(0, 1), (1, 0)}
+
+    def test_requires_two_players(self):
+        players = ("p1", "p2", "p3")
+        g = make_game(players, [["a", "b"]] * 3, {p: [0.125] * 8 for p in players})
+        with pytest.raises(PreconditionError, match="requires a 2-player view"):
+            enumerate_pure_nash(g)
 
     def test_pennies_has_none(self):
         assert enumerate_pure_nash(pennies()) == []
@@ -296,3 +311,68 @@ def test_6x6_ce_reaches_the_highs_welfare():
     sol = max_welfare_correlated_equilibrium(g)
     assert is_correlated_equilibrium(g, sol.distribution).ok
     assert sol.welfare == pytest.approx(0.10051930800506961, abs=1e-9)
+
+
+def test_two_player_program_and_check_keep_the_two_player_bytes():
+    # The I-player program and checker, at I = 2, against the two-player
+    # code they replaced: 160 games from 2x2 to 5x5, rectangular ones too.
+    # The checker is run on a random point and on every cell's point mass,
+    # so that both verdicts occur.
+    for n1, n2 in itertools.product(range(2, 6), repeat=2):
+        for s in range(10):
+            rng = np.random.default_rng(1000 * n1 + 100 * n2 + s)
+            u = rng.random((2, n1 * n2))
+            u /= u.sum(axis=1, keepdims=True)
+            g = game_from_matrices(u[0].reshape(n1, n2), u[1].reshape(n1, n2))
+            u1, u2 = g.payoff_matrix("p1"), g.payoff_matrix("p2")
+            lp = correlated_equilibrium_program(g)
+            objective, rows, rhs = two_player_ce_program(u1, u2)
+            assert lp.ineq_rows.shape == rows.shape
+            assert lp.ineq_rows.tobytes() == rows.tobytes()
+            assert lp.ineq_rhs.tobytes() == rhs.tobytes()
+            assert lp.objective.tobytes() == objective.tobytes()
+            for rho in [rng.dirichlet(np.ones(n1 * n2)), *np.eye(n1 * n2)]:
+                check = is_correlated_equilibrium(g, rho)
+                ok, violation, worst = two_player_ce_check(u1, u2, rho)
+                assert check.ok == ok and check.worst == worst
+                assert np.float64(check.max_violation).tobytes() == np.float64(violation).tobytes()
+
+
+def test_negative_zero_payoff_stays_in_the_welfare():
+    # make_game turns -0.0 into 0.0, so the game is built directly
+    u = np.array([-0.0, 0.5, 0.25, 0.25])
+    g = Game(players=("p1", "p2"), decisions=(("a", "b"),) * 2, payoffs={"p1": u, "p2": u})
+    objective = correlated_equilibrium_program(g).objective
+    assert objective.tobytes() == (u + u).tobytes() and np.signbit(objective[0])
+
+
+def test_three_player_ce_matches_highs():
+    # Random 2x2x2 games; HiGHS solves the program built from oracle rows.
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    players = ("p1", "p2", "p3")
+    raised = 0
+    for s in range(200):
+        rng = np.random.default_rng(s)
+        u = [v / v.sum() for v in (rng.random(8) for _ in players)]
+        g = make_game(players, [["a", "b"]] * 3, dict(zip(players, u)))
+        sol = max_welfare_correlated_equilibrium(g)
+        d = ce_deviation_rows(u, (2, 2, 2))
+        welfare = u[0] + u[1] + u[2]
+        ref = scipy_opt.linprog(
+            -welfare, A_ub=-d, b_ub=np.zeros(len(d)),
+            A_eq=np.ones((1, 8)), b_eq=[1.0], method="highs",
+        )
+        assert sol.welfare == pytest.approx(-ref.fun, abs=1e-7)
+        assert is_correlated_equilibrium(g, sol.distribution).ok
+        # the checker's worst slack is the oracle rows' worst, on any point
+        rho = rng.dirichlet(np.ones(8))
+        want = max(0.0, float((-d @ rho).max()))
+        assert is_correlated_equilibrium(g, rho).max_violation == pytest.approx(want, abs=1e-12)
+        # a point with more welfare than the max-welfare CE is not a CE
+        best = int(np.argmax(welfare))
+        if welfare[best] > sol.welfare + 1e-9:
+            moved = 0.9 * sol.distribution
+            moved[best] += 0.1
+            assert not is_correlated_equilibrium(g, moved).ok
+            raised += 1
+    assert raised == 121

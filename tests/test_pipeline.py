@@ -383,6 +383,13 @@ class TestValidateManifest:
         findings = corrupted(good_manifest, scale)
         assert any("not a distribution" in f for f in findings)
 
+    def test_nan_vector_is_not_a_distribution(self, good_manifest):
+        def nan_entry(m):
+            m["knowledge"]["p2"]["vector"][0] = float("nan")
+
+        findings = corrupted(good_manifest, nan_entry)
+        assert any(f.startswith("p2: vector is not a distribution") for f in findings)
+
     def test_task_indices_unique_and_resolved(self, good_manifest):
         def dup(m):
             m["tasks"].append(dict(m["tasks"][0]))
@@ -409,6 +416,13 @@ class TestValidateManifest:
 
         findings = corrupted(good_manifest, ghost_stall)
         assert any("not among tasks" in f for f in findings)
+
+    def test_nan_ce_distribution_is_not_a_distribution(self, good_manifest):
+        def nan_dist(m):
+            m["ce_results"][0]["distribution"][0] = float("nan")
+
+        findings = corrupted(good_manifest, nan_dist)
+        assert any("not a distribution" in f for f in findings)
 
     def test_ce_results_are_cross_checked(self, good_manifest):
         def ghost_task(m):

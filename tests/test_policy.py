@@ -350,9 +350,10 @@ def test_reused_workspace_matches_fresh_allocation_bitwise():
         targets = rng.integers(0, J, size=batch)
         weights = rng.normal(size=batch)
         probs, trace = forward(params, cur, prev)
-        assert loss_value(probs, targets, weights, ws) == loss_value(probs, targets, weights)
+        fresh = loss_value(probs, targets, weights, Workspace())
+        assert loss_value(probs, targets, weights, ws) == fresh
         got = gradients(params, trace, targets, weights, ws)
-        want = gradients(params, trace, targets, weights)
+        want = gradients(params, trace, targets, weights, Workspace())
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -431,7 +432,7 @@ def test_nan_probability_raises_the_one_hot_forms_message():
     messages = []
     for call in (
         lambda: reference_gradients(params, trace, np.eye(J)[chosen], np.ones(6)),
-        lambda: gradients(params, trace, chosen, np.ones(6)),
+        lambda: gradients(params, trace, chosen, np.ones(6), Workspace()),
     ):
         with pytest.raises(NumericError) as err:
             call()
@@ -448,8 +449,8 @@ def test_chosen_actions_must_be_one_index_per_row(chosen):
     cur, prev = random_pairs(17, 3)
     probs, trace = forward(params, cur, prev)
     for call in (
-        lambda: loss_value(probs, np.array(chosen), np.ones(3)),
-        lambda: gradients(params, trace, np.array(chosen), np.ones(3)),
+        lambda: loss_value(probs, np.array(chosen), np.ones(3), Workspace()),
+        lambda: gradients(params, trace, np.array(chosen), np.ones(3), Workspace()),
     ):
         with pytest.raises(PreconditionError, match="indices into 27 actions"):
             call()
@@ -522,13 +523,13 @@ def test_single_finiteness_check_gives_the_four_check_outcome(value, target, mod
 
 def test_loss_value_hand_case():
     p = np.array([[0.5, 0.25, 0.25]])
-    two = loss_value(p, np.array([0]), np.array([2.0]))
+    two = loss_value(p, np.array([0]), np.array([2.0]), Workspace())
     assert two == pytest.approx(-2 * (np.log(0.5) + 2 * np.log(0.75)))
 
 
 def _flat_loss(params, cur, prev, targets, weights):
     probs, _ = forward(params, cur, prev)
-    return loss_value(probs, targets, weights)
+    return loss_value(probs, targets, weights, Workspace())
 
 
 def _finite_difference(params, cur, prev, targets, weights, step=1e-5):
@@ -578,7 +579,7 @@ def test_gradients_match_finite_differences(net_seed, pair_seed, actions, weight
     # the finite-difference oracle is only valid when no pre-activation sits
     # within the difference window of a LeakyReLU/ReLU kink
     assert kink_margin(params, trace) > 1e-3
-    analytic = gradients(params, trace, targets, weights)
+    analytic = gradients(params, trace, targets, weights, Workspace())
     fd_w, fd_b = _finite_difference(params, cur, prev, targets, weights)
     assert _max_rel_err(analytic.weights, fd_w) < 1e-4
     assert _max_rel_err(analytic.biases, fd_b) < 1e-4
@@ -589,7 +590,7 @@ def test_zero_weight_gives_zero_gradients():
     cur, prev = random_pairs(31, 4)
     targets = np.array([0, 5, 9, 26])
     _, trace = forward(params, cur, prev)
-    grads = gradients(params, trace, targets, np.zeros(4))
+    grads = gradients(params, trace, targets, np.zeros(4), Workspace())
     for g in grads.weights + grads.biases:
         assert not g.any()
 
@@ -600,8 +601,8 @@ def test_gradients_linear_in_weights():
     targets = np.array([1, 2, 3])
     w = np.array([0.5, -0.25, 1.5])
     _, trace = forward(params, cur, prev)
-    one = gradients(params, trace, targets, w)
-    two = gradients(params, trace, targets, 2 * w)
+    one = gradients(params, trace, targets, w, Workspace())
+    two = gradients(params, trace, targets, 2 * w, Workspace())
     for g1, g2 in zip(one.weights + one.biases, two.weights + two.biases):
         np.testing.assert_allclose(g2, 2 * g1, rtol=1e-12, atol=1e-15)
 
