@@ -150,16 +150,17 @@ def _training_config(args) -> TrainingConfig:
 
 def cmd_solve(args) -> int:
     game = _load_game_file(args.game)
-    a, b = _two_players(game)
-    _require_payoffs(game, (a, b))
+    _require_payoffs(game, game.players)
+    players = list(game.players)
     target = _target(args, f"solve_{args.mode}.json")
     _refuse_overwrite(target, args.force)
-    labels = _outcome_labels(game)
+    payload = {"mode": args.mode, "players": players}
 
     if args.mode == "ce":
         solution = max_welfare_correlated_equilibrium(game)
         check = is_correlated_equilibrium(game, solution.distribution)
-        print(f"welfare-max correlated equilibrium of {a} vs {b}:")
+        print(f"welfare-max correlated equilibrium of {' vs '.join(players)}:")
+        labels = _outcome_labels(game)
         for label, mass in zip(labels, solution.distribution):
             print(f"  P({label}) = {mass:.6g}")
         print(f"welfare: {solution.welfare:.6g}")
@@ -167,41 +168,34 @@ def cmd_solve(args) -> int:
             f"deviation check: {'ok' if check.ok else 'FAILED'} "
             f"(max violation {check.max_violation:.3g})"
         )
-        payload = {
-            "mode": "ce",
-            "players": [a, b],
-            "outcomes": labels,
-            "distribution": [float(x) for x in solution.distribution],
-            "welfare": solution.welfare,
-            "deviation_check": {
-                "ok": check.ok,
-                "max_violation": check.max_violation,
-            },
-        }
+        payload.update(
+            outcomes=labels,
+            distribution=[float(x) for x in solution.distribution],
+            welfare=solution.welfare,
+            deviation_check={"ok": check.ok, "max_violation": check.max_violation},
+        )
     elif args.mode == "ne":
         equilibria = enumerate_equilibria(game)
-        print(f"{len(equilibria)} equilibria of {a} vs {b}:")
+        print(f"{len(equilibria)} equilibria of {' vs '.join(players)}:")
         for eq in equilibria:
             strat = " ".join(
-                f"{p}={_fmt_vec(s)}" for p, s in zip((a, b), eq.strategies)
+                f"{p}={_fmt_vec(s)}" for p, s in zip(players, eq.strategies)
             )
             print(f"  {eq.kind}: {strat} payoffs {_fmt_vec(eq.payoffs)}")
-        payload = {
-            "mode": "ne",
-            "players": [a, b],
-            "equilibria": [
-                {
-                    "kind": eq.kind,
-                    "strategies": [[float(x) for x in s] for s in eq.strategies],
-                    "payoffs": [float(x) for x in eq.payoffs],
-                    "welfare": eq.welfare,
-                }
-                for eq in equilibria
-            ],
-        }
+        payload["equilibria"] = [
+            {
+                "kind": eq.kind,
+                "strategies": [[float(x) for x in s] for s in eq.strategies],
+                "payoffs": [float(x) for x in eq.payoffs],
+                "welfare": eq.welfare,
+            }
+            for eq in equilibria
+        ]
     else:  # hull
         if not args.point:
-            raise PreconditionError("--mode hull needs at least one --point U1 U2")
+            raise PreconditionError("--mode hull needs at least one --point U1 U2 ...")
+        if any(len(point) != len(players) for point in args.point):
+            raise PreconditionError(f"--point takes one payoff per player ({len(players)})")
         if not np.isfinite(args.point).all():
             raise PreconditionError("--point payoffs must be finite numbers")
         equilibria = enumerate_equilibria(game)
@@ -211,16 +205,10 @@ def cmd_solve(args) -> int:
             inside = in_nash_payoff_hull(ne_payoffs, tuple(point))
             verdicts.append({"point": [float(x) for x in point], "inside": inside})
             where = "inside" if inside else "outside"
-            print(
-                f"payoff point ({point[0]:.6g}, {point[1]:.6g}) is {where} "
-                "the equilibrium payoff hull"
-            )
-        payload = {
-            "mode": "hull",
-            "players": [a, b],
-            "equilibrium_payoffs": [[float(x) for x in p] for p in ne_payoffs],
-            "points": verdicts,
-        }
+            coords = ", ".join(f"{x:.6g}" for x in point)
+            print(f"payoff point ({coords}) is {where} the equilibrium payoff hull")
+        payload["equilibrium_payoffs"] = [[float(x) for x in p] for p in ne_payoffs]
+        payload["points"] = verdicts
 
     header = _header(args, None, {"mode": args.mode, "points": args.point})
     _write_json(target, {"reproducibility": header, **payload}, args.force)
@@ -492,13 +480,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser(
-        "solve", help="equilibria of a 2-player game file", allow_abbrev=False
+        "solve", help="equilibria of a game file with any number of players "
+        "(mixed Nash for 2x2 games only)", allow_abbrev=False
     )
     solve.add_argument("game", help="game JSON file")
     solve.add_argument("--mode", choices=("ne", "ce", "hull"), default="ce")
-    solve.add_argument("--point", nargs=2, type=float, action="append",
-                       metavar=("U1", "U2"),
-                       help="payoff pair for --mode hull (repeatable)")
+    solve.add_argument("--point", nargs="+", type=float, action="append",
+                       metavar="U",
+                       help="payoff point for --mode hull, one payoff per "
+                       "player (repeatable)")
     solve.add_argument("--out", default=None, help="JSON output path")
     _add_common_output_flags(solve)
     solve.set_defaults(fn=cmd_solve)

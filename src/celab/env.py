@@ -103,7 +103,6 @@ class EpisodeBatch:
 
     states: np.ndarray  # (M, N, H)
     action_indices: np.ndarray  # (M, N-1) into the canonical action order
-    step_size: float
 
 
 def sample_index(distribution: np.ndarray, u: float | np.ndarray) -> np.ndarray:
@@ -158,7 +157,7 @@ def rollout(
         prev, cur = cur, apply_action(cur, actions.take(chosen, axis=0))
         states[n + 1] = cur
     states, idx = np.ascontiguousarray(states.swapaxes(0, 1)), np.ascontiguousarray(idx.T)
-    return EpisodeBatch(states=states, action_indices=idx, step_size=step_size)
+    return EpisodeBatch(states=states, action_indices=idx)
 
 
 def average_states(batch_a: EpisodeBatch, batch_b: EpisodeBatch) -> np.ndarray:

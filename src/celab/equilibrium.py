@@ -1,13 +1,14 @@
-"""Correlated equilibria of I-player games; Nash equilibria of two-player views.
+"""Correlated and Nash equilibria of I-player games.
 
 Correlated equilibria are joint distributions over the H outcome cells such
 that no player, told its own component of a sampled cell, gains by swapping
 to a different decision. The welfare-maximal CE comes out of a small LP; the
 deviation checker `is_correlated_equilibrium` is written as direct sums,
 deliberately not sharing code with the LP row builder, so the two act as
-independent routes to the same definition. Both take any number of players;
-the Nash helpers (`enumerate_pure_nash`, `mixed_nash_2x2`,
-`enumerate_equilibria`) take 2-player views only.
+independent routes to the same definition. Each per-player rule is one loop
+over the players, indexing the player's own axis, so the CE program, the CE
+check and pure Nash enumeration take any number of players. The interior
+mixed equilibrium is solved for 2x2 games only.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ __all__ = [
     "CECheck",
     "correlated_equilibrium_program",
     "max_welfare_correlated_equilibrium",
-    "solve_lp",
     "enumerate_pure_nash",
     "mixed_nash_2x2",
+    "enumerate_equilibria",
     "in_nash_payoff_hull",
     "is_correlated_equilibrium",
 ]
@@ -64,12 +65,6 @@ class CECheck:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _two_player(game: Game) -> tuple[np.ndarray, np.ndarray]:
-    if len(game.players) != 2:
-        raise PreconditionError("operation requires a 2-player view")
-    return game.payoff_matrix(game.players[0]), game.payoff_matrix(game.players[1])
 
 
 def correlated_equilibrium_program(game: Game) -> LinearProgram:
@@ -150,36 +145,29 @@ def is_correlated_equilibrium(
 
 
 def enumerate_pure_nash(game: Game) -> list[NashEquilibrium]:
-    """Every cell that is a mutual best response (1e-12 comparison slack)."""
-    u1, u2 = _two_player(game)
-    n1, n2 = u1.shape
-    out = []
-    for i in range(n1):
-        for j in range(n2):
-            if u1[i, j] < u1[:, j].max() - PURE_NE_SLACK:
-                continue
-            if u2[i, j] < u2[i, :].max() - PURE_NE_SLACK:
-                continue
-            s1 = np.zeros(n1)
-            s1[i] = 1.0
-            s2 = np.zeros(n2)
-            s2[j] = 1.0
-            out.append(
-                NashEquilibrium(
-                    kind="pure",
-                    strategies=(s1, s2),
-                    payoffs=(float(u1[i, j]), float(u2[i, j])),
-                )
-            )
-    return out
+    """Every cell where no player gains by a unilateral deviation (1e-12
+    comparison slack), in row-major order."""
+    grids = [game.payoff_matrix(p) for p in game.players]
+    sizes = game.menu_sizes
+    stable = np.ones(sizes, dtype=bool)
+    for k, u in enumerate(grids):
+        stable &= u >= u.max(axis=k, keepdims=True) - PURE_NE_SLACK
+    return [
+        NashEquilibrium(
+            kind="pure",
+            strategies=tuple(np.eye(n)[i] for n, i in zip(sizes, cell)),
+            payoffs=tuple(float(u[cell]) for u in grids),
+        )
+        for cell in zip(*np.nonzero(stable))
+    ]
 
 
 def mixed_nash_2x2(game: Game) -> NashEquilibrium | None:
-    """Interior mixed equilibrium of a 2x2 view, if the indifference system
+    """Interior mixed equilibrium of a 2x2 game, if the indifference system
     has a solution with both probabilities strictly inside (0, 1)."""
-    u1, u2 = _two_player(game)
-    if u1.shape != (2, 2):
-        raise PreconditionError("mixed enumeration implemented for 2x2 views only")
+    if game.menu_sizes != (2, 2):
+        raise PreconditionError("mixed enumeration implemented for 2x2 games only")
+    u1, u2 = (game.payoff_matrix(p) for p in game.players)
     for pos, u in enumerate((u1, u2)):
         # own decision varies along axis `pos`, the opponent's stays fixed
         diffs = np.diff(u, axis=pos).ravel()
@@ -208,10 +196,10 @@ def mixed_nash_2x2(game: Game) -> NashEquilibrium | None:
 
 
 def enumerate_equilibria(game: Game) -> list[NashEquilibrium]:
-    """Pure equilibria for any 2-player view; plus the interior mixed one for 2x2."""
+    """Pure equilibria for any number of players; plus the interior mixed one
+    for 2x2 games."""
     out = enumerate_pure_nash(game)
-    u1, _ = _two_player(game)
-    if u1.shape == (2, 2):
+    if game.menu_sizes == (2, 2):
         mixed = mixed_nash_2x2(game)
         if mixed is not None:
             out.append(mixed)
@@ -219,9 +207,10 @@ def enumerate_equilibria(game: Game) -> list[NashEquilibrium]:
 
 
 def in_nash_payoff_hull(
-    ne_payoffs: list[tuple[float, float]], point: tuple[float, float]
+    ne_payoffs: list[tuple[float, ...]], point: tuple[float, ...]
 ) -> bool:
-    """Whether a payoff pair is a convex combination of NE payoff pairs."""
+    """Whether a payoff point, one payoff per player, is a convex combination
+    of NE payoff points."""
     if not ne_payoffs:
         raise PreconditionError("hull test needs at least one equilibrium payoff")
     pts = np.asarray(ne_payoffs, dtype=np.float64)

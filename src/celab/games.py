@@ -79,7 +79,7 @@ class Game:
         return v
 
     def payoff_matrix(self, player: str) -> np.ndarray:
-        """Payoff vector reshaped to the menu grid (2-player convenience)."""
+        """Payoff vector reshaped to the menu grid, one axis per player."""
         return self.payoff(player).reshape(self.menu_sizes)
 
 
@@ -199,14 +199,13 @@ def _restriction_pairs(game: Game, player_pos: int) -> list[tuple[int, int]]:
     (otherwise indifference mixes degenerate).
     """
     sizes = game.menu_sizes
-    pairs: list[tuple[int, int]] = []
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for flat, combo in enumerate(itertools.product(*(range(n) for n in sizes))):
-        key = combo[:player_pos] + combo[player_pos + 1 :]
-        groups.setdefault(key, []).append(flat)
-    for members in groups.values():
-        pairs.extend(itertools.combinations(members, 2))
-    return pairs
+    # one column per combination of the others' decisions, in row-major order
+    columns = np.moveaxis(np.arange(game.num_outcomes).reshape(sizes), player_pos, 0)
+    return [
+        pair
+        for column in columns.reshape(sizes[player_pos], -1).T.tolist()
+        for pair in itertools.combinations(column, 2)
+    ]
 
 
 def validate_game(game: Game, tol: float = 1e-9) -> ValidationReport:

@@ -340,7 +340,6 @@ def train_pair(
                 p: EpisodeBatch(
                     states=both.states[k * m:(k + 1) * m],
                     action_indices=both.action_indices[k * m:(k + 1) * m],
-                    step_size=both.step_size,
                 )
                 for k, p in enumerate((a, b))
             }

@@ -142,14 +142,39 @@ def ce_polytope_vertices(u1: np.ndarray, u2: np.ndarray, tol: float = 1e-9) -> n
     return np.unique(np.array(verts), axis=0)
 
 
-def best_response_cells(u1: np.ndarray, u2: np.ndarray) -> list[tuple[int, int]]:
-    """Pure NE cells by direct argmax comparison."""
+def two_player_pure_nash(u1: np.ndarray, u2: np.ndarray):
+    """(strategies, payoffs) of every pure NE cell as the two-player
+    enumeration wrote it, one cell at a time: the byte reference for the
+    I-player one."""
     n1, n2 = u1.shape
     out = []
     for i in range(n1):
         for j in range(n2):
-            if u1[i, j] >= u1[:, j].max() - 1e-12 and u2[i, j] >= u2[i, :].max() - 1e-12:
-                out.append((i, j))
+            if u1[i, j] < u1[:, j].max() - 1e-12:
+                continue
+            if u2[i, j] < u2[i, :].max() - 1e-12:
+                continue
+            s1 = np.zeros(n1)
+            s1[i] = 1.0
+            s2 = np.zeros(n2)
+            s2[j] = 1.0
+            out.append(((s1, s2), (float(u1[i, j]), float(u2[i, j]))))
+    return out
+
+
+def brute_force_pure_nash(grids, slack: float = 1e-12) -> list[tuple[int, ...]]:
+    """Pure NE cells of a game given as one payoff grid per player (one axis
+    per player), for any number of players: a cell qualifies when no single
+    player gains more than `slack` by any switch of its own decision."""
+    sizes = grids[0].shape
+    out = []
+    for cell in itertools.product(*(range(n) for n in sizes)):
+        if all(
+            u[cell] >= u[cell[:k] + (alt,) + cell[k + 1 :]] - slack
+            for k, u in enumerate(grids)
+            for alt in range(sizes[k])
+        ):
+            out.append(cell)
     return out
 
 
@@ -172,7 +197,7 @@ def random_valid_2x2(rng: np.random.Generator, require_two_ne: bool = True):
             continue
         if not require_two_ne:
             return u1, u2
-        cells = best_response_cells(u1, u2)
+        cells = brute_force_pure_nash([u1, u2])
         # a 2x2 game with two pure NE also has the interior mixed one
         if len(cells) >= 2:
             return u1, u2

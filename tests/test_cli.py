@@ -3,6 +3,9 @@
 import hashlib
 import json
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -12,8 +15,10 @@ import numpy as np
 import pytest
 
 from celab.cli import _training_config, build_parser, main
+from celab.equilibrium import correlated_equilibrium_program
 from celab.training import TrainingConfig
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 CHICKEN = "fixtures/chicken.json"
 COORDINATION = "fixtures/coordination_2x2.json"
 MIRROR = "fixtures/mirror_2x2.json"
@@ -116,12 +121,41 @@ class TestSolve:
         assert code == 2
         assert "unknown payoff" in capsys.readouterr().err
 
-    def test_needs_two_players(self, fx, tmp_path):
-        code = main(
-            ["solve", fx("three_player.json"), "--mode", "ce",
-             "--out", str(tmp_path / "x")]
+    def test_three_player_ce_matches_highs(self, fx, three_player, tmp_path, capsys):
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        out = tmp_path / "ce.json"
+        assert main(["solve", fx("three_player.json"), "--mode", "ce", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["players"] == ["p1", "p2", "p3"]
+        assert payload["outcomes"][:2] == ["A,A,A", "A,A,B"]
+        assert payload["deviation_check"]["ok"]
+        assert "of p1 vs p2 vs p3:" in capsys.readouterr().out
+        lp = correlated_equilibrium_program(three_player)
+        ref = scipy_opt.linprog(
+            -lp.objective, A_ub=lp.ineq_rows, b_ub=lp.ineq_rhs,
+            A_eq=lp.eq_rows, b_eq=lp.eq_rhs, method="highs",
         )
-        assert code == 2
+        assert payload["welfare"] == pytest.approx(-ref.fun, abs=1e-7)
+
+    def test_three_player_ne_lists_four_pure_equilibria(self, fx, tmp_path):
+        out = tmp_path / "ne.json"
+        assert main(["solve", fx("three_player.json"), "--mode", "ne", "--out", str(out)]) == 0
+        cells = [
+            [s.index(1.0) for s in eq["strategies"]]
+            for eq in json.loads(out.read_text())["equilibria"]
+        ]
+        assert cells == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+    def test_three_player_hull_takes_three_value_points(self, fx, tmp_path, capsys):
+        out = tmp_path / "hull.json"
+        code = main(["solve", fx("three_player.json"), "--mode", "hull",
+                     "--point", "0.46", "0.46", "0.46", "--point", "0.5", "0.5", "0.5",
+                     "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert len(payload["equilibrium_payoffs"]) == 4
+        assert [v["inside"] for v in payload["points"]] == [True, False]
+        assert "payoff point (0.46, 0.46, 0.46) is inside" in capsys.readouterr().out
 
     def test_ce_with_a_tiny_violation_writes_valid_json(self, tmp_path, monkeypatch):
         import celab.equilibrium
@@ -539,6 +573,7 @@ _ZERO_MASS_GAME = {
         (["train", "--epochs", "2", "--seed", "-1"], {}, None),
         (["pipeline", "--epochs", "2", "--seed", "-1"], {}, None),
         (["solve", "--mode", "hull"], {}, None),
+        (["solve", "--mode", "hull", "--point", "0.3", "0.3", "0.3"], {}, None),
         (["pipeline", "--epochs", "0"], {}, None),
         (["pipeline", "--known-player", "p1", "--known-player", "p2"], _ZERO_MASS_GAME, None),
         (["train", "--epochs", "1", "--prefix", "a/b"], {}, None),
@@ -553,6 +588,7 @@ _ZERO_MASS_GAME = {
         "ragged-distribution", "nan-distribution", "nan-comparison-tol", "negative-comparison-tol",
         "pipeline-nan-comparison-tol", "nan-round-trip-tol", "negative-round-trip-tol",
         "train-negative-seed", "pipeline-negative-seed", "hull-without-point",
+        "hull-point-with-wrong-arity",
         "pipeline-zero-epochs", "pipeline-zero-mass-analytic-slice",
         "prefix-with-a-directory", "prefix-leaving-the-out-dir",
         "train-one-state-round", "pipeline-one-state-round",
@@ -672,3 +708,33 @@ def test_every_training_field_has_its_flag(command):
     for name, value in values.items():
         argv += ["--" + name.replace("_", "-"), str(value)]
     assert _training_config(parser.parse_args(argv)) == TrainingConfig(**values)
+
+
+def _readme_commands():
+    """The argv of every `celab` line in README's code blocks, with
+    backslash continuations joined."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    return [
+        shlex.split(line)[1:]
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("celab ")
+    ]
+
+
+def test_readme_commands_parse_and_its_solve_lines_run(fixtures_dir, tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"solve", "train", "estimate", "pipeline"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: celab {shlex.join(argv)}")
+    # in README order, in one directory, as a reader would run them
+    shutil.copytree(fixtures_dir, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CELAB_OUT_DIR", raising=False)
+    for argv in commands:
+        if argv[0] == "solve":
+            assert main(argv) == 0, f"celab {shlex.join(argv)}"

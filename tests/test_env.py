@@ -411,7 +411,7 @@ class TestSampleIndex:
 class TestAverageStates:
     def test_idempotent(self):
         states = np.random.default_rng(1).dirichlet(np.ones(4), size=(2, 5))
-        batch = EpisodeBatch(states=states, action_indices=np.zeros((2, 4), int), step_size=0.1)
+        batch = EpisodeBatch(states=states, action_indices=np.zeros((2, 4), int))
         np.testing.assert_array_equal(average_states(batch, batch), states)
 
     def test_point_mass_average(self):
@@ -419,13 +419,13 @@ class TestAverageStates:
         a[0, 0, 0] = 1.0
         b = np.zeros((1, 1, 4))
         b[0, 0, 1] = 1.0
-        ba = EpisodeBatch(states=a, action_indices=np.zeros((1, 0), int), step_size=0.1)
-        bb = EpisodeBatch(states=b, action_indices=np.zeros((1, 0), int), step_size=0.1)
+        ba = EpisodeBatch(states=a, action_indices=np.zeros((1, 0), int))
+        bb = EpisodeBatch(states=b, action_indices=np.zeros((1, 0), int))
         np.testing.assert_allclose(average_states(ba, bb)[0, 0], [0.5, 0.5, 0.0, 0.0])
 
     def test_shape_mismatch(self):
-        a = EpisodeBatch(np.zeros((1, 2, 3)), np.zeros((1, 1), int), 0.1)
-        b = EpisodeBatch(np.zeros((1, 3, 3)), np.zeros((1, 2), int), 0.1)
+        a = EpisodeBatch(np.zeros((1, 2, 3)), np.zeros((1, 1), int))
+        b = EpisodeBatch(np.zeros((1, 3, 3)), np.zeros((1, 2), int))
         with pytest.raises(ValueError):
             average_states(a, b)
 
@@ -433,7 +433,7 @@ class TestAverageStates:
         rng = np.random.default_rng(3)
         sa = rng.dirichlet(np.ones(5), size=(3, 7))
         sb = rng.dirichlet(np.ones(5), size=(3, 7))
-        ba = EpisodeBatch(sa, np.zeros((3, 6), int), 0.1)
-        bb = EpisodeBatch(sb, np.zeros((3, 6), int), 0.1)
+        ba = EpisodeBatch(sa, np.zeros((3, 6), int))
+        bb = EpisodeBatch(sb, np.zeros((3, 6), int))
         avg = average_states(ba, bb)
         assert np.allclose(avg.sum(axis=2), 1.0, atol=1e-12)

@@ -16,12 +16,14 @@ from celab.errors import PreconditionError, SolverError
 from celab.games import Game, make_game
 
 from oracles import (
+    brute_force_pure_nash,
     ce_deviation_rows,
     ce_polytope_vertices,
     random_square_payoffs,
     random_valid_2x2,
     two_player_ce_check,
     two_player_ce_program,
+    two_player_pure_nash,
 )
 
 
@@ -32,6 +34,24 @@ def game_from_matrices(u1, u2):
         [[f"r{i}" for i in range(n1)], [f"c{j}" for j in range(n2)]],
         {"p1": np.asarray(u1).reshape(-1), "p2": np.asarray(u2).reshape(-1)},
     )
+
+
+def raw_game(grids):
+    """A game holding one payoff grid per player as given: make_game would
+    renormalize them, and a game of tied zeros could not be built."""
+    players = tuple(f"p{k + 1}" for k in range(len(grids)))
+    decisions = tuple(tuple(f"d{i}" for i in range(n)) for n in grids[0].shape)
+    return Game(players, decisions, {p: u.reshape(-1) for p, u in zip(players, grids)})
+
+
+def random_grids(rng, sizes):
+    """One payoff grid per player. A third of the draws take values in
+    {0, 1, 2}, half of them raised by 4e-13, so that payoffs tie exactly
+    or within the 1e-12 comparison slack."""
+    shape = (len(sizes), *sizes)
+    if rng.random() < 1 / 3:
+        return list(rng.integers(0, 3, shape) + 4e-13 * rng.integers(0, 2, shape))
+    return list(rng.random(shape))
 
 
 def pennies():
@@ -155,11 +175,14 @@ class TestPureNash:
         }
         assert supports == {(0, 1), (1, 0)}
 
-    def test_requires_two_players(self):
-        players = ("p1", "p2", "p3")
-        g = make_game(players, [["a", "b"]] * 3, {p: [0.125] * 8 for p in players})
-        with pytest.raises(PreconditionError, match="requires a 2-player view"):
-            enumerate_pure_nash(g)
+    def test_three_player_fixture_has_four(self, three_player):
+        cells = [
+            tuple(int(np.argmax(s)) for s in ne.strategies)
+            for ne in enumerate_pure_nash(three_player)
+        ]
+        # (A,A,A), (A,B,B), (B,A,B) and (B,B,A), in row-major order
+        assert cells == [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+        assert enumerate_pure_nash(three_player)[0].payoffs == (0.46, 0.46, 0.46)
 
     def test_pennies_has_none(self):
         assert enumerate_pure_nash(pennies()) == []
@@ -376,3 +399,36 @@ def test_three_player_ce_matches_highs():
             assert not is_correlated_equilibrium(g, moved).ok
             raised += 1
     assert raised == 121
+
+
+def test_pure_nash_keeps_the_two_player_bytes():
+    # The I-player enumeration, at I = 2, against the double loop it
+    # replaced: 1,000 games from 1x1 to 5x5, a third of them with ties.
+    rng = np.random.default_rng(19)
+    found = 0
+    for _ in range(1000):
+        grids = random_grids(rng, tuple(rng.integers(1, 6, 2)))
+        got = enumerate_pure_nash(raw_game(grids))
+        want = two_player_pure_nash(*grids)
+        assert len(got) == len(want)
+        for ne, (strategies, payoffs) in zip(got, want):
+            assert ne.kind == "pure"
+            assert [s.tobytes() for s in ne.strategies] == [s.tobytes() for s in strategies]
+            assert np.array(ne.payoffs).tobytes() == np.array(payoffs).tobytes()
+        found += len(got)
+    assert found == 1414
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 2, 2), (2, 3, 4)])
+def test_pure_nash_matches_brute_force(sizes):
+    # every unilateral deviation checked cell by cell, on games with ties
+    rng = np.random.default_rng(sum(sizes))
+    for _ in range(200):
+        grids = random_grids(rng, sizes)
+        got = enumerate_pure_nash(raw_game(grids))
+        cells = brute_force_pure_nash(grids)
+        assert [tuple(int(np.argmax(s)) for s in ne.strategies) for ne in got] == cells
+        for ne, cell in zip(got, cells):
+            for n, i, s in zip(sizes, cell, ne.strategies):
+                np.testing.assert_array_equal(s, np.eye(n)[i])
+            assert ne.payoffs == tuple(float(u[cell]) for u in grids)

@@ -149,3 +149,14 @@ def test_three_player_game():
     assert g.outcome_index(["D", "L", "l"]) == 4
     d = game_to_dict(g)
     assert "p2" not in d["payoffs"]
+
+
+def test_validate_lists_equal_rewards_in_outcome_order():
+    # p3's payoff is flat, so each pair of outcomes that differ only in
+    # p3's decision ties; the findings list the pairs with p1's decision
+    # varying slowest, as the outcome list runs
+    g = make_game(["p1", "p2", "p3"], [["U", "D"], ["L", "R"], ["l", "r"]], {"p3": [0.125] * 8})
+    findings = [f for f in validate_game(g).findings if f.startswith("p3: equal")]
+    assert findings == [
+        f"p3: equal rewards at outcomes {i} and {i + 1} (value 0.125)" for i in (1, 3, 5, 7)
+    ]

@@ -304,7 +304,7 @@ def test_update_from_the_record_gives_the_bytes_of_one_that_runs_forward(widths)
         for i in range(2, 9):
             assert recorded.layer_inputs[i].tobytes() == trace.layer_inputs[i].tobytes()
 
-        own = EpisodeBatch(batch.states[mine], batch.action_indices[mine], 0.25)
+        own = EpisodeBatch(batch.states[mine], batch.action_indices[mine])
         std = np.random.default_rng(k).normal(size=(rounds, steps))
         rewards = RewardTensor(raw=std, discounted=std, standardized=std)
         state = AdamState.zeros_like(net)
