@@ -9,7 +9,9 @@ state is a valid simplex point.
 A rollout step makes three calls: the policy over every round's (current,
 previous) rows, `sample_index` over its distributions and `apply_action` on
 the chosen delta rows, which skips the rollback when no row needs one. The
-step writes its indices and states whole into step-major buffers.
+step writes its indices whole into a step-major buffer, and `apply_action`
+writes its states straight into the step's row of another (`out`), which
+the next step reads as its current states.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ def enumerate_actions(h: int, step_size: float) -> np.ndarray:
     return (digits - 1).astype(np.float64) * step_size
 
 
-def apply_action(state: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+def apply_action(
+    state: np.ndarray, deltas: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Apply delta rows to states; both arguments may carry batch dimensions.
 
     Clamp each adjusted component to [0,1]; if the absorbing component would
@@ -65,6 +69,11 @@ def apply_action(state: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     row's clamped head sums above 1, every increase would be scaled by +0.0,
     which keeps the clamped head's bits, so that arithmetic is skipped. (Only
     a head component of -inf, outside the simplex, made such a product NaN.)
+
+    The new states go to `out` when given, a float64 array of the result's
+    shape, and to a fresh array otherwise; either is returned. `out` is
+    written only after `state` has been read for the last time, so it may
+    be `state` itself.
     """
     s = np.asarray(state, dtype=np.float64)
     d = np.asarray(deltas, dtype=np.float64)
@@ -85,7 +94,11 @@ def apply_action(state: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         inc_total = np.add.reduce(increases, axis=-1, keepdims=True)
         scale = np.divide(deficit, inc_total, out=np.zeros(deficit.shape), where=inc_total > _ZERO)
         np.subtract(tentative, np.multiply(increases, scale, out=increases), out=tentative)
-    out = np.empty(tentative.shape[:-1] + s.shape[-1:])
+    shape = tentative.shape[:-1] + s.shape[-1:]
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise PreconditionError(f"out {out.shape} {out.dtype} is not {shape} float64")
     adjusted = np.maximum(tentative, _ZERO, out=out[..., :-1])
     last = out[..., -1:]
     np.subtract(_ONE, np.add.reduce(adjusted, axis=-1, keepdims=True), out=last)
@@ -154,8 +167,7 @@ def rollout(
     prev = cur = states[0]
     for n in range(steps - 1):
         idx[n] = chosen = sample_index(policy(cur, prev), uniforms[n])
-        prev, cur = cur, apply_action(cur, actions.take(chosen, axis=0))
-        states[n + 1] = cur
+        prev, cur = cur, apply_action(cur, actions.take(chosen, axis=0), out=states[n + 1])
     states, idx = np.ascontiguousarray(states.swapaxes(0, 1)), np.ascontiguousarray(idx.T)
     return EpisodeBatch(states=states, action_indices=idx)
 

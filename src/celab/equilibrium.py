@@ -210,12 +210,37 @@ def in_nash_payoff_hull(
     ne_payoffs: list[tuple[float, ...]], point: tuple[float, ...]
 ) -> bool:
     """Whether a payoff point, one payoff per player, is a convex combination
-    of NE payoff points."""
+    of NE payoff points. Raises PreconditionError unless every point has the
+    same number of payoffs and every payoff is finite."""
     if not ne_payoffs:
         raise PreconditionError("hull test needs at least one equilibrium payoff")
+    players = len(ne_payoffs[0])
+    for i, payoffs in enumerate(ne_payoffs):
+        if len(payoffs) != players:
+            raise PreconditionError(
+                f"equilibrium payoff point {i} has {len(payoffs)} payoffs, "
+                f"point 0 has {players}"
+            )
+    if len(point) != players:
+        raise PreconditionError(
+            f"the point has {len(point)} payoffs, the equilibrium payoff points {players}"
+        )
     pts = np.asarray(ne_payoffs, dtype=np.float64)
     k = pts.shape[0]
     target = np.asarray(point, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(pts))
+    if bad.size:
+        i, j = bad[0]
+        raise PreconditionError(
+            f"equilibrium payoff point {i} has a non-finite payoff "
+            f"{float(pts[i, j])!r} (player {j})"
+        )
+    bad = np.flatnonzero(~np.isfinite(target))
+    if bad.size:
+        j = bad[0]
+        raise PreconditionError(
+            f"the point has a non-finite payoff {float(target[j])!r} (player {j})"
+        )
     lp = LinearProgram(
         objective=np.zeros(k),
         eq_rows=np.vstack([pts.T, np.ones((1, k))]),

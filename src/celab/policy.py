@@ -49,14 +49,21 @@ logits (`_layers`). A record owns one such block, shared by all its slots:
 every step of every rollout overwrites it, so it holds the last step's
 values only, and nothing reads it after the step's check. A `forward` call
 without a slot allocates a fresh block that is dropped when the call
-returns. The stack runs under `np.errstate`, so a non-finite value raises
-NumericError, not a RuntimeWarning from a matmul.
+returns. `_layers` is decorated with `np.errstate`, so a non-finite value
+raises NumericError, not a RuntimeWarning from a matmul, whoever calls
+`forward`; the decorator sets the state in about half the time of a `with`
+block built on each call.
 
-`policy_fn` tiles the stacked biases once per rollout into
-contiguous (P, M, fan_out) copies, which each step adds in place of
-broadcast (P, 1, fan_out) views of `flat`: the broadcast add costs about
-twice as much, nine times a step. The values added are the same, so are
-the bytes. The copies are not views of `flat`.
+A pass adds eight bias operands (`_bias_operands`): the two analyzers'
+biases side by side as one (..., 2 * width_in) array, which one add puts
+onto layer 2's whole input once both analyzers have written their halves,
+then the biases of layers 2-8. `policy_fn` tiles these once per rollout
+into contiguous (P, M, fan_out) copies, which each step adds in place of
+broadcast (P, 1, fan_out) views of `flat`: a broadcast add costs about
+twice as much, and two strided adds into the halves of layer 2's input
+about six times as much as the one contiguous add. Each element gets the
+same bias added, so the bytes are the same. The copies are not views of
+`flat`.
 
 `forward` has one output path: it writes layer inputs 2-8, the
 probabilities and the pre-activations into a record slot when given one,
@@ -133,8 +140,7 @@ class PolicyParams:
     then its bias; `weights[i]` and `biases[i]` are views of it, of shape
     (fan_in, fan_out) and (fan_out,). P nets stacked into one (`stack`)
     have a (P, size) `flat`, and their views are (P, fan_in, fan_out) and
-    (P, 1, fan_out). The stacked params of a `policy_fn` hold
-    (P, M, fan_out) bias copies instead, which are not views of `flat`.
+    (P, 1, fan_out).
     """
 
     h: int
@@ -353,12 +359,24 @@ def _check_finite(out) -> None:
     raise NumericError(f"non-finite activation in layer {first} ({_LAYER_NAMES[first]})")
 
 
+def _bias_operands(biases) -> list[np.ndarray]:
+    """The eight bias operands of a pass, from a net's nine per-layer
+    biases: the two analyzers' side by side in one (..., 2 * width_in)
+    array, then those of layers 2-8 (see `_layers`)."""
+    return [np.concatenate(biases[:2], axis=-1), *biases[2:]]
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _layers(weights, biases, cur, prev, out) -> np.ndarray:
     """The nine-layer stack, returning action probabilities.
 
     Runs one net's (fan_in, fan_out) weights over (B, H) rows, or P stacked
-    nets' (P, fan_in, fan_out) weights and (P, 1, fan_out) or
-    (P, B, fan_out) biases over (P, B, H) blocks. Layer inputs 2-8 and the
+    nets' (P, fan_in, fan_out) weights over (P, B, H) blocks. `biases` are
+    the eight operands of `_bias_operands`, the analyzers' pair first,
+    shaped to broadcast over the rows: (fan_out,) for one net, and
+    (P, 1, fan_out) or (P, B, fan_out) for stacked nets. The analyzers
+    write the two halves of layer 2's input, `out[16:18]`, and the pair's
+    one add then covers the whole input. Layer inputs 2-8 and the
     probabilities land in the eight arrays `out[:8]`, whose widths
     `_record_widths` gives; pre-activations 2-8 land in the views
     `out[9:16]` of the one block `out[8]` (`_pre_activations`). `out` is a
@@ -372,24 +390,23 @@ def _layers(weights, biases, cur, prev, out) -> np.ndarray:
     linear and LeakyReLU layers (0-4) keep it, so a non-finite analyzer
     output reaches pre-activation 2. Only ReLU can erase one
     (max(-inf, 0) = 0), and the block keeps each ReLU layer's value from
-    before its activation. The stack runs under `np.errstate`: a non-finite
-    value passes through the matmuls of every layer before the check, which
-    would warn about it before the check raises.
+    before its activation. The decorator's `np.errstate` ignores overflow
+    and invalid values: a non-finite value passes through the matmuls of
+    every layer before the check, which would warn about it before the
+    check raises. The softmax runs only on finite logits.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the two analyzers, linear, write the halves of layer 2's input
-        np.matmul(cur, weights[0], out=out[16])
-        out[16] += biases[0]
-        np.matmul(prev, weights[1], out=out[17])
-        out[17] += biases[1]
-        x = out[0]
-        for i in range(2, 8):  # LeakyReLU at 2-4, ReLU at 5-7
-            z = np.matmul(x, weights[i], out=out[i + 7])
-            z += biases[i]
-            x = _leaky(z, out[i - 1]) if i < 5 else np.maximum(z, _ZERO, out=out[i - 1])
-        z = np.matmul(x, weights[8], out=out[15])
-        z += biases[8]
-        _check_finite(out)
+    # the two analyzers, linear, write the halves of layer 2's input
+    np.matmul(cur, weights[0], out=out[16])
+    np.matmul(prev, weights[1], out=out[17])
+    x = out[0]
+    x += biases[0]
+    for i in range(2, 8):  # LeakyReLU at 2-4, ReLU at 5-7
+        z = np.matmul(x, weights[i], out=out[i + 7])
+        z += biases[i - 1]
+        x = _leaky(z, out[i - 1]) if i < 5 else np.maximum(z, _ZERO, out=out[i - 1])
+    z = np.matmul(x, weights[8], out=out[15])
+    z += biases[7]
+    _check_finite(out)
     # softmax over the logits
     probs = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out[7])
     np.exp(probs, out=probs)
@@ -402,6 +419,7 @@ def forward(
     current: np.ndarray,
     previous: np.ndarray,
     slot: list[np.ndarray] | None = None,
+    biases: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Action distributions (B, J) for (B, H) rows of (current, previous)
     state pairs; a single pair is one row. With P nets stacked into `params`
@@ -409,7 +427,9 @@ def forward(
     played by net k, and the trace's per-layer arrays are (P, B/P, width).
     Layer inputs 2-8 and the probabilities land in a `RolloutRecord` slot
     when given one, and in fresh arrays otherwise; so do the pre-activations,
-    into the record's shared block or a fresh one.
+    into the record's shared block or a fresh one. `biases` are the
+    `_bias_operands` of `params`, possibly tiled to the rows, made by the
+    caller once for many calls; without them each call makes its own.
     """
     cur, prev = _state_rows(params.h, current, previous)
     if params.flat.ndim == 2:
@@ -422,7 +442,9 @@ def forward(
         lead = cur.shape[:-1]
         arrays = [np.empty(lead + (width,)) for width in _record_widths(params)]
         slot = _slot(arrays, _pre_activations(params, lead))
-    probs = _layers(params.weights, params.biases, cur, prev, slot)
+    if biases is None:
+        biases = _bias_operands(params.biases)
+    probs = _layers(params.weights, biases, cur, prev, slot)
     return probs, ForwardTrace(layer_inputs=[cur, prev, *slot[:7]], probs=probs)
 
 
@@ -628,16 +650,16 @@ def policy_fn(*params: PolicyParams, record: RolloutRecord):
     Each call is one `forward` over the nets' stacked weights: the B rows
     are P consecutive blocks of B/P rows, block k played by net k. Call n
     writes its layer inputs and probabilities into `record.slots[n]`, so the
-    closure serves one rollout, and the stacked biases are tiled once to the
-    record's M rounds: (P, M, fan_out) copies, not views of the stacked
-    `flat`.
+    closure serves one rollout, and the stacked bias operands are tiled once
+    to the record's M rounds: (P, M, fan_out) copies, not views of the
+    stacked `flat`.
     """
     stacked = stack(params)
     calls = itertools.count()
     rounds = record.slots[0][0].shape[1]  # a slot block is (P, M, width)
-    stacked.biases = [np.repeat(b, rounds, axis=1) for b in stacked.biases]
+    biases = [np.repeat(b, rounds, axis=1) for b in _bias_operands(stacked.biases)]
 
     def fn(cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
-        return forward(stacked, cur, prev, record.slots[next(calls)])[0]
+        return forward(stacked, cur, prev, record.slots[next(calls)], biases)[0]
 
     return fn

@@ -129,12 +129,18 @@ def test_rollout_steps_call_apply_action_and_forward_through_their_modules(monke
 
         monkeypatch.setattr(module, name, wrapper)
 
+    game = load_game(ROOT / "fixtures" / "coordination_2x2.json")
+    config = TrainingConfig(epochs=2, rounds=2, stability_window=3)
+    plain = train_pair(game, ("p1", "p2"), config, seed=0)
     counting(celab.env, "apply_action")
     counting(celab.policy, "forward")
-    game = load_game(ROOT / "fixtures" / "coordination_2x2.json")
-    config = TrainingConfig(epochs=1, rounds=2)
-    train_pair(game, ("p1", "p2"), config, seed=0)
-    assert calls == {"apply_action": config.steps - 1, "forward": config.steps - 1}
+    traced = train_pair(game, ("p1", "p2"), config, seed=0)
+    steps = config.epochs * (config.steps - 1)
+    assert calls == {"apply_action": steps, "forward": steps}
+    # the wrappers pass every argument on, the in-place outputs included
+    assert traced.p_tilde.tobytes() == plain.p_tilde.tobytes()
+    for p in ("p1", "p2"):
+        assert traced.params[p].flat.tobytes() == plain.params[p].flat.tobytes()
 
 
 def test_pipeline_trains_each_trained_task_through_its_module(monkeypatch):

@@ -159,8 +159,29 @@ class TestApplyActionMatchesReference:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from(_FORMS))
+    @settings(max_examples=300, deadline=None)
+    def test_out_gets_the_bits_of_the_allocating_call(self, seed, h, form):
+        # a rollout step writes its states into its row of the step-major
+        # buffer; every entry of `out` is written, and a batch may be
+        # updated in place
+        state, deltas = _apply_action_case(seed, h, form)
+        want = apply_action(state, deltas)
+        out = np.full(want.shape, np.nan)
+        assert apply_action(state, deltas, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        if state.shape == want.shape:
+            assert apply_action(state, deltas, out=state) is state
+            assert state.tobytes() == want.tobytes()
+
+    def test_out_of_another_shape_or_dtype_rejected(self):
+        state, deltas = np.full((2, 3), 1 / 3), np.zeros((2, 2))
+        for out in (np.empty((3, 3)), np.empty(3), np.empty((2, 3), np.float32)):
+            with pytest.raises(PreconditionError, match="out"):
+                apply_action(state, deltas, out=out)
+
     def test_cases_reach_the_edges(self):
-        # the property above sees exact 0 and 1 components and rollbacks,
+        # the properties above see exact 0 and 1 components and rollbacks,
         # and so both of apply_action's paths: some row's clamped head sums
         # above 1 (the rollback arithmetic runs) or none does (it is skipped)
         zeros = ones = rollbacks = skips = 0

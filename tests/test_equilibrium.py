@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,30 @@ class TestHull:
     def test_empty_set_rejected(self):
         with pytest.raises(PreconditionError):
             in_nash_payoff_hull([], (0.5, 0.5))
+
+    def test_point_of_another_length_rejected(self):
+        with pytest.raises(
+            PreconditionError, match="the point has 3 payoffs, the equilibrium payoff points 2"
+        ):
+            in_nash_payoff_hull([(0.1, 0.2)], (0.1, 0.2, 0.3))
+
+    def test_ragged_equilibrium_points_rejected(self):
+        with pytest.raises(
+            PreconditionError, match="equilibrium payoff point 1 has 3 payoffs, point 0 has 2"
+        ):
+            in_nash_payoff_hull([(0.1, 0.2), (0.3, 0.4, 0.5)], (0.1, 0.2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_equilibrium_payoff_rejected(self, value):
+        message = f"equilibrium payoff point 1 has a non-finite payoff {value!r} (player 0)"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            in_nash_payoff_hull([(0.1, 0.2), (value, 0.4)], (0.1, 0.2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, value):
+        message = f"the point has a non-finite payoff {value!r} (player 1)"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            in_nash_payoff_hull([(0.1, 0.2), (0.3, 0.4)], (0.2, value))
 
 
 def test_random_games_lp_vs_oracle():

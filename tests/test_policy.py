@@ -3,6 +3,7 @@ central finite-difference oracle on small networks, which is the ground truth
 everything in training leans on."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,26 @@ def test_nonfinite_activation_names_the_layer(layer, value, zero_next, path):
             _pass_into_a_filled_record(params, states)
         else:
             forward(params, states[:1], states[:1])
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("side, layer", [("current", 0), ("previous", 1)])
+def test_direct_forward_on_a_non_finite_state_raises_without_a_warning(
+    side, layer, value, stacked
+):
+    # no caller's np.errstate is active here: forward sets its own, so the
+    # non-finite state ends in NumericError, not a RuntimeWarning
+    assert np.geterr()["over"] != "ignore" and np.geterr()["invalid"] != "ignore"
+    params = stack([small_net(8), small_net(9)]) if stacked else small_net(8)
+    states = {"current": np.full((2, H), 0.25), "previous": np.full((2, H), 0.25)}
+    states[side][1, 2] = value
+    message = f"non-finite activation in layer {layer} ({_LAYER_NAMES[layer]})"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            forward(params, states["current"], states["previous"])
+    assert np.geterr()["over"] != "ignore" and np.geterr()["invalid"] != "ignore"
 
 
 def test_leaky_relu_matches_where_form_bit_for_bit():

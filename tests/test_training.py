@@ -25,6 +25,7 @@ from celab.training import (
     AdamState,
     RewardTensor,
     TrainingConfig,
+    _round_rngs,
     adam_step,
     shape_rewards,
     train_pair,
@@ -117,6 +118,40 @@ class TestAdam:
         new_params, _ = adam_step(params, zeros, state, lr=0.1)
         for old, new in zip(params.weights, new_params.weights):
             np.testing.assert_array_equal(new, old)
+
+
+class TestRoundStreams:
+    # the golden digests see only the one-word seeds 0 and 3 and small
+    # epochs; these cover seeds of one to five 32-bit words, numpy integer
+    # seeds, and epochs that take one or two words in the spawn-key form
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 2**32 - 1, 2**32, 2**64 + 1, 2**130 + 7, np.int64(5), np.uint64(2**63)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("epoch", [1, 2**31, 2**32 + 1])
+    @pytest.mark.parametrize("player", [0, 1])
+    def test_round_generators_draw_the_spawn_key_streams(self, seed, epoch, player):
+        rounds = 3
+        got = _round_rngs(seed, epoch, player, rounds)
+        assert len(got) == rounds
+        for m, rng in enumerate(got):
+            want = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(1, epoch, player, m))
+            )
+            assert rng.random(8).tobytes() == want.random(8).tobytes()
+            assert rng.integers(0, 2**63, size=4).tobytes() == want.integers(
+                0, 2**63, size=4
+            ).tobytes()
+
+    def test_epochs_a_word_apart_draw_different_streams(self):
+        # an epoch never wraps to 32 bits: 2**32 + 1 is not epoch 1
+        low, high = (_round_rngs(0, epoch, 0, 1)[0].random(4) for epoch in (1, 2**32 + 1))
+        assert low.tobytes() != high.tobytes()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(PreconditionError, match="non-negative"):
+            _round_rngs(-1, 1, 0, 2)
 
 
 def tiny_batch(params, seed=0, rounds=2, steps=4, step_size=0.25):
