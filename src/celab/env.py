@@ -6,19 +6,22 @@ the slack. Transitions clamp to [0,1] and, when the absorbing component would
 go negative, roll back the applied increases proportionally, so every reached
 state is a valid simplex point.
 
-A rollout step makes three calls: the policy over every round's (current,
-previous) rows, `sample_index` over its distributions and `apply_action` on
-the chosen delta rows, which skips the rollback when no row needs one. The
-step writes its indices whole into a step-major buffer, and `apply_action`
-writes its states straight into the step's row of another (`out`), which
-the next step reads as its current states.
+A rollout takes its random draws as one (N-1, M) array, a row per step and
+a column per round; it never touches a generator, so which stream feeds
+which round is the caller's choice (`celab.training` makes it). A rollout
+step makes three calls: the policy over every round's (current, previous)
+rows, `sample_index` over its distributions with the step's row of draws,
+and `apply_action` on the chosen delta rows, which skips the rollback when
+no row needs one. The step writes its indices whole into a step-major
+buffer, and `apply_action` writes its states straight into the step's row
+of another (`out`), which the next step reads as its current states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -132,41 +135,41 @@ def sample_index(distribution: np.ndarray, u: float | np.ndarray) -> np.ndarray:
 
 
 def rollout(
-    policy: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    rounds: int,
-    steps: int,
+    policy: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
     step_size: float,
-    rngs: Sequence[np.random.Generator],
+    uniforms: np.ndarray,
     start: np.ndarray,
 ) -> EpisodeBatch:
     """Run M independent rounds of N-1 policy steps from `start`, whose
     width H fixes the action set.
 
-    `policy` maps (current states (M,H), previous states (M,H)) to action
-    distributions (M,J). One RNG per round; round m draws only from rngs[m],
-    so batches are reproducible regardless of how rounds are scheduled.
+    `uniforms` is the (N-1, M) block of draws in [0, 1) that fixes M and N:
+    step n of round m samples its action with `uniforms[n, m]`, so a round's
+    choices depend only on its own column. `policy(n, current, previous)`
+    maps step n's (M,H) current and previous states to (M,J) action
+    distributions.
     """
-    if rounds < 1:
-        raise PreconditionError("need at least one round")
+    u = np.asarray(uniforms, dtype=np.float64)
+    if u.ndim != 2 or u.shape[1] < 1:
+        raise PreconditionError(f"uniforms must be an (N-1, M) block, M >= 1; got {u.shape}")
+    if not ((u >= _ZERO) & (u < _ONE)).all():  # False on NaN as well
+        raise PreconditionError("uniforms must be finite draws in [0, 1)")
+    steps, rounds = u.shape[0] + 1, u.shape[1]
     if steps < min_steps(step_size):
         raise PreconditionError(
             f"steps must satisfy N >= ceil(1/step_size) so every grid state "
             f"stays reachable; got N={steps}, need >= {min_steps(step_size)}"
         )
-    if len(rngs) != rounds:
-        raise PreconditionError("one RNG per round required")
     h = np.asarray(start).size
     actions = enumerate_actions(h, step_size)
 
-    # (N-1, M): step n's draws are one contiguous row
-    uniforms = np.stack([rng.random(steps - 1) for rng in rngs], axis=1)
     # step-major: each step writes its (M,) indices and (M, H) states whole
     states = np.empty((steps, rounds, h))
     idx = np.empty((steps - 1, rounds), dtype=np.int64)
     states[0] = start
     prev = cur = states[0]
     for n in range(steps - 1):
-        idx[n] = chosen = sample_index(policy(cur, prev), uniforms[n])
+        idx[n] = chosen = sample_index(policy(n, cur, prev), u[n])
         prev, cur = cur, apply_action(cur, actions.take(chosen, axis=0), out=states[n + 1])
     states, idx = np.ascontiguousarray(states.swapaxes(0, 1)), np.ascontiguousarray(idx.T)
     return EpisodeBatch(states=states, action_indices=idx)

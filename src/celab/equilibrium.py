@@ -115,15 +115,13 @@ def max_welfare_correlated_equilibrium(game: Game) -> CESolution:
     return CESolution(distribution=dist, welfare=float(sol.objective), status="optimal")
 
 
-def is_correlated_equilibrium(
-    game: Game, distribution: np.ndarray, tol: float = CE_TOL
-) -> CECheck:
+def is_correlated_equilibrium(game: Game, distribution: np.ndarray) -> CECheck:
     """Exhaustive deviation check, independent of the LP route.
 
     For each player and each decision it might be told, compare the expected
     payoff of obeying with every unilateral swap, conditioning on the told
     decision: one cell at a time over the other players' decisions.
-    Returns the worst slack found.
+    Returns the worst slack found, `ok` when it is at most `CE_TOL`.
     """
     rho = np.asarray(distribution, dtype=np.float64).reshape(game.menu_sizes)
     worst = 0.0
@@ -141,7 +139,7 @@ def is_correlated_equilibrium(
             if gain < -worst:
                 worst = -gain
                 worst_desc = f"player {k + 1} told {a + 1} prefers {a_alt + 1}"
-    return CECheck(ok=bool(worst <= tol), max_violation=worst, worst=worst_desc)
+    return CECheck(ok=bool(worst <= CE_TOL), max_violation=worst, worst=worst_desc)
 
 
 def enumerate_pure_nash(game: Game) -> list[NashEquilibrium]:

@@ -208,9 +208,10 @@ def _restriction_pairs(game: Game, player_pos: int) -> list[tuple[int, int]]:
     ]
 
 
-def validate_game(game: Game, tol: float = 1e-9) -> ValidationReport:
+def validate_game(game: Game) -> ValidationReport:
     """Check normalization, the unequal-reward restriction, and (for 2-player
-    games with both payoffs known) that the game has at least two equilibria."""
+    games with both payoffs known) that the game has at least two equilibria.
+    Sums, signs and equal rewards are judged within `NORMALIZATION_TOL`."""
     normalized: dict[str, bool] = {}
     restriction: dict[str, bool] = {}
     findings: list[str] = []
@@ -220,12 +221,14 @@ def validate_game(game: Game, tol: float = 1e-9) -> ValidationReport:
             findings.append(f"{p}: payoff unknown, checks skipped")
             continue
         total = float(v.sum())
-        normalized[p] = abs(total - 1.0) <= tol and bool(np.all(v >= -tol))
+        normalized[p] = abs(total - 1.0) <= NORMALIZATION_TOL and bool(
+            np.all(v >= -NORMALIZATION_TOL)
+        )
         if not normalized[p]:
             findings.append(f"{p}: not normalized (sum={total})")
         rest_ok = True
         for i, j in _restriction_pairs(game, pos):
-            if abs(v[i] - v[j]) <= tol:
+            if abs(v[i] - v[j]) <= NORMALIZATION_TOL:
                 rest_ok = False
                 findings.append(
                     f"{p}: equal rewards at outcomes {i + 1} and {j + 1} "
@@ -262,9 +265,7 @@ def game_to_dict(game: Game) -> dict:
         "players": list(game.players),
         "decisions": {p: list(m) for p, m in zip(game.players, game.decisions)},
         "payoffs": {
-            p: (None if v is None else [float(x) for x in v])
-            for p, v in game.payoffs.items()
-            if v is not None
+            p: [float(x) for x in v] for p, v in game.payoffs.items() if v is not None
         },
     }
 

@@ -25,10 +25,11 @@ very probabilities the rollout sampled from. A `RolloutRecord` holds layer
 inputs 2-8 and the probabilities of every step, for every net; the caller
 that runs the rollouts and updates owns it (`train_pair` keeps one across
 runs of the same shapes, see `celab.training`). Every rollout records,
-over what the last one left: `policy_fn` writes its step n into slot n. A
-record slot holds one step, and it is step-major (step,
-net, round) because the rollout writes a whole step at once: each layer's
-result lands in one contiguous block, and no step allocates. The update
+over what the last one left: the rollout passes each policy call its step
+n, and `policy_fn` writes that step into slot n. A record slot holds one
+step, and it is step-major (step, net, round) because the rollout writes a
+whole step at once: each layer's result lands in one contiguous block, and
+no step allocates. The update
 reads one net in (round, step) row order, the order `forward` over the
 batch would use, so it copies one layer at a time into that order and every
 reduction sums in the same order as over a fresh pass. The copies then equal
@@ -83,7 +84,6 @@ call; `train_pair` keeps one with its record.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -645,21 +645,20 @@ def load_checkpoint(path) -> tuple[PolicyParams, int | None]:
 
 
 def policy_fn(*params: PolicyParams, record: RolloutRecord):
-    """Rollout closure: (current, previous) batches -> probabilities.
+    """Rollout closure: (step n, current, previous) batches -> probabilities.
 
     Each call is one `forward` over the nets' stacked weights: the B rows
-    are P consecutive blocks of B/P rows, block k played by net k. Call n
-    writes its layer inputs and probabilities into `record.slots[n]`, so the
-    closure serves one rollout, and the stacked bias operands are tiled once
-    to the record's M rounds: (P, M, fan_out) copies, not views of the
-    stacked `flat`.
+    are P consecutive blocks of B/P rows, block k played by net k. The call
+    for step n writes its layer inputs and probabilities into
+    `record.slots[n]`, and the stacked bias operands are tiled once to the
+    record's M rounds: (P, M, fan_out) copies, not views of the stacked
+    `flat`.
     """
     stacked = stack(params)
-    calls = itertools.count()
     rounds = record.slots[0][0].shape[1]  # a slot block is (P, M, width)
     biases = [np.repeat(b, rounds, axis=1) for b in _bias_operands(stacked.biases)]
 
-    def fn(cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
-        return forward(stacked, cur, prev, record.slots[next(calls)], biases)[0]
+    def fn(n: int, cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
+        return forward(stacked, cur, prev, record.slots[n], biases)[0]
 
     return fn

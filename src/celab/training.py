@@ -1,14 +1,17 @@
 """Self-play training loop: reward shaping, Adam updates, stability stop.
 
 Per epoch both agents roll out M rounds against the shared environment, in
-lockstep with one stacked policy evaluation per step. The two state tensors
-are averaged, and each agent takes one Adam step on the summed two-sided
-weighted log loss of its own choices, weighted by the standardized
-discounted rewards of the states those choices produced. The update reads
-the choices as the rollout's action indices, one per (round, step) row,
-and builds no one-hot rows. Parameters,
-gradients and Adam's moments share one flat layout (`PolicyParams.flat`),
-so the Adam step works on whole vectors.
+lockstep with one stacked policy evaluation per step. This module alone
+decides which seeded stream feeds which round: the rollout takes both
+players' draws as one (N-1, 2M) block, one stream per round and player
+(`_round_draws`), so no round's choices depend on another's. The two state
+tensors are averaged, and each agent takes one Adam step on the summed
+two-sided weighted log loss of its own choices, weighted by the
+standardized discounted rewards of the states those choices produced. The
+update reads the choices as the rollout's action indices, one per (round,
+step) row, and builds no one-hot rows. Parameters, gradients and Adam's
+moments share one flat layout (`PolicyParams.flat`), so the Adam step
+works on whole vectors.
 
 The rollout evaluates each net on exactly the (round, step) rows its update
 differentiates, with the weights the update starts from, so the update runs
@@ -263,26 +266,21 @@ def _words(n: int) -> list[int]:
     return [(n >> shift) & 0xFFFF_FFFF for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _round_rngs(seed: int, epoch: int, player_index: int, rounds: int):
-    """One player's M round generators of an epoch: the streams of
-    `default_rng(SeedSequence(seed, spawn_key=(1, epoch, player_index, m)))`.
-
-    Each `SeedSequence` takes one uint32 entropy row instead, the row it
-    assembles from that form: the seed's words, zero-padded to the pool
-    size of 4 words, then the words of 1, epoch, player_index and m. It
-    mixes the same words into the same pool, so the draws are equal, and
-    coercing the spawn-key tuple, about a third of the old cost, is gone.
+def _round_draws(seed: int, epoch: int, player_index: int, rounds: int, steps: int):
+    """One player's (steps - 1, rounds) draws of an epoch: column m holds the
+    first steps - 1 uniforms of `default_rng(SeedSequence(seed, spawn_key=(1,
+    epoch, player_index, m)))`, seeded from the uint32 entropy row that form
+    assembles: the seed's words, zero-padded to the pool size of 4 words,
+    then the words of 1, epoch, player_index and m. The draws are equal,
+    without the cost of coercing a spawn-key tuple.
     """
     head = _words(seed)
     head += [0] * (_POOL_WORDS - len(head))
     for key in (1, epoch, player_index):
         head += _words(key)
-    return [
-        np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(np.array(head + _words(m), np.uint32)))
-        )
-        for m in range(rounds)
-    ]
+    rows = (np.array(head + _words(m), np.uint32) for m in range(rounds))
+    streams = [np.random.default_rng(np.random.SeedSequence(row)) for row in rows]
+    return np.stack([rng.random(steps - 1) for rng in streams], axis=1)
 
 
 # the spare arena, when there is one: [(shapes, (Workspace, RolloutRecord))]
@@ -349,14 +347,13 @@ def train_pair(
     ):
         for epoch in range(1, config.epochs + 1):
             epochs_run = epoch
-            # both players roll out in lockstep: rows [0, M) are a's rounds and
-            # [M, 2M) are b's, each row drawing from its own round RNG
+            # both players roll out in lockstep: columns [0, M) of the draws
+            # are a's rounds and [M, 2M) are b's
+            draws = [_round_draws(seed, epoch, k, m, config.steps) for k in (0, 1)]
             both = rollout(
                 policy_fn(params[a], params[b], record=record),
-                rounds=2 * m,
-                steps=config.steps,
                 step_size=config.step_size,
-                rngs=_round_rngs(seed, epoch, 0, m) + _round_rngs(seed, epoch, 1, m),
+                uniforms=np.concatenate(draws, axis=1),
                 start=default_state(h),
             )
             batches = {

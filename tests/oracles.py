@@ -383,17 +383,19 @@ def reference_forward(params, current: np.ndarray, previous: np.ndarray) -> np.n
     return probs.reshape(-1, weights[8].shape[-1])
 
 
-def reference_rollout(params, rounds: int, steps: int, step_size: float, rngs, start):
+def reference_rollout(params, step_size: float, uniforms, start):
     """`celab.env.rollout` under `params`' nets (stacked, see
     `celab.policy.stack`) as a plain round-major step loop built from
     `reference_forward`, `reference_sample_index` and
     `reference_apply_action`, over actions rebuilt here as the ternary grid
-    (first component most significant). Returns the (rounds, steps, H)
-    states, the (rounds, steps - 1) action indices and every step's
-    probabilities, (steps - 1, rounds, J)."""
+    (first component most significant). Round m draws step n's action with
+    `uniforms[n, m]`. Returns the (rounds, steps, H) states, the
+    (rounds, steps - 1) action indices and every step's probabilities,
+    (steps - 1, rounds, J)."""
     h = np.asarray(start).size
     actions = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=h - 1))) * step_size
-    draws = np.array([rng.random(steps - 1) for rng in rngs])
+    uniforms = np.asarray(uniforms)
+    steps, rounds = uniforms.shape[0] + 1, uniforms.shape[1]
     states = np.zeros((rounds, steps, h))
     states[:, 0] = start
     indices = np.zeros((rounds, steps - 1), dtype=np.int64)
@@ -401,7 +403,7 @@ def reference_rollout(params, rounds: int, steps: int, step_size: float, rngs, s
     for n in range(steps - 1):
         cur, prev = states[:, n].copy(), states[:, max(n - 1, 0)].copy()
         probs.append(reference_forward(params, cur, prev))
-        indices[:, n] = reference_sample_index(probs[-1], draws[:, n])
+        indices[:, n] = reference_sample_index(probs[-1], uniforms[n])
         states[:, n + 1] = reference_apply_action(cur, actions[indices[:, n]])
     return states, indices, np.stack(probs)
 

@@ -221,10 +221,8 @@ def test_update_looks_up_loss_and_gradients_through_its_module(monkeypatch):
     rng = np.random.default_rng(3)
     params = init_policy(4, 27, 4, 6, rng)
     record = RolloutRecord(params, nets=1, rounds=2, steps=4)
-    batch = rollout(
-        policy_fn(params, record=record), 2, 5, 0.25,
-        [np.random.default_rng(m) for m in range(2)], start=np.full(4, 0.25),
-    )
+    uniforms = np.stack([np.random.default_rng(m).random(4) for m in range(2)], axis=1)
+    batch = rollout(policy_fn(params, record=record), 0.25, uniforms, start=np.full(4, 0.25))
     std = rng.normal(size=(2, 5))
     config = TrainingConfig(rounds=2, steps=5, step_size=0.25, width_in=4, width_mid=6)
     update_policy(

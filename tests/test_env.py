@@ -297,42 +297,46 @@ class TestReachability:
 
 class TestRollout:
     @staticmethod
-    def uniform_policy(cur, prev):
+    def uniform_policy(n, cur, prev):
         j = 3 ** (cur.shape[1] - 1)
         return np.full((cur.shape[0], j), 1.0 / j)
 
     @staticmethod
     def constant_policy(index, j):
-        def policy(cur, prev):
+        def policy(n, cur, prev):
             p = np.zeros((cur.shape[0], j))
             p[:, index] = 1.0
             return p
 
         return policy
 
-    def make_rngs(self, m, seed=0):
-        return [np.random.default_rng([seed, m_i]) for m_i in range(m)]
+    @staticmethod
+    def make_uniforms(m, steps, seed=0):
+        """The (N-1, M) draws: column m_i from its own seeded stream."""
+        return np.stack(
+            [np.random.default_rng([seed, m_i]).random(steps - 1) for m_i in range(m)], axis=1
+        )
 
     def test_shapes(self):
         batch = rollout(
-            self.uniform_policy, rounds=3, steps=12, step_size=0.1,
-            rngs=self.make_rngs(3), start=default_state(3),
+            self.uniform_policy, step_size=0.1,
+            uniforms=self.make_uniforms(3, 12), start=default_state(3),
         )
         assert batch.states.shape == (3, 12, 3)
         assert batch.action_indices.shape == (3, 11)
 
     def test_starts_at_default_state(self):
         batch = rollout(
-            self.uniform_policy, rounds=2, steps=11, step_size=0.1,
-            rngs=self.make_rngs(2), start=default_state(4),
+            self.uniform_policy, step_size=0.1,
+            uniforms=self.make_uniforms(2, 11), start=default_state(4),
         )
         np.testing.assert_array_equal(batch.states[:, 0], np.full((2, 4), 0.25))
 
     def test_degenerate_policy_follows_clamp_arithmetic(self):
         # action 0 always decrements the first component of an H=2 state
         batch = rollout(
-            self.constant_policy(0, 3), rounds=1, steps=4, step_size=0.25,
-            rngs=self.make_rngs(1), start=default_state(2),
+            self.constant_policy(0, 3), step_size=0.25,
+            uniforms=self.make_uniforms(1, 4), start=default_state(2),
         )
         np.testing.assert_allclose(
             batch.states[0, :, 0], [0.5, 0.25, 0.0, 0.0], atol=1e-15
@@ -340,8 +344,8 @@ class TestRollout:
 
     def test_all_states_on_simplex(self):
         batch = rollout(
-            self.uniform_policy, rounds=4, steps=30, step_size=0.05,
-            rngs=self.make_rngs(4, seed=9), start=default_state(4),
+            self.uniform_policy, step_size=0.05,
+            uniforms=self.make_uniforms(4, 30, seed=9), start=default_state(4),
         )
         flat = batch.states.reshape(-1, 4)
         assert all(is_simplex_point(s) for s in flat)
@@ -349,21 +353,56 @@ class TestRollout:
     def test_step_bound_enforced(self):
         with pytest.raises(PreconditionError, match="ceil"):
             rollout(
-                self.uniform_policy, rounds=1, steps=10, step_size=0.05,
-                rngs=self.make_rngs(1), start=default_state(2),
+                self.uniform_policy, step_size=0.05,
+                uniforms=self.make_uniforms(1, 10), start=default_state(2),
             )
 
     def test_reproducible_per_round_streams(self):
         a = rollout(
-            self.uniform_policy, rounds=3, steps=15, step_size=0.1,
-            rngs=self.make_rngs(3, seed=5), start=default_state(3),
+            self.uniform_policy, step_size=0.1,
+            uniforms=self.make_uniforms(3, 15, seed=5), start=default_state(3),
         )
         b = rollout(
-            self.uniform_policy, rounds=3, steps=15, step_size=0.1,
-            rngs=self.make_rngs(3, seed=5), start=default_state(3),
+            self.uniform_policy, step_size=0.1,
+            uniforms=self.make_uniforms(3, 15, seed=5), start=default_state(3),
         )
         assert a.states.tobytes() == b.states.tobytes()
         assert a.action_indices.tobytes() == b.action_indices.tobytes()
+
+    def test_a_round_follows_its_own_column_only(self):
+        # round m's states and choices depend on column m of the draws alone
+        uniforms = self.make_uniforms(3, 15, seed=5)
+        whole = rollout(self.uniform_policy, 0.1, uniforms, default_state(3))
+        for m in range(3):
+            alone = rollout(self.uniform_policy, 0.1, uniforms[:, m:m + 1], default_state(3))
+            assert alone.states[0].tobytes() == whole.states[m].tobytes()
+            assert alone.action_indices[0].tobytes() == whole.action_indices[m].tobytes()
+
+    def test_policy_gets_each_step_index_in_order(self):
+        seen = []
+
+        def policy(n, cur, prev):
+            seen.append(n)
+            return self.uniform_policy(n, cur, prev)
+
+        rollout(policy, 0.1, self.make_uniforms(2, 12), default_state(3))
+        assert seen == list(range(11))
+
+    @pytest.mark.parametrize(
+        "uniforms",
+        [np.full(11, 0.5), np.full((11, 2, 1), 0.5), np.zeros((11, 0))],
+        ids=["1-d", "3-d", "no-column"],
+    )
+    def test_uniforms_that_are_not_a_block_of_rounds_rejected(self, uniforms):
+        with pytest.raises(PreconditionError, match=r"\(N-1, M\) block"):
+            rollout(self.uniform_policy, 0.1, uniforms, default_state(3))
+
+    @pytest.mark.parametrize("value", [1.0, -1e-300, np.nan, np.inf, -np.inf])
+    def test_draws_outside_the_unit_interval_rejected(self, value):
+        uniforms = self.make_uniforms(2, 12)
+        uniforms[4, 1] = value
+        with pytest.raises(PreconditionError, match=r"finite draws in \[0, 1\)"):
+            rollout(self.uniform_policy, 0.1, uniforms, default_state(3))
 
 
 def _trained_nets(fixture: str, widths: tuple[int, int]):
@@ -385,13 +424,12 @@ class TestRolloutMatchesReference:
         overshoots = skips = 0
         for rounds in (2, 3, 5, 16):
             record = RolloutRecord(nets[0], 2, rounds, steps - 1)
-            rngs = [np.random.default_rng([rounds, m]) for m in range(2 * rounds)]
-            batch = rollout(policy_fn(*nets, record=record), 2 * rounds, steps, step_size,
-                            rngs, start)
-            rngs = [np.random.default_rng([rounds, m]) for m in range(2 * rounds)]
-            states, indices, probs = reference_rollout(
-                stacked, 2 * rounds, steps, step_size, rngs, start
+            uniforms = np.stack(
+                [np.random.default_rng([rounds, m]).random(steps - 1) for m in range(2 * rounds)],
+                axis=1,
             )
+            batch = rollout(policy_fn(*nets, record=record), step_size, uniforms, start)
+            states, indices, probs = reference_rollout(stacked, step_size, uniforms, start)
             assert batch.states.tobytes() == states.tobytes()
             assert batch.action_indices.dtype == indices.dtype
             assert batch.action_indices.tobytes() == indices.tobytes()

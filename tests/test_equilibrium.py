@@ -386,6 +386,28 @@ def test_two_player_program_and_check_keep_the_two_player_bytes():
                 assert np.float64(check.max_violation).tobytes() == np.float64(violation).tobytes()
 
 
+@pytest.mark.parametrize(
+    "n, s, message, value",
+    [
+        (4, 9, "violates deviation check by", 9.93e-06),
+        (5, 1, "violates deviation check by", 1.49e-04),
+        (5, 5, "sums to", 1.2372),
+    ],
+)
+def test_false_optimal_points_raise_at_the_check(n, s, message, value):
+    # On these games solve_lp reports "optimal" for a point that is not a
+    # CE. The caller's deviation and sum checks are what turn that into a
+    # SolverError, until the simplex can certify its own answers.
+    rng = np.random.default_rng(1000 * n + 100 * n + s)
+    u = rng.random((2, n * n))
+    u /= u.sum(axis=1, keepdims=True)
+    g = game_from_matrices(u[0].reshape(n, n), u[1].reshape(n, n))
+    with pytest.raises(SolverError, match=re.escape(message)) as err:
+        max_welfare_correlated_equilibrium(g)
+    got = float(re.search(re.escape(message) + r" ([-+.e\d]+)", str(err.value)).group(1))
+    assert got == pytest.approx(value, rel=5e-3)
+
+
 def test_negative_zero_payoff_stays_in_the_welfare():
     # make_game turns -0.0 into 0.0, so the game is built directly
     u = np.array([-0.0, 0.5, 0.25, 0.25])

@@ -1,5 +1,6 @@
 """Inverse payoff estimation: reordering, pressure rows, and the LP."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -280,3 +281,28 @@ def test_golden_report_digest():
     assert digest.hexdigest() == (
         "42c5b835cbbcfaf03d372ba388f6b1141d982b0f5f152a092e4241c7f8146e9b"
     )
+
+
+def test_audit_on_exact_ces_of_random_2x2_games():
+    # What the inverse step gets from perfect input today: the exact
+    # max-welfare CE of 1,000 random games, p1 known. The pressure rows
+    # exclude the true p2 vector in every game, and the error quantiles are
+    # those of the estimates that come back `ok`. A change that moves these
+    # numbers changes what the estimate means; re-measure before re-pinning.
+    ok = truth_feasible = 0
+    errors = []
+    for s in range(1000):
+        rng = np.random.default_rng(s)
+        v1, v2 = (v / v.sum() for v in (rng.random(4), rng.random(4)))
+        game = make_game(["p1", "p2"], {"p1": ["a", "b"], "p2": ["a", "b"]}, {"p1": v1, "p2": v2})
+        result = estimate_payoff(v1, max_welfare_correlated_equilibrium(game).distribution)
+        # the rows' margins at the true vector, as if it were the estimate
+        truth = dataclasses.replace(result, estimate=v2)
+        truth_feasible += bool((constraint_slacks(truth) >= -1e-9).all())
+        if result.status == "ok":
+            ok += 1
+            errors.append(np.abs(result.estimate - v2).max())
+    assert ok == 874
+    assert truth_feasible == 0
+    assert np.percentile(errors, 50) == pytest.approx(0.239, abs=5e-4)
+    assert np.percentile(errors, 90) == pytest.approx(0.409, abs=5e-4)

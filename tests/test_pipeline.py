@@ -9,6 +9,11 @@ import numpy as np
 import pytest
 from oracles import reference_slice_indices
 
+from celab.equilibrium import (
+    correlated_equilibrium_program,
+    is_correlated_equilibrium,
+    max_welfare_correlated_equilibrium,
+)
 from celab.errors import PreconditionError
 from celab.games import game_from_dict, make_game
 from celab.pipeline import (
@@ -448,3 +453,48 @@ def test_interaction_task_is_hashable():
     t = InteractionTask("p1", "p2", (("p3", "A"),))
     assert t in {t}
     assert t.pair == ("p1", "p2")
+
+
+def test_one_slicing_moves_the_full_game_ce():
+    # What stitching loses even from exact slices: in 1,000 random 2x2x2
+    # games with p1 known, p2's and p3's vectors are put together from
+    # their exact renormalized p1-pair slices with the pipeline's equal
+    # weights. The assembled game's max-welfare CE is compared with the true
+    # game's, which HiGHS solves. The slices do not carry the mass each
+    # holds of the full vector, so the CE moves, and is often not a CE of
+    # the true game.
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    players = ("p1", "p2", "p3")
+    moved = not_ce = 0
+    violations, losses = [], []
+    for s in range(1000):
+        rng = np.random.default_rng(s)
+        u = [v / v.sum() for v in (rng.random(8) for _ in players)]
+        truth = make_game(players, [["a", "b"]] * 3, dict(zip(players, u)))
+        assembled = {"p1": u[0]}
+        for unknown in ("p2", "p3"):
+            tasks = [t for t in build_task_set(truth) if t.pair == ("p1", unknown)]
+            full = np.zeros(8)
+            for task in tasks:
+                full[list(slice_indices(truth, task))] = (
+                    pair_view(truth, task).payoff(unknown) / len(tasks)
+                )
+            assembled[unknown] = full
+        lp = correlated_equilibrium_program(truth)
+        ref = scipy_opt.linprog(
+            -lp.objective, A_ub=lp.ineq_rows, b_ub=lp.ineq_rhs,
+            A_eq=lp.eq_rows, b_eq=lp.eq_rhs, method="highs",
+        )
+        ce = max_welfare_correlated_equilibrium(
+            make_game(players, [["a", "b"]] * 3, assembled)
+        ).distribution
+        moved += bool(np.abs(ce - ref.x).max() > 1e-6)
+        check = is_correlated_equilibrium(truth, ce)
+        not_ce += not check.ok
+        violations.append(check.max_violation)
+        losses.append(-ref.fun - float(lp.objective @ ce))
+    assert moved == 333
+    assert not_ce == 181
+    assert max(violations) == pytest.approx(0.0396, abs=5e-5)
+    assert np.percentile(losses, 90) == pytest.approx(0.0195, abs=5e-5)
+    assert max(losses) == pytest.approx(0.328, abs=5e-4)

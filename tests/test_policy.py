@@ -172,7 +172,7 @@ def _pass_into_a_filled_record(params, states):
     pass has filled both."""
     record = RolloutRecord(params, nets=1, rounds=len(states), steps=1)
     for net in (small_net(9), params):
-        policy_fn(net, record=record)(states, states)
+        policy_fn(net, record=record)(0, states, states)
 
 
 # (layer, bias value, whether the next layer's weights are all zero); the
@@ -202,7 +202,7 @@ def test_nonfinite_activation_names_the_layer(layer, value, zero_next, path):
     with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
         if path == "second_stacked_net":
             record = RolloutRecord(params, nets=2, rounds=1, steps=1)
-            policy_fn(small_net(9), params, record=record)(states, states)
+            policy_fn(small_net(9), params, record=record)(0, states, states)
         elif path == "update_workspace":
             _pass_into_a_filled_record(params, states)
         else:
@@ -272,11 +272,10 @@ def _update_rows(states):
 def _recorded_rollout(nets, rounds, steps, widths):
     params = [small_net(60 + k, *widths) for k in range(nets)]
     record = RolloutRecord(params[0], nets, rounds, steps - 1)
-    rngs = [np.random.default_rng([61, m]) for m in range(nets * rounds)]
-    batch = rollout(
-        policy_fn(*params, record=record), nets * rounds, steps, 0.25, rngs,
-        start=np.full(H, 0.25),
+    uniforms = np.stack(
+        [np.random.default_rng([61, m]).random(steps - 1) for m in range(nets * rounds)], axis=1
     )
+    batch = rollout(policy_fn(*params, record=record), 0.25, uniforms, start=np.full(H, 0.25))
     return params, record, batch
 
 
@@ -347,7 +346,7 @@ def test_recording_policy_fn_with_tiled_biases_gives_the_bytes_of_forward(rounds
             b[...] = rng.normal(size=b.shape)
     record = RolloutRecord(nets[0], 2, rounds, 1)
     cur, prev = random_pairs(72, 2 * rounds)
-    got = policy_fn(*nets, record=record)(cur, prev)
+    got = policy_fn(*nets, record=record)(0, cur, prev)
     want, trace = forward(stack(nets), cur, prev)
     assert got.tobytes() == want.tobytes()
     for recorded, fresh in zip(record.slots[0], [*trace.layer_inputs[2:], want]):
@@ -528,7 +527,7 @@ def test_single_finiteness_check_gives_the_four_check_outcome(value, target, mod
                 record = RolloutRecord(nets[0], len(nets), rounds, 1)
                 if mode == "stacked_slot":
                     return forward(params, cur, prev, record.slots[0])[0]
-                return policy_fn(*nets, record=record)(cur, prev)
+                return policy_fn(*nets, record=record)(0, cur, prev)
 
             results = []
             for run in (lambda: reference_forward(params, cur, prev), fresh):
@@ -663,15 +662,26 @@ def test_policy_fn_shapes():
     params = small_net(42)
     fn = policy_fn(params, record=RolloutRecord(params, nets=1, rounds=6, steps=1))
     cur, prev = random_pairs(43, 6)
-    probs = fn(cur, prev)
+    probs = fn(0, cur, prev)
     assert probs.shape == (6, J)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_policy_fn_writes_step_n_into_slot_n_whatever_the_call_order():
+    params = small_net(42)
+    record = RolloutRecord(params, nets=1, rounds=6, steps=3)
+    fn = policy_fn(params, record=record)
+    for n in (2, 0):
+        cur, prev = random_pairs(43 + n, 6)
+        probs = fn(n, cur, prev)
+        assert probs.tobytes() == forward(params, cur, prev)[0].tobytes()
+        assert record.slots[n][7].tobytes() == probs.tobytes()
 
 
 def test_stacked_policy_fn_matches_forward_per_block():
     pa, pb = small_net(44), small_net(45)
     cur, prev = random_pairs(46, 10)
-    probs = policy_fn(pa, pb, record=RolloutRecord(pa, nets=2, rounds=5, steps=1))(cur, prev)
+    probs = policy_fn(pa, pb, record=RolloutRecord(pa, nets=2, rounds=5, steps=1))(0, cur, prev)
     assert np.array_equal(probs[:5], forward(pa, cur[:5], prev[:5])[0])
     assert np.array_equal(probs[5:], forward(pb, cur[5:], prev[5:])[0])
 
@@ -681,4 +691,4 @@ def test_stacked_policy_fn_rejects_uneven_rows():
     nets = small_net(48), small_net(49)
     record = RolloutRecord(nets[0], nets=2, rounds=2, steps=1)
     with pytest.raises(PreconditionError, match="split"):
-        policy_fn(*nets, record=record)(cur, prev)
+        policy_fn(*nets, record=record)(0, cur, prev)

@@ -25,7 +25,7 @@ from celab.training import (
     AdamState,
     RewardTensor,
     TrainingConfig,
-    _round_rngs,
+    _round_draws,
     adam_step,
     shape_rewards,
     train_pair,
@@ -131,42 +131,34 @@ class TestRoundStreams:
     )
     @pytest.mark.parametrize("epoch", [1, 2**31, 2**32 + 1])
     @pytest.mark.parametrize("player", [0, 1])
-    def test_round_generators_draw_the_spawn_key_streams(self, seed, epoch, player):
-        rounds = 3
-        got = _round_rngs(seed, epoch, player, rounds)
-        assert len(got) == rounds
-        for m, rng in enumerate(got):
+    def test_round_draws_are_the_spawn_key_streams(self, seed, epoch, player):
+        rounds, steps = 3, 9
+        got = _round_draws(seed, epoch, player, rounds, steps)
+        assert got.shape == (steps - 1, rounds)
+        for m in range(rounds):
             want = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(1, epoch, player, m))
-            )
-            assert rng.random(8).tobytes() == want.random(8).tobytes()
-            assert rng.integers(0, 2**63, size=4).tobytes() == want.integers(
-                0, 2**63, size=4
-            ).tobytes()
+            ).random(steps - 1)
+            assert got[:, m].tobytes() == want.tobytes()
 
     def test_epochs_a_word_apart_draw_different_streams(self):
         # an epoch never wraps to 32 bits: 2**32 + 1 is not epoch 1
-        low, high = (_round_rngs(0, epoch, 0, 1)[0].random(4) for epoch in (1, 2**32 + 1))
+        low, high = (_round_draws(0, epoch, 0, 1, 5) for epoch in (1, 2**32 + 1))
         assert low.tobytes() != high.tobytes()
 
     def test_negative_seed_rejected(self):
         with pytest.raises(PreconditionError, match="non-negative"):
-            _round_rngs(-1, 1, 0, 2)
+            _round_draws(-1, 1, 0, 2, 5)
 
 
 def tiny_batch(params, seed=0, rounds=2, steps=4, step_size=0.25):
     """A rollout of `params` and its record, which the update reads."""
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, 1, 0, m)))
-        for m in range(rounds)
-    ]
+    uniforms = _round_draws(seed, 1, 0, rounds, steps)
     record = RolloutRecord(params, nets=1, rounds=rounds, steps=steps - 1)
     batch = rollout(
         policy_fn(params, record=record),
-        rounds=rounds,
-        steps=steps,
         step_size=step_size,
-        rngs=rngs,
+        uniforms=uniforms,
         start=np.full(params.h, 1.0 / params.h),
     )
     return batch, record
@@ -263,10 +255,11 @@ class TestUpdatePolicy:
         cfg = TrainingConfig()
         params = init_policy(4, 27, cfg.width_in, cfg.width_mid, np.random.default_rng(12))
         record = RolloutRecord(params, nets=1, rounds=cfg.rounds, steps=cfg.steps - 1)
-        rngs = [np.random.default_rng(m) for m in range(cfg.rounds)]
+        uniforms = np.stack(
+            [np.random.default_rng(m).random(cfg.steps - 1) for m in range(cfg.rounds)], axis=1
+        )
         batch = rollout(
-            policy_fn(params, record=record), cfg.rounds, cfg.steps, cfg.step_size, rngs,
-            start=np.full(4, 0.25),
+            policy_fn(params, record=record), cfg.step_size, uniforms, start=np.full(4, 0.25)
         )
         rt = shape_rewards(batch.states, coordination.payoff("p1"), cfg.discount)
         ws = Workspace()
