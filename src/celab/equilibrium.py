@@ -54,7 +54,12 @@ class NashEquilibrium:
 
     @property
     def welfare(self) -> float:
-        return float(sum(self.payoffs))
+        # left to right, as sum() adds up to Python 3.11; from 3.12 sum()
+        # compensates, which moves last bits of the CLI's JSON `welfare`
+        total = 0.0
+        for payoff in self.payoffs:
+            total += payoff
+        return float(total)
 
 
 @dataclass(frozen=True)

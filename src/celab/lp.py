@@ -10,18 +10,40 @@ With these tolerances the rule can still cycle (on some CE programs from
 Programs built in this package state no upper bound that sum(x) = 1 and
 x >= 0 already imply: each finite upper bound costs a tableau row.
 
-Per-pivot cost is mostly Python and numpy call overhead, so each step is a
-few whole-array operations:
+Per-pivot cost is mostly Python and numpy call overhead, not arithmetic.
+So the tableau lives in one of two containers, chosen once per solve by
+its cell count, and one pivoting loop (`_simplex_max`: pricing, ratio test,
+cycle guard) runs on either:
 
-- A pivot is one rank-1 update of the tableau. Every element gets the same
-  product and difference a per-row loop would give, so the bits are those
-  of that loop; only zero factors differ, as x - (+-0.0), which can flip
-  the sign of a zero and nothing else.
-- The entering column is the first reduced cost above TOL, in one array op.
-- The ratio test is a sequential scan over Python floats, because Bland's
-  tie rule compares each ratio with the running best (within TOL), which
-  no single array reduction reproduces. Python float division and
-  comparison are the same IEEE operations as on numpy scalars.
+- At most LIST_CELLS cells: a list of rows of Python floats. A 2x2 CE
+  program is a 5x10 tableau that takes about 5 pivots; on an ndarray each
+  pivot is about a dozen numpy calls on 50 numbers.
+- Larger: a 2-D float64 ndarray, on which a pivot is a few whole-array
+  operations. Python arithmetic costs the same per cell at any size, so a
+  list pivot falls behind as the tableau grows: the 6x6 CE program of the
+  cycling test (about 6,000 cells) takes 18x as long on lists.
+
+Only three primitives differ by container: pricing, which gives the
+entering column and the columns the ratio test reads (`_pricing`), the
+pivot (`_pivot`) and dropping redundant rows (`_drop_rows`). Both give the
+same answers, bit for bit:
+
+- A pivot divides the pivot row by its pivot element, then subtracts
+  factor * pivot row from every row, the factor being zero on the pivot
+  row. Each entry gets that one quotient, product and difference in both
+  containers, in the same order, and Python floats and numpy's elementwise
+  loops are the same IEEE operations. A zero factor still applies
+  x - (+-0.0), which can flip the sign of a zero, and does so alike in
+  both.
+- The entering column is the first whose reduced cost exceeds TOL. The
+  array computes reduced costs with one BLAS product; the list adds left
+  to right, never with built-in sum(), which compensates from Python 3.12.
+  Their last bits may differ, which changes the entering column only when
+  a reduced cost lies within rounding of TOL.
+- The ratio test is a sequential scan over Python floats in both, because
+  Bland's tie rule compares each ratio with the running best (within TOL),
+  which no single array reduction reproduces.
+- The phase-1 value and the objective are numpy dots on both paths.
 
 Maximization form:
 
@@ -41,6 +63,10 @@ import numpy as np
 from .errors import SolverError
 
 TOL = 1e-9
+# Tableaus of at most this many cells pivot as lists of Python-float rows,
+# larger ones as ndarrays (see the module docstring). Chosen from solve
+# times by cell count (ROADMAP Baseline, "LP, small programs").
+LIST_CELLS = 64
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -89,13 +115,19 @@ class LinearProgram:
         if len(self.bounds) != n:
             raise ValueError("one (lo, hi) pair per variable required")
         self.bounds = [(lo, np.inf if hi is None else hi) for lo, hi in self.bounds]
-        for lo, hi in self.bounds:
-            if not math.isfinite(lo):
-                raise ValueError("lower bounds must be finite")
-            if math.isnan(hi):
-                raise ValueError("upper bounds must not be NaN")
+        for i, (lo, hi) in enumerate(self.bounds):
+            try:
+                lo_finite, hi_nan = math.isfinite(lo), math.isnan(hi)
+            except TypeError:
+                raise ValueError(
+                    f"bounds of variable {i} must be numbers, got ({lo!r}, {hi!r})"
+                ) from None
+            if not lo_finite:
+                raise ValueError(f"lower bound of variable {i} must be finite")
+            if hi_nan:
+                raise ValueError(f"upper bound of variable {i} must not be NaN")
             if hi < lo:
-                raise ValueError(f"bound lo {lo} exceeds hi {hi}")
+                raise ValueError(f"bound lo {lo} exceeds hi {hi} for variable {i}")
 
 
 @dataclass
@@ -106,43 +138,92 @@ class LPSolution:
     iterations: int = 0
 
 
-def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pricing(t, cost: np.ndarray, allowed: int):
+    """Bland's pricing on tableau `t` under `cost`, as a function of the
+    basis. It returns the first of the `allowed` columns whose reduced cost
+    exceeds TOL, with that column and the rhs column as Python floats for
+    the ratio test, or (-1, [], []) at an optimum. It reads `t` at each
+    call, as pivots change it."""
+    if isinstance(t, list):
+        cost = cost.tolist()
+
+        def price(basis: list[int]) -> tuple[int, list[float], list[float]]:
+            # a zero-cost row would add only a signed zero, which no
+            # comparison sees
+            terms = [(cost[b], row) for b, row in zip(basis, t) if cost[b]]
+            for j in range(allowed):
+                dot = 0.0  # left to right: sum() is compensated from Python 3.12
+                for c, row in terms:
+                    dot += c * row[j]
+                if cost[j] - dot > TOL:
+                    return j, [row[j] for row in t], [row[-1] for row in t]
+            return -1, [], []
+
+        return price
+
+    # views: pivots update t in place
+    body, priced, rhs = t[:, :allowed], cost[:allowed], t[:, -1]
+
+    def price(basis: list[int]) -> tuple[int, list[float], list[float]]:
+        eligible = priced - cost[basis] @ body > TOL
+        j = int(eligible.argmax())
+        if not eligible[j]:
+            return -1, [], []
+        return j, t[:, j].tolist(), rhs.tolist()
+
+    return price
+
+
+def _pivot(t, basis: list[int], row: int, col: int) -> None:
+    """Pivot tableau `t` in place on (row, col): divide the pivot row by its
+    pivot element, then subtract factor * pivot row from every row, the
+    factor being the row's entry in `col`, or zero for the pivot row.
+
+    Rows whose factor is zero (the pivot row included) get x - (+-0.0): for
+    finite x that moves at most the sign of a zero, and both containers
+    move it alike. LinearProgram rejects non-finite data, so the starting
+    tableau is finite."""
+    basis[row] = col
+    if isinstance(t, list):
+        scale = t[row][col]
+        pivot_row = t[row] = [v / scale for v in t[row]]
+        for r, old in enumerate(t):
+            factor = 0.0 if r == row else old[col]
+            t[r] = [a - factor * b for a, b in zip(old, pivot_row)]
+        return
     pivot_row = t[row]
     pivot_row /= pivot_row[col]
-    # Rank-1 update. Rows whose factor is zero (the pivot row included) get
-    # x - (+-0.0): for finite x that moves at most the sign of a zero, which
-    # no reader of the tableau sees. LinearProgram rejects non-finite data,
-    # so the starting tableau is finite.
     factors = t[:, col].copy()
     factors[row] = 0.0
     t -= factors[:, None] * pivot_row
-    basis[row] = col
 
 
-def _simplex_max(t: np.ndarray, basis: list[int], cost: np.ndarray,
+def _drop_rows(t, rows: list[int]):
+    """Tableau `t` without the given rows."""
+    if isinstance(t, list):
+        return [row for r, row in enumerate(t) if r not in rows]
+    return np.delete(t, rows, axis=0)
+
+
+def _simplex_max(t, basis: list[int], cost: np.ndarray,
                  allowed: int) -> tuple[str, int]:
     """Run primal simplex on tableau t (rows = constraints, last col = rhs),
     maximizing `cost` over the first `allowed` columns. Bland's rule both ways.
     A repeated basis raises SolverError (Brent's cycle detection: compare with
     a copy saved at pivots 1, 2, 4, ...). In floating point a cycle can be left
     after some rounds, so this also stops a few solves that would have ended."""
-    # views: pivots update t in place
-    body, rhs_col, priced = t[:, :allowed], t[:, -1], cost[:allowed]
+    price = _pricing(t, cost, allowed)
     iters = 0
     saved, stride = list(basis), 1
     while True:
-        # reduced costs relative to the current basis
-        reduced = priced - cost[basis] @ body
-        eligible = reduced > TOL
-        entering = int(eligible.argmax())
-        if not eligible[entering]:
+        entering, column, rhs = price(basis)
+        if entering < 0:
             return "optimal", iters
         # Bland's ratio test: ties within TOL of the running best leave by the
         # smallest basis index, so the scan is sequential (over Python floats).
         leaving = -1
         best_ratio = math.inf
-        rhs = rhs_col.tolist()
-        for r, a in enumerate(t[:, entering].tolist()):
+        for r, a in enumerate(column):
             if a > TOL:
                 ratio = rhs[r] / a
                 if ratio < best_ratio - TOL or (
@@ -219,6 +300,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             basis[r] = n + r
 
     t = np.hstack([rows, slack, art, rhs.reshape(-1, 1)])
+    if t.size <= LIST_CELLS:
+        t = t.tolist()
     total_cols = n + n_ub + n_art
     iterations = 0
 
@@ -227,34 +310,34 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         phase1_cost[n + n_ub :] = -1.0  # maximize -(sum of artificials)
         status, it = _simplex_max(t, basis, phase1_cost, total_cols)
         iterations += it
-        cb = phase1_cost[basis]
-        val = cb @ t[:, -1]
-        if val < -TOL:
+        # one numpy dot over the rhs column, whichever the container
+        if phase1_cost[basis] @ np.asarray(t)[:, -1] < -TOL:
             return LPSolution(status="infeasible", iterations=iterations)
         # drive leftover artificials out of the basis; drop redundant rows
         redundant = []
-        for r in range(t.shape[0]):
+        for r in range(len(basis)):
             if basis[r] >= n + n_ub:
-                candidates = np.flatnonzero(np.abs(t[r, : n + n_ub]) > TOL)
-                if candidates.size:
-                    _pivot(t, basis, r, int(candidates[0]))
+                row = t[r]
+                col = next((j for j in range(n + n_ub) if abs(row[j]) > TOL), -1)
+                if col >= 0:
+                    _pivot(t, basis, r, col)
                 else:
                     redundant.append(r)
         if redundant:
-            t = np.delete(t, redundant, axis=0)
+            t = _drop_rows(t, redundant)
             basis = [b for r, b in enumerate(basis) if r not in redundant]
 
     # phase 2 over original + slack columns only
-    phase2_cost = np.zeros(t.shape[1] - 1)
+    phase2_cost = np.zeros(total_cols)
     phase2_cost[:n] = c
     status, it = _simplex_max(t, basis, phase2_cost, n + n_ub)
     iterations += it
     if status == "unbounded":
         return LPSolution(status="unbounded", iterations=iterations)
 
-    y = np.zeros(t.shape[1] - 1)
-    for r, b in enumerate(basis):
-        y[b] = t[r, -1]
+    y = np.zeros(total_cols)
+    for b, row in zip(basis, t):
+        y[b] = row[-1]
     x = lo + y[:n]
     return LPSolution(
         status="optimal",

@@ -652,13 +652,19 @@ def policy_fn(*params: PolicyParams, record: RolloutRecord):
     for step n writes its layer inputs and probabilities into
     `record.slots[n]`, and the stacked bias operands are tiled once to the
     record's M rounds: (P, M, fan_out) copies, not views of the stacked
-    `flat`.
+    `flat`. A step past the record's last slot, or rows other than its P·M,
+    raise PreconditionError.
     """
     stacked = stack(params)
-    rounds = record.slots[0][0].shape[1]  # a slot block is (P, M, width)
+    steps, nets, rounds = record.arrays[0].shape[:3]  # (steps, P, M, width)
     biases = [np.repeat(b, rounds, axis=1) for b in _bias_operands(stacked.biases)]
 
     def fn(n: int, cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
+        if not (0 <= n < steps and len(cur) == nets * rounds):
+            raise PreconditionError(
+                f"step {n} of {len(cur)} rows does not fit a record of {steps} "
+                f"steps whose rows split into P={nets} nets of M={rounds} rounds"
+            )
         return forward(stacked, cur, prev, record.slots[n], biases)[0]
 
     return fn

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from celab.equilibrium import (
+    NashEquilibrium,
     correlated_equilibrium_program,
     enumerate_equilibria,
     enumerate_pure_nash,
@@ -406,6 +407,12 @@ def test_false_optimal_points_raise_at_the_check(n, s, message, value):
         max_welfare_correlated_equilibrium(g)
     got = float(re.search(re.escape(message) + r" ([-+.e\d]+)", str(err.value)).group(1))
     assert got == pytest.approx(value, rel=5e-3)
+
+
+def test_nash_welfare_adds_left_to_right():
+    # a compensated sum (built-in sum() from Python 3.12) gives 0.6 here
+    ne = NashEquilibrium(kind="pure", strategies=(), payoffs=(0.1, 0.2, 0.3))
+    assert repr(ne.welfare) == repr((0.1 + 0.2) + 0.3) == "0.6000000000000001"
 
 
 def test_negative_zero_payoff_stays_in_the_welfare():

@@ -15,80 +15,98 @@ from celab.games import make_game
 from celab.lp import LinearProgram, solve_lp
 
 
-def test_single_variable_upper_bound():
+def _each_tableau(monkeypatch):
+    """Yield "array", then "list", with solve_lp pivoting every tableau in
+    that container, so that a test of a tiny program runs the shared loop
+    on both (a tiny tableau is a list by default)."""
+    for container, cells in (("array", -1), ("list", 10**9)):
+        monkeypatch.setattr(celab.lp, "LIST_CELLS", cells)
+        yield container
+
+
+def test_single_variable_upper_bound(monkeypatch):
     lp = LinearProgram(objective=[1.0], ineq_rows=[[1.0]], ineq_rhs=[1.0])
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
+    for _ in _each_tableau(monkeypatch):
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_degenerate_optimum_tie_break():
+def test_degenerate_optimum_tie_break(monkeypatch):
     # every point on x+y=1 is optimal; smallest-index rule settles on (1, 0)
     lp = LinearProgram(objective=[1.0, 1.0], ineq_rows=[[1.0, 1.0]], ineq_rhs=[1.0])
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-12)
+    for _ in _each_tableau(monkeypatch):
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-12)
 
 
-def test_infeasible_detected():
+def test_infeasible_detected(monkeypatch):
     lp = LinearProgram(objective=[1.0], ineq_rows=[[1.0]], ineq_rhs=[-1.0])
-    assert solve_lp(lp).status == "infeasible"
+    for _ in _each_tableau(monkeypatch):
+        assert solve_lp(lp).status == "infeasible"
 
 
-def test_unbounded_detected():
+def test_unbounded_detected(monkeypatch):
     lp = LinearProgram(objective=[1.0])
-    assert solve_lp(lp).status == "unbounded"
+    for _ in _each_tableau(monkeypatch):
+        assert solve_lp(lp).status == "unbounded"
 
 
-def test_equality_with_bounds():
+def test_equality_with_bounds(monkeypatch):
     lp = LinearProgram(
         objective=[1.0, 0.0, 0.0],
         eq_rows=[[1.0, 1.0, 1.0]],
         eq_rhs=[1.0],
         bounds=[(0.0, 1.0)] * 3,
     )
-    sol = solve_lp(lp)
-    np.testing.assert_allclose(sol.x, [1.0, 0.0, 0.0], atol=1e-12)
+    for _ in _each_tableau(monkeypatch):
+        sol = solve_lp(lp)
+        np.testing.assert_allclose(sol.x, [1.0, 0.0, 0.0], atol=1e-12)
 
 
-def test_shifted_lower_bounds():
+def test_shifted_lower_bounds(monkeypatch):
     # maximize -x with x in [-2, 5] -> x = -2
     lp = LinearProgram(objective=[-1.0], bounds=[(-2.0, 5.0)])
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.x[0] == pytest.approx(-2.0, abs=1e-12)
-    assert sol.objective == pytest.approx(2.0, abs=1e-12)
+    for _ in _each_tableau(monkeypatch):
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.x[0] == pytest.approx(-2.0, abs=1e-12)
+        assert sol.objective == pytest.approx(2.0, abs=1e-12)
 
 
-def test_upper_bound_only_binding():
+def test_upper_bound_only_binding(monkeypatch):
     lp = LinearProgram(objective=[3.0, 1.0], bounds=[(0.0, 2.0), (0.0, 4.0)])
-    sol = solve_lp(lp)
-    np.testing.assert_allclose(sol.x, [2.0, 4.0], atol=1e-12)
+    for _ in _each_tableau(monkeypatch):
+        sol = solve_lp(lp)
+        np.testing.assert_allclose(sol.x, [2.0, 4.0], atol=1e-12)
 
 
-def test_negative_rhs_needs_phase_one():
+def test_negative_rhs_needs_phase_one(monkeypatch):
     # x1 + x2 >= 1 written as -x1 - x2 <= -1
     lp = LinearProgram(
         objective=[-1.0, -2.0],
         ineq_rows=[[-1.0, -1.0]],
         ineq_rhs=[-1.0],
     )
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-12)
+    for _ in _each_tableau(monkeypatch):
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-12)
 
 
-def test_redundant_equality_row_is_dropped():
+def test_redundant_equality_row_is_dropped(monkeypatch):
     # the second row repeats the first; its artificial cannot leave the
     # basis after phase 1, so the row goes before phase 2
     lp = LinearProgram(
         objective=[1.0, 2.0], eq_rows=[[1.0, 1.0], [2.0, 2.0]], eq_rhs=[1.0, 2.0]
     )
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    np.testing.assert_array_equal(sol.x, [0.0, 1.0])
-    assert sol.objective == 2.0
+    for _ in _each_tableau(monkeypatch):
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        np.testing.assert_array_equal(sol.x, [0.0, 1.0])
+        assert sol.objective == 2.0
 
 
 def test_rejects_infinite_lower_bound():
@@ -105,6 +123,12 @@ def test_rejects_nan_upper_bound():
     # hi < lo is false for NaN, and the solver would read it as +inf
     with pytest.raises(ValueError, match="NaN"):
         LinearProgram(objective=[1.0], bounds=[(0.0, np.nan)])
+
+
+@pytest.mark.parametrize("bound", [(None, 1.0), ("0", 1.0), (0.0, "1")])
+def test_rejects_a_bound_that_is_not_a_number(bound):
+    with pytest.raises(ValueError, match="^bounds of variable 1 must be numbers"):
+        LinearProgram(objective=[1.0, 1.0], bounds=[(0.0, 1.0), bound])
 
 
 @pytest.mark.parametrize("n, field, rows, rhs", [
@@ -219,7 +243,7 @@ def _first_tableau_rows(monkeypatch, lp: LinearProgram) -> int:
     shapes = []
 
     def first_tableau(t, *args):
-        shapes.append(t.shape)
+        shapes.append(np.shape(t))
         return simplex_max(t, *args)
 
     with monkeypatch.context() as m:
@@ -359,3 +383,95 @@ def test_golden_solution_digest(monkeypatch):
     assert digest.hexdigest() == (
         "db643820064aee91f3b0b2d51d84b76ba4376ed9dca495e3a789dadbb096db11"
     )
+
+
+def _tie_prone_ce_programs(rng: np.random.Generator) -> list[LinearProgram]:
+    """Max-welfare CE programs of 2x2 games whose payoffs are random, small
+    integers (ties), equal up to 1e-9 steps (near-ties), or partly zero."""
+    programs = []
+    for i in range(240):
+        kind = i % 4
+        if kind == 0:
+            u = rng.random((2, 4))
+        elif kind == 1:
+            u = rng.integers(1, 4, (2, 4)).astype(float)
+        elif kind == 2:
+            u = 0.5 + 1e-9 * rng.integers(-1, 2, (2, 4)) + 1e-12 * rng.random((2, 4))
+        else:
+            u = rng.random((2, 4)) * (rng.random((2, 4)) < 0.6)
+            u[:, 0] += 0.1
+        u /= u.sum(axis=1, keepdims=True)
+        game = make_game(["p1", "p2"], [["a1", "a2"], ["b1", "b2"]], {"p1": u[0], "p2": u[1]})
+        programs.append(correlated_equilibrium_program(game))
+    return programs
+
+
+def _signed_zero_programs(rng: np.random.Generator) -> list[LinearProgram]:
+    """Small random LPs whose data hold -0.0 (in the objective, the rows,
+    the right-hand sides and the lower bounds) and shifted lower bounds."""
+    def with_zeros(a):
+        return np.where(rng.random(np.shape(a)) < 0.3, rng.choice([0.0, -0.0]), a)
+
+    programs = []
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        m_ub, m_eq = int(rng.integers(0, 4)), int(rng.integers(0, 2))
+        lo = rng.choice([0.0, -0.0, -1.0, 0.5], size=n)
+        hi = np.where(rng.random(n) < 0.5, np.inf, lo + 2.0 * rng.random(n))
+        programs.append(LinearProgram(
+            objective=with_zeros(rng.normal(size=n)),
+            ineq_rows=with_zeros(rng.normal(size=(m_ub, n))),
+            ineq_rhs=with_zeros(rng.normal(size=m_ub)),
+            eq_rows=with_zeros(rng.normal(size=(m_eq, n))) if m_eq else None,
+            eq_rhs=with_zeros(rng.normal(size=m_eq)) if m_eq else None,
+            bounds=list(zip(lo, hi)),
+        ))
+    return programs
+
+
+def test_both_tableau_containers_give_the_same_bits(monkeypatch):
+    # the list tableau must repeat the array's IEEE operations, signed zeros
+    # included: same status, pivot count, x bytes and repr(objective)
+    rng = np.random.default_rng(2202)
+    programs = _tie_prone_ce_programs(rng)
+    programs += _golden_estimation_programs(rng, monkeypatch)
+    programs += _signed_zero_programs(rng)
+    simplex_max = celab.lp._simplex_max
+    containers = []
+
+    def record_container(t, *args):
+        containers.append(type(t))
+        return simplex_max(t, *args)
+
+    monkeypatch.setattr(celab.lp, "_simplex_max", record_container)
+    answers = {}
+    for container in _each_tableau(monkeypatch):
+        containers.clear()
+        answers[container] = []
+        for lp in programs:
+            sol = solve_lp(lp)
+            x = None if sol.x is None else sol.x.tobytes()
+            answers[container].append((sol.status, sol.iterations, x, repr(sol.objective)))
+        assert set(containers) == {np.ndarray if container == "array" else list}
+    assert answers["list"] == answers["array"]
+    statuses = [status for status, *_ in answers["array"]]
+    assert min(statuses.count(s) for s in ("optimal", "infeasible", "unbounded")) >= 5
+
+
+def test_list_pivot_repeats_the_array_pivot_bits():
+    # every entry, signed zeros included, on tableaus full of +-0.0, and on
+    # negative pivot elements as the artificial drive-out takes them
+    rng = np.random.default_rng(2203)
+    for _ in range(300):
+        m, w = int(rng.integers(1, 6)), int(rng.integers(2, 9))
+        t = rng.normal(size=(m, w))
+        t[rng.random((m, w)) < 0.5] = 0.0
+        t[rng.random((m, w)) < 0.3] *= -1.0
+        row, col = int(rng.integers(m)), int(rng.integers(w - 1))
+        if t[row, col] == 0.0:
+            continue
+        basis = list(range(m))
+        listed = t.tolist()
+        celab.lp._pivot(t, basis, row, col)
+        celab.lp._pivot(listed, list(range(m)), row, col)
+        assert np.array(listed).tobytes() == t.tobytes()

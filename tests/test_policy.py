@@ -692,3 +692,15 @@ def test_stacked_policy_fn_rejects_uneven_rows():
     record = RolloutRecord(nets[0], nets=2, rounds=2, steps=1)
     with pytest.raises(PreconditionError, match="split"):
         policy_fn(*nets, record=record)(0, cur, prev)
+
+
+@pytest.mark.parametrize("rounds, steps", [(2, 3), (3, 5)])
+def test_rollout_into_a_record_of_other_shapes_names_both(rounds, steps):
+    # the draws make 5 steps of 2 rounds: a record of 3 steps runs out of
+    # slots, and one of 3 rounds has rows of another size
+    params = small_net(50)
+    record = RolloutRecord(params, nets=1, rounds=rounds, steps=steps)
+    message = (f"of 2 rows does not fit a record of {steps} steps whose rows "
+               f"split into P=1 nets of M={rounds} rounds")
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        rollout(policy_fn(params, record=record), 0.25, np.full((5, 2), 0.5), np.full(H, 0.25))
