@@ -12,9 +12,11 @@ which round is the caller's choice (`celab.training` makes it). A rollout
 step makes three calls: the policy over every round's (current, previous)
 rows, `sample_index` over its distributions with the step's row of draws,
 and `apply_action` on the chosen delta rows, which skips the rollback when
-no row needs one. The step writes its indices whole into a step-major
-buffer, and `apply_action` writes its states straight into the step's row
-of another (`out`), which the next step reads as its current states.
+no row needs one. `sample_index` writes its indices straight into the
+step's row of a step-major buffer, the chosen delta rows go into one buffer
+that every step reuses, and `apply_action` writes its states straight into
+the step's row of another step-major buffer (each `out`), which the next
+step reads as its current states.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ def apply_action(
     row's clamped head sums above 1, every increase would be scaled by +0.0,
     which keeps the clamped head's bits, so that arithmetic is skipped. (Only
     a head component of -inf, outside the simplex, made such a product NaN.)
+    The clamped head is then written once, and the last component comes
+    from its row sums, already taken for that test.
 
     The new states go to `out` when given, a float64 array of the result's
     shape, and to a fresh array otherwise; either is returned. `out` is
@@ -89,6 +93,11 @@ def apply_action(
     np.minimum(np.maximum(tentative, _ZERO, out=tentative), _ONE, out=tentative)
     # per-row sums keep a trailing axis, so they broadcast against the rows
     total = np.add.reduce(tentative, axis=-1, keepdims=True)
+    shape = tentative.shape[:-1] + s.shape[-1:]
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise PreconditionError(f"out {out.shape} {out.dtype} is not {shape} float64")
     # any row above 1; unlike total.max() > 1.0, no NaN row hides another
     if np.count_nonzero(total > _ONE):
         increases = np.subtract(tentative, head)
@@ -97,14 +106,14 @@ def apply_action(
         inc_total = np.add.reduce(increases, axis=-1, keepdims=True)
         scale = np.divide(deficit, inc_total, out=np.zeros(deficit.shape), where=inc_total > _ZERO)
         np.subtract(tentative, np.multiply(increases, scale, out=increases), out=tentative)
-    shape = tentative.shape[:-1] + s.shape[-1:]
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise PreconditionError(f"out {out.shape} {out.dtype} is not {shape} float64")
-    adjusted = np.maximum(tentative, _ZERO, out=out[..., :-1])
+        adjusted = np.maximum(tentative, _ZERO, out=out[..., :-1])
+        np.add.reduce(adjusted, axis=-1, keepdims=True, out=total)
+    else:
+        # max(t, 0) keeps the bits of a clamped t, -0.0 included: the
+        # clamped head is the new head, and its sum is already taken
+        out[..., :-1] = tentative
     last = out[..., -1:]
-    np.subtract(_ONE, np.add.reduce(adjusted, axis=-1, keepdims=True), out=last)
+    np.subtract(_ONE, total, out=last)
     np.maximum(last, _ZERO, out=last)
     return out
 
@@ -121,17 +130,21 @@ class EpisodeBatch:
     action_indices: np.ndarray  # (M, N-1) into the canonical action order
 
 
-def sample_index(distribution: np.ndarray, u: float | np.ndarray) -> np.ndarray:
+def sample_index(
+    distribution: np.ndarray, u: float | np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Inverse-CDF sampling: the count of the first J-1 prefix sums <= u.
 
     Vectorized over leading dimensions of `distribution` and `u`. The
     distribution must be non-negative: its prefix sums then never decrease,
-    so this is the count over all J clipped to J-1, the last index.
+    so this is the count over all J clipped to J-1, the last index. The
+    indices go to `out` when given, an int64 array of their shape, and
+    to a fresh one otherwise; either is returned.
     """
     p = np.asarray(distribution, dtype=np.float64)
     cum = np.add.accumulate(p[..., :-1], axis=-1)
     uu = np.asarray(u, dtype=np.float64)[..., None]
-    return np.add.reduce(np.less_equal(cum, uu), axis=-1)
+    return np.add.reduce(np.less_equal(cum, uu), axis=-1, out=out)
 
 
 def rollout(
@@ -166,11 +179,14 @@ def rollout(
     # step-major: each step writes its (M,) indices and (M, H) states whole
     states = np.empty((steps, rounds, h))
     idx = np.empty((steps - 1, rounds), dtype=np.int64)
+    deltas = np.empty((rounds, h - 1))
     states[0] = start
     prev = cur = states[0]
     for n in range(steps - 1):
-        idx[n] = chosen = sample_index(policy(n, cur, prev), u[n])
-        prev, cur = cur, apply_action(cur, actions.take(chosen, axis=0), out=states[n + 1])
+        chosen = sample_index(policy(n, cur, prev), u[n], out=idx[n])
+        # mode="raise" would buffer `out`; the indices lie in [0, J) anyway
+        actions.take(chosen, axis=0, out=deltas, mode="clip")
+        prev, cur = cur, apply_action(cur, deltas, out=states[n + 1])
     states, idx = np.ascontiguousarray(states.swapaxes(0, 1)), np.ascontiguousarray(idx.T)
     return EpisodeBatch(states=states, action_indices=idx)
 

@@ -126,9 +126,19 @@ def is_correlated_equilibrium(game: Game, distribution: np.ndarray) -> CECheck:
     For each player and each decision it might be told, compare the expected
     payoff of obeying with every unilateral swap, conditioning on the told
     decision: one cell at a time over the other players' decisions.
-    Returns the worst slack found, `ok` when it is at most `CE_TOL`.
+    Returns the worst slack found, `ok` when it is at most `CE_TOL`. Raises
+    PreconditionError unless the distribution has one finite entry per
+    outcome: a NaN gain never compares below the worst.
     """
-    rho = np.asarray(distribution, dtype=np.float64).reshape(game.menu_sizes)
+    rho = np.asarray(distribution, dtype=np.float64)
+    if rho.size != game.num_outcomes:
+        raise PreconditionError(
+            f"distribution has {rho.size} entries, the game {game.num_outcomes} outcomes"
+        )
+    if not np.isfinite(rho).all():
+        i = int(np.flatnonzero(~np.isfinite(rho))[0])
+        raise PreconditionError(f"distribution entry {i} is non-finite: {float(rho.flat[i])!r}")
+    rho = rho.reshape(game.menu_sizes)
     worst = 0.0
     worst_desc = None
     for k, p in enumerate(game.players):

@@ -46,14 +46,15 @@ order with einsum, which gives `sum(axis=0)`'s bits at less cost
 A forward pass raises NumericError naming the first layer whose
 pre-activation is non-finite, and checks once: layers 2-8 write their
 pre-activations into one contiguous block, which is checked whole after the
-logits (`_layers`). A record owns one such block, shared by all its slots:
-every step of every rollout overwrites it, so it holds the last step's
-values only, and nothing reads it after the step's check. A `forward` call
-without a slot allocates a fresh block that is dropped when the call
-returns. `_layers` is decorated with `np.errstate`, so a non-finite value
-raises NumericError, not a RuntimeWarning from a matmul, whoever calls
-`forward`; the decorator sets the state in about half the time of a `with`
-block built on each call.
+logits, by one dot with a zero vector kept beside it (`_layers`,
+`_check_finite`). A record owns one such block and vector, shared by all its
+slots: every step of every rollout overwrites the block, so it holds the
+last step's values only, and nothing reads it after the step's check. A
+`forward` call without a slot allocates a fresh block and vector that are
+dropped when the call returns. `_layers` is decorated with `np.errstate`,
+so a non-finite value raises NumericError, not a RuntimeWarning from a
+matmul, whoever calls `forward`; the decorator sets the state in about half
+the time of a `with` block built on each call.
 
 A pass adds eight bias operands (`_bias_operands`): the two analyzers'
 biases side by side as one (..., 2 * width_in) array, which one add puts
@@ -268,9 +269,10 @@ def _record_widths(params: PolicyParams) -> list[int]:
 
 def _slot(arrays, pre) -> list[np.ndarray]:
     """A pass's outputs: the eight arrays `arrays` (layer inputs 2-8, then
-    the probabilities), the pre-activation block and views `pre`, then the
-    two halves of layer 2's input that the analyzers write and the
-    probabilities as (rows, J), all made once so that no pass rebuilds them."""
+    the probabilities), the pre-activation block, its views and its zero
+    vector `pre`, then the two halves of layer 2's input that the analyzers
+    write and the probabilities as (rows, J), all made once so that no pass
+    rebuilds them."""
     x, probs = arrays[0], arrays[7]
     half = x.shape[-1] // 2
     return [*arrays, *pre, x[..., :half], x[..., half:], probs.reshape(-1, probs.shape[-1])]
@@ -278,7 +280,9 @@ def _slot(arrays, pre) -> list[np.ndarray]:
 
 def _pre_activations(params: PolicyParams, lead: tuple) -> list[np.ndarray]:
     """One contiguous block for pre-activations 2-8 over `lead`-shaped rows,
-    then its seven (*lead, fan_out) views, one per layer, in layer order."""
+    then its seven (*lead, fan_out) views, one per layer, in layer order,
+    then a zero vector of the block's size, which the finite check dots
+    the block with (`_check_finite`)."""
     dims = layer_dims(params.h, params.j, params.width_in, params.width_mid)[2:]
     rows = math.prod(lead)
     block = np.empty(rows * sum(fan_out for _, fan_out in dims))
@@ -286,7 +290,7 @@ def _pre_activations(params: PolicyParams, lead: tuple) -> list[np.ndarray]:
     for _, fan_out in dims:
         views.append(block[offset:offset + rows * fan_out].reshape(lead + (fan_out,)))
         offset += rows * fan_out
-    return [block, *views]
+    return [block, *views, np.zeros(block.size)]
 
 
 class RolloutRecord:
@@ -348,11 +352,16 @@ def _check_finite(out) -> None:
     first of layers 0-4 whose output holds one, else the first of
     pre-activations 5-8 (`out[12:16]`) that does. Layers 0-4 are linear or
     LeakyReLU, so their outputs are non-finite exactly where their
-    pre-activations are; layers 0 and 1 write the halves `out[16:18]`."""
+    pre-activations are; layers 0 and 1 write the halves `out[17:19]`.
+
+    The test is one dot of the block with the zero vector `out[16]`: 0 * x
+    is a signed zero for finite x and NaN for an infinite or NaN x, and a
+    sum of signed zeros is zero, so the dot is finite exactly when every
+    entry is."""
     block = out[8]
-    if np.count_nonzero(np.isfinite(block)) == block.size:
+    if math.isfinite(np.dot(block, out[16])):
         return
-    scanned = (*out[16:18], *out[1:4], *out[12:16])
+    scanned = (*out[17:19], *out[1:4], *out[12:16])
     first = next(
         i for i, a in enumerate(scanned) if np.count_nonzero(np.isfinite(a)) != a.size
     )
@@ -375,13 +384,13 @@ def _layers(weights, biases, cur, prev, out) -> np.ndarray:
     the eight operands of `_bias_operands`, the analyzers' pair first,
     shaped to broadcast over the rows: (fan_out,) for one net, and
     (P, 1, fan_out) or (P, B, fan_out) for stacked nets. The analyzers
-    write the two halves of layer 2's input, `out[16:18]`, and the pair's
+    write the two halves of layer 2's input, `out[17:19]`, and the pair's
     one add then covers the whole input. Layer inputs 2-8 and the
     probabilities land in the eight arrays `out[:8]`, whose widths
     `_record_widths` gives; pre-activations 2-8 land in the views
     `out[9:16]` of the one block `out[8]` (`_pre_activations`). `out` is a
-    `_slot`: its views `out[16:]` come ready-made, and the probabilities
-    are returned as the (rows, J) view `out[18]`.
+    `_slot`: its views `out[17:]` come ready-made, and the probabilities
+    are returned as the (rows, J) view `out[19]`.
 
     Raises NumericError naming the first layer whose pre-activation holds a
     non-finite value, and checks once, over the whole block, after the
@@ -396,8 +405,8 @@ def _layers(weights, biases, cur, prev, out) -> np.ndarray:
     check raises. The softmax runs only on finite logits.
     """
     # the two analyzers, linear, write the halves of layer 2's input
-    np.matmul(cur, weights[0], out=out[16])
-    np.matmul(prev, weights[1], out=out[17])
+    np.matmul(cur, weights[0], out=out[17])
+    np.matmul(prev, weights[1], out=out[18])
     x = out[0]
     x += biases[0]
     for i in range(2, 8):  # LeakyReLU at 2-4, ReLU at 5-7
@@ -411,7 +420,7 @@ def _layers(weights, biases, cur, prev, out) -> np.ndarray:
     probs = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out[7])
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=-1, keepdims=True)
-    return out[18]
+    return out[19]
 
 
 def forward(
@@ -616,31 +625,60 @@ def save_checkpoint(
         fh.write(text + "\n")
 
 
+def _checkpoint_key(mapping, key: str, where: str):
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise PreconditionError(f"checkpoint {where} has no {key!r}")
+    return mapping[key]
+
+
+def _checkpoint_array(value, shape: tuple, where: str) -> np.ndarray:
+    """A checkpoint's nested list of numbers as a float64 array of `shape`;
+    PreconditionError, naming `where`, for anything else or a non-finite
+    value (a `null` would load as NaN, and so would a `NaN` token)."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # a ragged list
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":  # not bool, str or object
+        raise PreconditionError(f"checkpoint {where} is not an array of numbers")
+    if arr.shape != shape:
+        raise PreconditionError(f"checkpoint {where} shape {arr.shape} != {shape}")
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise PreconditionError(f"checkpoint {where} holds a non-finite value")
+    return arr
+
+
 def load_checkpoint(path) -> tuple[PolicyParams, int | None]:
+    """The net and seed of a `save_checkpoint` file. Raises
+    PreconditionError, naming the key or layer, on a file of another
+    layout, wrong widths or shapes, or a weight that is not a finite
+    number."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    widths = payload["widths"]
-    names = [layer["name"] for layer in payload["layers"]]
+    if not isinstance(payload, dict):
+        raise PreconditionError(f"checkpoint is a JSON {type(payload).__name__}, not an object")
+    widths = {
+        key: _checkpoint_key(_checkpoint_key(payload, "widths", "file"), key, "widths")
+        for key in ("h", "j", "width_in", "width_mid")
+    }
+    for key, value in widths.items():
+        if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+            raise PreconditionError(f"checkpoint width {key} is {value!r}, not a positive integer")
+    layers = _checkpoint_key(payload, "layers", "file")
+    if not isinstance(layers, list):
+        raise PreconditionError("checkpoint layers are not a list")
+    names = [_checkpoint_key(layer, "name", f"layer {i}") for i, layer in enumerate(layers)]
     if tuple(names) != _LAYER_NAMES:
         raise PreconditionError(f"unexpected layer order {names}")
     dims = layer_dims(widths["h"], widths["j"], widths["width_in"], widths["width_mid"])
     # a wrong shape would shift every later layer's place in the flat vector
     arrays = []
-    for layer, (fan_in, fan_out) in zip(payload["layers"], dims):
+    for layer, (fan_in, fan_out) in zip(layers, dims):
         for key, shape in (("weights", (fan_in, fan_out)), ("bias", (fan_out,))):
-            arr = np.array(layer[key], dtype=np.float64)
-            if arr.shape != shape:
-                raise PreconditionError(
-                    f"checkpoint {key} shape {arr.shape} != {shape} in {layer['name']}"
-                )
-            arrays.append(arr.ravel())
-    params = PolicyParams(
-        h=widths["h"],
-        j=widths["j"],
-        width_in=widths["width_in"],
-        width_mid=widths["width_mid"],
-        flat=np.concatenate(arrays),
-    )
+            value = _checkpoint_key(layer, key, layer["name"])
+            arrays.append(_checkpoint_array(value, shape, f"{key} in {layer['name']}").ravel())
+    params = PolicyParams(**widths, flat=np.concatenate(arrays))
     return params, payload.get("seed")
 
 

@@ -3,8 +3,12 @@
 Per epoch both agents roll out M rounds against the shared environment, in
 lockstep with one stacked policy evaluation per step. This module alone
 decides which seeded stream feeds which round: the rollout takes both
-players' draws as one (N-1, 2M) block, one stream per round and player
-(`_round_draws`), so no round's choices depend on another's. The two state
+players' draws as one (N-1, 2M) block, one stream per round and player,
+so no round's choices depend on another's. Round m of epoch e for player k
+reads the stream of spawn key (1, e, k, m) under the run's seed, and net k
+starts from that of (0, k) (docs/formats.md, "Seeded streams"); the round
+streams' bits are derived without building their generators
+(`_round_draws`). The two state
 tensors are averaged, and each agent takes one Adam step on the summed
 two-sided weighted log loss of its own choices, weighted by the
 standardized discounted rewards of the states those choices produced. The
@@ -64,7 +68,15 @@ SIGMA_EPS = 1e-8
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-_POOL_WORDS = 4  # numpy's SeedSequence pool size
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
+# multiplier of PCG64's 128-bit LCG, which `_round_draws` seeds by hand
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass
@@ -81,6 +93,12 @@ class TrainingConfig:
     width_mid: int = 16
 
     def __post_init__(self):
+        # numpy integers are stored as int, so to_dict stays JSON-ready
+        for name in ("rounds", "steps", "epochs", "stability_window", "width_in", "width_mid"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise PreconditionError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if not (0.0 <= self.discount <= 1.0):
             raise PreconditionError(f"discount must lie in [0,1], got {self.discount}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -263,24 +281,104 @@ def _words(n: int) -> list[int]:
     n = int(n)
     if n < 0:
         raise PreconditionError(f"seed words need a non-negative integer, got {n}")
-    return [(n >> shift) & 0xFFFF_FFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+    return [(n >> shift) & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _round_draws(seed: int, epoch: int, player_index: int, rounds: int, steps: int):
-    """One player's (steps - 1, rounds) draws of an epoch: column m holds the
-    first steps - 1 uniforms of `default_rng(SeedSequence(seed, spawn_key=(1,
-    epoch, player_index, m)))`, seeded from the uint32 entropy row that form
-    assembles: the seed's words, zero-padded to the pool size of 4 words,
-    then the words of 1, epoch, player_index and m. The draws are equal,
-    without the cost of coercing a spawn-key tuple.
+def _hash(value, xor, mult):
+    """SeedSequence's hash of 32-bit words: xor, multiply, fold the high
+    half into the low one. On Python ints, or on uint64 arrays of 32-bit
+    values, whose products fit in 64 bits."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x, y):
+    """SeedSequence's `mix` of two 32-bit words, on ints or uint64 arrays:
+    an array's difference wraps modulo 2**64, which keeps its low 32 bits."""
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _lcg32(start: int, mult: int, count: int) -> list[int]:
+    """`count` values of the 32-bit multiplier walk start, start * mult, ...,
+    which SeedSequence's hashes step through."""
+    values = [start]
+    while len(values) < count:
+        values.append(values[-1] * mult & _MASK32)
+    return values
+
+
+# generate_state's 8 hashes for four uint64 words: word i of the pool,
+# cycled, xored with step i of the INIT_B walk and multiplied by step i + 1
+_STATE_WALK = np.array(_lcg32(_INIT_B, _MULT_B, 2 * _POOL_WORDS + 1), np.uint64)[:, None, None]
+
+
+def _round_draws(seed: int, epoch: int, players: int, rounds: int, steps: int):
+    """The (steps - 1, players * rounds) draws of an epoch: column
+    k * rounds + m holds the first steps - 1 uniforms of
+    `default_rng(SeedSequence(seed, spawn_key=(1, epoch, k, m)))`, the
+    stream of player k's round m. The bits are those streams', derived
+    without building them.
+
+    That form seeds from the uint32 entropy row it assembles: the seed's
+    words, zero-padded to the pool size of 4 words, then the words of 1,
+    epoch, k and m. `SeedSequence` hashes the first 4 words into its pool,
+    mixes the pool across itself, and then mixes in each later word. Every
+    word before k's is mixed once here, in Python ints, as is each
+    player's word; the round words, one each, are mixed for all rounds at
+    once on uint64 arrays. `generate_state(4, uint64)` then hashes the pool
+    cycled to 8 words, joined little-endian into w0..w3, and PCG64 seeds
+    from them as `pcg64_set_seed` does: with initstate = w0 * 2**64 + w1
+    and initseq = w2 * 2**64 + w3, inc = 2 * initseq + 1 and state =
+    ((inc + initstate) * MULT + inc) mod 2**128. One PCG64, made for this
+    call, takes each round's state in turn, and its raw words convert to
+    uniforms as `Generator.random` converts them: (raw >> 11) * 2**-53.
+    NEP 19 freezes all of these rules across numpy versions.
     """
     head = _words(seed)
     head += [0] * (_POOL_WORDS - len(head))
-    for key in (1, epoch, player_index):
-        head += _words(key)
-    rows = (np.array(head + _words(m), np.uint32) for m in range(rounds))
-    streams = [np.random.default_rng(np.random.SeedSequence(row)) for row in rows]
-    return np.stack([rng.random(steps - 1) for rng in streams], axis=1)
+    head += _words(1) + _words(epoch)
+    # hash number i xors step i of the INIT_A walk and multiplies by step i + 1
+    walk = _lcg32(_INIT_A, _MULT_A, 4 * len(head) + 9)
+    hashes = iter(zip(walk, walk[1:]))
+
+    def hashmix(value):
+        return _hash(value, *next(hashes))
+
+    pool = [hashmix(word) for word in head[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in head[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # each player's word, the same 4 hashes for every player
+    player_hashes = [next(hashes) for _ in range(_POOL_WORDS)]
+    pools = np.array(
+        [
+            [_mix(pool[dst], _hash(k, *player_hashes[dst])) for k in range(players)]
+            for dst in range(_POOL_WORDS)
+        ],
+        np.uint64,
+    )[:, :, None]
+    # each round's word: (4, 1, 1) hash constants over (rounds,) words
+    xor, mult = np.array([next(hashes) for _ in range(_POOL_WORDS)], np.uint64).T[:, :, None, None]
+    mixed = _mix(pools, _hash(np.arange(rounds, dtype=np.uint64), xor, mult))
+    state = _hash(np.concatenate([mixed, mixed]), _STATE_WALK[:-1], _STATE_WALK[1:])
+    seeds = (state[1::2] << 32 | state[0::2]).reshape(_POOL_WORDS, -1).tolist()
+
+    bitgen = np.random.PCG64(0)
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    raw = np.empty((steps - 1, players * rounds), np.uint64)
+    for column, (w0, w1, w2, w3) in enumerate(zip(*seeds)):
+        pcg["inc"] = inc = (w2 << 65 | w3 << 1 | 1) & _MASK128
+        pcg["state"] = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+        bitgen.state = full
+        raw[:, column] = bitgen.random_raw(steps - 1)
+    raw >>= 11
+    return raw * 2.0**-53
 
 
 # the spare arena, when there is one: [(shapes, (Workspace, RolloutRecord))]
@@ -323,6 +421,8 @@ def train_pair(
     """
     require_seed(seed)
     a, b = pair
+    if a == b:
+        raise PreconditionError(f"a player cannot train against itself, got pair {pair}")
     payoffs = {p: game.payoff(p) for p in (a, b)}
     h = game.num_outcomes
     j = 3 ** (h - 1)
@@ -349,11 +449,10 @@ def train_pair(
             epochs_run = epoch
             # both players roll out in lockstep: columns [0, M) of the draws
             # are a's rounds and [M, 2M) are b's
-            draws = [_round_draws(seed, epoch, k, m, config.steps) for k in (0, 1)]
             both = rollout(
                 policy_fn(params[a], params[b], record=record),
                 step_size=config.step_size,
-                uniforms=np.concatenate(draws, axis=1),
+                uniforms=_round_draws(seed, epoch, 2, m, config.steps),
                 start=default_state(h),
             )
             batches = {

@@ -231,6 +231,8 @@ class TestSampleIndexMatchesReference:
         want = reference_sample_index(p, u)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+        out = np.empty(want.shape, np.int64)
+        assert sample_index(p, u, out=out) is out and out.tobytes() == want.tobytes()
 
     def test_cases_reach_the_last_index(self):
         # draws at or above the last prefix sum, where the reference clips

@@ -158,6 +158,20 @@ class TestIsCE:
                 rho = np.outer(ne.strategies[0], ne.strategies[1]).reshape(-1)
                 assert is_correlated_equilibrium(g, rho).ok
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, chicken, bad):
+        rho = np.full(4, 0.25)
+        rho[2] = bad
+        with pytest.raises(PreconditionError, match="entry 2 is non-finite"):
+            is_correlated_equilibrium(chicken, rho)
+        with pytest.raises(PreconditionError, match="entry 0 is non-finite"):
+            is_correlated_equilibrium(chicken, [bad] * 4)
+
+    @pytest.mark.parametrize("size", [3, 5, 0])
+    def test_wrong_entry_count_rejected(self, chicken, size):
+        with pytest.raises(PreconditionError, match=f"{size} entries, the game 4 outcomes"):
+            is_correlated_equilibrium(chicken, np.full(size, 0.25))
+
     def test_unknown_payoff_rejected(self):
         g = make_game(
             ["p1", "p2", "p3"],

@@ -658,6 +658,53 @@ def test_checkpoint_rejects_mangled_shapes(tmp_path):
             load_checkpoint(path)
 
 
+def _edited_checkpoint(tmp_path, edit):
+    """The path of a saved checkpoint after `edit` changed its JSON text."""
+    path = tmp_path / "policy.json"
+    save_checkpoint(small_net(41), path)
+    path.write_text(edit(path.read_text()))
+    return path
+
+
+def _edit_payload(change):
+    import json
+
+    def edit(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # a null weight, and NaN or Infinity tokens, would load as non-finite
+        (_edit_payload(lambda p: p["layers"][2]["weights"][0].__setitem__(1, None)),
+         "weights in dense_1 is not an array of numbers"),
+        (_edit_payload(lambda p: p["layers"][4]["bias"].__setitem__(0, float("nan"))),
+         "bias in dense_3 holds a non-finite value"),
+        (_edit_payload(lambda p: p["layers"][8]["weights"][1].__setitem__(0, float("inf"))),
+         "weights in output holds a non-finite value"),
+        (_edit_payload(lambda p: p["layers"][0]["bias"].__setitem__(0, "0.5")),
+         "bias in analyzer_a is not an array of numbers"),
+        (_edit_payload(lambda p: p["layers"][5]["weights"].__setitem__(0, [0.0])),
+         "weights in wide_1 is not an array of numbers"),
+        (_edit_payload(lambda p: p["layers"][6].pop("bias")), "wide_2 has no 'bias'"),
+        (_edit_payload(lambda p: p.pop("widths")), "file has no 'widths'"),
+        (_edit_payload(lambda p: p["widths"].pop("j")), "widths has no 'j'"),
+        (_edit_payload(lambda p: p["widths"].__setitem__("h", 2.5)), "width h is 2.5"),
+        (_edit_payload(lambda p: p["layers"][1].pop("name")), "layer 1 has no 'name'"),
+        (lambda text: "[" + text + "]", "checkpoint is a JSON list, not an object"),
+    ],
+)
+def test_checkpoint_rejects_bad_files_by_name(tmp_path, edit, message):
+    path = _edited_checkpoint(tmp_path, edit)
+    with pytest.raises(PreconditionError, match=message):
+        load_checkpoint(path)
+
+
 def test_policy_fn_shapes():
     params = small_net(42)
     fn = policy_fn(params, record=RolloutRecord(params, nets=1, rounds=6, steps=1))

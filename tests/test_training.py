@@ -133,7 +133,7 @@ class TestRoundStreams:
     @pytest.mark.parametrize("player", [0, 1])
     def test_round_draws_are_the_spawn_key_streams(self, seed, epoch, player):
         rounds, steps = 3, 9
-        got = _round_draws(seed, epoch, player, rounds, steps)
+        got = _round_draws(seed, epoch, 2, rounds, steps)[:, player * rounds:(player + 1) * rounds]
         assert got.shape == (steps - 1, rounds)
         for m in range(rounds):
             want = np.random.default_rng(
@@ -143,17 +143,17 @@ class TestRoundStreams:
 
     def test_epochs_a_word_apart_draw_different_streams(self):
         # an epoch never wraps to 32 bits: 2**32 + 1 is not epoch 1
-        low, high = (_round_draws(0, epoch, 0, 1, 5) for epoch in (1, 2**32 + 1))
+        low, high = (_round_draws(0, epoch, 1, 1, 5) for epoch in (1, 2**32 + 1))
         assert low.tobytes() != high.tobytes()
 
     def test_negative_seed_rejected(self):
         with pytest.raises(PreconditionError, match="non-negative"):
-            _round_draws(-1, 1, 0, 2, 5)
+            _round_draws(-1, 1, 1, 2, 5)
 
 
 def tiny_batch(params, seed=0, rounds=2, steps=4, step_size=0.25):
     """A rollout of `params` and its record, which the update reads."""
-    uniforms = _round_draws(seed, 1, 0, rounds, steps)
+    uniforms = _round_draws(seed, 1, 1, rounds, steps)
     record = RolloutRecord(params, nets=1, rounds=rounds, steps=steps - 1)
     batch = rollout(
         policy_fn(params, record=record),
@@ -314,8 +314,31 @@ class TestConfig:
         assert tiny_config(stability_tol=0.0).tolerance == 0.0
         assert tiny_config(stability_tol=float("inf")).tolerance == float("inf")
 
+    @pytest.mark.parametrize(
+        "field", ["rounds", "steps", "epochs", "stability_window", "width_in", "width_mid"]
+    )
+    @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=repr)
+    def test_integer_fields_reject_floats_and_bools(self, field, value):
+        with pytest.raises(PreconditionError, match=f"{field} must be an integer"):
+            tiny_config(**{field: value})
+
+    def test_integer_fields_store_numpy_integers_as_int(self):
+        cfg = tiny_config(epochs=np.int64(3), stability_window=np.uint8(3), width_in=np.int32(4))
+        for field in ("epochs", "stability_window", "width_in"):
+            assert type(getattr(cfg, field)) is int
+        json.dumps(cfg.to_dict())  # JSON-ready
+
 
 class TestTrainPair:
+    def test_a_player_cannot_train_against_itself(self, chicken):
+        with pytest.raises(PreconditionError, match="against itself"):
+            train_pair(chicken, ("p1", "p1"), tiny_config(), seed=0)
+
+    def test_numpy_integer_fields_train(self, chicken):
+        cfg = tiny_config(epochs=np.int64(2), stability_window=np.int64(3))
+        result = train_pair(chicken, ("p1", "p2"), cfg, seed=0)
+        assert result.epochs_run == 2
+
     def test_smoke_and_shapes(self, chicken):
         cfg = tiny_config(epochs=3)
         result = train_pair(chicken, ("p1", "p2"), cfg, seed=0)
