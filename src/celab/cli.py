@@ -32,7 +32,7 @@ from .equilibrium import (
 )
 from .errors import InvalidGameError, NumericError, PreconditionError, SolverError
 from .estimation import COMPARISON_TOL, estimate_payoff, estimation_report, known_major_order
-from .games import Game, load_game, on_simplex
+from .games import Game, holds_bool, load_game, on_simplex
 from .pipeline import run_pipeline, validate_manifest
 from .policy import save_checkpoint
 from .training import TrainingConfig, require_seed, train_pair, write_history_csv
@@ -119,6 +119,8 @@ def _load_distribution(path: str, expected: int) -> np.ndarray:
                 f"{path}: expected a JSON array or an object with a "
                 "'p_tilde' or 'distribution' field"
             )
+    if holds_bool(data):
+        raise PreconditionError(f"{path}: distribution entries must be numbers, not booleans")
     try:
         vec = np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError):  # non-numeric entries or ragged rows

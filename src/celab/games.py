@@ -34,6 +34,20 @@ def on_simplex(v) -> bool:
     return bool(np.all(v >= -NORMALIZATION_TOL)) and abs(float(v.sum()) - 1.0) <= RENORMALIZE_TOL
 
 
+def holds_bool(value) -> bool:
+    """Whether `value`, a number or a possibly nested list, tuple or array of
+    them, is or holds a boolean. JSON's true and false load as Python bools,
+    which numpy takes as 1 and 0, so every entry is scanned, not only the
+    dtype after conversion: [0.5, 0.5, false, false] converts to float64."""
+    if isinstance(value, np.ndarray):
+        if value.dtype != object:
+            return value.dtype == bool
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return any(holds_bool(x) for x in value)
+    return isinstance(value, (bool, np.bool_))
+
+
 class RenormalizedPayoffWarning(UserWarning):
     """A payoff vector was off simplex by more than 1e-9 and got rescaled."""
 
@@ -140,6 +154,8 @@ def make_game(
         if raw is None:
             vectors[p] = None
             continue
+        if holds_bool(raw):
+            raise InvalidGameError(f"payoff vector for {p!r} must hold numbers, not booleans")
         try:
             v = np.asarray(raw, dtype=np.float64)
         except (TypeError, ValueError):  # non-numeric entries or ragged rows

@@ -3,84 +3,33 @@
 Topology: two linear analyzer layers (one per input state) whose outputs are
 concatenated, three dense layers with LeakyReLU (slope 0.2), three dense
 layers at double width with ReLU, and a softmax output over the J actions.
-`forward` runs the layer stack over (B, H) rows of state pairs and returns a
-trace of its layer inputs, from which `gradients` runs the analytic backward
-pass of the two-sided weighted log loss (`loss_value`) without any autodiff
-framework. Both take each row's target as the index of its chosen action,
-(B,), not as a one-hot row: the loss needs log p only at that entry and
-log(1-p) at the others, and gives the bits of the one-hot form, whose other
-products are signed zeros. `forward` also takes P stacked nets (`stack`),
-one batched matmul per layer serving every net's block of rows at once;
-rollouts use this, one call per step for all players (`policy_fn`).
 
 A net's parameters are one float64 vector (`PolicyParams`) whose per-layer
 views the layers use. Gradients share its layout, so an update is
-whole-vector arithmetic and P stacked nets are one (P, size) array.
-Checkpoints stay per layer.
+whole-vector arithmetic and P stacked nets are one (P, size) array
+(`stack`). Checkpoints stay per layer.
 
-A rollout step evaluates exactly the rows that the following update will
-differentiate, with the same weights, so a training run keeps what the steps
-compute instead of running the pass again, and the update differentiates the
-very probabilities the rollout sampled from. A `RolloutRecord` holds layer
-inputs 2-8 and the probabilities of every step, for every net; the caller
-that runs the rollouts and updates owns it (`train_pair` keeps one across
-runs of the same shapes, see `celab.training`). Every rollout records,
-over what the last one left: the rollout passes each policy call its step
-n, and `policy_fn` writes that step into slot n. A record slot holds one
-step, and it is step-major (step, net, round) because the rollout writes a
-whole step at once: each layer's result lands in one contiguous block, and
-no step allocates. The update
-reads one net in (round, step) row order, the order `forward` over the
-batch would use, so it copies one layer at a time into that order and every
-reduction sums in the same order as over a fresh pass. The copies then equal
-a fresh pass's arrays byte for byte wherever the matrix kernel gives a row
-the same bits whatever the row count. OpenBLAS's Haswell kernel does with
-the default 16 rounds; with 3 or 5 rounds it gives some rows of the 27-wide
-output layer other last bits, and there the update follows the
-probabilities that were sampled, not those of a fresh pass.
-The backward pass needs no pre-activations: the sign of a layer's
-activation output decides its derivative. Its bias gradients sum rows in
-order with einsum, which gives `sum(axis=0)`'s bits at less cost
-(`_sum_rows`).
+`forward` is the one pass the package runs: P stacked nets over P blocks of
+(current, previous) state rows, one batched matmul per layer serving every
+net's block at once, written into a slot of a `RolloutRecord`. A rollout
+calls it once per step for all players (`policy_fn`). Each step evaluates
+exactly the rows that the following update will differentiate, with the
+same weights, so a training run keeps what the steps compute instead of
+running the pass again, and the update differentiates the very
+probabilities the rollout sampled from: `gradients` runs the analytic
+backward pass of the two-sided weighted log loss (`loss_value`) over the
+record's trace of one net (`RolloutRecord.trace`), without any autodiff
+framework. Both take each row's target as the index of its chosen action,
+(B,), not as a one-hot row: the loss needs log p only at that entry and
+log(1-p) at the others, and gives the bits of the one-hot form, whose other
+products are signed zeros. The backward pass needs no pre-activations: the
+sign of a layer's activation output decides its derivative. Its bias
+gradients sum rows in order with einsum, which gives `sum(axis=0)`'s bits
+at less cost (`_sum_rows`).
 
-A forward pass raises NumericError naming the first layer whose
-pre-activation is non-finite, and checks once: layers 2-8 write their
-pre-activations into one contiguous block, which is checked whole after the
-logits, by one dot with a zero vector kept beside it (`_layers`,
-`_check_finite`). A record owns one such block and vector, shared by all its
-slots: every step of every rollout overwrites the block, so it holds the
-last step's values only, and nothing reads it after the step's check. A
-`forward` call without a slot allocates a fresh block and vector that are
-dropped when the call returns. `_layers` is decorated with `np.errstate`,
-so a non-finite value raises NumericError, not a RuntimeWarning from a
-matmul, whoever calls `forward`; the decorator sets the state in about half
-the time of a `with` block built on each call.
-
-A pass adds eight bias operands (`_bias_operands`): the two analyzers'
-biases side by side as one (..., 2 * width_in) array, which one add puts
-onto layer 2's whole input once both analyzers have written their halves,
-then the biases of layers 2-8. `policy_fn` tiles these once per rollout
-into contiguous (P, M, fan_out) copies, which each step adds in place of
-broadcast (P, 1, fan_out) views of `flat`: a broadcast add costs about
-twice as much, and two strided adds into the halves of layer 2's input
-about six times as much as the one contiguous add. Each element gets the
-same bias added, so the bytes are the same. The copies are not views of
-`flat`.
-
-`forward` has one output path: it writes layer inputs 2-8, the
-probabilities and the pre-activations into a record slot when given one,
-and into fresh arrays otherwise. A slot also holds the views a pass needs
-(`_slot`), so a rollout step's `forward` makes only its numpy calls: per
-layer one matmul and one bias add, the activations, one check and the
-softmax (`_layers`).
-
-An update's loss and backward pass (`loss_value`, `gradients`) and its
-copies out of the record work on a few hundred rows, and their row-sized
-intermediates come to megabytes. Freed after every call, that memory goes
-back to the operating system and is faulted in again on the next one,
-which costs more than the arithmetic. So these write every row-sized
-intermediate into a `Workspace` that the caller owns and passes to each
-call; `train_pair` keeps one with its record.
+The record also owns the `Workspace` its updates write into, so a training
+run's whole arena is one object that the caller owns (`train_pair` keeps
+one across runs of the same shapes, see `celab.training`).
 """
 
 from __future__ import annotations
@@ -196,13 +145,19 @@ class Workspace:
     """Reusable buffers for the row-sized intermediates of an update's loss
     and backward pass and of its copies out of a `RolloutRecord`.
 
+    These work on a few hundred rows, and their intermediates come to
+    megabytes. Freed after every call, that memory goes back to the
+    operating system and is faulted in again on the next one, which costs
+    more than the arithmetic; so they go here instead, into buffers the
+    caller keeps (a record owns the one its updates use).
+
     Each buffer has a name and is reshaped to whatever shape its user asks
     for, growing when a request is larger than what it holds, so one
     workspace serves any batch size and any net. A request for a name ends
     the use of what the buffer held before: a trace that
     `RolloutRecord.trace` returned stays valid only until the next call
-    given the same workspace. The workspace belongs to the caller that runs
-    the updates; it keeps no reference to any net.
+    given the record's workspace. The workspace keeps no reference to any
+    net.
     """
 
     def __init__(self):
@@ -218,13 +173,10 @@ class Workspace:
 
 @dataclass
 class ForwardTrace:
-    """The inputs of all nine layers of one forward pass, from the current
-    and previous states (layers 0 and 1) on, and its (B, J) probabilities.
-
-    With P stacked nets each per-layer array is P blocks, (P, B/P, width).
-    A trace read from a `RolloutRecord` copies its layer inputs on each read
-    (`RolloutRecord.trace`).
-    """
+    """One net's pass over (B, H) rows as `gradients` reads it: the inputs
+    of all nine layers, from the current and previous states (layers 0 and
+    1) on, and its (B, J) probabilities. `RolloutRecord.trace` builds one,
+    whose layer inputs are copied on each read."""
 
     layer_inputs: Sequence[np.ndarray]
     probs: np.ndarray
@@ -242,10 +194,10 @@ def _in_row_order(steps_first: np.ndarray, workspace: Workspace, name) -> np.nda
 class _RecordedInputs(Sequence):
     """Layer inputs of one recorded net: the states for layers 0 and 1, and
     for layers 2-8 a copy in (round, step) row order, made on each read into
-    one workspace buffer that the next read overwrites."""
+    one buffer of the record's workspace that the next read overwrites."""
 
-    def __init__(self, record, net, current, previous, workspace):
-        self._record, self._net, self._ws = record, net, workspace
+    def __init__(self, record, net, current, previous):
+        self._record, self._net = record, net
         self._states = (current, previous)
 
     def __len__(self) -> int:
@@ -257,76 +209,75 @@ class _RecordedInputs(Sequence):
         if i < 2:
             return self._states[i]
         block = self._record.arrays[i - 2][:, self._net]
-        return _in_row_order(block, self._ws, "recorded_input")
-
-
-def _record_widths(params: PolicyParams) -> list[int]:
-    """Widths of the eight arrays a recorded pass writes: layer inputs 2-8,
-    then the probabilities."""
-    dims = layer_dims(params.h, params.j, params.width_in, params.width_mid)
-    return [fan_in for fan_in, _ in dims[2:]] + [params.j]
-
-
-def _slot(arrays, pre) -> list[np.ndarray]:
-    """A pass's outputs: the eight arrays `arrays` (layer inputs 2-8, then
-    the probabilities), the pre-activation block, its views and its zero
-    vector `pre`, then the two halves of layer 2's input that the analyzers
-    write and the probabilities as (rows, J), all made once so that no pass
-    rebuilds them."""
-    x, probs = arrays[0], arrays[7]
-    half = x.shape[-1] // 2
-    return [*arrays, *pre, x[..., :half], x[..., half:], probs.reshape(-1, probs.shape[-1])]
-
-
-def _pre_activations(params: PolicyParams, lead: tuple) -> list[np.ndarray]:
-    """One contiguous block for pre-activations 2-8 over `lead`-shaped rows,
-    then its seven (*lead, fan_out) views, one per layer, in layer order,
-    then a zero vector of the block's size, which the finite check dots
-    the block with (`_check_finite`)."""
-    dims = layer_dims(params.h, params.j, params.width_in, params.width_mid)[2:]
-    rows = math.prod(lead)
-    block = np.empty(rows * sum(fan_out for _, fan_out in dims))
-    views, offset = [], 0
-    for _, fan_out in dims:
-        views.append(block[offset:offset + rows * fan_out].reshape(lead + (fan_out,)))
-        offset += rows * fan_out
-    return [block, *views, np.zeros(block.size)]
+        return _in_row_order(block, self._record.workspace, "recorded_input")
 
 
 class RolloutRecord:
-    """Layer inputs 2-8 and probabilities of every step of a stacked rollout.
+    """The arena of a stacked rollout and of the updates that read it: layer
+    inputs 2-8 and probabilities of every step, for every net, and the
+    `workspace` of the updates.
 
     For rollouts of `steps` policy calls (N - 1 for N states),
     `arrays[i - 2][n, k, m]` is layer i's input at step n for round m of net
-    k, and `arrays[7]` holds the probabilities the same way. `slots[n]` is
-    step n's eight contiguous (P, M, width) blocks, which that step's
-    `forward` writes in place (see `policy_fn`), followed by the record's
-    one pre-activation block and its per-layer views, which every step
-    shares and overwrites (`_pre_activations`), and by views of the step's
-    blocks (`_slot`). The caller that runs the rollouts and the updates owns
-    the record; `train_pair` reuses one across runs of the same shapes, and
-    every epoch's rollout overwrites it.
+    k, and `arrays[7]` holds the probabilities the same way. The rollout
+    passes each policy call its step n, and that step's `forward` writes
+    into `slots[n]` (see `policy_fn`), over what the last rollout left. The
+    record is step-major (step, net, round) because the rollout writes a
+    whole step at once: each layer's result lands in one contiguous block,
+    and no step allocates.
+
+    A slot is a list of what a pass writes and the views it needs, made here
+    once so that a step's `forward` makes only its numpy calls (per layer
+    one matmul and one bias add, the activations, one check and the
+    softmax):
+    - `[0:8]`: step n's eight (P, M, width) blocks, layer inputs 2-8 and the
+      probabilities;
+    - `[8]`: the pre-activation block of layers 2-8, `[9:16]` its per-layer
+      (P, M, fan_out) views, and `[16]` the zero vector of the finite check
+      (`_check_finite`). Every slot shares these, and every step overwrites
+      the block, so it holds the last step's values only, and nothing reads
+      it after the step's check;
+    - `[17:19]`: the two halves of layer 2's input, which the analyzers
+      write, and `[19]`: the probabilities as (P * M, J) rows.
+
+    An update reads one net in (round, step) row order (`trace`): it copies
+    one layer at a time into that order, so every reduction sums in the
+    same order as over one pass over the whole batch. The copies then equal
+    such a pass's arrays byte for byte wherever the matrix kernel gives a
+    row the same bits whatever the row count. OpenBLAS's Haswell kernel
+    does with the default 16 rounds; with 3 or 5 rounds it gives some rows
+    of the 27-wide output layer other last bits, and there the update
+    follows the probabilities that were sampled, not those of a
+    whole-batch pass.
     """
 
     def __init__(self, params: PolicyParams, nets: int, rounds: int, steps: int):
-        self.arrays = [
-            np.empty((steps, nets, rounds, width)) for width in _record_widths(params)
+        dims = layer_dims(params.h, params.j, params.width_in, params.width_mid)[2:]
+        lead = (nets, rounds)
+        widths = [fan_in for fan_in, _ in dims] + [params.j]
+        self.arrays = [np.empty((steps, *lead, width)) for width in widths]
+        fan_outs = [fan_out for _, fan_out in dims]
+        block = np.empty(math.prod(lead) * sum(fan_outs))
+        parts = np.split(block, np.cumsum([math.prod(lead) * f for f in fan_outs[:-1]]))
+        pre = [block, *(p.reshape(lead + (f,)) for p, f in zip(parts, fan_outs)),
+               np.zeros(block.size)]
+        half = params.width_in
+        self.slots = [
+            [*blocks, *pre, blocks[0][..., :half], blocks[0][..., half:],
+             blocks[7].reshape(-1, params.j)]
+            for blocks in zip(*self.arrays)
         ]
-        pre = _pre_activations(params, (nets, rounds))
-        self.slots = [_slot(blocks, pre) for blocks in zip(*self.arrays)]
+        self.workspace = Workspace()
 
-    def trace(
-        self, net: int, current: np.ndarray, previous: np.ndarray, workspace: Workspace
-    ) -> ForwardTrace:
+    def trace(self, net: int, current: np.ndarray, previous: np.ndarray) -> ForwardTrace:
         """Net `net`'s recorded pass as a trace over `current` and
-        `previous`, its rows in (round, step) order, as `forward` lays them
-        out. Valid only while the net keeps the weights it rolled out with.
-        The probabilities are copied into `workspace`; the layer inputs are
-        copied one at a time as `gradients` reads them, so only one layer's
-        copy exists at a time."""
-        probs = _in_row_order(self.arrays[-1][:, net], workspace, "probs")
-        inputs = _RecordedInputs(self, net, current, previous, workspace)
-        return ForwardTrace(inputs, probs)
+        `previous`, its rows in (round, step) order. Valid only while the
+        net keeps the weights it rolled out with. The probabilities are
+        copied into the record's workspace; the layer inputs are copied one
+        at a time as `gradients` reads them, so only one layer's copy exists
+        at a time."""
+        probs = _in_row_order(self.arrays[-1][:, net], self.workspace, "probs")
+        return ForwardTrace(_RecordedInputs(self, net, current, previous), probs)
 
 
 def _leaky(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -346,22 +297,28 @@ def _state_rows(h: int, current, previous) -> tuple[np.ndarray, np.ndarray]:
     return cur, prev
 
 
-def _check_finite(out) -> None:
-    """Raise NumericError if the pre-activation block `out[8]` holds a
-    non-finite value, naming the first layer whose pre-activation does: the
-    first of layers 0-4 whose output holds one, else the first of
-    pre-activations 5-8 (`out[12:16]`) that does. Layers 0-4 are linear or
-    LeakyReLU, so their outputs are non-finite exactly where their
-    pre-activations are; layers 0 and 1 write the halves `out[17:19]`.
+def _check_finite(slot) -> None:
+    """Raise NumericError if a pass's pre-activation block `slot[8]` holds a
+    non-finite value, naming the first layer whose pre-activation does.
 
-    The test is one dot of the block with the zero vector `out[16]`: 0 * x
+    A pass checks once, over the whole block, after the logits. In IEEE
+    arithmetic a non-finite input reaches every output of its row in the
+    next matmul (inf * 0 and inf - inf are NaN), and the linear and
+    LeakyReLU layers (0-4) keep it, so a non-finite analyzer output reaches
+    pre-activation 2. Only ReLU can erase one (max(-inf, 0) = 0), and the
+    block keeps each ReLU layer's value from before its activation. The
+    first layer named is the first of layers 0-4 whose output holds a
+    non-finite value (the analyzers wrote the halves `slot[17:19]`), else
+    the first of pre-activations 5-8 (`slot[12:16]`) that does: layers 0-4
+    are non-finite exactly where their pre-activations are.
+
+    The test is one dot of the block with the zero vector `slot[16]`: 0 * x
     is a signed zero for finite x and NaN for an infinite or NaN x, and a
     sum of signed zeros is zero, so the dot is finite exactly when every
     entry is."""
-    block = out[8]
-    if math.isfinite(np.dot(block, out[16])):
+    if math.isfinite(np.dot(slot[8], slot[16])):
         return
-    scanned = (*out[17:19], *out[1:4], *out[12:16])
+    scanned = (*slot[17:19], *slot[1:4], *slot[12:16])
     first = next(
         i for i, a in enumerate(scanned) if np.count_nonzero(np.isfinite(a)) != a.size
     )
@@ -370,91 +327,69 @@ def _check_finite(out) -> None:
 
 def _bias_operands(biases) -> list[np.ndarray]:
     """The eight bias operands of a pass, from a net's nine per-layer
-    biases: the two analyzers' side by side in one (..., 2 * width_in)
-    array, then those of layers 2-8 (see `_layers`)."""
+    biases: the two analyzers' side by side as one (..., 2 * width_in)
+    array, which one add puts onto layer 2's whole input once both
+    analyzers have written their halves, then the biases of layers 2-8.
+
+    `policy_fn` tiles these once per rollout into contiguous (P, M, fan_out)
+    copies, which each step adds in place of broadcast (P, 1, fan_out)
+    views of `flat`: a broadcast add costs about twice as much, and two
+    strided adds into the halves of layer 2's input about six times as much
+    as the one contiguous add. Each element gets the same bias added, so
+    the bytes are the same. The copies are not views of `flat`."""
     return [np.concatenate(biases[:2], axis=-1), *biases[2:]]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _layers(weights, biases, cur, prev, out) -> np.ndarray:
-    """The nine-layer stack, returning action probabilities.
-
-    Runs one net's (fan_in, fan_out) weights over (B, H) rows, or P stacked
-    nets' (P, fan_in, fan_out) weights over (P, B, H) blocks. `biases` are
-    the eight operands of `_bias_operands`, the analyzers' pair first,
-    shaped to broadcast over the rows: (fan_out,) for one net, and
-    (P, 1, fan_out) or (P, B, fan_out) for stacked nets. The analyzers
-    write the two halves of layer 2's input, `out[17:19]`, and the pair's
-    one add then covers the whole input. Layer inputs 2-8 and the
-    probabilities land in the eight arrays `out[:8]`, whose widths
-    `_record_widths` gives; pre-activations 2-8 land in the views
-    `out[9:16]` of the one block `out[8]` (`_pre_activations`). `out` is a
-    `_slot`: its views `out[17:]` come ready-made, and the probabilities
-    are returned as the (rows, J) view `out[19]`.
-
-    Raises NumericError naming the first layer whose pre-activation holds a
-    non-finite value, and checks once, over the whole block, after the
-    logits. In IEEE arithmetic a non-finite input reaches every output of
-    its row in the next matmul (inf * 0 and inf - inf are NaN), and the
-    linear and LeakyReLU layers (0-4) keep it, so a non-finite analyzer
-    output reaches pre-activation 2. Only ReLU can erase one
-    (max(-inf, 0) = 0), and the block keeps each ReLU layer's value from
-    before its activation. The decorator's `np.errstate` ignores overflow
-    and invalid values: a non-finite value passes through the matmuls of
-    every layer before the check, which would warn about it before the
-    check raises. The softmax runs only on finite logits.
-    """
-    # the two analyzers, linear, write the halves of layer 2's input
-    np.matmul(cur, weights[0], out=out[17])
-    np.matmul(prev, weights[1], out=out[18])
-    x = out[0]
-    x += biases[0]
-    for i in range(2, 8):  # LeakyReLU at 2-4, ReLU at 5-7
-        z = np.matmul(x, weights[i], out=out[i + 7])
-        z += biases[i - 1]
-        x = _leaky(z, out[i - 1]) if i < 5 else np.maximum(z, _ZERO, out=out[i - 1])
-    z = np.matmul(x, weights[8], out=out[15])
-    z += biases[7]
-    _check_finite(out)
-    # softmax over the logits
-    probs = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out[7])
-    np.exp(probs, out=probs)
-    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
-    return out[19]
-
-
 def forward(
     params: PolicyParams,
     current: np.ndarray,
     previous: np.ndarray,
-    slot: list[np.ndarray] | None = None,
-    biases: list[np.ndarray] | None = None,
-) -> tuple[np.ndarray, ForwardTrace]:
-    """Action distributions (B, J) for (B, H) rows of (current, previous)
-    state pairs; a single pair is one row. With P nets stacked into `params`
-    (`stack`), the B rows are P consecutive blocks of B/P rows, block k
-    played by net k, and the trace's per-layer arrays are (P, B/P, width).
-    Layer inputs 2-8 and the probabilities land in a `RolloutRecord` slot
-    when given one, and in fresh arrays otherwise; so do the pre-activations,
-    into the record's shared block or a fresh one. `biases` are the
-    `_bias_operands` of `params`, possibly tiled to the rows, made by the
-    caller once for many calls; without them each call makes its own.
+    slot: list[np.ndarray],
+    biases: list[np.ndarray],
+) -> np.ndarray:
+    """Action distributions (P * M, J) of the P nets stacked into `params`
+    (`stack`) over (P * M, H) rows of (current, previous) state pairs: P
+    consecutive blocks of M rows, block k played by net k. Layer inputs
+    2-8, pre-activations 2-8 and the probabilities land in `slot`, a
+    `RolloutRecord` slot of P nets and M rounds, and the probabilities come
+    back as its (P * M, J) view. `biases` are the caller's bias operands
+    (`_bias_operands`), shaped to broadcast over the (P, M, fan_out) blocks.
+
+    Raises NumericError naming the first layer whose pre-activation is
+    non-finite (`_check_finite`). The decorator's `np.errstate` ignores
+    overflow and invalid values: a non-finite value passes through the
+    matmuls of every layer before the one check, and would warn there, so
+    a caller without an errstate of its own sees NumericError, not a
+    RuntimeWarning. The decorator sets the state in about half the time of
+    a `with` block built on each call. The softmax runs only on finite
+    logits.
     """
     cur, prev = _state_rows(params.h, current, previous)
-    if params.flat.ndim == 2:
-        nets = params.flat.shape[0]
-        if cur.shape[0] % nets:
-            raise PreconditionError(f"{cur.shape[0]} rows do not split into {nets} nets")
-        blocks = (nets, cur.shape[0] // nets, params.h)
-        cur, prev = cur.reshape(blocks), prev.reshape(blocks)
-    if slot is None:
-        lead = cur.shape[:-1]
-        arrays = [np.empty(lead + (width,)) for width in _record_widths(params)]
-        slot = _slot(arrays, _pre_activations(params, lead))
-    if biases is None:
-        biases = _bias_operands(params.biases)
-    probs = _layers(params.weights, biases, cur, prev, slot)
-    return probs, ForwardTrace(layer_inputs=[cur, prev, *slot[:7]], probs=probs)
+    if params.flat.ndim != 2:
+        raise PreconditionError("forward runs nets joined by `stack`, not one net's parameters")
+    nets = params.flat.shape[0]
+    if cur.shape[0] % nets:
+        raise PreconditionError(f"{cur.shape[0]} rows do not split into {nets} nets")
+    blocks = (nets, cur.shape[0] // nets, params.h)
+    weights = params.weights
+    # the two analyzers, linear, write the halves of layer 2's input
+    np.matmul(cur.reshape(blocks), weights[0], out=slot[17])
+    np.matmul(prev.reshape(blocks), weights[1], out=slot[18])
+    x = slot[0]
+    x += biases[0]
+    for i in range(2, 8):  # LeakyReLU at 2-4, ReLU at 5-7
+        z = np.matmul(x, weights[i], out=slot[i + 7])
+        z += biases[i - 1]
+        x = _leaky(z, slot[i - 1]) if i < 5 else np.maximum(z, _ZERO, out=slot[i - 1])
+    z = np.matmul(x, weights[8], out=slot[15])
+    z += biases[7]
+    _check_finite(slot)
+    # softmax over the logits
+    probs = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=slot[7])
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+    return slot[19]
 
 
 def _clipped(probs: np.ndarray, ws: Workspace) -> np.ndarray:
@@ -522,8 +457,8 @@ def gradients(
     valid after the next one.
 
     chosen: each row's action index (B,); weights: per-row scalars (or one
-    scalar). Intermediates go to `workspace`; it may be the one that holds
-    `trace`, whose buffers this function only reads. It reads each of
+    scalar). Intermediates go to `workspace`; it may be the record's
+    workspace that holds `trace`, whose buffers this function only reads. It reads each of
     `trace.layer_inputs` once, from layer 8 down.
     """
     p_raw = trace.probs
@@ -653,9 +588,16 @@ def load_checkpoint(path) -> tuple[PolicyParams, int | None]:
     """The net and seed of a `save_checkpoint` file. Raises
     PreconditionError, naming the key or layer, on a file of another
     layout, wrong widths or shapes, or a weight that is not a finite
-    number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    number, and on a file that is not UTF-8 JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"cannot read checkpoint {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise PreconditionError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
     if not isinstance(payload, dict):
         raise PreconditionError(f"checkpoint is a JSON {type(payload).__name__}, not an object")
     widths = {
@@ -685,13 +627,11 @@ def load_checkpoint(path) -> tuple[PolicyParams, int | None]:
 def policy_fn(*params: PolicyParams, record: RolloutRecord):
     """Rollout closure: (step n, current, previous) batches -> probabilities.
 
-    Each call is one `forward` over the nets' stacked weights: the B rows
-    are P consecutive blocks of B/P rows, block k played by net k. The call
-    for step n writes its layer inputs and probabilities into
-    `record.slots[n]`, and the stacked bias operands are tiled once to the
-    record's M rounds: (P, M, fan_out) copies, not views of the stacked
-    `flat`. A step past the record's last slot, or rows other than its P·M,
-    raise PreconditionError.
+    Each call is one `forward` over the nets' stacked weights, whose B rows
+    are P consecutive blocks of B/P rows, block k played by net k, into
+    `record.slots[n]`, with the stacked bias operands tiled once to the
+    record's M rounds (`_bias_operands`). A step past the record's last
+    slot, or rows other than its P·M, raise PreconditionError.
     """
     stacked = stack(params)
     steps, nets, rounds = record.arrays[0].shape[:3]  # (steps, P, M, width)
@@ -703,6 +643,6 @@ def policy_fn(*params: PolicyParams, record: RolloutRecord):
                 f"step {n} of {len(cur)} rows does not fit a record of {steps} "
                 f"steps whose rows split into P={nets} nets of M={rounds} rounds"
             )
-        return forward(stacked, cur, prev, record.slots[n], biases)[0]
+        return forward(stacked, cur, prev, record.slots[n], biases)
 
     return fn

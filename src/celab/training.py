@@ -21,12 +21,11 @@ The rollout evaluates each net on exactly the (round, step) rows its update
 differentiates, with the weights the update starts from, so the update runs
 no forward pass of its own: its loss and backward pass read what the rollout
 recorded. A run holds, from its first epoch to its end, one arena: a
-`RolloutRecord` (both nets' layer inputs and probabilities at every step,
-written in place by the rollout, and one pre-activation block that every
-step overwrites) and a policy `Workspace`, which the two players' updates
-share one after the other for their loss and backward passes; each update
-overwrites the buffers of the last, so no update's memory goes back to the
-operating system in between (see `celab.policy`).
+`RolloutRecord`, with both nets' layer inputs and probabilities at every
+step, written in place by the rollout, and the policy `Workspace` that the
+two players' updates share one after the other for their loss and backward
+passes; each update overwrites the buffers of the last, so no update's
+memory goes back to the operating system in between (see `celab.policy`).
 
 The arena also outlives the run. When a run ends, by returning or by
 raising, its arena becomes this module's one spare, and the next run of the
@@ -56,7 +55,6 @@ from .games import Game
 from .policy import (
     PolicyParams,
     RolloutRecord,
-    Workspace,
     forward,  # no update calls it; perfbench's tracer rebinds celab.training.forward
     gradients,
     init_policy,
@@ -99,6 +97,17 @@ class TrainingConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise PreconditionError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))
+        # numpy scalars are stored as float, for the same reason
+        for name in ("step_size", "discount", "learning_rate", "stability_tol"):
+            value = getattr(self, name)
+            if value is None and name == "stability_tol":  # 2 * step_size
+                continue
+            if isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating)
+            ):
+                raise PreconditionError(f"{name} must be a number, got {value!r}")
+            if isinstance(value, np.generic):
+                setattr(self, name, float(value))
         if not (0.0 <= self.discount <= 1.0):
             raise PreconditionError(f"discount must lie in [0,1], got {self.discount}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -215,15 +224,15 @@ def update_policy(
     rewards: RewardTensor,
     state: AdamState,
     config: TrainingConfig,
-    workspace: Workspace,
-    recorded: tuple[RolloutRecord, int],
+    record: RolloutRecord,
+    net: int,
 ) -> tuple[PolicyParams, AdamState, UpdateStats]:
     """One Adam step on the summed weighted log loss over all (round, step)
     units. Each choice, an index into the actions, is weighted by the
     standardized reward of the state it produced (column n+1), never of the
-    state it left. `recorded`, a record and the index of this net in it,
-    gives the forward pass of the rollout that produced `batch` with these
-    `params`. The loss and backward passes share `workspace`."""
+    state it left. Net `net` of `record` holds the forward pass of the
+    rollout that produced `batch` with these `params`. The loss and backward
+    passes share the record's workspace."""
     states = batch.states
     m, n, h = states.shape
     cur = states[:, :-1].reshape(-1, h)
@@ -231,15 +240,14 @@ def update_policy(
     chosen = batch.action_indices.reshape(-1)
     weights = rewards.standardized[:, 1:].reshape(-1)
 
-    record, net = recorded
-    trace = record.trace(net, cur, prev, workspace)
-    loss = loss_value(trace.probs, chosen, weights, workspace)
+    trace = record.trace(net, cur, prev)
+    loss = loss_value(trace.probs, chosen, weights, record.workspace)
     if not np.isfinite(loss):
         raise NumericError(
             f"non-finite training loss {loss!r} "
             f"(weight range [{weights.min()}, {weights.max()}])"
         )
-    grads = gradients(params, trace, chosen, weights, workspace)
+    grads = gradients(params, trace, chosen, weights, record.workspace)
     grad_max = float(np.abs(grads.flat).max())
     new_params, new_state = adam_step(params, grads, state, config.learning_rate)
     return new_params, new_state, UpdateStats(loss=loss, grad_max=grad_max)
@@ -267,7 +275,7 @@ class TrainResult:
 def require_seed(seed) -> None:
     """Raise PreconditionError unless `seed` is a non-negative integer, the
     seeds numpy's `SeedSequence` takes."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise PreconditionError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -381,28 +389,28 @@ def _round_draws(seed: int, epoch: int, players: int, rounds: int, steps: int):
     return raw * 2.0**-53
 
 
-# the spare arena, when there is one: [(shapes, (Workspace, RolloutRecord))]
+# the spare arena, when there is one: [(shapes, RolloutRecord)]
 _spare: list = []
 
 
 @contextmanager
 def _arena(params: PolicyParams, rounds: int, steps: int):
-    """A run's (Workspace, RolloutRecord) for nets shaped as `params`: the
-    spare if it was sized for the same shapes, else a fresh pair; it becomes
-    the spare when the run ends. `pop` and the slice assignment are single
-    list operations, so two runs never take the same spare."""
+    """A run's `RolloutRecord` for nets shaped as `params`: the spare if it
+    was sized for the same shapes, else a fresh one; it becomes the spare
+    when the run ends. `pop` and the slice assignment are single list
+    operations, so two runs never take the same spare."""
     shapes = (params.h, params.j, params.width_in, params.width_mid, rounds, steps)
     try:
-        spare_shapes, arena = _spare.pop()
+        spare_shapes, record = _spare.pop()
     except IndexError:
         spare_shapes = None
     if spare_shapes != shapes:
         # both players' updates, M * (N - 1) rows each
-        arena = Workspace(), RolloutRecord(params, nets=2, rounds=rounds, steps=steps - 1)
+        record = RolloutRecord(params, nets=2, rounds=rounds, steps=steps - 1)
     try:
-        yield arena
+        yield record
     finally:
-        _spare[:] = [(shapes, arena)]
+        _spare[:] = [(shapes, record)]
 
 
 def train_pair(
@@ -443,7 +451,7 @@ def train_pair(
     # check or the epsilon guard, which raise NumericError; a warning would repeat it
     with (
         np.errstate(over="ignore", invalid="ignore"),
-        _arena(params[a], m, config.steps) as (workspace, record),
+        _arena(params[a], m, config.steps) as record,
     ):
         for epoch in range(1, config.epochs + 1):
             epochs_run = epoch
@@ -467,7 +475,7 @@ def train_pair(
             for k, p in enumerate((a, b)):
                 shaped = shape_rewards(avg, payoffs[p], config.discount)
                 params[p], adam[p], _ = update_policy(
-                    params[p], batches[p], shaped, adam[p], config, workspace, (record, k)
+                    params[p], batches[p], shaped, adam[p], config, record, k
                 )
                 mean_rewards[p] = float(shaped.raw[:, -1].mean())
 

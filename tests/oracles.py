@@ -344,12 +344,15 @@ def _reference_check(layer, z, out):
     raise NumericError(f"non-finite activation in layer {first} ({_LAYER_NAMES[first]})")
 
 
-def reference_forward(params, current: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """`celab.policy.forward`'s probabilities as they stood when its layer
-    stack checked four pre-activations (the ReLU layers 5-7, each before its
-    activation, and the logits), kept as the reference for outcome and
-    message: the first of layers 0-4 whose output is non-finite, else the
-    checked layer."""
+def reference_forward(params, current: np.ndarray, previous: np.ndarray):
+    """`celab.policy.forward` as it stood when it ran one net or P stacked
+    nets into fresh arrays and its layer stack checked four pre-activations
+    (the ReLU layers 5-7, each before its activation, and the logits), kept
+    as the reference for bytes, outcome and message: the first of layers 0-4
+    whose output is non-finite, else the checked layer.
+
+    Returns the (B, J) probabilities and the seven inputs of layers 2-8,
+    each (B, width) for one net and (P, B/P, width) for P stacked nets."""
     cur = np.asarray(current, dtype=np.float64)
     prev = np.asarray(previous, dtype=np.float64)
     weights, biases = params.weights, params.biases
@@ -380,7 +383,7 @@ def reference_forward(params, current: np.ndarray, previous: np.ndarray) -> np.n
     probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=-1, keepdims=True)
-    return probs.reshape(-1, weights[8].shape[-1])
+    return probs.reshape(-1, weights[8].shape[-1]), out[:7]
 
 
 def reference_rollout(params, step_size: float, uniforms, start):
@@ -402,7 +405,7 @@ def reference_rollout(params, step_size: float, uniforms, start):
     probs = []
     for n in range(steps - 1):
         cur, prev = states[:, n].copy(), states[:, max(n - 1, 0)].copy()
-        probs.append(reference_forward(params, cur, prev))
+        probs.append(reference_forward(params, cur, prev)[0])
         indices[:, n] = reference_sample_index(probs[-1], uniforms[n])
         states[:, n + 1] = reference_apply_action(cur, actions[indices[:, n]])
     return states, indices, np.stack(probs)
@@ -411,10 +414,10 @@ def reference_rollout(params, step_size: float, uniforms, start):
 def reference_update(params, batch, rewards, state, config):
     """`celab.training.update_policy` as it stood when it could run without
     a rollout record, kept as the byte-for-byte reference for the update
-    that reads one: a fresh `forward` over the batch's (round, step) rows,
+    that reads one: `reference_forward` over the batch's (round, step) rows,
     then `loss_value`, `gradients` and `adam_step` with fresh workspaces.
     Returns the new params, the new Adam state and the update's stats."""
-    from celab.policy import Workspace, forward, gradients, loss_value
+    from celab.policy import ForwardTrace, Workspace, gradients, loss_value
     from celab.training import UpdateStats, adam_step
 
     states = batch.states
@@ -423,7 +426,8 @@ def reference_update(params, batch, rewards, state, config):
     prev = np.concatenate([states[:, :1], states[:, : n - 2]], axis=1).reshape(-1, h)
     chosen = batch.action_indices.reshape(-1)
     weights = rewards.standardized[:, 1:].reshape(-1)
-    probs, trace = forward(params, cur, prev)
+    probs, inputs = reference_forward(params, cur, prev)
+    trace = ForwardTrace([cur, prev, *inputs], probs)
     loss = loss_value(probs, chosen, weights, Workspace())
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss {loss!r}")

@@ -21,7 +21,14 @@ from celab.equilibrium import (
 from celab.estimation import constraint_slacks, estimate_payoff, estimation_report
 from celab.games import make_game
 from celab.pipeline import run_pipeline, validate_manifest
-from celab.policy import Workspace, forward, gradients, init_policy, loss_value
+from celab.policy import (
+    RolloutRecord,
+    Workspace,
+    gradients,
+    init_policy,
+    loss_value,
+    policy_fn,
+)
 from celab.training import TrainingConfig, shape_rewards, train_pair
 
 
@@ -120,7 +127,13 @@ def test_criterion_04_gradients_match_finite_differences():
         targets = np.random.default_rng(seed + 200).integers(0, j, batch)
         weights = np.array([1.3, -0.7, 0.4])
 
-        _, trace = forward(params, cur, prev)
+        def one_pass():
+            # the net's pass as a rollout runs it: one step of `batch` rounds,
+            # with the weights the net holds now
+            record = RolloutRecord(params, nets=1, rounds=batch, steps=1)
+            return policy_fn(params, record=record)(0, cur, prev), record
+
+        trace = one_pass()[1].trace(0, cur, prev)
         # central differences are only valid away from activation kinks
         assert kink_margin(params, trace) > 1e-3
         ws = Workspace()
@@ -136,9 +149,9 @@ def test_criterion_04_gradients_match_finite_differences():
                 for k in range(flat.size):
                     keep = flat[k]
                     flat[k] = keep + step
-                    hi = loss_value(forward(params, cur, prev)[0], targets, weights, ws)
+                    hi = loss_value(one_pass()[0], targets, weights, ws)
                     flat[k] = keep - step
-                    lo = loss_value(forward(params, cur, prev)[0], targets, weights, ws)
+                    lo = loss_value(one_pass()[0], targets, weights, ws)
                     flat[k] = keep
                     fd = (hi - lo) / (2 * step)
                     denom = max(abs(fd), 1e-3)

@@ -227,6 +227,6 @@ def test_update_looks_up_loss_and_gradients_through_its_module(monkeypatch):
     config = TrainingConfig(rounds=2, steps=5, step_size=0.25, width_in=4, width_mid=6)
     update_policy(
         params, batch, RewardTensor(raw=std, discounted=std, standardized=std),
-        AdamState.zeros_like(params), config, Workspace(), (record, 0),
+        AdamState.zeros_like(params), config, record, 0,
     )
     assert calls == {"loss_value": 1, "gradients": 1}

@@ -580,6 +580,11 @@ _ZERO_MASS_GAME = {
         (["train", "--epochs", "1", "--prefix", "../escape"], {}, None),
         (["train", "--step-size", "1", "--steps", "1"], {}, None),
         (["pipeline", "--step-size", "1", "--steps", "1"], _THREE_PLAYER_GAME, None),
+        # JSON true and false are not the numbers 1 and 0
+        (["solve", "--mode", "ce"],
+         {"payoffs": {"p1": [True, False, False, False], "p2": [0.4, 0.3, 0.1, 0.2]}}, None),
+        (["estimate", "--known-player", "p1"], {}, [True, False, False, False]),
+        (["estimate", "--known-player", "p1"], {}, [0.5, 0.5, False, False]),
     ],
     ids=[
         "zero-step-size", "zero-width-mid", "zero-width-in", "nan-learning-rate",
@@ -592,6 +597,7 @@ _ZERO_MASS_GAME = {
         "pipeline-zero-epochs", "pipeline-zero-mass-analytic-slice",
         "prefix-with-a-directory", "prefix-leaving-the-out-dir",
         "train-one-state-round", "pipeline-one-state-round",
+        "boolean-payoff", "boolean-distribution", "mixed-boolean-distribution",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     is_simplex_point,
     reference_apply_action,
+    reference_forward,
     reference_rollout,
     reference_sample_index,
 )
@@ -23,7 +24,7 @@ from celab.env import (
 )
 from celab.errors import PreconditionError
 from celab.games import load_game
-from celab.policy import RolloutRecord, forward, policy_fn, stack
+from celab.policy import RolloutRecord, policy_fn, stack
 from celab.training import TrainingConfig, train_pair
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -419,7 +420,7 @@ class TestRolloutMatchesReference:
     def test_bytes_equal_the_reference_step_loop(self, fixture, widths):
         # a recording rollout of two trained nets: its states, indices and
         # recorded probabilities are those of the reference step loop, and
-        # each slot's layer inputs are a fresh forward pass's over that step
+        # each slot's layer inputs are the reference pass's over that step
         nets = _trained_nets(fixture, widths)
         stacked = stack(nets)
         steps, step_size, start = 60, 0.02, default_state(4)
@@ -438,8 +439,8 @@ class TestRolloutMatchesReference:
             assert record.arrays[-1].tobytes() == probs.tobytes()
             for n, slot in enumerate(record.slots):
                 cur, prev = states[:, n], states[:, max(n - 1, 0)]
-                _, trace = forward(stacked, cur, prev)
-                for recorded, fresh in zip(slot, trace.layer_inputs[2:]):
+                _, inputs = reference_forward(stacked, cur, prev)
+                for recorded, fresh in zip(slot, inputs):
                     assert recorded.tobytes() == fresh.tobytes()
             # which of apply_action's paths each step took
             actions = enumerate_actions(4, step_size)

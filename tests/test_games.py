@@ -65,6 +65,21 @@ def test_make_game_rejects_wrong_length():
         simple_game([0.5, 0.5], [0.25] * 4)
 
 
+@pytest.mark.parametrize(
+    "payoff",
+    [
+        [True, False, False, False],
+        [0.5, 0.5, False, False],  # converts to a float64 vector that sums to 1
+        np.array([True, False, False, False]),
+        [np.True_, 0.0, 0.0, 0.0],
+    ],
+    ids=["all-bools", "mixed", "bool-array", "numpy-bool"],
+)
+def test_make_game_rejects_boolean_payoffs(payoff):
+    with pytest.raises(InvalidGameError, match="'p1' must hold numbers, not booleans"):
+        simple_game(payoff, [0.25, 0.35, 0.15, 0.25])
+
+
 def test_make_game_rejects_duplicates():
     with pytest.raises(InvalidGameError):
         make_game(["p1", "p1"], [["a", "b"], ["x", "y"]], {})

@@ -181,6 +181,16 @@ class TestRunPipelinePreconditions:
         with pytest.raises(PreconditionError, match="comparison tolerance"):
             run_pipeline(three_player, comparison_tol=tol)
 
+    @pytest.mark.parametrize("seed", [True, False, -1], ids=repr)
+    def test_seed_is_checked_before_training(self, three_player, monkeypatch, seed):
+        # a bool is not the seed 1 or 0
+        def no_training(*args):
+            raise AssertionError("a task trained")
+
+        monkeypatch.setattr("celab.pipeline.train_pair", no_training)
+        with pytest.raises(PreconditionError, match="non-negative integer"):
+            run_pipeline(three_player, seed=seed)
+
 
 class TestViewsThatAreNot2x2:
     @pytest.fixture(autouse=True)

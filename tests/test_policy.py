@@ -28,6 +28,7 @@ from celab.policy import (
     PolicyParams,
     RolloutRecord,
     Workspace,
+    _bias_operands,
     _leaky,
     forward,
     gradients,
@@ -53,6 +54,23 @@ def random_pairs(seed, batch):
     rng = np.random.default_rng(seed)
     raw = rng.random((2, batch, H))
     return raw[0] / raw[0].sum(axis=1, keepdims=True), raw[1] / raw[1].sum(axis=1, keepdims=True)
+
+
+def lone_pass(params, cur, prev):
+    """One net's pass over (B, H) rows as the package runs it: `policy_fn`
+    over a one-step record of B rounds. Returns the (B, J) probabilities and
+    the record, whose `trace(0, cur, prev)` is the pass's trace."""
+    record = RolloutRecord(params, nets=1, rounds=len(cur), steps=1)
+    return policy_fn(params, record=record)(0, cur, prev), record
+
+
+def direct_forward(nets, cur, prev):
+    """`forward` called directly on `nets` stacked, into slot 0 of a
+    one-step record, with the stacked views' own (P, 1, fan_out) bias
+    operands in place of `policy_fn`'s tiled copies."""
+    stacked = stack(nets)
+    record = RolloutRecord(stacked, len(nets), len(cur) // len(nets), 1)
+    return forward(stacked, cur, prev, record.slots[0], _bias_operands(stacked.biases))
 
 
 def test_layer_dims_chain():
@@ -110,7 +128,7 @@ def test_init_respects_limits():
 def test_forward_is_a_distribution():
     params = small_net(1)
     cur, prev = random_pairs(2, 100)
-    probs, _ = forward(params, cur, prev)
+    probs, _ = lone_pass(params, cur, prev)
     assert probs.shape == (100, J)
     assert (probs > 0).all()
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -121,7 +139,7 @@ def test_forward_many_random_nets_stay_normalized():
     for _ in range(10):
         params = init_policy(H, J, 4, 6, rng)
         cur, prev = random_pairs(rng.integers(1 << 31), 100)
-        probs, _ = forward(params, cur, prev)
+        probs, _ = lone_pass(params, cur, prev)
         assert (probs > 0).all()
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -132,16 +150,16 @@ def test_zero_params_give_uniform_output():
         h=H, j=J, width_in=4, width_mid=6,
         flat=np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in dims)),
     )
-    probs, _ = forward(params, np.full((1, H), 0.25), np.full((1, H), 0.25))
+    probs, _ = lone_pass(params, np.full((1, H), 0.25), np.full((1, H), 0.25))
     np.testing.assert_allclose(probs, np.full((1, J), 1.0 / J))
 
 
 def test_single_state_matches_batch_row():
     params = small_net(3)
     cur, prev = random_pairs(4, 5)
-    batch_probs, _ = forward(params, cur, prev)
+    batch_probs, _ = lone_pass(params, cur, prev)
     for i in range(5):
-        single, _ = forward(params, cur[i:i + 1], prev[i:i + 1])
+        single, _ = lone_pass(params, cur[i:i + 1], prev[i:i + 1])
         assert single.shape == (1, J)
         np.testing.assert_allclose(single[0], batch_probs[i], rtol=1e-12, atol=1e-15)
 
@@ -150,20 +168,29 @@ def test_swapping_inputs_changes_output():
     params = small_net(5)
     s1 = np.array([[0.7, 0.1, 0.1, 0.1]])
     s2 = np.array([[0.1, 0.1, 0.1, 0.7]])
-    p12, _ = forward(params, s1, s2)
-    p21, _ = forward(params, s2, s1)
+    p12, _ = lone_pass(params, s1, s2)
+    p21, _ = lone_pass(params, s2, s1)
     assert np.abs(p12 - p21).max() > 1e-6
 
 
 def test_width_mismatch_rejected():
     params = small_net(6)
     with pytest.raises(PreconditionError, match="H=4"):
-        forward(params, np.full((1, 3), 1 / 3), np.full((1, 3), 1 / 3))
+        direct_forward([params], np.full((1, 3), 1 / 3), np.full((1, 3), 1 / 3))
     # forward takes (B, H) rows only: a single state, unequal row counts and
     # a third axis are rejected as well
     for cur, prev in (((H,), (H,)), ((2, H), (3, H)), ((1, 2, H), (1, 2, H))):
         with pytest.raises(PreconditionError, match=r"\(B, H=4\) rows"):
-            forward(params, np.full(cur, 0.25), np.full(prev, 0.25))
+            direct_forward([params], np.full(cur, 0.25), np.full(prev, 0.25))
+
+
+def test_forward_runs_stacked_nets_only():
+    # one net's 1-D parameter vector is not a stack of one
+    params = small_net(6)
+    record = RolloutRecord(params, nets=1, rounds=2, steps=1)
+    cur, prev = random_pairs(7, 2)
+    with pytest.raises(PreconditionError, match="stack"):
+        forward(params, cur, prev, record.slots[0], _bias_operands(params.biases))
 
 
 def _pass_into_a_filled_record(params, states):
@@ -206,7 +233,7 @@ def test_nonfinite_activation_names_the_layer(layer, value, zero_next, path):
         elif path == "update_workspace":
             _pass_into_a_filled_record(params, states)
         else:
-            forward(params, states[:1], states[:1])
+            direct_forward([params], states[:1], states[:1])
 
 
 @pytest.mark.parametrize("stacked", [False, True])
@@ -216,16 +243,17 @@ def test_direct_forward_on_a_non_finite_state_raises_without_a_warning(
     side, layer, value, stacked
 ):
     # no caller's np.errstate is active here: forward sets its own, so the
-    # non-finite state ends in NumericError, not a RuntimeWarning
+    # non-finite state ends in NumericError, not a RuntimeWarning. Unstacked
+    # is one net, stacked two.
     assert np.geterr()["over"] != "ignore" and np.geterr()["invalid"] != "ignore"
-    params = stack([small_net(8), small_net(9)]) if stacked else small_net(8)
+    nets = [small_net(8), small_net(9)] if stacked else [small_net(8)]
     states = {"current": np.full((2, H), 0.25), "previous": np.full((2, H), 0.25)}
     states[side][1, 2] = value
     message = f"non-finite activation in layer {layer} ({_LAYER_NAMES[layer]})"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
-            forward(params, states["current"], states["previous"])
+            direct_forward(nets, states["current"], states["previous"])
     assert np.geterr()["over"] != "ignore" and np.geterr()["invalid"] != "ignore"
 
 
@@ -284,20 +312,20 @@ def _recorded_rollout(nets, rounds, steps, widths):
 def test_recorded_rollout_pass_equals_forward_on_each_steps_rows(widths, nets, rounds):
     steps = 9
     params, record, batch = _recorded_rollout(nets, rounds, steps, widths)
-    ws = Workspace()
     for k, net in enumerate(params):
         states = batch.states[k * rounds:(k + 1) * rounds]
         cur, prev = _update_rows(states)
-        # forward over the rows the rollout evaluated at each step, laid out
-        # in the update's (round, step) order
+        # the reference pass over the rows the rollout evaluated at each
+        # step, laid out in the update's (round, step) order
         per_step = [
-            forward(net, states[:, n], states[:, max(n - 1, 0)]) for n in range(steps - 1)
+            reference_forward(net, states[:, n], states[:, max(n - 1, 0)])
+            for n in range(steps - 1)
         ]
-        recorded = record.trace(k, cur, prev, ws)
+        recorded = record.trace(k, cur, prev)
         want = np.stack([probs for probs, _ in per_step], axis=1).reshape(-1, J)
         assert recorded.probs.tobytes() == want.tobytes()
         for i in range(2, 9):
-            want = np.stack([t.layer_inputs[i] for _, t in per_step], axis=1)
+            want = np.stack([inputs[i - 2] for _, inputs in per_step], axis=1)
             assert recorded.layer_inputs[i].tobytes() == want.reshape(len(cur), -1).tobytes()
         assert recorded.layer_inputs[0] is cur and recorded.layer_inputs[1] is prev
 
@@ -314,22 +342,21 @@ def test_update_from_the_record_gives_the_bytes_of_one_that_runs_forward(widths)
     config = TrainingConfig(
         rounds=rounds, steps=steps, step_size=0.25, width_in=widths[0], width_mid=widths[1]
     )
-    ws = Workspace()
     for k, net in enumerate(params):
         mine = slice(k * rounds, (k + 1) * rounds)
         cur, prev = _update_rows(batch.states[mine])
-        probs, trace = forward(net, cur, prev)
-        recorded = record.trace(k, cur, prev, ws)
+        probs, inputs = reference_forward(net, cur, prev)
+        recorded = record.trace(k, cur, prev)
         assert recorded.probs.tobytes() == probs.tobytes()
         for i in range(2, 9):
-            assert recorded.layer_inputs[i].tobytes() == trace.layer_inputs[i].tobytes()
+            assert recorded.layer_inputs[i].tobytes() == inputs[i - 2].tobytes()
 
         own = EpisodeBatch(batch.states[mine], batch.action_indices[mine])
         std = np.random.default_rng(k).normal(size=(rounds, steps))
         rewards = RewardTensor(raw=std, discounted=std, standardized=std)
         state = AdamState.zeros_like(net)
         want, _, want_stats = reference_update(net, own, rewards, state, config)
-        got, _, got_stats = update_policy(net, own, rewards, state, config, ws, (record, k))
+        got, _, got_stats = update_policy(net, own, rewards, state, config, record, k)
         assert (got_stats.loss, got_stats.grad_max) == (want_stats.loss, want_stats.grad_max)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert a.tobytes() == b.tobytes()
@@ -337,8 +364,9 @@ def test_update_from_the_record_gives_the_bytes_of_one_that_runs_forward(widths)
 
 @pytest.mark.parametrize("rounds", [2, 3, 5, 16])
 def test_recording_policy_fn_with_tiled_biases_gives_the_bytes_of_forward(rounds):
-    # a recording closure adds (P, M, fan_out) bias copies where `forward`
-    # on the stacked params broadcasts (P, 1, fan_out) views of `flat`
+    # a recording closure adds (P, M, fan_out) bias copies where the
+    # reference pass on the stacked params broadcasts (P, 1, fan_out) views
+    # of `flat`
     rng = np.random.default_rng(rounds)
     nets = [small_net(70 + k) for k in range(2)]
     for net in nets:
@@ -347,16 +375,16 @@ def test_recording_policy_fn_with_tiled_biases_gives_the_bytes_of_forward(rounds
     record = RolloutRecord(nets[0], 2, rounds, 1)
     cur, prev = random_pairs(72, 2 * rounds)
     got = policy_fn(*nets, record=record)(0, cur, prev)
-    want, trace = forward(stack(nets), cur, prev)
+    want, inputs = reference_forward(stack(nets), cur, prev)
     assert got.tobytes() == want.tobytes()
-    for recorded, fresh in zip(record.slots[0], [*trace.layer_inputs[2:], want]):
+    for recorded, fresh in zip(record.slots[0], [*inputs, want]):
         assert recorded.tobytes() == fresh.tobytes()
 
 
 def test_stacked_forward_names_the_net_count_it_cannot_split():
     cur, prev = random_pairs(62, 7)
     with pytest.raises(PreconditionError, match="7 rows do not split into 3 nets"):
-        forward(stack([small_net(k) for k in range(3)]), cur, prev)
+        direct_forward([small_net(k) for k in range(3)], cur, prev)
 
 
 def test_reused_workspace_matches_fresh_allocation_bitwise():
@@ -369,7 +397,8 @@ def test_reused_workspace_matches_fresh_allocation_bitwise():
         rng = np.random.default_rng(batch)
         targets = rng.integers(0, J, size=batch)
         weights = rng.normal(size=batch)
-        probs, trace = forward(params, cur, prev)
+        probs, record = lone_pass(params, cur, prev)
+        trace = record.trace(0, cur, prev)
         fresh = loss_value(probs, targets, weights, Workspace())
         assert loss_value(probs, targets, weights, ws) == fresh
         got = gradients(params, trace, targets, weights, ws)
@@ -422,7 +451,8 @@ def test_index_forms_give_the_bytes_of_one_hot_rows(
     rng = np.random.default_rng(seed)
     params = init_policy(h, j, *widths, rng)
     cur, prev = rng.dirichlet(np.ones(h), size=(2, batch))
-    _, fresh = forward(params, cur, prev)
+    _, record = lone_pass(params, cur, prev)
+    fresh = record.trace(0, cur, prev)
     probs = fresh.probs.copy()
     edge = rng.random(probs.shape) < edge_share
     probs[edge] = rng.choice(_EDGE_PROBS, size=int(edge.sum()))
@@ -444,7 +474,8 @@ def test_index_forms_give_the_bytes_of_one_hot_rows(
 def test_nan_probability_raises_the_one_hot_forms_message():
     params = small_net(14)
     cur, prev = random_pairs(15, 6)
-    _, fresh = forward(params, cur, prev)
+    _, record = lone_pass(params, cur, prev)
+    fresh = record.trace(0, cur, prev)
     probs = fresh.probs.copy()
     probs[3, 7] = np.nan
     trace = ForwardTrace(fresh.layer_inputs, probs)
@@ -467,7 +498,8 @@ def test_nan_probability_raises_the_one_hot_forms_message():
 def test_chosen_actions_must_be_one_index_per_row(chosen):
     params = small_net(16)
     cur, prev = random_pairs(17, 3)
-    probs, trace = forward(params, cur, prev)
+    probs, record = lone_pass(params, cur, prev)
+    trace = record.trace(0, cur, prev)
     for call in (
         lambda: loss_value(probs, np.array(chosen), np.ones(3), Workspace()),
         lambda: gradients(params, trace, np.array(chosen), np.ones(3), Workspace()),
@@ -486,21 +518,31 @@ def _inject(nets, target, layer, value, rng):
 
 
 _INJECTED = [np.inf, -np.inf, np.nan, 1e300, -1e300]
-_MODES = ["unstacked", "stacked", "stacked_slot", "recording"]
+# how each mode runs the package's pass: (nets, caller), the caller being
+# `policy_fn`'s recording closure with its tiled bias operands, or `forward`
+# called directly with the stacked views' own operands (`direct_forward`).
+# The reference runs over the lone net itself in "unstacked", and over the
+# stacked nets in the other modes.
+_MODES = {
+    "unstacked": (1, "policy_fn"),
+    "stacked": (2, "forward"),
+    "stacked_slot": (1, "forward"),
+    "recording": (2, "policy_fn"),
+}
 _TARGETS = ["weights", "biases", "states"]
 
 
-@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("mode", list(_MODES))
 @pytest.mark.parametrize("target", _TARGETS)
 @pytest.mark.parametrize("value", _INJECTED, ids=["inf", "neginf", "nan", "huge", "neghuge"])
 def test_single_finiteness_check_gives_the_four_check_outcome(value, target, mode):
-    # the layer stack checks its one pre-activation block once; the stack
-    # that checked the ReLU layers and the logits one by one must raise the
-    # same message, or return the same bytes
+    # the pass checks its one pre-activation block once; the reference that
+    # checked the ReLU layers and the logits one by one must raise the same
+    # message, or return the same bytes
     rng = np.random.default_rng(
-        [_INJECTED.index(value), _TARGETS.index(target), _MODES.index(mode)]
+        [_INJECTED.index(value), _TARGETS.index(target), list(_MODES).index(mode)]
     )
-    nets_per_case = 1 if mode == "unstacked" else 2
+    nets_per_case, caller = _MODES[mode]
     rounds = 3
     layers = range(9) if target != "states" else range(2)
     outcomes = []
@@ -521,16 +563,14 @@ def test_single_finiteness_check_gives_the_four_check_outcome(value, target, mod
                     net.weights[max(layer + 1, 2)][...] = 0.0
             params = nets[0] if mode == "unstacked" else stack(nets)
 
-            def fresh():
-                if mode in ("unstacked", "stacked"):
-                    return forward(params, cur, prev)[0]
+            def package():
+                if caller == "forward":
+                    return direct_forward(nets, cur, prev)
                 record = RolloutRecord(nets[0], len(nets), rounds, 1)
-                if mode == "stacked_slot":
-                    return forward(params, cur, prev, record.slots[0])[0]
                 return policy_fn(*nets, record=record)(0, cur, prev)
 
             results = []
-            for run in (lambda: reference_forward(params, cur, prev), fresh):
+            for run in (lambda: reference_forward(params, cur, prev)[0], package):
                 try:
                     results.append(run().tobytes())
                 except NumericError as err:
@@ -548,7 +588,7 @@ def test_loss_value_hand_case():
 
 
 def _flat_loss(params, cur, prev, targets, weights):
-    probs, _ = forward(params, cur, prev)
+    probs, _ = lone_pass(params, cur, prev)
     return loss_value(probs, targets, weights, Workspace())
 
 
@@ -595,7 +635,7 @@ def test_gradients_match_finite_differences(net_seed, pair_seed, actions, weight
     targets = np.array(actions)
     weights = np.array(weights)
 
-    _, trace = forward(params, cur, prev)
+    trace = lone_pass(params, cur, prev)[1].trace(0, cur, prev)
     # the finite-difference oracle is only valid when no pre-activation sits
     # within the difference window of a LeakyReLU/ReLU kink
     assert kink_margin(params, trace) > 1e-3
@@ -609,7 +649,7 @@ def test_zero_weight_gives_zero_gradients():
     params = small_net(30)
     cur, prev = random_pairs(31, 4)
     targets = np.array([0, 5, 9, 26])
-    _, trace = forward(params, cur, prev)
+    trace = lone_pass(params, cur, prev)[1].trace(0, cur, prev)
     grads = gradients(params, trace, targets, np.zeros(4), Workspace())
     for g in grads.weights + grads.biases:
         assert not g.any()
@@ -620,7 +660,7 @@ def test_gradients_linear_in_weights():
     cur, prev = random_pairs(33, 3)
     targets = np.array([1, 2, 3])
     w = np.array([0.5, -0.25, 1.5])
-    _, trace = forward(params, cur, prev)
+    trace = lone_pass(params, cur, prev)[1].trace(0, cur, prev)
     one = gradients(params, trace, targets, w, Workspace())
     two = gradients(params, trace, targets, 2 * w, Workspace())
     for g1, g2 in zip(one.weights + one.biases, two.weights + two.biases):
@@ -705,6 +745,19 @@ def test_checkpoint_rejects_bad_files_by_name(tmp_path, edit, message):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b'{"widths": ', "invalid JSON at line 1 column 12"), (b'{"seed": "\xff"}', "cannot read")],
+    ids=["truncated", "not-utf-8"],
+)
+def test_checkpoint_that_is_not_utf8_json_names_the_file(tmp_path, content, message):
+    path = tmp_path / "policy.json"
+    path.write_bytes(content)
+    with pytest.raises(PreconditionError, match=message) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
 def test_policy_fn_shapes():
     params = small_net(42)
     fn = policy_fn(params, record=RolloutRecord(params, nets=1, rounds=6, steps=1))
@@ -721,7 +774,7 @@ def test_policy_fn_writes_step_n_into_slot_n_whatever_the_call_order():
     for n in (2, 0):
         cur, prev = random_pairs(43 + n, 6)
         probs = fn(n, cur, prev)
-        assert probs.tobytes() == forward(params, cur, prev)[0].tobytes()
+        assert probs.tobytes() == reference_forward(params, cur, prev)[0].tobytes()
         assert record.slots[n][7].tobytes() == probs.tobytes()
 
 
@@ -729,8 +782,8 @@ def test_stacked_policy_fn_matches_forward_per_block():
     pa, pb = small_net(44), small_net(45)
     cur, prev = random_pairs(46, 10)
     probs = policy_fn(pa, pb, record=RolloutRecord(pa, nets=2, rounds=5, steps=1))(0, cur, prev)
-    assert np.array_equal(probs[:5], forward(pa, cur[:5], prev[:5])[0])
-    assert np.array_equal(probs[5:], forward(pb, cur[5:], prev[5:])[0])
+    assert np.array_equal(probs[:5], reference_forward(pa, cur[:5], prev[:5])[0])
+    assert np.array_equal(probs[5:], reference_forward(pb, cur[5:], prev[5:])[0])
 
 
 def test_stacked_policy_fn_rejects_uneven_rows():

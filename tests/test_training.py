@@ -15,8 +15,6 @@ from celab.errors import NumericError, PreconditionError
 from celab.games import load_game
 from celab.policy import (
     RolloutRecord,
-    Workspace,
-    forward,
     init_policy,
     policy_fn,
     save_checkpoint,
@@ -27,6 +25,7 @@ from celab.training import (
     TrainingConfig,
     _round_draws,
     adam_step,
+    require_seed,
     shape_rewards,
     train_pair,
     update_policy,
@@ -150,6 +149,13 @@ class TestRoundStreams:
         with pytest.raises(PreconditionError, match="non-negative"):
             _round_draws(-1, 1, 1, 2, 5)
 
+    @pytest.mark.parametrize("seed", [True, False, np.True_, -1, 1.0, "1"], ids=repr)
+    def test_require_seed_takes_non_negative_integers_only(self, seed, chicken):
+        with pytest.raises(PreconditionError, match="non-negative integer"):
+            require_seed(seed)
+        with pytest.raises(PreconditionError, match="non-negative integer"):
+            train_pair(chicken, ("p1", "p2"), tiny_config(), seed)
+
 
 def tiny_batch(params, seed=0, rounds=2, steps=4, step_size=0.25):
     """A rollout of `params` and its record, which the update reads."""
@@ -162,6 +168,13 @@ def tiny_batch(params, seed=0, rounds=2, steps=4, step_size=0.25):
         start=np.full(params.h, 1.0 / params.h),
     )
     return batch, record
+
+
+def lone_probs(params, cur, prev):
+    """One net's probabilities over (B, H) rows, from `policy_fn` over a
+    one-step record of B rounds."""
+    record = RolloutRecord(params, nets=1, rounds=len(cur), steps=1)
+    return policy_fn(params, record=record)(0, cur, prev)
 
 
 def tiny_config(**kw):
@@ -180,7 +193,7 @@ class TestUpdatePolicy:
         )
         new_params, _, stats = update_policy(
             params, batch, rt, AdamState.zeros_like(params), tiny_config(),
-            Workspace(), (record, 0),
+            record, 0,
         )
         assert stats.grad_max == 0.0
         for old, new in zip(params.weights, new_params.weights):
@@ -196,12 +209,12 @@ class TestUpdatePolicy:
         cur = batch.states[0, :1]
         prev = batch.states[0, :1]
         chosen = batch.action_indices[0, 0]
-        before, _ = forward(params, cur, prev)
+        before = lone_probs(params, cur, prev)
         new_params, _, _ = update_policy(
             params, batch, rt, AdamState.zeros_like(params), tiny_config(learning_rate=1e-3),
-            Workspace(), (record, 0),
+            record, 0,
         )
-        after, _ = forward(new_params, cur, prev)
+        after = lone_probs(new_params, cur, prev)
         assert after[0, chosen] > before[0, chosen]
 
     def test_negative_weight_lowers_chosen_probability(self):
@@ -214,12 +227,12 @@ class TestUpdatePolicy:
         cur = batch.states[1, 1:2]
         prev = batch.states[1, :1]
         chosen = batch.action_indices[1, 1]
-        before, _ = forward(params, cur, prev)
+        before = lone_probs(params, cur, prev)
         new_params, _, _ = update_policy(
             params, batch, rt, AdamState.zeros_like(params), tiny_config(learning_rate=1e-3),
-            Workspace(), (record, 0),
+            record, 0,
         )
-        after, _ = forward(new_params, cur, prev)
+        after = lone_probs(new_params, cur, prev)
         assert after[0, chosen] < before[0, chosen]
 
     def test_start_column_reward_is_ignored(self):
@@ -241,7 +254,7 @@ class TestUpdatePolicy:
             )
             new_params, _, _ = update_policy(
                 params, batch, rt, AdamState.zeros_like(params), tiny_config(),
-                Workspace(), (record, 0),
+                record, 0,
             )
             results.append(new_params)
         for a, b in zip(results[0].weights, results[1].weights):
@@ -262,13 +275,12 @@ class TestUpdatePolicy:
             policy_fn(params, record=record), cfg.step_size, uniforms, start=np.full(4, 0.25)
         )
         rt = shape_rewards(batch.states, coordination.payoff("p1"), cfg.discount)
-        ws = Workspace()
         # the record holds these params' pass, so both updates start from them
         state = AdamState.zeros_like(params)
-        update_policy(params, batch, rt, state, cfg, ws, (record, 0))
+        update_policy(params, batch, rt, state, cfg, record, 0)
         tracemalloc.start()
         try:
-            update_policy(params, batch, rt, state, cfg, ws, (record, 0))
+            update_policy(params, batch, rt, state, cfg, record, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -321,6 +333,25 @@ class TestConfig:
     def test_integer_fields_reject_floats_and_bools(self, field, value):
         with pytest.raises(PreconditionError, match=f"{field} must be an integer"):
             tiny_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["step_size", "discount", "learning_rate", "stability_tol"]
+    )
+    @pytest.mark.parametrize("value", [True, False, "0.5"], ids=repr)
+    def test_float_fields_reject_bools_and_non_numbers(self, field, value):
+        with pytest.raises(PreconditionError, match=f"{field} must be a number"):
+            tiny_config(**{field: value})
+
+    def test_float_fields_store_numpy_scalars_as_float(self, chicken, tmp_path):
+        cfg = tiny_config(
+            step_size=np.float64(0.25), discount=np.float32(0.5),
+            learning_rate=np.float32(0.001), stability_tol=np.int64(1),
+        )
+        for field in ("step_size", "discount", "learning_rate", "stability_tol"):
+            assert type(getattr(cfg, field)) is float
+        assert cfg.learning_rate == float(np.float32(0.001))
+        # the run's history header serializes the config
+        write_history_csv(train_pair(chicken, ("p1", "p2"), cfg, 0), tmp_path / "h.csv")
 
     def test_integer_fields_store_numpy_integers_as_int(self):
         cfg = tiny_config(epochs=np.int64(3), stability_window=np.uint8(3), width_in=np.int32(4))
