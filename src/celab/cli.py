@@ -81,7 +81,7 @@ def _write_json(path: Path, payload: dict, force: bool) -> None:
 def _load_game_file(path: str) -> Game:
     try:
         return load_game(path)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise PreconditionError(f"cannot read game file {path}: {exc}") from None
 
 

@@ -6,9 +6,10 @@ to a different decision. The welfare-maximal CE comes out of a small LP; the
 deviation checker `is_correlated_equilibrium` is written as direct sums,
 deliberately not sharing code with the LP row builder, so the two act as
 independent routes to the same definition. Each per-player rule is one loop
-over the players, indexing the player's own axis, so the CE program, the CE
-check and pure Nash enumeration take any number of players. The interior
-mixed equilibrium is solved for 2x2 games only.
+over the players, indexing the player's own axis (in the CE program, its
+stride in the flat outcome order), so the CE program, the CE check and pure
+Nash enumeration take any number of players. The interior mixed equilibrium
+is solved for 2x2 games only.
 """
 
 from __future__ import annotations
@@ -79,24 +80,24 @@ def correlated_equilibrium_program(game: Game) -> LinearProgram:
     a'), summed over the other players' decisions and stored in <= form; the
     objective is total welfare.
     """
-    grids = [game.payoff_matrix(p) for p in game.players]
-    # keep >= 0 rows as -row <= 0; negating the whole row makes its zeros -0.0
-    rows = []
-    for k, u in enumerate(grids):
-        own = u.swapaxes(0, k)  # the player's own decision first
-        for a, a_alt in permutations(range(u.shape[k]), 2):
-            row = np.zeros(u.shape)
-            row.swapaxes(0, k)[a] = own[a] - own[a_alt]
-            rows.append(-row.reshape(-1))
-
-    # from the first payoff, not 0.0, so that a -0.0 entry stays -0.0
-    welfare = sum(grids[1:], grids[0]).reshape(-1)
+    vectors, cells = [game.payoff(p) for p in game.players], game.num_outcomes
+    rows, stride = [], cells
+    for n, u in zip(game.menu_sizes, vectors):
+        # the player's decision at cell f is (f % block) // stride
+        block, stride, u = stride, stride // n, u.tolist()
+        for a, a_alt in permutations(range(n), 2):
+            # a >= 0 row kept as -row <= 0: -(own - alt) where told a, else -0.0
+            row, shift = [-0.0] * cells, (a_alt - a) * stride
+            for start in range(a * stride, cells, block):
+                for f in range(start, start + stride):
+                    row[f] = -(u[f] - u[f + shift])
+            rows.append(row)
     return LinearProgram(
-        objective=welfare,
+        objective=sum(vectors[1:], vectors[0]),  # not from 0.0: a -0.0 entry stays
         ineq_rows=np.array(rows),
         ineq_rhs=np.zeros(len(rows)),
-        eq_rows=np.ones((1, game.num_outcomes)),
-        eq_rhs=np.array([1.0]),
+        eq_rows=np.ones((1, cells)),
+        eq_rhs=np.ones(1),
     )
 
 

@@ -299,9 +299,13 @@ def game_from_dict(data: Mapping) -> Game:
 
 
 def load_game(path) -> Game:
+    """The game of a JSON game file. Raises InvalidGameError, naming the
+    file, on bytes that are not UTF-8 or not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidGameError(f"cannot read game file {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise InvalidGameError(
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -7,8 +7,15 @@ index), fixed tolerances. Identical inputs produce bit-identical outputs.
 With these tolerances the rule can still cycle (on some CE programs from
 5x5 up); a repeated basis raises SolverError instead of pivoting forever.
 
-Programs built in this package state no upper bound that sum(x) = 1 and
-x >= 0 already imply: each finite upper bound costs a tableau row.
+solve_lp assembles the two-phase tableau once, in one loop over the
+constraint rows, as rows of Python floats: a row with a negative rhs is
+negated, then gets its slack or surplus, artificial and rhs entries, and
+the starting basis its slack or artificial. Only a tableau of more than
+LIST_CELLS cells becomes an ndarray. Every program is shifted by its lower
+bounds, the default (0, inf) ones too, so a zero shift turns a -0.0 rhs
+or answer into +0.0 as it always has. Programs built here state no upper
+bound that sum(x) = 1 and x >= 0 already imply: each finite one costs a
+tableau row.
 
 Per-pivot cost is mostly Python and numpy call overhead, not arithmetic.
 So the tableau lives in one of two containers, chosen once per solve by
@@ -102,6 +109,8 @@ class LinearProgram:
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=np.float64)
+        if self.objective.ndim != 1:
+            raise ValueError(f"objective must be 1-D, got shape {self.objective.shape}")
         n = self.objective.size
         if not _all_finite(self.objective):
             raise ValueError("objective must be finite")
@@ -112,6 +121,7 @@ class LinearProgram:
             self.eq_rows, self.eq_rhs = _row_block("eq", self.eq_rows, self.eq_rhs, n)
         if self.bounds is None:
             self.bounds = [(0.0, np.inf)] * n
+            return
         if len(self.bounds) != n:
             raise ValueError("one (lo, hi) pair per variable required")
         self.bounds = [(lo, np.inf if hi is None else hi) for lo, hi in self.bounds]
@@ -242,72 +252,57 @@ def _simplex_max(t, basis: list[int], cost: np.ndarray,
             saved, stride = list(basis), 2 * stride
 
 
+def _rows(a, b, lo) -> tuple[list, list]:
+    """A constraint block as lists of Python floats, its rhs shifted by the
+    lower bounds `lo`."""
+    if a is None:
+        return [], []
+    return a.tolist(), (b - a @ lo).tolist()
+
+
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve a LinearProgram; infeasible/unbounded are statuses, not errors."""
     c = lp.objective
     n = c.size
-    lo = np.array([b[0] for b in lp.bounds])
-    hi = np.array([b[1] for b in lp.bounds])
+    # shift x = lo + y so y >= 0; finite upper bounds become <= rows
+    lo = np.array([b[0] for b in lp.bounds], dtype=float)
+    rows, rhs = _rows(lp.ineq_rows, lp.ineq_rhs, lo)
+    for i, (low, high) in enumerate(lp.bounds):
+        if math.isfinite(high):
+            rows.append([0.0] * i + [1.0] + [0.0] * (n - i - 1))
+            rhs.append(float(high) - float(low))
+    n_ub = len(rows)
+    eq_rows, eq_rhs = _rows(lp.eq_rows, lp.eq_rhs, lo)
+    rows, rhs, m = rows + eq_rows, rhs + eq_rhs, n_ub + len(eq_rows)
 
-    # shift x = lo + y so y >= 0; finite upper bounds become rows
-    a_ub = lp.ineq_rows if lp.ineq_rows is not None else np.zeros((0, n))
-    b_ub = lp.ineq_rhs if lp.ineq_rhs is not None else np.zeros(0)
-    b_ub = b_ub - a_ub @ lo
-    ub_extra = []
-    ub_extra_rhs = []
-    for i in range(n):
-        if math.isfinite(hi[i]):
-            row = np.zeros(n)
-            row[i] = 1.0
-            ub_extra.append(row)
-            ub_extra_rhs.append(hi[i] - lo[i])
-    if ub_extra:
-        a_ub = np.vstack([a_ub, ub_extra])
-        b_ub = np.concatenate([b_ub, ub_extra_rhs])
-    a_eq = lp.eq_rows if lp.eq_rows is not None else np.zeros((0, n))
-    b_eq = lp.eq_rhs if lp.eq_rhs is not None else np.zeros(0)
-    b_eq = b_eq - a_eq @ lo
-
-    n_ub = a_ub.shape[0]
-    n_eq = a_eq.shape[0]
-    m = n_ub + n_eq
-
-    # columns: y (n) | slack/surplus (n_ub) | artificials (counted below) | rhs
-    rows = np.vstack([a_ub, a_eq]) if m else np.zeros((0, n))
-    rhs = np.concatenate([b_ub, b_eq])
-    slack = np.zeros((m, n_ub))
-    needs_artificial = []
-    for r in range(m):
-        if rhs[r] < 0:
-            rows[r] = -rows[r]
-            rhs[r] = -rhs[r]
-            if r < n_ub:
-                slack[r, r] = -1.0  # surplus after the sign flip
-                needs_artificial.append(r)
-        elif r < n_ub:
-            slack[r, r] = 1.0
-        if r >= n_ub:
-            needs_artificial.append(r)
-
-    n_art = len(needs_artificial)
-    art = np.zeros((m, n_art))
-    basis: list[int] = [0] * m
-    for k, r in enumerate(needs_artificial):
-        art[r, k] = 1.0
-        basis[r] = n + n_ub + k
-    for r in range(m):
-        if r < n_ub and slack[r, r] == 1.0:
-            basis[r] = n + r
-
-    t = np.hstack([rows, slack, art, rhs.reshape(-1, 1)])
-    if t.size <= LIST_CELLS:
-        t = t.tolist()
-    total_cols = n + n_ub + n_art
+    # columns: y (n) | slack/surplus (n_ub) | artificials | rhs. A row with a
+    # negative rhs is negated; it and every == row start on an artificial.
+    first_art = n + n_ub
+    n_art = sum(v < 0 for v in rhs[:n_ub]) + m - n_ub
+    total_cols = first_art + n_art
+    t, basis, art = [], [], first_art
+    for r, (row, v) in enumerate(zip(rows, rhs)):
+        tail = [0.0] * (n_ub + n_art + 1)
+        flip = v < 0
+        if flip:
+            row, v = [-a for a in row], -v
+        if r < n_ub:
+            tail[r] = -1.0 if flip else 1.0  # a surplus after the flip
+        if flip or r >= n_ub:
+            basis.append(art)
+            tail[art - n] = 1.0
+            art += 1
+        else:
+            basis.append(n + r)
+        tail[-1] = v
+        t.append(row + tail)
+    if m * (total_cols + 1) > LIST_CELLS:
+        t = np.array(t, dtype=np.float64).reshape(m, total_cols + 1)
     iterations = 0
 
     if n_art:
         phase1_cost = np.zeros(total_cols)
-        phase1_cost[n + n_ub :] = -1.0  # maximize -(sum of artificials)
+        phase1_cost[first_art:] = -1.0  # maximize -(sum of artificials)
         status, it = _simplex_max(t, basis, phase1_cost, total_cols)
         iterations += it
         # one numpy dot over the rhs column, whichever the container
@@ -316,9 +311,9 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         # drive leftover artificials out of the basis; drop redundant rows
         redundant = []
         for r in range(len(basis)):
-            if basis[r] >= n + n_ub:
+            if basis[r] >= first_art:
                 row = t[r]
-                col = next((j for j in range(n + n_ub) if abs(row[j]) > TOL), -1)
+                col = next((j for j in range(first_art) if abs(row[j]) > TOL), -1)
                 if col >= 0:
                     _pivot(t, basis, r, col)
                 else:
@@ -330,18 +325,14 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     # phase 2 over original + slack columns only
     phase2_cost = np.zeros(total_cols)
     phase2_cost[:n] = c
-    status, it = _simplex_max(t, basis, phase2_cost, n + n_ub)
+    status, it = _simplex_max(t, basis, phase2_cost, first_art)
     iterations += it
     if status == "unbounded":
         return LPSolution(status="unbounded", iterations=iterations)
 
-    y = np.zeros(total_cols)
+    x = [0.0] * n
     for b, row in zip(basis, t):
-        y[b] = row[-1]
-    x = lo + y[:n]
-    return LPSolution(
-        status="optimal",
-        x=x,
-        objective=float(c @ x),
-        iterations=iterations,
-    )
+        if b < n:
+            x[b] = row[-1]
+    x = lo + x
+    return LPSolution(status="optimal", x=x, objective=float(c @ x), iterations=iterations)

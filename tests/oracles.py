@@ -7,6 +7,7 @@ with the library paths it checks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -87,6 +88,93 @@ def two_player_ce_check(u1: np.ndarray, u2: np.ndarray, rho: np.ndarray, tol: fl
                 if gain < -worst:
                     worst, worst_desc = -gain, f"player 2 told {b + 1} prefers {b_alt + 1}"
     return bool(worst <= tol), float(worst), worst_desc
+
+
+def reference_ce_program(game):
+    """`celab.equilibrium.correlated_equilibrium_program` as it stood when it
+    built each deviation row as a numpy array, kept verbatim as the
+    byte-for-byte reference: (objective, rows, rhs, eq_rows, eq_rhs)."""
+    grids = [game.payoff_matrix(p) for p in game.players]
+    # keep >= 0 rows as -row <= 0; negating the whole row makes its zeros -0.0
+    rows = []
+    for k, u in enumerate(grids):
+        own = u.swapaxes(0, k)  # the player's own decision first
+        for a, a_alt in itertools.permutations(range(u.shape[k]), 2):
+            row = np.zeros(u.shape)
+            row.swapaxes(0, k)[a] = own[a] - own[a_alt]
+            rows.append(-row.reshape(-1))
+
+    # from the first payoff, not 0.0, so that a -0.0 entry stays -0.0
+    welfare = sum(grids[1:], grids[0]).reshape(-1)
+    return (
+        welfare,
+        np.array(rows),
+        np.zeros(len(rows)),
+        np.ones((1, game.num_outcomes)),
+        np.array([1.0]),
+    )
+
+
+def reference_tableau(lp):
+    """The starting two-phase tableau and basis of `celab.lp.solve_lp` as it
+    assembled them with numpy slack and artificial matrices, kept verbatim
+    as the byte-for-byte reference: (float64 tableau, basis)."""
+    c = lp.objective
+    n = c.size
+    lo = np.array([b[0] for b in lp.bounds])
+    hi = np.array([b[1] for b in lp.bounds])
+
+    # shift x = lo + y so y >= 0; finite upper bounds become rows
+    a_ub = lp.ineq_rows if lp.ineq_rows is not None else np.zeros((0, n))
+    b_ub = lp.ineq_rhs if lp.ineq_rhs is not None else np.zeros(0)
+    b_ub = b_ub - a_ub @ lo
+    ub_extra = []
+    ub_extra_rhs = []
+    for i in range(n):
+        if math.isfinite(hi[i]):
+            row = np.zeros(n)
+            row[i] = 1.0
+            ub_extra.append(row)
+            ub_extra_rhs.append(hi[i] - lo[i])
+    if ub_extra:
+        a_ub = np.vstack([a_ub, ub_extra])
+        b_ub = np.concatenate([b_ub, ub_extra_rhs])
+    a_eq = lp.eq_rows if lp.eq_rows is not None else np.zeros((0, n))
+    b_eq = lp.eq_rhs if lp.eq_rhs is not None else np.zeros(0)
+    b_eq = b_eq - a_eq @ lo
+
+    n_ub = a_ub.shape[0]
+    n_eq = a_eq.shape[0]
+    m = n_ub + n_eq
+
+    # columns: y (n) | slack/surplus (n_ub) | artificials (counted below) | rhs
+    rows = np.vstack([a_ub, a_eq]) if m else np.zeros((0, n))
+    rhs = np.concatenate([b_ub, b_eq])
+    slack = np.zeros((m, n_ub))
+    needs_artificial = []
+    for r in range(m):
+        if rhs[r] < 0:
+            rows[r] = -rows[r]
+            rhs[r] = -rhs[r]
+            if r < n_ub:
+                slack[r, r] = -1.0  # surplus after the sign flip
+                needs_artificial.append(r)
+        elif r < n_ub:
+            slack[r, r] = 1.0
+        if r >= n_ub:
+            needs_artificial.append(r)
+
+    n_art = len(needs_artificial)
+    art = np.zeros((m, n_art))
+    basis: list[int] = [0] * m
+    for k, r in enumerate(needs_artificial):
+        art[r, k] = 1.0
+        basis[r] = n + n_ub + k
+    for r in range(m):
+        if r < n_ub and slack[r, r] == 1.0:
+            basis[r] = n + r
+
+    return np.hstack([rows, slack, art, rhs.reshape(-1, 1)]), basis
 
 
 def simplex_grid(h: int, resolution: float) -> np.ndarray:

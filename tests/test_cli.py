@@ -115,6 +115,16 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    def test_game_file_that_is_not_utf8_exits_2_with_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"players": ["\xff"]}')
+        out = tmp_path / "x"
+        code = main(["solve", str(bad), "--mode", "ce", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read game file {bad}: ")
+        assert not out.exists()
+
     def test_missing_payoff_entry(self, tmp_path, capsys):
         game = write_game(tmp_path / "g.json", {"p1": [0.5, 0.0, 0.1, 0.4], "p2": None})
         code = main(["solve", game, "--mode", "ce", "--out", str(tmp_path / "x")])

@@ -16,6 +16,7 @@ from celab.equilibrium import (
 )
 from celab.errors import PreconditionError, SolverError
 from celab.games import Game, make_game
+from celab.lp import LinearProgram
 
 from oracles import (
     brute_force_pure_nash,
@@ -23,6 +24,7 @@ from oracles import (
     ce_polytope_vertices,
     random_square_payoffs,
     random_valid_2x2,
+    reference_ce_program,
     two_player_ce_check,
     two_player_ce_program,
     two_player_pure_nash,
@@ -399,6 +401,21 @@ def test_two_player_program_and_check_keep_the_two_player_bytes():
                 ok, violation, worst = two_player_ce_check(u1, u2, rho)
                 assert check.ok == ok and check.worst == worst
                 assert np.float64(check.max_violation).tobytes() == np.float64(violation).tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (4, 4), (2, 3, 2), (1, 3), (3, 1, 2)])
+def test_ce_program_repeats_the_numpy_reference_bits(sizes):
+    # the list-built program against the per-row numpy builder it replaced,
+    # on payoffs that tie (own - alt = 0.0, stored as -0.0) or hold -0.0
+    rng = np.random.default_rng(sum(sizes))
+    for _ in range(50):
+        grids = [np.where(rng.random(sizes) < 0.2, -0.0, u) for u in random_grids(rng, sizes)]
+        game = raw_game(grids)
+        lp = correlated_equilibrium_program(game)
+        reference = LinearProgram(*reference_ce_program(game))
+        for field in ("objective", "ineq_rows", "ineq_rhs", "eq_rows", "eq_rhs"):
+            got, want = getattr(lp, field), getattr(reference, field)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
 
 
 @pytest.mark.parametrize(

@@ -144,6 +144,14 @@ def test_load_reports_json_position(tmp_path):
         load_game(path)
 
 
+def test_load_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"players": ["\xff"]}')
+    with pytest.raises(InvalidGameError, match="^cannot read game file .*utf-8") as err:
+        load_game(path)
+    assert str(path) in str(err.value)
+
+
 def test_load_reports_missing_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"players": ["p1", "p2"]}))

@@ -1,8 +1,9 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
-from oracles import random_square_payoffs, random_valid_2x2
+from oracles import random_square_payoffs, random_valid_2x2, reference_tableau
 
 import celab.lp
 from celab import estimation
@@ -129,6 +130,12 @@ def test_rejects_nan_upper_bound():
 def test_rejects_a_bound_that_is_not_a_number(bound):
     with pytest.raises(ValueError, match="^bounds of variable 1 must be numbers"):
         LinearProgram(objective=[1.0, 1.0], bounds=[(0.0, 1.0), bound])
+
+
+@pytest.mark.parametrize("objective, shape", [([[1.0, 2.0]], (1, 2)), (3.0, ())])
+def test_rejects_an_objective_that_is_not_one_dimensional(objective, shape):
+    with pytest.raises(ValueError, match=re.escape(f"objective must be 1-D, got shape {shape}")):
+        LinearProgram(objective=objective)
 
 
 @pytest.mark.parametrize("n, field, rows, rhs", [
@@ -475,3 +482,41 @@ def test_list_pivot_repeats_the_array_pivot_bits():
         celab.lp._pivot(t, basis, row, col)
         celab.lp._pivot(listed, list(range(m)), row, col)
         assert np.array(listed).tobytes() == t.tobytes()
+
+
+class _Assembled(Exception):
+    """The tableau and basis of a solve, raised at its first _simplex_max."""
+
+
+def _assembled(t, basis, *args):
+    raise _Assembled(t, list(basis))
+
+
+def test_tableau_assembly_repeats_the_numpy_reference_bits(monkeypatch):
+    # the starting tableau and basis, in both containers, against the numpy
+    # assembly they replaced: signed zeros, shifted and finite bounds, empty
+    # blocks, and default bounds on -0.0 data
+    rng = np.random.default_rng(910)
+    programs = _golden_ce_programs(rng) + _golden_estimation_programs(rng, monkeypatch)
+    programs += _golden_general_programs(rng)
+    rng = np.random.default_rng(2202)
+    programs += _tie_prone_ce_programs(rng)
+    signed = _signed_zero_programs(rng)
+    programs += signed + [
+        LinearProgram(lp.objective, lp.ineq_rows, lp.ineq_rhs, lp.eq_rows, lp.eq_rhs)
+        for lp in signed
+    ]
+    references = [reference_tableau(lp) for lp in programs]
+    monkeypatch.setattr(celab.lp, "_simplex_max", _assembled)
+    for container in _each_tableau(monkeypatch):
+        for lp, (want, want_basis) in zip(programs, references):
+            with pytest.raises(_Assembled) as assembled:
+                solve_lp(lp)
+            t, basis = assembled.value.args
+            assert basis == want_basis
+            if container == "list":
+                assert [len(row) for row in t] == [want.shape[1]] * want.shape[0]
+                assert all(type(v) is float for row in t for v in row)
+                t = np.array(t).reshape(want.shape)
+            assert type(t) is np.ndarray and t.dtype == want.dtype and t.shape == want.shape
+            assert t.tobytes() == want.tobytes()
