@@ -32,7 +32,8 @@ from .equilibrium import (
 )
 from .errors import InvalidGameError, NumericError, PreconditionError, SolverError
 from .estimation import COMPARISON_TOL, estimate_payoff, estimation_report, known_major_order
-from .games import Game, holds_bool, load_game, on_simplex
+from .games import Game, load_game, on_simplex
+from .inputs import number_array, read_json, real
 from .pipeline import run_pipeline, validate_manifest
 from .policy import save_checkpoint
 from .training import TrainingConfig, require_seed, train_pair, write_history_csv
@@ -78,13 +79,6 @@ def _write_json(path: Path, payload: dict, force: bool) -> None:
         fh.write(text + "\n")
 
 
-def _load_game_file(path: str) -> Game:
-    try:
-        return load_game(path)
-    except OSError as exc:
-        raise PreconditionError(f"cannot read game file {path}: {exc}") from None
-
-
 def _require_payoffs(game: Game, players) -> None:
     for p in players:
         if game.payoffs.get(p) is None:
@@ -100,15 +94,7 @@ def _two_players(game: Game) -> tuple[str, str]:
 
 
 def _load_distribution(path: str, expected: int) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PreconditionError(f"cannot read distribution file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise PreconditionError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    data = read_json(path, "distribution file")
     if isinstance(data, dict):
         for key in ("p_tilde", "distribution"):
             if key in data:
@@ -119,16 +105,7 @@ def _load_distribution(path: str, expected: int) -> np.ndarray:
                 f"{path}: expected a JSON array or an object with a "
                 "'p_tilde' or 'distribution' field"
             )
-    if holds_bool(data):
-        raise PreconditionError(f"{path}: distribution entries must be numbers, not booleans")
-    try:
-        vec = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError):  # non-numeric entries or ragged rows
-        vec = np.empty(0)
-    if vec.ndim != 1 or vec.size != expected:
-        raise PreconditionError(
-            f"{path}: distribution must be a flat array of {expected} probabilities"
-        )
+    vec = number_array(data, (expected,), f"{path}: distribution")
     if not on_simplex(vec):
         raise PreconditionError(f"{path}: distribution is not a point on the simplex")
     return np.clip(vec, 0.0, None)
@@ -151,7 +128,7 @@ def _training_config(args) -> TrainingConfig:
 
 
 def cmd_solve(args) -> int:
-    game = _load_game_file(args.game)
+    game = load_game(args.game)
     _require_payoffs(game, game.players)
     players = list(game.players)
     target = _target(args, f"solve_{args.mode}.json")
@@ -223,7 +200,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_train(args) -> int:
-    game = _load_game_file(args.game)
+    game = load_game(args.game)
     pair = _two_players(game)
     _require_payoffs(game, pair)
     config = _training_config(args)
@@ -287,11 +264,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if not args.round_trip_tol >= 0.0:  # False on NaN as well
-        raise PreconditionError(
-            f"round-trip tolerance must be >= 0, got {args.round_trip_tol}"
-        )
-    game = _load_game_file(args.game)
+    real(args.round_trip_tol, "round-trip tolerance", non_negative=True)
+    game = load_game(args.game)
     a, b = _two_players(game)
     if game.menu_sizes != (2, 2):
         raise PreconditionError(
@@ -369,7 +343,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    game = _load_game_file(args.game)
+    game = load_game(args.game)
     target = _target(args, "pipeline_manifest.json")
     _refuse_overwrite(target, args.force)
     config = _training_config(args)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError, SolverError
 from .games import Game
-from .lp import LinearProgram, LPSolution, solve_lp
+from .lp import TOL, LinearProgram, LPSolution, solve_lp
 
 __all__ = [
     "CESolution",
@@ -255,6 +255,10 @@ def in_nash_payoff_hull(
         raise PreconditionError(
             f"the point has a non-finite payoff {float(target[j])!r} (player {j})"
         )
+    # a convex combination lies in the points' bounding box, and a point
+    # far outside it, such as 1e308, would overflow the simplex arithmetic
+    if np.any(target < pts.min(axis=0) - TOL) or np.any(target > pts.max(axis=0) + TOL):
+        return False
     lp = LinearProgram(
         objective=np.zeros(k),
         eq_rows=np.vstack([pts.T, np.ones((1, k))]),

@@ -18,6 +18,7 @@ import numpy as np
 from .equilibrium import max_welfare_correlated_equilibrium
 from .errors import PreconditionError
 from .games import make_game, on_simplex
+from .inputs import real
 from .lp import LinearProgram, solve_lp
 
 COMPARISON_TOL = 1e-9
@@ -285,8 +286,7 @@ def estimate_payoff(
     if v.size != 4:
         raise PreconditionError(f"a 2x2 interaction has 4 outcomes, got {v.size}")
     # a NaN or negative tolerance would skip every window
-    if not comparison_tol >= 0.0:
-        raise PreconditionError(f"comparison tolerance must be >= 0, got {comparison_tol}")
+    real(comparison_tol, "comparison tolerance", non_negative=True)
     view = reorder(v, p_tilde)
     rows, skipped = build_pressure_constraints(view, comparison_tol)
 

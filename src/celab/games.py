@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidGameError, PreconditionError
+from .inputs import number_array, read_json
 
 NORMALIZATION_TOL = 1e-9
 RENORMALIZE_TOL = 1e-6
@@ -32,20 +33,6 @@ def on_simplex(v) -> bool:
     within 1e-6 of 1. NaN fails both, so a vector holding one is not."""
     v = np.asarray(v, dtype=np.float64)
     return bool(np.all(v >= -NORMALIZATION_TOL)) and abs(float(v.sum()) - 1.0) <= RENORMALIZE_TOL
-
-
-def holds_bool(value) -> bool:
-    """Whether `value`, a number or a possibly nested list, tuple or array of
-    them, is or holds a boolean. JSON's true and false load as Python bools,
-    which numpy takes as 1 and 0, so every entry is scanned, not only the
-    dtype after conversion: [0.5, 0.5, false, false] converts to float64."""
-    if isinstance(value, np.ndarray):
-        if value.dtype != object:
-            return value.dtype == bool
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        return any(holds_bool(x) for x in value)
-    return isinstance(value, (bool, np.bool_))
 
 
 class RenormalizedPayoffWarning(UserWarning):
@@ -154,18 +141,7 @@ def make_game(
         if raw is None:
             vectors[p] = None
             continue
-        if holds_bool(raw):
-            raise InvalidGameError(f"payoff vector for {p!r} must hold numbers, not booleans")
-        try:
-            v = np.asarray(raw, dtype=np.float64)
-        except (TypeError, ValueError):  # non-numeric entries or ragged rows
-            raise InvalidGameError(f"payoff vector for {p!r} must hold numbers") from None
-        if v.shape != (h,):
-            raise InvalidGameError(
-                f"payoff vector for {p!r} has shape {v.shape}, expected ({h},)"
-            )
-        if not np.all(np.isfinite(v)):
-            raise InvalidGameError(f"non-finite payoff entries for {p!r}")
+        v = number_array(raw, (h,), f"payoff vector for {p!r}", InvalidGameError)
         if np.any(v < -NORMALIZATION_TOL):
             raise InvalidGameError(f"negative payoff entries for {p!r}")
         v = np.maximum(v, 0.0)
@@ -300,17 +276,8 @@ def game_from_dict(data: Mapping) -> Game:
 
 def load_game(path) -> Game:
     """The game of a JSON game file. Raises InvalidGameError, naming the
-    file, on bytes that are not UTF-8 or not JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise InvalidGameError(f"cannot read game file {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise InvalidGameError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from None
-    return game_from_dict(data)
+    file, on a file that cannot be read or is not UTF-8 JSON."""
+    return game_from_dict(read_json(path, "game file", InvalidGameError))
 
 
 def save_game(game: Game, path) -> None:

@@ -31,6 +31,7 @@ from .equilibrium import (
 from .errors import PreconditionError
 from .estimation import COMPARISON_TOL, estimate_payoff, estimation_report, known_major_order
 from .games import Game, make_game, on_simplex
+from .inputs import real
 from .training import TrainingConfig, require_seed, train_pair
 
 SLICE_MASS_TOL = 1e-9
@@ -285,8 +286,7 @@ def run_pipeline(
     if config is None:
         config = TrainingConfig()
     # the checks of estimate_payoff and train_pair, made before any task trains
-    if not comparison_tol >= 0.0:
-        raise PreconditionError(f"comparison tolerance must be >= 0, got {comparison_tol}")
+    real(comparison_tol, "comparison tolerance", non_negative=True)
     require_seed(seed)
 
     knowledge: dict[str, KnownVector | None] = {p: None for p in game.players}

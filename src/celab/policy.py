@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericError, PreconditionError
+from .inputs import integer, number_array, read_json
 
 LEAKY_SLOPE = 0.2
 PROB_EPS = 1e-12
@@ -566,47 +567,20 @@ def _checkpoint_key(mapping, key: str, where: str):
     return mapping[key]
 
 
-def _checkpoint_array(value, shape: tuple, where: str) -> np.ndarray:
-    """A checkpoint's nested list of numbers as a float64 array of `shape`;
-    PreconditionError, naming `where`, for anything else or a non-finite
-    value (a `null` would load as NaN, and so would a `NaN` token)."""
-    try:
-        arr = np.array(value)
-    except ValueError:  # a ragged list
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":  # not bool, str or object
-        raise PreconditionError(f"checkpoint {where} is not an array of numbers")
-    if arr.shape != shape:
-        raise PreconditionError(f"checkpoint {where} shape {arr.shape} != {shape}")
-    arr = arr.astype(np.float64)
-    if not np.isfinite(arr).all():
-        raise PreconditionError(f"checkpoint {where} holds a non-finite value")
-    return arr
-
-
 def load_checkpoint(path) -> tuple[PolicyParams, int | None]:
     """The net and seed of a `save_checkpoint` file. Raises
     PreconditionError, naming the key or layer, on a file of another
-    layout, wrong widths or shapes, or a weight that is not a finite
-    number, and on a file that is not UTF-8 JSON."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise PreconditionError(f"cannot read checkpoint {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise PreconditionError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    layout, wrong widths or shapes, a weight that is not a finite number
+    (a `null` or a `true` among them), a seed that is neither `null` nor a
+    non-negative integer, and on a file that cannot be read as UTF-8 JSON."""
+    payload = read_json(path, "checkpoint")
     if not isinstance(payload, dict):
         raise PreconditionError(f"checkpoint is a JSON {type(payload).__name__}, not an object")
+    stored = _checkpoint_key(payload, "widths", "file")
     widths = {
-        key: _checkpoint_key(_checkpoint_key(payload, "widths", "file"), key, "widths")
+        key: integer(_checkpoint_key(stored, key, "widths"), 1, f"checkpoint width {key}")
         for key in ("h", "j", "width_in", "width_mid")
     }
-    for key, value in widths.items():
-        if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
-            raise PreconditionError(f"checkpoint width {key} is {value!r}, not a positive integer")
     layers = _checkpoint_key(payload, "layers", "file")
     if not isinstance(layers, list):
         raise PreconditionError("checkpoint layers are not a list")
@@ -619,9 +593,12 @@ def load_checkpoint(path) -> tuple[PolicyParams, int | None]:
     for layer, (fan_in, fan_out) in zip(layers, dims):
         for key, shape in (("weights", (fan_in, fan_out)), ("bias", (fan_out,))):
             value = _checkpoint_key(layer, key, layer["name"])
-            arrays.append(_checkpoint_array(value, shape, f"{key} in {layer['name']}").ravel())
-    params = PolicyParams(**widths, flat=np.concatenate(arrays))
-    return params, payload.get("seed")
+            where = f"checkpoint {key} in {layer['name']}"
+            arrays.append(number_array(value, shape, where).ravel())
+    seed = payload.get("seed")
+    if seed is not None:
+        seed = integer(seed, 0, "checkpoint seed")
+    return PolicyParams(**widths, flat=np.concatenate(arrays)), seed
 
 
 def policy_fn(*params: PolicyParams, record: RolloutRecord):

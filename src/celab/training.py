@@ -52,6 +52,7 @@ import numpy as np
 from .env import EpisodeBatch, average_states, default_state, min_steps, rollout
 from .errors import NumericError, PreconditionError
 from .games import Game
+from .inputs import integer, real
 from .policy import (
     PolicyParams,
     RolloutRecord,
@@ -77,6 +78,12 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+# rewards are standardized across rounds, and a round of N states takes N-1 actions
+_INTEGER_MINIMUMS = {
+    "rounds": 2, "steps": 2, "epochs": 1, "stability_window": 1, "width_in": 1, "width_mid": 1
+}
+
+
 @dataclass
 class TrainingConfig:
     rounds: int = 16
@@ -91,48 +98,23 @@ class TrainingConfig:
     width_mid: int = 16
 
     def __post_init__(self):
-        # numpy integers are stored as int, so to_dict stays JSON-ready
-        for name in ("rounds", "steps", "epochs", "stability_window", "width_in", "width_mid"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise PreconditionError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
-        # numpy scalars are stored as float, for the same reason
+        # numpy scalars are stored as int and float, so to_dict stays JSON-ready
+        for name, minimum in _INTEGER_MINIMUMS.items():
+            setattr(self, name, integer(getattr(self, name), minimum, name))
         for name in ("step_size", "discount", "learning_rate", "stability_tol"):
             value = getattr(self, name)
-            if value is None and name == "stability_tol":  # 2 * step_size
-                continue
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float, np.integer, np.floating)
-            ):
-                raise PreconditionError(f"{name} must be a number, got {value!r}")
-            if isinstance(value, np.generic):
-                setattr(self, name, float(value))
+            if not (value is None and name == "stability_tol"):  # None: 2 * step_size
+                setattr(self, name, real(value, name))
+        if self.stability_tol is not None:
+            real(self.stability_tol, "stability tolerance", non_negative=True)
         if not (0.0 <= self.discount <= 1.0):
             raise PreconditionError(f"discount must lie in [0,1], got {self.discount}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise PreconditionError(
                 f"learning rate must be positive and finite, got {self.learning_rate}"
             )
-        if self.rounds < 2:
-            raise PreconditionError(
-                f"rounds must be >= 2, because rewards are standardized across "
-                f"rounds; got {self.rounds}"
-            )
-        if self.epochs < 1 or self.stability_window < 1:
-            raise PreconditionError("epochs and stability_window must be >= 1")
-        if self.stability_tol is not None and not self.stability_tol >= 0.0:
-            raise PreconditionError(
-                f"stability tolerance must be >= 0, got {self.stability_tol}"
-            )
-        if self.width_in < 1 or self.width_mid < 1:
-            raise PreconditionError("width_in and width_mid must be >= 1")
         if not (0.0 < self.step_size <= 1.0):
             raise PreconditionError(f"step size must lie in (0, 1], got {self.step_size}")
-        if self.steps < 2:
-            raise PreconditionError(
-                f"steps must be >= 2, so a round takes at least one action; got {self.steps}"
-            )
         if self.steps < min_steps(self.step_size):
             raise PreconditionError(
                 f"steps must satisfy N >= ceil(1/step_size) so every grid state "
@@ -275,8 +257,7 @@ class TrainResult:
 def require_seed(seed) -> None:
     """Raise PreconditionError unless `seed` is a non-negative integer, the
     seeds numpy's `SeedSequence` takes."""
-    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise PreconditionError(f"seed must be a non-negative integer, got {seed!r}")
+    integer(seed, 0, "seed")
 
 
 def _init_rng(seed: int, player_index: int) -> np.random.Generator:

@@ -18,7 +18,8 @@ from celab.cli import _training_config, build_parser, main
 from celab.equilibrium import correlated_equilibrium_program
 from celab.training import TrainingConfig
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 CHICKEN = "fixtures/chicken.json"
 COORDINATION = "fixtures/coordination_2x2.json"
 MIRROR = "fixtures/mirror_2x2.json"
@@ -27,6 +28,16 @@ MIRROR = "fixtures/mirror_2x2.json"
 @pytest.fixture()
 def fx(fixtures_dir):
     return lambda name: str(fixtures_dir / name)
+
+
+def run_cli(*args, env=None):
+    """`python -m celab.cli ARGS` in a subprocess that imports this
+    checkout's celab, whether or not it is installed or on PYTHONPATH."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "celab.cli", *args], env=env, capture_output=True, text=True
+    )
 
 
 def write_game(path, payoffs):
@@ -306,10 +317,9 @@ class TestTrain:
         assert main(argv + ["--force"]) == 3
 
     def test_divergence_exits_3_without_traceback(self, fx, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "celab.cli", "train", fx("coordination_2x2.json"),
-             "--learning-rate", "1e300", "--epochs", "3", "--out-dir", str(tmp_path)],
-            capture_output=True, text=True,
+        proc = run_cli(
+            "train", fx("coordination_2x2.json"),
+            "--learning-rate", "1e300", "--epochs", "3", "--out-dir", str(tmp_path),
         )
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
@@ -533,9 +543,7 @@ def test_train_and_pipeline_raw_bytes_digest(fixtures_dir, tmp_path, monkeypatch
     )
 
 
-_THREE_PLAYER_GAME = json.loads(
-    (Path(__file__).resolve().parent.parent / "fixtures" / "three_player.json").read_text()
-)
+_THREE_PLAYER_GAME = json.loads((ROOT / "fixtures" / "three_player.json").read_text())
 
 _VALID_GAME = {
     "players": ["p1", "p2"],
@@ -595,6 +603,14 @@ _ZERO_MASS_GAME = {
          {"payoffs": {"p1": [True, False, False, False], "p2": [0.4, 0.3, 0.1, 0.2]}}, None),
         (["estimate", "--known-player", "p1"], {}, [True, False, False, False]),
         (["estimate", "--known-player", "p1"], {}, [0.5, 0.5, False, False]),
+        # integers beyond float range, and nesting deeper than numpy's or JSON's limits
+        (["solve"], {"payoffs": {"p1": [10**400, 0, 0, 0], "p2": [0.25] * 4}}, None),
+        (["estimate", "--known-player", "p1"], {}, [10**400, 0, 0, 0]),
+        (["estimate", "--known-player", "p1"], {}, "[" * 500 + "0.25" + "]" * 500),
+        (["solve"], "[" * 3000 + "]" * 3000, None),
+        (["estimate", "--known-player", "p1"], {}, "[" * 3000 + "]" * 3000),
+        # more digits than Python converts to an int
+        (["estimate", "--known-player", "p1"], {}, "[1" + "0" * 5000 + ", 0, 0, 0]"),
     ],
     ids=[
         "zero-step-size", "zero-width-mid", "zero-width-in", "nan-learning-rate",
@@ -608,23 +624,26 @@ _ZERO_MASS_GAME = {
         "prefix-with-a-directory", "prefix-leaving-the-out-dir",
         "train-one-state-round", "pipeline-one-state-round",
         "boolean-payoff", "boolean-distribution", "mixed-boolean-distribution",
+        "huge-integer-payoff", "huge-integer-distribution", "deep-distribution",
+        "very-deep-game", "very-deep-distribution", "too-many-digits-distribution",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(
     tmp_path, request, argv, game_fields, distribution
 ):
+    # a str is the file's raw text: json.dumps cannot nest 3000 deep
     game = tmp_path / "game.json"
-    game.write_text(json.dumps({**_VALID_GAME, **game_fields}))
+    game.write_text(
+        game_fields if isinstance(game_fields, str) else json.dumps({**_VALID_GAME, **game_fields})
+    )
     command, *rest = argv
     if distribution is not None:
         dist = tmp_path / "dist.json"
-        dist.write_text(json.dumps(distribution))
+        dist.write_text(
+            distribution if isinstance(distribution, str) else json.dumps(distribution)
+        )
         rest += ["--distribution", str(dist)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "celab.cli", command, str(game), *rest,
-         "--out-dir", str(tmp_path / "out")],
-        capture_output=True, text=True,
-    )
+    proc = run_cli(command, str(game), *rest, "--out-dir", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
@@ -689,23 +708,14 @@ def test_abbreviated_flags_exit_2_and_write_nothing(fx, tmp_path):
          "--out-d", str(tmp_path / "od")],
     ]
     for argv in runs:
-        proc = subprocess.run(
-            [sys.executable, "-m", "celab.cli", *argv],
-            env={**os.environ, "CELAB_OUT_DIR": str(tmp_path / "default")},
-            capture_output=True, text=True,
-        )
+        proc = run_cli(*argv, env={**os.environ, "CELAB_OUT_DIR": str(tmp_path / "default")})
         assert proc.returncode == 2
         assert "unrecognized arguments" in proc.stderr
     assert not any(tmp_path.iterdir())
 
 
 def test_module_entry_point_runs(fx, tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "celab.cli", "solve", fx("chicken.json"),
-         "--mode", "ce", "--out", str(tmp_path / "ce.json")],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("solve", fx("chicken.json"), "--mode", "ce", "--out", str(tmp_path / "ce.json"))
     assert proc.returncode == 0
     assert "welfare" in proc.stdout
 

@@ -188,7 +188,7 @@ class TestRunPipelinePreconditions:
             raise AssertionError("a task trained")
 
         monkeypatch.setattr("celab.pipeline.train_pair", no_training)
-        with pytest.raises(PreconditionError, match="non-negative integer"):
+        with pytest.raises(PreconditionError, match="^seed must be (an integer|>= 0), got "):
             run_pipeline(three_player, seed=seed)
 
 

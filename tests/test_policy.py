@@ -734,9 +734,19 @@ def _edit_payload(change):
         (_edit_payload(lambda p: p["layers"][6].pop("bias")), "wide_2 has no 'bias'"),
         (_edit_payload(lambda p: p.pop("widths")), "file has no 'widths'"),
         (_edit_payload(lambda p: p["widths"].pop("j")), "widths has no 'j'"),
-        (_edit_payload(lambda p: p["widths"].__setitem__("h", 2.5)), "width h is 2.5"),
+        (_edit_payload(lambda p: p["widths"].__setitem__("h", 2.5)),
+         "width h must be an integer, got 2.5"),
         (_edit_payload(lambda p: p["layers"][1].pop("name")), "layer 1 has no 'name'"),
         (lambda text: "[" + text + "]", "checkpoint is a JSON list, not an object"),
+        # JSON true is not the weight 1.0, nor the seed 1
+        (_edit_payload(lambda p: p["layers"][2]["weights"][0].__setitem__(0, True)),
+         "weights in dense_1 must hold numbers, not booleans"),
+        (_edit_payload(lambda p: p.__setitem__("seed", True)),
+         "checkpoint seed must be an integer, got True"),
+        (_edit_payload(lambda p: p.__setitem__("seed", -3.5)),
+         "checkpoint seed must be an integer, got -3.5"),
+        (_edit_payload(lambda p: p.__setitem__("seed", -1)),
+         "checkpoint seed must be >= 0, got -1"),
     ],
 )
 def test_checkpoint_rejects_bad_files_by_name(tmp_path, edit, message):
