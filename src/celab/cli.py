@@ -32,8 +32,8 @@ from .equilibrium import (
 )
 from .errors import InvalidGameError, NumericError, PreconditionError, SolverError
 from .estimation import COMPARISON_TOL, estimate_payoff, estimation_report, known_major_order
-from .games import Game, load_game, on_simplex
-from .inputs import number_array, read_json, real
+from .games import Game, load_game
+from .inputs import read_json, real, simplex_vector
 from .pipeline import run_pipeline, validate_manifest
 from .policy import save_checkpoint
 from .training import TrainingConfig, require_seed, train_pair, write_history_csv
@@ -105,10 +105,7 @@ def _load_distribution(path: str, expected: int) -> np.ndarray:
                 f"{path}: expected a JSON array or an object with a "
                 "'p_tilde' or 'distribution' field"
             )
-    vec = number_array(data, (expected,), f"{path}: distribution")
-    if not on_simplex(vec):
-        raise PreconditionError(f"{path}: distribution is not a point on the simplex")
-    return np.clip(vec, 0.0, None)
+    return np.clip(simplex_vector(data, expected, f"{path}: distribution"), 0.0, None)
 
 
 def _fmt_vec(values) -> str:
@@ -173,18 +170,16 @@ def cmd_solve(args) -> int:
     else:  # hull
         if not args.point:
             raise PreconditionError("--mode hull needs at least one --point U1 U2 ...")
-        if any(len(point) != len(players) for point in args.point):
-            raise PreconditionError(f"--point takes one payoff per player ({len(players)})")
-        if not np.isfinite(args.point).all():
-            raise PreconditionError("--point payoffs must be finite numbers")
         equilibria = enumerate_equilibria(game)
         ne_payoffs = [eq.payoffs for eq in equilibria]
-        verdicts = []
-        for point in args.point:
-            inside = in_nash_payoff_hull(ne_payoffs, tuple(point))
-            verdicts.append({"point": [float(x) for x in point], "inside": inside})
-            where = "inside" if inside else "outside"
-            coords = ", ".join(f"{x:.6g}" for x in point)
+        # every point is judged before any verdict prints, so a bad one prints none
+        verdicts = [
+            {"point": [float(x) for x in point], "inside": in_nash_payoff_hull(ne_payoffs, point)}
+            for point in args.point
+        ]
+        for verdict in verdicts:
+            where = "inside" if verdict["inside"] else "outside"
+            coords = ", ".join(f"{x:.6g}" for x in verdict["point"])
             print(f"payoff point ({coords}) is {where} the equilibrium payoff hull")
         payload["equilibrium_payoffs"] = [[float(x) for x in p] for p in ne_payoffs]
         payload["points"] = verdicts

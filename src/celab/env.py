@@ -194,7 +194,7 @@ def rollout(
 def average_states(batch_a: EpisodeBatch, batch_b: EpisodeBatch) -> np.ndarray:
     """Element-wise mean of two players' state tensors, shape (M, N, H)."""
     if batch_a.states.shape != batch_b.states.shape:
-        raise ValueError(
+        raise PreconditionError(
             f"state shapes differ: {batch_a.states.shape} vs {batch_b.states.shape}"
         )
     return (batch_a.states + batch_b.states) / 2.0

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError, SolverError
 from .games import Game
+from .inputs import number_array
 from .lp import TOL, LinearProgram, LPSolution, solve_lp
 
 __all__ = [
@@ -128,17 +129,10 @@ def is_correlated_equilibrium(game: Game, distribution: np.ndarray) -> CECheck:
     payoff of obeying with every unilateral swap, conditioning on the told
     decision: one cell at a time over the other players' decisions.
     Returns the worst slack found, `ok` when it is at most `CE_TOL`. Raises
-    PreconditionError unless the distribution has one finite entry per
-    outcome: a NaN gain never compares below the worst.
+    PreconditionError unless the distribution is flat with one finite entry
+    per outcome: a NaN gain never compares below the worst.
     """
-    rho = np.asarray(distribution, dtype=np.float64)
-    if rho.size != game.num_outcomes:
-        raise PreconditionError(
-            f"distribution has {rho.size} entries, the game {game.num_outcomes} outcomes"
-        )
-    if not np.isfinite(rho).all():
-        i = int(np.flatnonzero(~np.isfinite(rho))[0])
-        raise PreconditionError(f"distribution entry {i} is non-finite: {float(rho.flat[i])!r}")
+    rho = number_array(distribution, (game.num_outcomes,), "distribution")
     rho = rho.reshape(game.menu_sizes)
     worst = 0.0
     worst_desc = None
@@ -228,33 +222,9 @@ def in_nash_payoff_hull(
     same number of payoffs and every payoff is finite."""
     if not ne_payoffs:
         raise PreconditionError("hull test needs at least one equilibrium payoff")
-    players = len(ne_payoffs[0])
-    for i, payoffs in enumerate(ne_payoffs):
-        if len(payoffs) != players:
-            raise PreconditionError(
-                f"equilibrium payoff point {i} has {len(payoffs)} payoffs, "
-                f"point 0 has {players}"
-            )
-    if len(point) != players:
-        raise PreconditionError(
-            f"the point has {len(point)} payoffs, the equilibrium payoff points {players}"
-        )
-    pts = np.asarray(ne_payoffs, dtype=np.float64)
-    k = pts.shape[0]
-    target = np.asarray(point, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(pts))
-    if bad.size:
-        i, j = bad[0]
-        raise PreconditionError(
-            f"equilibrium payoff point {i} has a non-finite payoff "
-            f"{float(pts[i, j])!r} (player {j})"
-        )
-    bad = np.flatnonzero(~np.isfinite(target))
-    if bad.size:
-        j = bad[0]
-        raise PreconditionError(
-            f"the point has a non-finite payoff {float(target[j])!r} (player {j})"
-        )
+    k = len(ne_payoffs)
+    pts = number_array(ne_payoffs, (k, len(ne_payoffs[0])), "the equilibrium payoff matrix")
+    target = number_array(point, (pts.shape[1],), "the point")
     # a convex combination lies in the points' bounding box, and a point
     # far outside it, such as 1e308, would overflow the simplex arithmetic
     if np.any(target < pts.min(axis=0) - TOL) or np.any(target > pts.max(axis=0) + TOL):

@@ -17,8 +17,8 @@ import numpy as np
 
 from .equilibrium import max_welfare_correlated_equilibrium
 from .errors import PreconditionError
-from .games import make_game, on_simplex
-from .inputs import real
+from .games import make_game
+from .inputs import number_array, real, simplex_vector
 from .lp import LinearProgram, solve_lp
 
 COMPARISON_TOL = 1e-9
@@ -65,15 +65,11 @@ class ReorderedView:
 
 def reorder(v_main, p_tilde) -> ReorderedView:
     """Stable ascending sort keyed by the known payoffs; the distribution
-    rides along under the same permutation."""
-    v = np.asarray(v_main, dtype=np.float64)
-    p = np.asarray(p_tilde, dtype=np.float64)
-    if v.ndim != 1 or v.shape != p.shape:
-        raise PreconditionError(f"payoffs {v.shape} and distribution {p.shape} must match")
-    if not np.all(np.isfinite(v)) or not np.all(np.isfinite(p)):
-        raise PreconditionError("payoffs and distribution must be finite")
-    if not on_simplex(p):
-        raise PreconditionError("distribution must be a point on the simplex")
+    rides along under the same permutation. Raises PreconditionError unless
+    `v_main` is a flat array of finite numbers and `p_tilde` a point on the
+    simplex of the same length."""
+    v = number_array(v_main, (np.size(v_main),), "known payoffs")
+    p = simplex_vector(p_tilde, v.size, "distribution")
     perm = tuple(int(i) for i in np.argsort(v, kind="stable"))
     return ReorderedView(
         permutation=perm,
@@ -282,12 +278,12 @@ def estimate_payoff(
     The known side's own mixing weight (from `v_main` alone) is reported as
     a diagnostic; it does not gate the solve.
     """
-    v = np.asarray(v_main, dtype=np.float64)
-    if v.size != 4:
-        raise PreconditionError(f"a 2x2 interaction has 4 outcomes, got {v.size}")
     # a NaN or negative tolerance would skip every window
     real(comparison_tol, "comparison tolerance", non_negative=True)
-    view = reorder(v, p_tilde)
+    view = reorder(v_main, p_tilde)
+    if view.size != 4:
+        raise PreconditionError(f"a 2x2 interaction has 4 outcomes, got {view.size}")
+    v, p = view.restore(view.v_bar_main), view.restore(view.p_bar)
     rows, skipped = build_pressure_constraints(view, comparison_tol)
 
     result = EstimationResult(
@@ -307,7 +303,7 @@ def estimate_payoff(
     result.main_mix_probability = _main_mix_probability(v)
 
     slots = view._slots(rotate_opponent)
-    objective = np.asarray(p_tilde, dtype=np.float64)[slots]
+    objective = p[slots]
     # the opponent's own-decision payoff gaps (top row: w1-w2, bottom row:
     # w4-w3) over the sorted unknowns
     gaps = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0]])[:, slots]
@@ -348,7 +344,6 @@ def estimate_payoff(
             {"known": v, "estimated": estimate},
         )
         ce = max_welfare_correlated_equilibrium(game)
-        p = np.asarray(p_tilde, dtype=np.float64)
         result.round_trip = RoundTrip(
             distribution=ce.distribution,
             l_inf=float(np.abs(ce.distribution - p).max()),

@@ -22,17 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidGameError, PreconditionError
-from .inputs import number_array, read_json
-
-NORMALIZATION_TOL = 1e-9
-RENORMALIZE_TOL = 1e-6
-
-
-def on_simplex(v) -> bool:
-    """Whether `v` is a probability vector: every entry >= -1e-9 and a sum
-    within 1e-6 of 1. NaN fails both, so a vector holding one is not."""
-    v = np.asarray(v, dtype=np.float64)
-    return bool(np.all(v >= -NORMALIZATION_TOL)) and abs(float(v.sum()) - 1.0) <= RENORMALIZE_TOL
+from .inputs import NORMALIZATION_TOL, read_json, simplex_vector
 
 
 class RenormalizedPayoffWarning(UserWarning):
@@ -84,17 +74,16 @@ class Game:
         return self.payoff(player).reshape(self.menu_sizes)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=np.float64).copy()
-    out.flags.writeable = False
-    return out
-
-
 def _labels(value, what: str) -> tuple[str, ...]:
     """`value` as a tuple of string labels. Only a list or tuple of strings
-    is taken, so a bare string is refused rather than split into characters."""
+    is taken, so a bare string is refused rather than split into characters.
+    The error names the value's type and length, not its text, which can be
+    as long as the file."""
     if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
-        raise InvalidGameError(f"{what} must be a list of string labels, got {value!r}")
+        size = f" of length {len(value)}" if isinstance(value, (list, tuple, str, dict)) else ""
+        raise InvalidGameError(
+            f"{what} must be a list of string labels, got {type(value).__name__}{size}"
+        )
     return tuple(value)
 
 
@@ -141,15 +130,9 @@ def make_game(
         if raw is None:
             vectors[p] = None
             continue
-        v = number_array(raw, (h,), f"payoff vector for {p!r}", InvalidGameError)
-        if np.any(v < -NORMALIZATION_TOL):
-            raise InvalidGameError(f"negative payoff entries for {p!r}")
-        v = np.maximum(v, 0.0)
+        # a fresh array, so freezing it leaves the caller's writable
+        v = np.maximum(simplex_vector(raw, h, f"payoff vector for {p!r}", InvalidGameError), 0.0)
         total = float(v.sum())
-        if abs(total - 1.0) > RENORMALIZE_TOL:
-            raise InvalidGameError(
-                f"payoff vector for {p!r} sums to {total}, expected 1"
-            )
         if abs(total - 1.0) > NORMALIZATION_TOL:
             warnings.warn(
                 f"payoff vector for {p!r} renormalized (sum was {total})",
@@ -157,7 +140,8 @@ def make_game(
                 stacklevel=2,
             )
             v = v / total
-        vectors[p] = _freeze(v)
+        v.flags.writeable = False
+        vectors[p] = v
 
     extra = set(payoffs) - set(players_t)
     if extra:

@@ -6,6 +6,9 @@ reader raises the error class its caller names (InvalidGameError for
 games, PreconditionError elsewhere), with a message that names what the
 value is. JSON's true and false load as Python bools, which Python and
 numpy take as 1 and 0, so no reader takes a bool for a number.
+
+A payoff vector or a joint distribution is a point on the simplex, a rule
+`simplex_vector` holds; its callers clip or rescale after it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ import json
 import numpy as np
 
 from .errors import PreconditionError
+
+NORMALIZATION_TOL = 1e-9
+RENORMALIZE_TOL = 1e-6
 
 
 def read_json(path, what: str, error=PreconditionError):
@@ -38,7 +44,7 @@ def number_array(value, shape: tuple, what: str, error=PreconditionError) -> np.
     dimension limit, ragged rows and integers beyond 64 bits are refused
     without recursion; only then are the entries of `shape` scanned for
     bools, which convert silently when mixed with numbers. An ndarray is
-    judged by its dtype alone."""
+    judged by its dtype alone. A non-finite entry is named by its index."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged rows or too many dimensions
@@ -55,9 +61,26 @@ def number_array(value, shape: tuple, what: str, error=PreconditionError) -> np.
         if any(isinstance(x, (bool, np.bool_)) for x in value):
             raise error(f"{what} must hold numbers, not booleans")
     arr = arr.astype(np.float64, copy=False)
-    if not np.isfinite(arr).all():
-        raise error(f"{what} holds a non-finite value")
+    finite = np.isfinite(arr)
+    if np.count_nonzero(finite) != arr.size:  # cheaper than .all() on small arrays
+        at = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise error(f"{what} holds a non-finite value at entry {at[0] if len(at) == 1 else at}")
     return arr
+
+
+def simplex_vector(value, size: int, what: str, error=PreconditionError) -> np.ndarray:
+    """`value` as a point on the simplex of `size` entries: `number_array`'s
+    rules, then every entry at least -NORMALIZATION_TOL and a sum within
+    RENORMALIZE_TOL of 1. Returned as read, neither clipped nor rescaled."""
+    v = number_array(value, (size,), what, error)
+    negative = np.flatnonzero(v < -NORMALIZATION_TOL)
+    if negative.size:
+        i = int(negative[0])
+        raise error(f"{what} is not a point on the simplex: entry {i} is {float(v[i])!r}")
+    total = float(v.sum())
+    if abs(total - 1.0) > RENORMALIZE_TOL:
+        raise error(f"{what} is not a point on the simplex: it sums to {total!r}")
+    return v
 
 
 def integer(value, minimum: int, what: str, error=PreconditionError) -> int:
@@ -71,13 +94,16 @@ def integer(value, minimum: int, what: str, error=PreconditionError) -> int:
 
 
 def real(value, what: str, error=PreconditionError, non_negative: bool = False):
-    """`value`, a real number that is not a bool, with a numpy scalar made
-    a Python float; with `non_negative`, also at least 0, so NaN is
-    refused."""
+    """`value`, a real number that is not a bool, as a Python float; with
+    `non_negative`, also at least 0, so NaN is refused."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(
         value, (int, float, np.integer, np.floating)
     ):
         raise error(f"{what} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond float range
+        raise error(f"{what} is beyond float range") from None
     if non_negative and not value >= 0.0:  # False on NaN as well
         raise error(f"{what} must be >= 0, got {value}")
-    return float(value) if isinstance(value, np.generic) else value
+    return value

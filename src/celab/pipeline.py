@@ -18,6 +18,7 @@ Everything else must be recovered through interactions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -30,8 +31,8 @@ from .equilibrium import (
 )
 from .errors import PreconditionError
 from .estimation import COMPARISON_TOL, estimate_payoff, estimation_report, known_major_order
-from .games import Game, make_game, on_simplex
-from .inputs import real
+from .games import Game, make_game
+from .inputs import real, simplex_vector
 from .training import TrainingConfig, require_seed, train_pair
 
 SLICE_MASS_TOL = 1e-9
@@ -417,47 +418,66 @@ def run_pipeline(
     )
 
 
+def _off_simplex(value, size: int) -> str | None:
+    """Why `value` is not a point on the simplex of `size` entries, or None."""
+    try:
+        simplex_vector(value, size, "it")
+    except PreconditionError as exc:
+        return str(exc)
+    return None
+
+
+def _list_of(manifest: Mapping, key: str, kind, what: str, findings: list[str]) -> list:
+    """`manifest[key]` if it is a list of `kind`; otherwise a finding and []."""
+    value = manifest[key]
+    if isinstance(value, list) and all(isinstance(x, kind) for x in value):
+        return value
+    findings.append(f"{key} is not a list of {what}")
+    return []
+
+
 def validate_manifest(manifest: Mapping) -> list[str]:
-    """Structural checks on a pipeline manifest. Returns findings; empty
-    means the manifest is internally consistent."""
-    findings: list[str] = []
+    """Structural checks on a pipeline manifest as JSON loads it. Returns
+    findings and never raises: empty means the manifest is internally
+    consistent. A part of the wrong type is a finding, and the checks that
+    read it are skipped."""
+    if not isinstance(manifest, Mapping):
+        return ["manifest is not an object"]
     required = (
-        "status",
-        "main_player",
-        "seed",
-        "passes",
-        "players",
-        "decisions",
-        "config",
-        "knowledge",
-        "tasks",
-        "ce_results",
-        "stalled_tasks",
+        "status", "main_player", "seed", "passes", "players", "decisions", "config",
+        "knowledge", "tasks", "ce_results", "stalled_tasks",
     )
-    for key in required:
-        if key not in manifest:
-            findings.append(f"missing key {key!r}")
+    findings = [f"missing key {key!r}" for key in required if key not in manifest]
     if findings:
         return findings
 
     status = manifest["status"]
     if status not in ("complete", "partial"):
         findings.append(f"unknown status {status!r}")
-    stalled = manifest["stalled_tasks"]
+    stalled = _list_of(manifest, "stalled_tasks", object, "task indices", findings)
     if status == "complete" and stalled:
         findings.append("complete run lists stalled tasks")
     if status == "partial" and not stalled:
         findings.append("partial run lists no stalled tasks")
 
-    players = manifest["players"]
+    players = _list_of(manifest, "players", str, "names", findings)
     main = manifest["main_player"]
     if main not in players:
         findings.append(f"main player {main!r} not among players")
+    decisions = manifest["decisions"]
+    sizes = {}
+    if isinstance(decisions, Mapping) and all(isinstance(decisions.get(p), list) for p in players):
+        sizes = {p: len(decisions[p]) for p in players}
+    else:
+        findings.append("decisions do not give every player a menu")
 
     knowledge = manifest["knowledge"]
+    if not isinstance(knowledge, Mapping):
+        findings.append("knowledge is not an object")
+        knowledge = {}
     for p in players:
         entry = knowledge.get(p)
-        if entry is None:
+        if not isinstance(entry, Mapping):
             findings.append(f"knowledge entry missing for {p!r}")
             continue
         prov = entry.get("provenance")
@@ -472,34 +492,39 @@ def validate_manifest(manifest: Mapping) -> list[str]:
         if vector is None:
             findings.append(f"{p}: provenance {prov} but no vector")
             continue
-        v = np.asarray(vector, dtype=np.float64)
-        if not on_simplex(v):
-            findings.append(f"{p}: vector is not a distribution (sum={v.sum()})")
-    main_entry = knowledge.get(main) or {}
-    if main_entry.get("provenance") != "given":
+        why = _off_simplex(vector, math.prod(sizes.values())) if sizes else None
+        if why:
+            findings.append(f"{p}: vector is not a distribution ({why})")
+    main_entry = knowledge.get(main) if main in players else None
+    if not isinstance(main_entry, Mapping) or main_entry.get("provenance") != "given":
         findings.append("main player's vector is not marked given")
 
-    indices = set()
-    for t in manifest["tasks"]:
+    indices = []  # a list, not a set: an index may be any JSON value
+    for t in _list_of(manifest, "tasks", Mapping, "objects", findings):
         idx = t.get("index")
         if idx in indices:
             findings.append(f"duplicate task index {idx}")
-        indices.add(idx)
-        if t.get("status") not in TASK_STATUSES or t.get("status") == "pending":
-            findings.append(f"task {idx}: invalid status {t.get('status')!r}")
-        if t.get("status") == "stalled" and idx not in stalled:
+        indices.append(idx)
+        task_status = t.get("status")
+        if not isinstance(task_status, str) or task_status not in TASK_STATUSES - {"pending"}:
+            findings.append(f"task {idx}: invalid status {task_status!r}")
+        if task_status == "stalled" and idx not in stalled:
             findings.append(f"task {idx}: stalled but not listed in stalled_tasks")
     for idx in stalled:
         if idx not in indices:
             findings.append(f"stalled task index {idx} not among tasks")
 
-    for c in manifest["ce_results"]:
+    for c in _list_of(manifest, "ce_results", Mapping, "objects", findings):
         idx = c.get("task_index")
         if idx not in indices:
             findings.append(f"ce result references unknown task {idx}")
-        dist = np.asarray(c.get("distribution", ()), dtype=np.float64)
-        if not on_simplex(dist):
-            findings.append(f"ce result for task {idx}: not a distribution")
+        pair = c.get("players")
+        if not isinstance(pair, list) or not all(isinstance(q, str) and q in sizes for q in pair):
+            findings.append(f"ce result for task {idx}: players {pair!r} not among the game's")
+        else:
+            why = _off_simplex(c.get("distribution"), math.prod(sizes[q] for q in pair))
+            if why:
+                findings.append(f"ce result for task {idx}: not a distribution ({why})")
         if not c.get("is_ce", False):
             findings.append(f"ce result for task {idx}: deviation check failed")
     return findings

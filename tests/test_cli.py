@@ -671,6 +671,24 @@ def test_arena_too_large_to_allocate_exits_2_with_one_error_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("players", "[" * 500 + "]" * 500),
+        ("players", json.dumps([[[0.25, [1]]]] * 300)),
+        ("decisions", json.dumps({"p1": [["C"]] * 300, "p2": ["C", "D"]})),
+    ],
+    ids=["players-nested-500-deep", "players-of-300-arrays", "menu-of-300-arrays"],
+)
+def test_label_errors_stay_short(tmp_path, capsys, field, value):
+    # the error names the value's type and length, not its text
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({**_VALID_GAME, field: "@"}).replace('"@"', value))
+    assert main(["solve", str(game), "--out-dir", str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and len(line) < 200
+
+
 def test_out_dir_naming_a_file_exits_2_with_one_error_line(fx, tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("keep\n")

@@ -488,7 +488,7 @@ class TestAverageStates:
     def test_shape_mismatch(self):
         a = EpisodeBatch(np.zeros((1, 2, 3)), np.zeros((1, 1), int))
         b = EpisodeBatch(np.zeros((1, 3, 3)), np.zeros((1, 2), int))
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError, match="state shapes differ"):
             average_states(a, b)
 
     def test_averages_stay_on_simplex(self):

@@ -164,14 +164,15 @@ class TestIsCE:
     def test_non_finite_entry_rejected(self, chicken, bad):
         rho = np.full(4, 0.25)
         rho[2] = bad
-        with pytest.raises(PreconditionError, match="entry 2 is non-finite"):
+        with pytest.raises(PreconditionError, match="non-finite value at entry 2$"):
             is_correlated_equilibrium(chicken, rho)
-        with pytest.raises(PreconditionError, match="entry 0 is non-finite"):
+        with pytest.raises(PreconditionError, match="non-finite value at entry 0$"):
             is_correlated_equilibrium(chicken, [bad] * 4)
 
     @pytest.mark.parametrize("size", [3, 5, 0])
     def test_wrong_entry_count_rejected(self, chicken, size):
-        with pytest.raises(PreconditionError, match=f"{size} entries, the game 4 outcomes"):
+        message = f"distribution has shape ({size},), expected (4,)"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
             is_correlated_equilibrium(chicken, np.full(size, 0.25))
 
     def test_unknown_payoff_rejected(self):
@@ -315,25 +316,25 @@ class TestHull:
 
     def test_point_of_another_length_rejected(self):
         with pytest.raises(
-            PreconditionError, match="the point has 3 payoffs, the equilibrium payoff points 2"
+            PreconditionError, match=re.escape("the point has shape (3,), expected (2,)")
         ):
             in_nash_payoff_hull([(0.1, 0.2)], (0.1, 0.2, 0.3))
 
     def test_ragged_equilibrium_points_rejected(self):
         with pytest.raises(
-            PreconditionError, match="equilibrium payoff point 1 has 3 payoffs, point 0 has 2"
+            PreconditionError, match="the equilibrium payoff matrix is not an array of numbers"
         ):
             in_nash_payoff_hull([(0.1, 0.2), (0.3, 0.4, 0.5)], (0.1, 0.2))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_equilibrium_payoff_rejected(self, value):
-        message = f"equilibrium payoff point 1 has a non-finite payoff {value!r} (player 0)"
+        message = "the equilibrium payoff matrix holds a non-finite value at entry (1, 0)"
         with pytest.raises(PreconditionError, match=re.escape(message)):
             in_nash_payoff_hull([(0.1, 0.2), (value, 0.4)], (0.1, 0.2))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_rejected(self, value):
-        message = f"the point has a non-finite payoff {value!r} (player 1)"
+        message = "the point holds a non-finite value at entry 1"
         with pytest.raises(PreconditionError, match=re.escape(message)):
             in_nash_payoff_hull([(0.1, 0.2), (0.3, 0.4)], (0.2, value))
 

@@ -62,7 +62,8 @@ class TestReorder:
             assert view._slots(True)[k] == view.permutation[(k + 1) % 4]
 
     def test_rejects_malformed_inputs(self):
-        with pytest.raises(PreconditionError, match="must match"):
+        message = r"^distribution has shape \(3,\), expected \(2,\)"
+        with pytest.raises(PreconditionError, match=message):
             reorder([0.1, 0.2], [0.5, 0.25, 0.25])
         with pytest.raises(PreconditionError, match="simplex"):
             reorder([0.1, 0.2, 0.3, 0.4], [0.9, 0.9, 0.0, 0.0])

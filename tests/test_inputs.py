@@ -1,8 +1,11 @@
 """Malformed outside input, generated: game and distribution files mutated
 from `fixtures/` and flags set to edge values, run through `cli.main`
 in-process. Every run ends in an exit code of the 0/2/3/4 contract, and an
-input error prints one `error:` line and writes no file."""
+input error prints one `error:` line and writes no file. Pipeline
+manifests mutated the same way get findings from `validate_manifest`,
+never an exception."""
 
+import copy
 import functools
 import io
 import json
@@ -12,10 +15,14 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from celab.cli import build_parser, main
+from celab.games import load_game
+from celab.pipeline import run_pipeline, validate_manifest
+from celab.training import TrainingConfig
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GAMES = {p.name: json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))}
@@ -39,6 +46,7 @@ MUTATIONS = {
     "string": "x",
     "empty-string": "",
     "number": 0.5,
+    "negative": -0.25,
     "null": None,
     "empty-list": [],
     "object": {},
@@ -56,15 +64,15 @@ def _paths(value, path=()):
 
 
 @st.composite
-def mutated_file(draw, value):
-    """The bytes of `value` as a JSON file, as it is half of the time, and
-    otherwise with one part changed: replaced by a mutation, dropped,
-    repeated (a list entry, such as a label), or the file's bytes made
-    invalid UTF-8."""
+def mutated_text(draw, value, kinds):
+    """The JSON text of `value`, as it is half of the time, and otherwise
+    with one part changed by a kind drawn from `kinds`: replaced by a
+    mutation, dropped, or repeated (a list entry, such as a label). Returns
+    the text and the kind, None when nothing changed."""
     value = json.loads(json.dumps(value))
     if draw(st.booleans()):
-        return json.dumps(value).encode()
-    kind = draw(st.sampled_from(["drop", "repeat", "not-utf-8", *MUTATIONS]))
+        return json.dumps(value), None
+    kind = draw(st.sampled_from(kinds))
     path = draw(st.sampled_from(list(_paths(value))))
     new, raw = MUTATIONS.get(kind), None
     if kind in ("deep", "very-deep"):  # json.dumps cannot nest this deep
@@ -82,6 +90,14 @@ def mutated_file(draw, value):
     text = json.dumps(value)
     if raw is not None:
         text = text.replace(json.dumps(RAW), raw)
+    return text, kind
+
+
+@st.composite
+def mutated_file(draw, value):
+    """The bytes of a JSON file holding `value`, mutated by `mutated_text`
+    or made invalid UTF-8."""
+    text, kind = draw(mutated_text(value, ["drop", "repeat", "not-utf-8", *MUTATIONS]))
     if kind == "not-utf-8":
         cut = draw(st.integers(0, len(text)))
         return text[:cut].encode() + b"\xff" + text[cut:].encode()
@@ -100,7 +116,10 @@ def invocation(draw):
     ))
     edge = [draw(st.sampled_from(EDGES)) for _ in range(2 if flag == "--point" else 1)]
     if command == "solve":
-        flags = ["--mode", draw(st.sampled_from(["ce", "ne", "hull"])), "--point", *edge]
+        # a second point of its own arity, so that the points can disagree
+        second = [draw(st.sampled_from(EDGES)) for _ in range(draw(st.integers(1, 3)))]
+        flags = ["--mode", draw(st.sampled_from(["ce", "ne", "hull"])),
+                 "--point", *edge, "--point", *second]
     elif command == "estimate":
         distribution = draw(mutated_file(DISTRIBUTION))
         flags = ["--known-player", "p1", "--round-trip", flag, *edge]
@@ -125,8 +144,8 @@ def test_mutated_inputs_end_in_an_exit_code_and_one_error_line(case):
             (tmp / "dist.json").write_bytes(distribution)
             argv += ["--distribution", str(tmp / "dist.json")]
         inputs = sorted(p.name for p in tmp.iterdir())
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
             try:
                 build_parser().parse_args(argv)
             except SystemExit as exc:  # argparse refuses a flag value with its usage
@@ -141,3 +160,70 @@ def test_mutated_inputs_end_in_an_exit_code_and_one_error_line(case):
             (line,) = err.getvalue().splitlines()
             assert line.startswith("error: ")
             assert sorted(p.name for p in tmp.iterdir()) == inputs
+            if command == "solve":  # every input is judged before a verdict prints
+                assert out.getvalue() == ""
+
+
+@functools.cache
+def _manifests():
+    """Manifests of two short runs on the three-player fixture: a complete
+    one with p1 and p2 known, and a partial one, with stalled tasks, with
+    p1 known alone."""
+    game = load_game(FIXTURES / "three_player.json")
+    config = TrainingConfig(rounds=2, epochs=10)
+    runs = [run_pipeline(game, known_players=known, config=config, seed=0)
+            for known in (("p1", "p2"), ("p1",))]
+    assert [run.status for run in runs] == ["complete", "partial"]
+    return [json.loads(json.dumps(run.manifest())) for run in runs]
+
+
+@st.composite
+def mutated_manifest(draw):
+    """A run's manifest, with one part changed as a file's would be, as JSON
+    loads it: no invalid UTF-8 and no nesting deeper than JSON loads."""
+    manifest = draw(st.sampled_from(_manifests()))
+    kinds = ["drop", "repeat", *(k for k in MUTATIONS if k != "very-deep")]
+    return json.loads(draw(mutated_text(manifest, kinds))[0])
+
+
+def _with(path, value):
+    """A mutation of the complete run's manifest: `value` at `path`."""
+    def mutate():
+        manifest = copy.deepcopy(_manifests()[0])
+        functools.reduce(operator.getitem, path[:-1], manifest)[path[-1]] = value
+        return manifest
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, finding",
+    [
+        # each of these once raised or went unreported
+        (_with(("knowledge", "p1", "vector", 0), "a"),
+         "p1: vector is not a distribution (it is not an array of numbers)"),
+        (_with(("ce_results", 0, "distribution", 1), [0.25, 0.25]),
+         "ce result for task 0: not a distribution (it is not an array of numbers)"),
+        (_with(("knowledge", "p2", "vector"), [True] + [False] * 7),
+         "p2: vector is not a distribution (it must hold numbers, not booleans)"),
+        (_with(("knowledge", "p2", "vector"), [1.0]),
+         "p2: vector is not a distribution (it has shape (1,), expected (8,))"),
+        (_with(("ce_results", 0, "distribution"), [0.125] * 8),
+         "ce result for task 0: not a distribution (it has shape (8,), expected (4,))"),
+        (_with(("knowledge", "p1", "vector", 0), -0.25),
+         "p1: vector is not a distribution (it is not a point on the simplex: entry 0 is -0.25)"),
+        (_with(("decisions", "p3"), "AB"), "decisions do not give every player a menu"),
+    ],
+    ids=["string-entry", "ragged-distribution", "bool-vector", "short-vector",
+         "long-distribution", "negative-entry", "menu-as-a-string"],
+)
+def test_validate_manifest_reports_malformed_vectors(mutate, finding):
+    assert finding in validate_manifest(mutate())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(mutated_manifest())
+def test_mutated_manifests_give_findings_never_an_exception(manifest):
+    findings = validate_manifest(manifest)
+    event(f"{min(len(findings), 2)} finding(s)")
+    assert isinstance(findings, list)
+    assert all(isinstance(f, str) for f in findings)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from celab.cli import main
 from celab.env import rollout
 from celab.errors import NumericError, PreconditionError
 from celab.games import load_game
@@ -352,6 +353,21 @@ class TestConfig:
         assert cfg.learning_rate == float(np.float32(0.001))
         # the run's history header serializes the config
         write_history_csv(train_pair(chicken, ("p1", "p2"), cfg, 0), tmp_path / "h.csv")
+
+    def test_float_fields_store_python_ints_as_float(self, chicken, fixtures_dir, tmp_path):
+        cfg = tiny_config(step_size=1, discount=1, stability_tol=0)
+        for field in ("step_size", "discount", "stability_tol"):
+            assert type(cfg.to_dict()[field]) is float
+        # the CLI's flags parse as floats: its header and a library run's agree
+        write_history_csv(train_pair(chicken, ("p1", "p2"), cfg, 0), tmp_path / "lib.csv")
+        argv = ["train", str(fixtures_dir / "chicken.json"), "--seed", "0", "--rounds", "2",
+                "--steps", "4", "--step-size", "1", "--discount", "1", "--stability-tol", "0",
+                "--epochs", "2", "--width-in", "4", "--width-mid", "6",
+                "--out-dir", str(tmp_path / "cli")]
+        assert main(argv) == 3  # the epoch cap, at tolerance 0; the files are written
+        (lib,) = (tmp_path / "lib.csv").read_text().splitlines()[:1]
+        (cli,) = (tmp_path / "cli/train_history.csv").read_text().splitlines()[:1]
+        assert lib == cli
 
     def test_integer_fields_store_numpy_integers_as_int(self):
         cfg = tiny_config(epochs=np.int64(3), stability_window=np.uint8(3), width_in=np.int32(4))
