@@ -79,12 +79,6 @@ def _write_json(path: Path, payload: dict, force: bool) -> None:
         fh.write(text + "\n")
 
 
-def _require_payoffs(game: Game, players) -> None:
-    for p in players:
-        if game.payoffs.get(p) is None:
-            raise PreconditionError(f"unknown payoff vector for player {p!r}")
-
-
 def _two_players(game: Game) -> tuple[str, str]:
     if len(game.players) != 2:
         raise PreconditionError(
@@ -126,7 +120,6 @@ def _training_config(args) -> TrainingConfig:
 
 def cmd_solve(args) -> int:
     game = load_game(args.game)
-    _require_payoffs(game, game.players)
     players = list(game.players)
     target = _target(args, f"solve_{args.mode}.json")
     _refuse_overwrite(target, args.force)
@@ -197,7 +190,6 @@ def cmd_solve(args) -> int:
 def cmd_train(args) -> int:
     game = load_game(args.game)
     pair = _two_players(game)
-    _require_payoffs(game, pair)
     config = _training_config(args)
     require_seed(args.seed)  # before the output directory is made
     prefix = args.prefix
@@ -269,7 +261,6 @@ def cmd_estimate(args) -> int:
     known = args.known_player
     if known not in game.players:
         raise PreconditionError(f"unknown player {known!r}; players are {list(game.players)}")
-    _require_payoffs(game, (known,))
     estimated = b if known == a else a
     target = _target(args, "estimate_report.json")
     _refuse_overwrite(target, args.force)

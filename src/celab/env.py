@@ -42,8 +42,13 @@ def default_state(h: int) -> np.ndarray:
 
 
 def min_steps(step_size: float) -> int:
-    """Smallest N that keeps every grid state reachable within one round."""
-    return math.ceil(1.0 / step_size)
+    """Smallest N that keeps every grid state reachable within one round.
+    A step whose reciprocal overflows a float gets the exact ceiling."""
+    inverse = 1.0 / step_size
+    if inverse < math.inf:
+        return math.ceil(inverse)
+    num, den = float(step_size).as_integer_ratio()
+    return -(-den // num)
 
 
 def enumerate_actions(h: int, step_size: float) -> np.ndarray:

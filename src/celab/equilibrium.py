@@ -220,10 +220,10 @@ def in_nash_payoff_hull(
     """Whether a payoff point, one payoff per player, is a convex combination
     of NE payoff points. Raises PreconditionError unless every point has the
     same number of payoffs and every payoff is finite."""
-    if not ne_payoffs:
-        raise PreconditionError("hull test needs at least one equilibrium payoff")
     k = len(ne_payoffs)
-    pts = number_array(ne_payoffs, (k, len(ne_payoffs[0])), "the equilibrium payoff matrix")
+    if k == 0:
+        raise PreconditionError("hull test needs at least one equilibrium payoff")
+    pts = number_array(ne_payoffs, (None, None), "the equilibrium payoff matrix")
     target = number_array(point, (pts.shape[1],), "the point")
     # a convex combination lies in the points' bounding box, and a point
     # far outside it, such as 1e308, would overflow the simplex arithmetic

@@ -68,7 +68,7 @@ def reorder(v_main, p_tilde) -> ReorderedView:
     rides along under the same permutation. Raises PreconditionError unless
     `v_main` is a flat array of finite numbers and `p_tilde` a point on the
     simplex of the same length."""
-    v = number_array(v_main, (np.size(v_main),), "known payoffs")
+    v = number_array(v_main, (None,), "known payoffs")
     p = simplex_vector(p_tilde, v.size, "distribution")
     perm = tuple(int(i) for i in np.argsort(v, kind="stable"))
     return ReorderedView(

@@ -40,11 +40,12 @@ def read_json(path, what: str, error=PreconditionError):
 
 def number_array(value, shape: tuple, what: str, error=PreconditionError) -> np.ndarray:
     """`value` as a float64 array of `shape`, every entry a finite number
-    and none a bool. Conversion comes first, so nesting deeper than numpy's
-    dimension limit, ragged rows and integers beyond 64 bits are refused
-    without recursion; only then are the entries of `shape` scanned for
-    bools, which convert silently when mixed with numbers. An ndarray is
-    judged by its dtype alone. A non-finite entry is named by its index."""
+    and none a bool; a None in `shape` takes any length on its axis.
+    Conversion comes first, so nesting deeper than numpy's dimension limit,
+    ragged rows and integers beyond 64 bits are refused without recursion;
+    only then are the entries scanned for bools, which convert silently
+    when mixed with numbers. An ndarray is judged by its dtype and shape
+    alone. A non-finite entry is named by its index."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged rows or too many dimensions
@@ -53,8 +54,12 @@ def number_array(value, shape: tuple, what: str, error=PreconditionError) -> np.
         raise error(f"{what} must hold numbers, not booleans")
     if arr.dtype.kind not in "iuf":  # None, strings, integers beyond 64 bits
         raise error(f"{what} is not an array of numbers")
-    if arr.shape != shape:
-        raise error(f"{what} has shape {arr.shape}, expected {shape}")
+    if arr.shape != shape and (
+        arr.ndim != len(shape)
+        or any(want is not None and got != want for got, want in zip(arr.shape, shape))
+    ):
+        expected = str(tuple("any" if n is None else n for n in shape)).replace("'", "")
+        raise error(f"{what} has shape {arr.shape}, expected {expected}")
     if not isinstance(value, np.ndarray):
         for _ in shape[1:]:
             value = [x for row in value for x in row]

@@ -32,8 +32,8 @@ from .equilibrium import (
 from .errors import PreconditionError
 from .estimation import COMPARISON_TOL, estimate_payoff, estimation_report, known_major_order
 from .games import Game, make_game
-from .inputs import real, simplex_vector
-from .training import TrainingConfig, require_seed, train_pair
+from .inputs import integer, real, simplex_vector
+from .training import TrainingConfig, require_seed, task_seed, train_pair
 
 SLICE_MASS_TOL = 1e-9
 
@@ -230,10 +230,6 @@ class PipelineResult:
         }
 
 
-def _task_seed(seed: int, task_index: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(2, task_index)).generate_state(1)[0])
-
-
 def _ce_record(
     game: Game,
     knowledge: Mapping[str, KnownVector | None],
@@ -326,8 +322,8 @@ def run_pipeline(
                 f"{true_view.decisions}; estimation takes 2x2 views only"
             )
 
-        task_seed = _task_seed(seed, record.index)
-        trained = train_pair(true_view, task.pair, config, task_seed)
+        pair_seed = task_seed(seed, record.index)
+        trained = train_pair(true_view, task.pair, config, pair_seed)
 
         known_p, unknown_p = (a, b) if knowledge[a] is not None else (b, a)
         order = known_major_order(known_first=known_p == a)
@@ -346,7 +342,7 @@ def run_pipeline(
             "trained_pair": list(task.pair),
             "epochs_run": trained.epochs_run,
             "stable": trained.stable,
-            "seed": task_seed,
+            "seed": pair_seed,
             "known_player": known_p,
             "estimated_player": unknown_p,
             "estimation": {
@@ -418,10 +414,10 @@ def run_pipeline(
     )
 
 
-def _off_simplex(value, size: int) -> str | None:
-    """Why `value` is not a point on the simplex of `size` entries, or None."""
+def _fault(read, *args) -> str | None:
+    """The error text of `read(*args)`, or None if it reads."""
     try:
-        simplex_vector(value, size, "it")
+        read(*args)
     except PreconditionError as exc:
         return str(exc)
     return None
@@ -460,6 +456,19 @@ def validate_manifest(manifest: Mapping) -> list[str]:
     if status == "partial" and not stalled:
         findings.append("partial run lists no stalled tasks")
 
+    for key, minimum in (("seed", 0), ("passes", 1)):
+        why = _fault(integer, manifest[key], minimum, key)
+        if why:
+            findings.append(why)
+    config = manifest["config"]
+    if not isinstance(config, Mapping):
+        findings.append("config is not an object")
+    else:
+        try:
+            TrainingConfig(**{k: v for k, v in config.items() if k != "loss_variant"})
+        except (PreconditionError, TypeError) as exc:  # TypeError: an unknown field
+            findings.append(f"config is not a training configuration: {exc}")
+
     players = _list_of(manifest, "players", str, "names", findings)
     main = manifest["main_player"]
     if main not in players:
@@ -492,7 +501,7 @@ def validate_manifest(manifest: Mapping) -> list[str]:
         if vector is None:
             findings.append(f"{p}: provenance {prov} but no vector")
             continue
-        why = _off_simplex(vector, math.prod(sizes.values())) if sizes else None
+        why = _fault(simplex_vector, vector, math.prod(sizes.values()), "it") if sizes else None
         if why:
             findings.append(f"{p}: vector is not a distribution ({why})")
     main_entry = knowledge.get(main) if main in players else None
@@ -505,6 +514,23 @@ def validate_manifest(manifest: Mapping) -> list[str]:
         if idx in indices:
             findings.append(f"duplicate task index {idx}")
         indices.append(idx)
+        pair = t.get("players")
+        if not (
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(q, str) and q in players for q in pair) and pair[0] != pair[1]
+        ):
+            findings.append(f"task {idx}: players {pair!r} are not two of the game's")
+        else:
+            fixed = t.get("fixed")
+            others = {p for p in players if p not in pair}
+            if not (
+                isinstance(fixed, Mapping) and set(fixed) == others
+                and all(p not in sizes or fixed[p] in decisions[p] for p in others)
+            ):
+                findings.append(
+                    f"task {idx}: fixed {fixed!r} does not hold each other player "
+                    "at a label of its menu"
+                )
         task_status = t.get("status")
         if not isinstance(task_status, str) or task_status not in TASK_STATUSES - {"pending"}:
             findings.append(f"task {idx}: invalid status {task_status!r}")
@@ -522,9 +548,12 @@ def validate_manifest(manifest: Mapping) -> list[str]:
         if not isinstance(pair, list) or not all(isinstance(q, str) and q in sizes for q in pair):
             findings.append(f"ce result for task {idx}: players {pair!r} not among the game's")
         else:
-            why = _off_simplex(c.get("distribution"), math.prod(sizes[q] for q in pair))
+            size = math.prod(sizes[q] for q in pair)
+            why = _fault(simplex_vector, c.get("distribution"), size, "it")
             if why:
                 findings.append(f"ce result for task {idx}: not a distribution ({why})")
+        if _fault(real, c.get("welfare"), "welfare") or not math.isfinite(c["welfare"]):
+            findings.append(f"ce result for task {idx}: welfare is not a finite number")
         if not c.get("is_ce", False):
             findings.append(f"ce result for task {idx}: deviation check failed")
     return findings

@@ -1,21 +1,21 @@
 """Self-play training loop: reward shaping, Adam updates, stability stop.
 
 Per epoch both agents roll out M rounds against the shared environment, in
-lockstep with one stacked policy evaluation per step. This module alone
-decides which seeded stream feeds which round: the rollout takes both
-players' draws as one (N-1, 2M) block, one stream per round and player,
-so no round's choices depend on another's. Round m of epoch e for player k
-reads the stream of spawn key (1, e, k, m) under the run's seed, and net k
-starts from that of (0, k) (docs/formats.md, "Seeded streams"); the round
-streams' bits are derived without building their generators
-(`_round_draws`). The two state
-tensors are averaged, and each agent takes one Adam step on the summed
-two-sided weighted log loss of its own choices, weighted by the
-standardized discounted rewards of the states those choices produced. The
-update reads the choices as the rollout's action indices, one per (round,
-step) row, and builds no one-hot rows. Parameters, gradients and Adam's
-moments share one flat layout (`PolicyParams.flat`), so the Adam step
-works on whole vectors.
+lockstep with one stacked policy evaluation per step. This module holds all
+three seeded-stream rules (docs/formats.md, "Seeded streams"): under the
+run's seed, net k starts from the stream of spawn key (0, k), round m of
+epoch e for player k reads that of (1, e, k, m), and pipeline task i trains
+with the seed that (2, i) gives (`task_seed`). The rollout takes both
+players' draws as one (N-1, 2M) block, one stream per round and player, so
+no round's choices depend on another's. numpy computes each player's
+`SeedSequence` pool for an epoch; `_round_draws` mixes in the round words
+and seeds the PCG64 states by hand, without building the generators. The two
+state tensors are averaged, and each agent takes one Adam step on the summed
+two-sided weighted log loss of its own choices, weighted by the standardized
+discounted rewards of the states those choices produced. The update reads
+the choices as the rollout's action indices, one per (round, step) row, and
+builds no one-hot rows. Parameters, gradients and Adam's moments share one
+flat layout (`PolicyParams.flat`), so the Adam step works on whole vectors.
 
 The rollout evaluates each net on exactly the (round, step) rows its update
 differentiates, with the weights the update starts from, so the update runs
@@ -264,42 +264,42 @@ def _init_rng(seed: int, player_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, player_index)))
 
 
-def _words(n: int) -> list[int]:
-    """The 32-bit words of a non-negative integer, least significant first,
-    as `SeedSequence` splits it: one word for 0, and as many as it needs."""
-    n = int(n)
-    if n < 0:
-        raise PreconditionError(f"seed words need a non-negative integer, got {n}")
-    return [(n >> shift) & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+def task_seed(seed: int, task_index: int) -> int:
+    """The seed pipeline task `task_index` trains with under the run's `seed`."""
+    return int(np.random.SeedSequence(seed, spawn_key=(2, task_index)).generate_state(1)[0])
+
+
+def _word_count(n: int) -> int:
+    """The count of 32-bit words `SeedSequence` splits `n` >= 0 into."""
+    return max(1, -(-int(n).bit_length() // 32))
+
+
+def _walk(start: int, mult: int, first: int, count: int) -> np.ndarray:
+    """Steps first, ..., first + count - 1 of the 32-bit multiplier walk
+    start, start * mult, ..., which SeedSequence's hashes step through."""
+    values = [start * pow(mult, first, 2**32) & _MASK32]
+    while len(values) < count:
+        values.append(values[-1] * mult & _MASK32)
+    return np.array(values, np.uint64)
 
 
 def _hash(value, xor, mult):
-    """SeedSequence's hash of 32-bit words: xor, multiply, fold the high
-    half into the low one. On Python ints, or on uint64 arrays of 32-bit
-    values, whose products fit in 64 bits."""
+    """SeedSequence's hash of 32-bit words held in uint64 arrays, whose
+    products fit in 64 bits: xor, multiply, fold the high half into the low."""
     value = (value ^ xor) * mult & _MASK32
     return value ^ value >> _XSHIFT
 
 
 def _mix(x, y):
-    """SeedSequence's `mix` of two 32-bit words, on ints or uint64 arrays:
-    an array's difference wraps modulo 2**64, which keeps its low 32 bits."""
+    """SeedSequence's `mix` of two 32-bit words, on uint64 arrays, whose
+    difference wraps modulo 2**64 and so keeps its low 32 bits."""
     value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return value ^ value >> _XSHIFT
 
 
-def _lcg32(start: int, mult: int, count: int) -> list[int]:
-    """`count` values of the 32-bit multiplier walk start, start * mult, ...,
-    which SeedSequence's hashes step through."""
-    values = [start]
-    while len(values) < count:
-        values.append(values[-1] * mult & _MASK32)
-    return values
-
-
 # generate_state's 8 hashes for four uint64 words: word i of the pool,
 # cycled, xored with step i of the INIT_B walk and multiplied by step i + 1
-_STATE_WALK = np.array(_lcg32(_INIT_B, _MULT_B, 2 * _POOL_WORDS + 1), np.uint64)[:, None, None]
+_STATE_WALK = _walk(_INIT_B, _MULT_B, 0, 2 * _POOL_WORDS + 1)[:, None, None]
 
 
 def _round_draws(seed: int, epoch: int, players: int, rounds: int, steps: int):
@@ -309,51 +309,31 @@ def _round_draws(seed: int, epoch: int, players: int, rounds: int, steps: int):
     stream of player k's round m. The bits are those streams', derived
     without building them.
 
-    That form seeds from the uint32 entropy row it assembles: the seed's
-    words, zero-padded to the pool size of 4 words, then the words of 1,
-    epoch, k and m. `SeedSequence` hashes the first 4 words into its pool,
-    mixes the pool across itself, and then mixes in each later word. Every
-    word before k's is mixed once here, in Python ints, as is each
-    player's word; the round words, one each, are mixed for all rounds at
-    once on uint64 arrays. `generate_state(4, uint64)` then hashes the pool
-    cycled to 8 words, joined little-endian into w0..w3, and PCG64 seeds
-    from them as `pcg64_set_seed` does: with initstate = w0 * 2**64 + w1
-    and initseq = w2 * 2**64 + w3, inc = 2 * initseq + 1 and state =
-    ((inc + initstate) * MULT + inc) mod 2**128. One PCG64, made for this
-    call, takes each round's state in turn, and its raw words convert to
-    uniforms as `Generator.random` converts them: (raw >> 11) * 2**-53.
-    NEP 19 freezes all of these rules across numpy versions.
+    numpy computes player k's pool, `SeedSequence(seed, spawn_key=(1,
+    epoch, k)).pool`, which each of its round streams holds before its
+    round word m is mixed in. Here m is mixed in for all rounds at once on
+    uint64 arrays, by hashes 4W to 4W + 3 of the INIT_A walk, W being the
+    count of the entropy words before m: the seed's, zero-padded to the
+    pool size of 4, then those of 1, epoch and k.
+    `generate_state(4, uint64)` then hashes the pool cycled to 8 words,
+    joined little-endian into w0..w3, and PCG64 seeds from them as
+    `pcg64_set_seed` does: with initstate = w0 * 2**64 + w1 and initseq =
+    w2 * 2**64 + w3, inc = 2 * initseq + 1 and state = ((inc + initstate)
+    * MULT + inc) mod 2**128. One PCG64, made for this call, takes each
+    round's state in turn, and its raw words convert to uniforms as
+    `Generator.random` converts them: (raw >> 11) * 2**-53. NEP 19 freezes
+    all of these rules across numpy versions.
     """
-    head = _words(seed)
-    head += [0] * (_POOL_WORDS - len(head))
-    head += _words(1) + _words(epoch)
-    # hash number i xors step i of the INIT_A walk and multiplies by step i + 1
-    walk = _lcg32(_INIT_A, _MULT_A, 4 * len(head) + 9)
-    hashes = iter(zip(walk, walk[1:]))
-
-    def hashmix(value):
-        return _hash(value, *next(hashes))
-
-    pool = [hashmix(word) for word in head[:_POOL_WORDS]]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in head[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    # each player's word, the same 4 hashes for every player
-    player_hashes = [next(hashes) for _ in range(_POOL_WORDS)]
+    require_seed(seed)
+    # 1 and k take one word each, as every player index below 2**32 does
+    words = max(_POOL_WORDS, _word_count(seed)) + 2 + _word_count(epoch)
+    walk = _walk(_INIT_A, _MULT_A, 4 * words, _POOL_WORDS + 1)[:, None, None]
+    # (4, players, 1) pools, and (4, 1, 1) hash constants over (rounds,) words
     pools = np.array(
-        [
-            [_mix(pool[dst], _hash(k, *player_hashes[dst])) for k in range(players)]
-            for dst in range(_POOL_WORDS)
-        ],
+        [np.random.SeedSequence(seed, spawn_key=(1, epoch, k)).pool for k in range(players)],
         np.uint64,
-    )[:, :, None]
-    # each round's word: (4, 1, 1) hash constants over (rounds,) words
-    xor, mult = np.array([next(hashes) for _ in range(_POOL_WORDS)], np.uint64).T[:, :, None, None]
-    mixed = _mix(pools, _hash(np.arange(rounds, dtype=np.uint64), xor, mult))
+    ).T[:, :, None]
+    mixed = _mix(pools, _hash(np.arange(rounds, dtype=np.uint64), walk[:-1], walk[1:]))
     state = _hash(np.concatenate([mixed, mixed]), _STATE_WALK[:-1], _STATE_WALK[1:])
     seeds = (state[1::2] << 32 | state[0::2]).reshape(_POOL_WORDS, -1).tolist()
 

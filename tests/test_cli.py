@@ -138,9 +138,20 @@ class TestSolve:
 
     def test_missing_payoff_entry(self, tmp_path, capsys):
         game = write_game(tmp_path / "g.json", {"p1": [0.5, 0.0, 0.1, 0.4], "p2": None})
-        code = main(["solve", game, "--mode", "ce", "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "unknown payoff" in capsys.readouterr().err
+        dist = tmp_path / "d.json"
+        dist.write_text(json.dumps([0.25] * 4))
+        inputs = sorted(tmp_path.iterdir())
+        out = ["--out-dir", str(tmp_path / "out")]
+        for argv in (
+            ["solve", game, "--mode", "ce", *out],
+            ["train", game, "--epochs", "1", *out],
+            ["estimate", game, "--known-player", "p2", "--distribution", str(dist), *out],
+        ):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.splitlines() == [
+                "error: payoff vector for 'p2' is unknown"
+            ]
+            assert sorted(tmp_path.iterdir()) == inputs
 
     def test_three_player_ce_matches_highs(self, fx, three_player, tmp_path, capsys):
         scipy_opt = pytest.importorskip("scipy.optimize")

@@ -326,6 +326,12 @@ class TestHull:
         ):
             in_nash_payoff_hull([(0.1, 0.2), (0.3, 0.4, 0.5)], (0.1, 0.2))
 
+    def test_flat_equilibrium_payoffs_rejected(self):
+        # a flat list once ended in "object of type 'float' has no len()"
+        message = "the equilibrium payoff matrix has shape (2,), expected (any, any)"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            in_nash_payoff_hull([0.3, 0.4], [0.3, 0.4])
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_equilibrium_payoff_rejected(self, value):
         message = "the equilibrium payoff matrix holds a non-finite value at entry (1, 0)"

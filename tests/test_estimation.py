@@ -67,6 +67,9 @@ class TestReorder:
             reorder([0.1, 0.2], [0.5, 0.25, 0.25])
         with pytest.raises(PreconditionError, match="simplex"):
             reorder([0.1, 0.2, 0.3, 0.4], [0.9, 0.9, 0.0, 0.0])
+        # numpy's own "setting an array element with a sequence" error once escaped
+        with pytest.raises(PreconditionError, match="^known payoffs is not an array of numbers$"):
+            reorder([[0.1, 0.2], [0.3]], [0.25] * 4)
 
 
 class TestPressureConstraints:
@@ -183,6 +186,8 @@ class TestEstimatePayoff:
     def test_menu_and_width_validation(self):
         with pytest.raises(PreconditionError, match="4 outcomes"):
             estimate_payoff([0.2] * 5, [0.2] * 5)
+        with pytest.raises(PreconditionError, match="^known payoffs is not an array of numbers$"):
+            estimate_payoff([[0.1, 0.2], [0.3]], [0.25] * 4)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, -0.5])
     def test_comparison_tol_must_be_nonnegative(self, mirror, tol):

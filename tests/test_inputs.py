@@ -64,16 +64,18 @@ def _paths(value, path=()):
 
 
 @st.composite
-def mutated_text(draw, value, kinds):
+def mutated_text(draw, value, kinds, path=None):
     """The JSON text of `value`, as it is half of the time, and otherwise
     with one part changed by a kind drawn from `kinds`: replaced by a
-    mutation, dropped, or repeated (a list entry, such as a label). Returns
-    the text and the kind, None when nothing changed."""
+    mutation, dropped, or repeated (a list entry, such as a label): the one
+    at `path`, or at a path drawn into `value`. Returns the text and the
+    kind, None when nothing changed."""
     value = json.loads(json.dumps(value))
     if draw(st.booleans()):
         return json.dumps(value), None
     kind = draw(st.sampled_from(kinds))
-    path = draw(st.sampled_from(list(_paths(value))))
+    if path is None:
+        path = draw(st.sampled_from(list(_paths(value))))
     new, raw = MUTATIONS.get(kind), None
     if kind in ("deep", "very-deep"):  # json.dumps cannot nest this deep
         new, raw = RAW, new
@@ -177,13 +179,33 @@ def _manifests():
     return [json.loads(json.dumps(run.manifest())) for run in runs]
 
 
+def _judged(path) -> bool:
+    """Whether `path` leads to a field `validate_manifest` judges as a whole:
+    the seed, the pass count, the config, a task's players or fixed
+    decisions, or a CE result's welfare."""
+    return path in {("seed",), ("passes",), ("config",)} or (
+        len(path) == 3
+        and (path[0], path[2]) in {("tasks", "players"), ("tasks", "fixed"), ("ce_results", "welfare")}
+    )
+
+
+# the changes that leave a judged field invalid, whichever field it is
+INVALID = {"drop", "bool", "nan", "infinity", "string", "empty-string", "null", "empty-list", "deep"}
+
+
 @st.composite
 def mutated_manifest(draw):
     """A run's manifest, with one part changed as a file's would be, as JSON
-    loads it: no invalid UTF-8 and no nesting deeper than JSON loads."""
+    loads it: no invalid UTF-8 and no nesting deeper than JSON loads. The
+    part is a judged field half of the time, as these few among some 200
+    paths would seldom be drawn otherwise. Returns the manifest, the path
+    and the kind of change."""
     manifest = draw(st.sampled_from(_manifests()))
     kinds = ["drop", "repeat", *(k for k in MUTATIONS if k != "very-deep")]
-    return json.loads(draw(mutated_text(manifest, kinds))[0])
+    every = list(_paths(manifest))
+    path = draw(st.sampled_from([p for p in every if _judged(p)]) | st.sampled_from(every))
+    text, kind = draw(mutated_text(manifest, kinds, path))
+    return json.loads(text), path, kind
 
 
 def _with(path, value):
@@ -212,9 +234,19 @@ def _with(path, value):
         (_with(("knowledge", "p1", "vector", 0), -0.25),
          "p1: vector is not a distribution (it is not a point on the simplex: entry 0 is -0.25)"),
         (_with(("decisions", "p3"), "AB"), "decisions do not give every player a menu"),
+        (_with(("seed",), "x"), "seed must be an integer, got 'x'"),
+        (_with(("passes",), -1), "passes must be >= 1, got -1"),
+        (_with(("config",), None), "config is not an object"),
+        (_with(("tasks", 0, "players"), ["p9"]), "task 0: players ['p9'] are not two of the game's"),
+        (_with(("tasks", 0, "fixed"), {"zz": "q"}),
+         "task 0: fixed {'zz': 'q'} does not hold each other player at a label of its menu"),
+        (_with(("ce_results", 0, "welfare"), math.nan),
+         "ce result for task 0: welfare is not a finite number"),
     ],
     ids=["string-entry", "ragged-distribution", "bool-vector", "short-vector",
-         "long-distribution", "negative-entry", "menu-as-a-string"],
+         "long-distribution", "negative-entry", "menu-as-a-string", "string-seed",
+         "negative-passes", "null-config", "unknown-task-player", "unknown-fixed-player",
+         "nan-welfare"],
 )
 def test_validate_manifest_reports_malformed_vectors(mutate, finding):
     assert finding in validate_manifest(mutate())
@@ -222,8 +254,14 @@ def test_validate_manifest_reports_malformed_vectors(mutate, finding):
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(mutated_manifest())
-def test_mutated_manifests_give_findings_never_an_exception(manifest):
+def test_mutated_manifests_give_findings_never_an_exception(case):
+    manifest, path, kind = case
     findings = validate_manifest(manifest)
     event(f"{min(len(findings), 2)} finding(s)")
     assert isinstance(findings, list)
     assert all(isinstance(f, str) for f in findings)
+    if kind is None:
+        assert findings == []
+    elif kind in INVALID and _judged(path):
+        event("a judged field made invalid")
+        assert findings

@@ -122,11 +122,13 @@ class TestAdam:
 
 class TestRoundStreams:
     # the golden digests see only the one-word seeds 0 and 3 and small
-    # epochs; these cover seeds of one to five 32-bit words, numpy integer
-    # seeds, and epochs that take one or two words in the spawn-key form
+    # epochs; these cover seeds of one to five 32-bit words (2**128 - 1 fills
+    # the pool with no padding, 2**128 is the first to overflow it), numpy
+    # integer seeds, and epochs that take one or two words in the spawn-key form
     @pytest.mark.parametrize(
         "seed",
-        [0, 2**32 - 1, 2**32, 2**64 + 1, 2**130 + 7, np.int64(5), np.uint64(2**63)],
+        [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 - 1, 2**128, 2**130 + 7,
+         np.int64(5), np.uint64(2**63)],
         ids=repr,
     )
     @pytest.mark.parametrize("epoch", [1, 2**31, 2**32 + 1])
@@ -147,7 +149,7 @@ class TestRoundStreams:
         assert low.tobytes() != high.tobytes()
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(PreconditionError, match="non-negative"):
+        with pytest.raises(PreconditionError, match="^seed must be >= 0, got -1$"):
             _round_draws(-1, 1, 1, 2, 5)
 
     @pytest.mark.parametrize("seed", [True, False, np.True_, -1, 1.0, "1"], ids=repr)
@@ -322,6 +324,11 @@ class TestConfig:
     def test_rejects_inputs_that_would_fail_mid_run(self, field, value, message):
         with pytest.raises(PreconditionError, match=message):
             tiny_config(**{field: value})
+
+    def test_subnormal_step_size_gets_the_steps_rule(self):
+        # 1/5e-324 overflows a float; min_steps once raised OverflowError on it
+        with pytest.raises(PreconditionError, match=r"^steps must satisfy .* need >= 2\d{323}$"):
+            tiny_config(step_size=5e-324)
 
     def test_accepts_a_zero_or_infinite_tolerance(self):
         assert tiny_config(stability_tol=0.0).tolerance == 0.0
