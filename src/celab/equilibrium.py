@@ -220,10 +220,14 @@ def in_nash_payoff_hull(
     """Whether a payoff point, one payoff per player, is a convex combination
     of NE payoff points. Raises PreconditionError unless every point has the
     same number of payoffs and every payoff is finite."""
-    k = len(ne_payoffs)
+    # an empty list reads as shape (0,), so it is named before the read
+    empty = isinstance(ne_payoffs, (list, tuple)) and not ne_payoffs
+    pts = np.empty((0, 0)) if empty else number_array(
+        ne_payoffs, (None, None), "the equilibrium payoff matrix"
+    )
+    k = len(pts)
     if k == 0:
         raise PreconditionError("hull test needs at least one equilibrium payoff")
-    pts = number_array(ne_payoffs, (None, None), "the equilibrium payoff matrix")
     target = number_array(point, (pts.shape[1],), "the point")
     # a convex combination lies in the points' bounding box, and a point
     # far outside it, such as 1e308, would overflow the simplex arithmetic

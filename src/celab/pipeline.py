@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .equilibrium import (
     is_correlated_equilibrium,
     max_welfare_correlated_equilibrium,
 )
-from .errors import PreconditionError
+from .errors import InvalidGameError, PreconditionError
 from .estimation import COMPARISON_TOL, estimate_payoff, estimation_report, known_major_order
 from .games import Game, make_game
 from .inputs import integer, real, simplex_vector
@@ -69,20 +69,22 @@ class InteractionTask:
         return f"{core} [{fixed}]" if fixed else core
 
 
+def _fan_out(game: Game) -> Iterator[InteractionTask]:
+    """`build_task_set`'s tasks one at a time, so a reader can stop early."""
+    for a, b in itertools.combinations(game.players, 2):
+        others = [p for p in game.players if p != a and p != b]
+        menus = [game.decisions[game.players.index(p)] for p in others]
+        for combo in itertools.product(*menus):
+            yield InteractionTask(a, b, tuple(zip(others, combo)))
+
+
 def build_task_set(game: Game) -> list[InteractionTask]:
     """All interaction tasks of a game, in deterministic order.
 
     Pairs are enumerated in player order; for each pair the remaining
     players' decision combinations fan out row-major.
     """
-    tasks: list[InteractionTask] = []
-    for a, b in itertools.combinations(game.players, 2):
-        others = [p for p in game.players if p != a and p != b]
-        menus = [game.decisions[game.players.index(p)] for p in others]
-        for combo in itertools.product(*menus):
-            fixed = tuple(zip(others, combo))
-            tasks.append(InteractionTask(player_a=a, player_b=b, fixed_decisions=fixed))
-    return tasks
+    return list(_fan_out(game))
 
 
 def slice_indices(game: Game, task: InteractionTask) -> tuple[int, ...]:
@@ -137,6 +139,11 @@ def against_set(view: Game) -> bool:
     return len(enumerate_equilibria(view)) >= 2
 
 
+def _task_entry(task: InteractionTask) -> dict:
+    """How a manifest names a task, in its task list and in its CE results."""
+    return {"players": list(task.pair), "fixed": dict(task.fixed_decisions)}
+
+
 @dataclass
 class KnownVector:
     values: np.ndarray
@@ -155,8 +162,6 @@ class TaskRecord:
 @dataclass
 class CERecord:
     task_index: int
-    players: tuple[str, str]
-    fixed_decisions: tuple[tuple[str, str], ...]
     source: str  # "analytic" (settled without training) | "post_estimation"
     distribution: np.ndarray
     welfare: float
@@ -204,20 +209,13 @@ class PipelineResult:
             "config": self.config.to_dict(),
             "knowledge": knowledge,
             "tasks": [
-                {
-                    "index": r.index,
-                    "players": list(r.task.pair),
-                    "fixed": {p: d for p, d in r.task.fixed_decisions},
-                    "status": r.status,
-                    "detail": r.detail,
-                }
+                {"index": r.index, **_task_entry(r.task), "status": r.status, "detail": r.detail}
                 for r in self.records
             ],
             "ce_results": [
                 {
                     "task_index": c.task_index,
-                    "players": list(c.players),
-                    "fixed": {p: d for p, d in c.fixed_decisions},
+                    **_task_entry(self.records[c.task_index].task),
                     "source": c.source,
                     "distribution": [float(x) for x in c.distribution],
                     "welfare": c.welfare,
@@ -242,8 +240,6 @@ def _ce_record(
     check = is_correlated_equilibrium(view, ce.distribution)
     return CERecord(
         task_index=record.index,
-        players=record.task.pair,
-        fixed_decisions=record.task.fixed_decisions,
         source=source,
         distribution=ce.distribution,
         welfare=ce.welfare,
@@ -432,11 +428,28 @@ def _list_of(manifest: Mapping, key: str, kind, what: str, findings: list[str]) 
     return []
 
 
+def _is_index(value, count: int) -> bool:
+    """Whether `value` is an int, not a bool, in range(count)."""
+    return type(value) is int and 0 <= value < count
+
+
+def _check_names(entry: Mapping, where: str, tasks: list, index: int, findings: list[str]):
+    """A finding unless `entry` names the game's task `index` as `_task_entry` does."""
+    named = {key: entry.get(key) for key in ("players", "fixed")}
+    if index < len(tasks) and named != _task_entry(tasks[index]):
+        findings.append(
+            f"{where}: players {named['players']!r} and fixed {named['fixed']!r} differ "
+            f"from the game's task {index}, {tasks[index].describe()}"
+        )
+
+
 def validate_manifest(manifest: Mapping) -> list[str]:
     """Structural checks on a pipeline manifest as JSON loads it. Returns
     findings and never raises: empty means the manifest is internally
     consistent. A part of the wrong type is a finding, and the checks that
-    read it are skipped."""
+    read it are skipped. The tasks must be `build_task_set`'s for the game
+    of `players` and `decisions`, in order, and each CE result must name its
+    task, both as `_task_entry` writes them."""
     if not isinstance(manifest, Mapping):
         return ["manifest is not an object"]
     required = (
@@ -469,16 +482,21 @@ def validate_manifest(manifest: Mapping) -> list[str]:
         except (PreconditionError, TypeError) as exc:  # TypeError: an unknown field
             findings.append(f"config is not a training configuration: {exc}")
 
-    players = _list_of(manifest, "players", str, "names", findings)
-    main = manifest["main_player"]
-    if main not in players:
-        findings.append(f"main player {main!r} not among players")
-    decisions = manifest["decisions"]
-    sizes = {}
-    if isinstance(decisions, Mapping) and all(isinstance(decisions.get(p), list) for p in players):
-        sizes = {p: len(decisions[p]) for p in players}
+    game = None
+    if not isinstance(manifest["decisions"], Mapping):
+        findings.append("decisions is not an object")
     else:
-        findings.append("decisions do not give every player a menu")
+        try:
+            game = make_game(manifest["players"], manifest["decisions"], {})
+        except InvalidGameError as exc:
+            findings.append(f"players and decisions do not make a game: {exc}")
+    players = game.players if game else ()
+    listed = _list_of(manifest, "tasks", Mapping, "objects", findings)
+    # one task past the list tells it is short, without fanning out a huge game
+    tasks = list(itertools.islice(_fan_out(game), len(listed) + 1)) if game else []
+    main = manifest["main_player"]
+    if game and main not in players:
+        findings.append(f"main player {main!r} not among players")
 
     knowledge = manifest["knowledge"]
     if not isinstance(knowledge, Mapping):
@@ -490,6 +508,8 @@ def validate_manifest(manifest: Mapping) -> list[str]:
             findings.append(f"knowledge entry missing for {p!r}")
             continue
         prov = entry.get("provenance")
+        if p == main and prov != "given":
+            findings.append("main player's vector is not marked given")
         if prov not in ("given", "estimated", "unknown"):
             findings.append(f"{p}: unknown provenance {prov!r}")
             continue
@@ -501,54 +521,33 @@ def validate_manifest(manifest: Mapping) -> list[str]:
         if vector is None:
             findings.append(f"{p}: provenance {prov} but no vector")
             continue
-        why = _fault(simplex_vector, vector, math.prod(sizes.values()), "it") if sizes else None
+        why = _fault(simplex_vector, vector, game.num_outcomes, "it")
         if why:
             findings.append(f"{p}: vector is not a distribution ({why})")
-    main_entry = knowledge.get(main) if main in players else None
-    if not isinstance(main_entry, Mapping) or main_entry.get("provenance") != "given":
-        findings.append("main player's vector is not marked given")
 
-    indices = []  # a list, not a set: an index may be any JSON value
-    for t in _list_of(manifest, "tasks", Mapping, "objects", findings):
-        idx = t.get("index")
-        if idx in indices:
-            findings.append(f"duplicate task index {idx}")
-        indices.append(idx)
-        pair = t.get("players")
-        if not (
-            isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(q, str) and q in players for q in pair) and pair[0] != pair[1]
-        ):
-            findings.append(f"task {idx}: players {pair!r} are not two of the game's")
-        else:
-            fixed = t.get("fixed")
-            others = {p for p in players if p not in pair}
-            if not (
-                isinstance(fixed, Mapping) and set(fixed) == others
-                and all(p not in sizes or fixed[p] in decisions[p] for p in others)
-            ):
-                findings.append(
-                    f"task {idx}: fixed {fixed!r} does not hold each other player "
-                    "at a label of its menu"
-                )
+    if game and len(listed) != len(tasks):
+        made = f"more than {len(listed)}" if len(tasks) > len(listed) else len(tasks)
+        findings.append(f"the manifest lists {len(listed)} tasks; the game makes {made}")
+    for i, t in enumerate(listed):
+        if type(t.get("index")) is not int or t["index"] != i:
+            findings.append(f"task {i}: index {t.get('index')!r} is not its position")
+        _check_names(t, f"task {i}", tasks, i, findings)
         task_status = t.get("status")
         if not isinstance(task_status, str) or task_status not in TASK_STATUSES - {"pending"}:
-            findings.append(f"task {idx}: invalid status {task_status!r}")
-        if task_status == "stalled" and idx not in stalled:
-            findings.append(f"task {idx}: stalled but not listed in stalled_tasks")
+            findings.append(f"task {i}: invalid status {task_status!r}")
+        if task_status == "stalled" and i not in stalled:
+            findings.append(f"task {i}: stalled but not listed in stalled_tasks")
     for idx in stalled:
-        if idx not in indices:
+        if not _is_index(idx, len(listed)):
             findings.append(f"stalled task index {idx} not among tasks")
 
     for c in _list_of(manifest, "ce_results", Mapping, "objects", findings):
         idx = c.get("task_index")
-        if idx not in indices:
+        if not _is_index(idx, len(listed)):
             findings.append(f"ce result references unknown task {idx}")
-        pair = c.get("players")
-        if not isinstance(pair, list) or not all(isinstance(q, str) and q in sizes for q in pair):
-            findings.append(f"ce result for task {idx}: players {pair!r} not among the game's")
-        else:
-            size = math.prod(sizes[q] for q in pair)
+        elif idx < len(tasks):
+            _check_names(c, f"ce result for task {idx}", tasks, idx, findings)
+            size = len(slice_indices(game, tasks[idx]))
             why = _fault(simplex_vector, c.get("distribution"), size, "it")
             if why:
                 findings.append(f"ce result for task {idx}: not a distribution ({why})")

@@ -311,8 +311,18 @@ class TestHull:
         assert not in_nash_payoff_hull(pts, pay)
 
     def test_empty_set_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(
+            PreconditionError, match="^hull test needs at least one equilibrium payoff$"
+        ):
             in_nash_payoff_hull([], (0.5, 0.5))
+
+    def test_bare_number_rejected_as_the_matrix(self):
+        # once a TypeError from taking its length
+        with pytest.raises(
+            PreconditionError,
+            match=re.escape("the equilibrium payoff matrix has shape (), expected (any, any)"),
+        ):
+            in_nash_payoff_hull(0.3, (0.1,))
 
     def test_point_of_another_length_rejected(self):
         with pytest.raises(

@@ -179,13 +179,19 @@ def _manifests():
     return [json.loads(json.dumps(run.manifest())) for run in runs]
 
 
+# the fields of a task and of a CE result that are judged as a whole
+ENTRY_FIELDS = {("tasks", "index"), ("tasks", "players"), ("tasks", "fixed"),
+                ("ce_results", "task_index"), ("ce_results", "players"),
+                ("ce_results", "fixed"), ("ce_results", "welfare")}
+
+
 def _judged(path) -> bool:
     """Whether `path` leads to a field `validate_manifest` judges as a whole:
-    the seed, the pass count, the config, a task's players or fixed
-    decisions, or a CE result's welfare."""
+    the seed, the pass count, the config, a task's index, players or fixed
+    decisions, or a CE result's task index, players, fixed decisions or
+    welfare."""
     return path in {("seed",), ("passes",), ("config",)} or (
-        len(path) == 3
-        and (path[0], path[2]) in {("tasks", "players"), ("tasks", "fixed"), ("ce_results", "welfare")}
+        len(path) == 3 and (path[0], path[2]) in ENTRY_FIELDS
     )
 
 
@@ -208,13 +214,26 @@ def mutated_manifest(draw):
     return json.loads(text), path, kind
 
 
-def _with(path, value):
-    """A mutation of the complete run's manifest: `value` at `path`."""
+def _edited(edit):
+    """A mutation of the complete run's manifest, made by `edit`."""
     def mutate():
         manifest = copy.deepcopy(_manifests()[0])
-        functools.reduce(operator.getitem, path[:-1], manifest)[path[-1]] = value
+        edit(manifest)
         return manifest
     return mutate
+
+
+def _with(path, value):
+    """A mutation of the complete run's manifest: `value` at `path`."""
+    def put(manifest):
+        functools.reduce(operator.getitem, path[:-1], manifest)[path[-1]] = value
+    return _edited(put)
+
+
+def _swap_tasks(manifest):
+    """Tasks 2 (p1-p3 [p2=A]) and 4 (p2-p3 [p1=A]) trade places."""
+    tasks = manifest["tasks"]
+    tasks[2], tasks[4] = tasks[4], tasks[2]
 
 
 @pytest.mark.parametrize(
@@ -233,20 +252,51 @@ def _with(path, value):
          "ce result for task 0: not a distribution (it has shape (8,), expected (4,))"),
         (_with(("knowledge", "p1", "vector", 0), -0.25),
          "p1: vector is not a distribution (it is not a point on the simplex: entry 0 is -0.25)"),
-        (_with(("decisions", "p3"), "AB"), "decisions do not give every player a menu"),
+        (_with(("decisions", "p3"), "AB"),
+         "players and decisions do not make a game: "
+         "decision menu of 'p3' must be a list of string labels, got str of length 2"),
         (_with(("seed",), "x"), "seed must be an integer, got 'x'"),
         (_with(("passes",), -1), "passes must be >= 1, got -1"),
         (_with(("config",), None), "config is not an object"),
-        (_with(("tasks", 0, "players"), ["p9"]), "task 0: players ['p9'] are not two of the game's"),
+        (_with(("tasks", 0, "players"), ["p9"]),
+         "task 0: players ['p9'] and fixed {'p3': 'A'} differ from the game's task 0, "
+         "p1-p2 [p3=A]"),
         (_with(("tasks", 0, "fixed"), {"zz": "q"}),
-         "task 0: fixed {'zz': 'q'} does not hold each other player at a label of its menu"),
+         "task 0: players ['p1', 'p2'] and fixed {'zz': 'q'} differ from the game's task 0, "
+         "p1-p2 [p3=A]"),
         (_with(("ce_results", 0, "welfare"), math.nan),
          "ce result for task 0: welfare is not a finite number"),
+        # each of these once went unreported, or was reported as another fault
+        (_with(("ce_results", 0, "fixed"), {"zz": "q"}),
+         "ce result for task 0: players ['p1', 'p2'] and fixed {'zz': 'q'} differ from "
+         "the game's task 0, p1-p2 [p3=A]"),
+        (_with(("ce_results", 0, "players"), ["p1", "p1"]),
+         "ce result for task 0: players ['p1', 'p1'] and fixed {'p3': 'A'} differ from "
+         "the game's task 0, p1-p2 [p3=A]"),
+        (_with(("ce_results", 0, "task_index"), 5),
+         "ce result for task 5: players ['p1', 'p2'] and fixed {'p3': 'A'} differ from "
+         "the game's task 5, p2-p3 [p1=B]"),
+        (_edited(_swap_tasks),
+         "task 2: players ['p2', 'p3'] and fixed {'p1': 'A'} differ from the game's task 2, "
+         "p1-p3 [p2=A]"),
+        (_edited(lambda m: m["tasks"].pop()),
+         "the manifest lists 5 tasks; the game makes more than 5"),
+        (_with(("tasks", 0, "fixed"), {"p3": "B"}),
+         "task 0: players ['p1', 'p2'] and fixed {'p3': 'B'} differ from the game's task 0, "
+         "p1-p2 [p3=A]"),
+        (_with(("decisions", "p3", 1), "A"),
+         "players and decisions do not make a game: duplicate decision labels for 'p3'"),
+        # JSON's true equals 1 in Python, but it is no index
+        (_with(("tasks", 1, "index"), True), "task 1: index True is not its position"),
+        (_with(("ce_results", 1, "task_index"), True), "ce result references unknown task True"),
     ],
     ids=["string-entry", "ragged-distribution", "bool-vector", "short-vector",
          "long-distribution", "negative-entry", "menu-as-a-string", "string-seed",
          "negative-passes", "null-config", "unknown-task-player", "unknown-fixed-player",
-         "nan-welfare"],
+         "nan-welfare", "ce-unknown-fixed-player", "ce-repeated-player",
+         "ce-task-of-another-pair", "swapped-tasks", "dropped-task",
+         "another-tasks-fixed", "repeated-menu-label", "bool-task-index",
+         "bool-ce-task-index"],
 )
 def test_validate_manifest_reports_malformed_vectors(mutate, finding):
     assert finding in validate_manifest(mutate())

@@ -410,7 +410,8 @@ class TestValidateManifest:
             m["tasks"].append(dict(m["tasks"][0]))
 
         findings = corrupted(good_manifest, dup)
-        assert any("duplicate task index" in f for f in findings)
+        assert "the manifest lists 2 tasks; the game makes 1" in findings
+        assert "task 1: index 0 is not its position" in findings
 
         def pending(m):
             m["tasks"][0]["status"] = "pending"
@@ -431,6 +432,15 @@ class TestValidateManifest:
 
         findings = corrupted(good_manifest, ghost_stall)
         assert any("not among tasks" in f for f in findings)
+
+    def test_a_game_of_many_players_is_judged_without_fanning_out(self, good_manifest):
+        # 40 players of two labels make 780 pairs of 2**38 tasks each
+        def many_players(m):
+            m["players"] = [f"q{i}" for i in range(40)]
+            m["decisions"] = {p: ["A", "B"] for p in m["players"]}
+
+        findings = corrupted(good_manifest, many_players)
+        assert "the manifest lists 1 tasks; the game makes more than 1" in findings
 
     def test_nan_ce_distribution_is_not_a_distribution(self, good_manifest):
         def nan_dist(m):
