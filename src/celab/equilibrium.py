@@ -95,7 +95,8 @@ def correlated_equilibrium_program(game: Game) -> LinearProgram:
             rows.append(row)
     return LinearProgram(
         objective=sum(vectors[1:], vectors[0]),  # not from 0.0: a -0.0 entry stays
-        ineq_rows=np.array(rows),
+        # (0, cells) when every menu has one label: no deviation rows
+        ineq_rows=np.array(rows, dtype=np.float64).reshape(len(rows), cells),
         ineq_rhs=np.zeros(len(rows)),
         eq_rows=np.ones((1, cells)),
         eq_rhs=np.ones(1),

@@ -38,6 +38,12 @@ def read_json(path, what: str, error=PreconditionError):
         raise error(f"cannot read {what} {path}: {exc}") from None
 
 
+def _fits(got: int, want) -> bool:
+    """Whether an axis of length `got` fits `want`, a length or None (any).
+    Mapped over the axes, it costs half a generator's any()."""
+    return want is None or got == want
+
+
 def number_array(value, shape: tuple, what: str, error=PreconditionError) -> np.ndarray:
     """`value` as a float64 array of `shape`, every entry a finite number
     and none a bool; a None in `shape` takes any length on its axis.
@@ -50,13 +56,13 @@ def number_array(value, shape: tuple, what: str, error=PreconditionError) -> np.
         arr = np.asarray(value)
     except ValueError:  # ragged rows or too many dimensions
         arr = np.asarray(None)
-    if arr.dtype == bool:
+    kind = arr.dtype.kind
+    if kind == "b":
         raise error(f"{what} must hold numbers, not booleans")
-    if arr.dtype.kind not in "iuf":  # None, strings, integers beyond 64 bits
+    if kind not in "iuf":  # None, strings, integers beyond 64 bits
         raise error(f"{what} is not an array of numbers")
     if arr.shape != shape and (
-        arr.ndim != len(shape)
-        or any(want is not None and got != want for got, want in zip(arr.shape, shape))
+        arr.ndim != len(shape) or not all(map(_fits, arr.shape, shape))
     ):
         expected = str(tuple("any" if n is None else n for n in shape)).replace("'", "")
         raise error(f"{what} has shape {arr.shape}, expected {expected}")

@@ -67,7 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import PreconditionError, SolverError
+from .inputs import number_array, real
 
 TOL = 1e-9
 # Tableaus of at most this many cells pivot as lists of Python-float rows,
@@ -76,30 +77,14 @@ TOL = 1e-9
 LIST_CELLS = 64
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    # half the cost of np.isfinite(a).all() on arrays this small
-    return np.count_nonzero(np.isfinite(a)) == a.size
-
-
-def _row_block(name: str, rows, rhs, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One constraint block as float64 (rows, rhs). A 1-D `rows` is one row,
-    or no rows when empty; any other width than `n` is an error, not a
-    re-cut of the same numbers into rows of another length."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows.reshape(1, -1) if rows.size else rows.reshape(0, n)
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"{name}_rows must have {n} columns, got shape {rows.shape}")
-    rhs = np.asarray(rhs, dtype=np.float64).reshape(-1)
-    if rows.shape[0] != rhs.size:
-        raise ValueError(f"{name}_rows/{name}_rhs length mismatch")
-    if not (_all_finite(rows) and _all_finite(rhs)):
-        raise ValueError(f"{name}_rows and {name}_rhs must be finite")
-    return rows, rhs
-
-
 @dataclass
 class LinearProgram:
+    """A program in the maximization form above. Construction reads every
+    argument with `celab.inputs`, so a fault raises PreconditionError naming
+    the argument: the objective, each row block and its right-hand side are
+    finite float64 arrays of the shapes (n,), (m, n) and (m,), and each bound
+    pair is two real numbers, an upper bound of None meaning +inf."""
+
     objective: np.ndarray
     ineq_rows: np.ndarray | None = None
     ineq_rhs: np.ndarray | None = None
@@ -108,36 +93,34 @@ class LinearProgram:
     bounds: list[tuple[float, float]] | None = None
 
     def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=np.float64)
-        if self.objective.ndim != 1:
-            raise ValueError(f"objective must be 1-D, got shape {self.objective.shape}")
+        self.objective = number_array(self.objective, (None,), "objective")
         n = self.objective.size
-        if not _all_finite(self.objective):
-            raise ValueError("objective must be finite")
-        if self.ineq_rows is not None:
-            self.ineq_rows, self.ineq_rhs = _row_block(
-                "ineq", self.ineq_rows, self.ineq_rhs, n)
-        if self.eq_rows is not None:
-            self.eq_rows, self.eq_rhs = _row_block("eq", self.eq_rows, self.eq_rhs, n)
+        # a right-hand side without its rows is read, and refused, as rows
+        if self.ineq_rows is not None or self.ineq_rhs is not None:
+            self.ineq_rows = number_array(self.ineq_rows, (None, n), "ineq_rows")
+            self.ineq_rhs = number_array(self.ineq_rhs, self.ineq_rows.shape[:1], "ineq_rhs")
+        if self.eq_rows is not None or self.eq_rhs is not None:
+            self.eq_rows = number_array(self.eq_rows, (None, n), "eq_rows")
+            self.eq_rhs = number_array(self.eq_rhs, self.eq_rows.shape[:1], "eq_rhs")
         if self.bounds is None:
             self.bounds = [(0.0, np.inf)] * n
             return
-        if len(self.bounds) != n:
-            raise ValueError("one (lo, hi) pair per variable required")
-        self.bounds = [(lo, np.inf if hi is None else hi) for lo, hi in self.bounds]
+        if not (isinstance(self.bounds, (list, tuple)) and len(self.bounds) == n and all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in self.bounds
+        )):
+            raise PreconditionError(f"bounds must be {n} (lo, hi) pairs, one per variable")
+        bounds = []
         for i, (lo, hi) in enumerate(self.bounds):
-            try:
-                lo_finite, hi_nan = math.isfinite(lo), math.isnan(hi)
-            except TypeError:
-                raise ValueError(
-                    f"bounds of variable {i} must be numbers, got ({lo!r}, {hi!r})"
-                ) from None
-            if not lo_finite:
-                raise ValueError(f"lower bound of variable {i} must be finite")
-            if hi_nan:
-                raise ValueError(f"upper bound of variable {i} must not be NaN")
+            lo = real(lo, f"lower bound of variable {i}")
+            hi = math.inf if hi is None else real(hi, f"upper bound of variable {i}")
+            if not math.isfinite(lo):
+                raise PreconditionError(f"lower bound of variable {i} must be finite")
+            if math.isnan(hi):
+                raise PreconditionError(f"upper bound of variable {i} must not be NaN")
             if hi < lo:
-                raise ValueError(f"bound lo {lo} exceeds hi {hi} for variable {i}")
+                raise PreconditionError(f"bound lo {lo} exceeds hi {hi} for variable {i}")
+            bounds.append((lo, hi))
+        self.bounds = bounds
 
 
 @dataclass

@@ -144,6 +144,20 @@ def _task_entry(task: InteractionTask) -> dict:
     return {"players": list(task.pair), "fixed": dict(task.fixed_decisions)}
 
 
+def _ce_tasks(
+    statuses: Sequence, tasks: Sequence[InteractionTask], known: set[str]
+) -> list[tuple[int, str]]:
+    """The task index and source of each CE result a run writes, in task
+    order: one per settled task whose two players are both `known`, the
+    source `analytic` exactly for `analytic_ce`."""
+    return [
+        (i, "analytic" if status == "analytic_ce" else "post_estimation")
+        for i, (status, task) in enumerate(zip(statuses, tasks))
+        if status in ("analytic_ce", "trained_estimated", "skipped_not_against")
+        and known.issuperset(task.pair)
+    ]
+
+
 @dataclass
 class KnownVector:
     values: np.ndarray
@@ -387,14 +401,10 @@ def run_pipeline(
 
     # Every vector is set once (given, or at assembly), so the knowledge an
     # analytic task saw when it settled is the knowledge read here.
+    known = {p for p, entry in knowledge.items() if entry is not None}
     ce_records = [
-        _ce_record(
-            game, knowledge, r, "analytic" if r.status == "analytic_ce" else "post_estimation"
-        )
-        for r in records
-        if r.status in ("analytic_ce", "trained_estimated", "skipped_not_against")
-        and knowledge[r.task.player_a] is not None
-        and knowledge[r.task.player_b] is not None
+        _ce_record(game, knowledge, records[i], source)
+        for i, source in _ce_tasks([r.status for r in records], [r.task for r in records], known)
     ]
 
     return PipelineResult(
@@ -419,18 +429,18 @@ def _fault(read, *args) -> str | None:
     return None
 
 
-def _list_of(manifest: Mapping, key: str, kind, what: str, findings: list[str]) -> list:
-    """`manifest[key]` if it is a list of `kind`; otherwise a finding and []."""
+def _list_of(manifest: Mapping, key: str, findings: list[str]) -> list | None:
+    """`manifest[key]` if it is a list of objects; otherwise a finding and None."""
     value = manifest[key]
-    if isinstance(value, list) and all(isinstance(x, kind) for x in value):
+    if isinstance(value, list) and all(isinstance(x, Mapping) for x in value):
         return value
-    findings.append(f"{key} is not a list of {what}")
-    return []
+    findings.append(f"{key} is not a list of objects")
+    return None
 
 
 def _is_index(value, count: int) -> bool:
-    """Whether `value` is an int, not a bool, in range(count)."""
-    return type(value) is int and 0 <= value < count
+    """Whether `value` is an integer, not a bool, in range(count)."""
+    return _fault(integer, value, 0, "index") is None and value < count
 
 
 def _check_names(entry: Mapping, where: str, tasks: list, index: int, findings: list[str]):
@@ -449,7 +459,9 @@ def validate_manifest(manifest: Mapping) -> list[str]:
     consistent. A part of the wrong type is a finding, and the checks that
     read it are skipped. The tasks must be `build_task_set`'s for the game
     of `players` and `decisions`, in order, and each CE result must name its
-    task, both as `_task_entry` writes them."""
+    task, both as `_task_entry` writes them. What the task statuses give is
+    derived: the status, the stalled tasks, and each CE result's task and
+    source, as `_ce_tasks` writes them for `run_pipeline`."""
     if not isinstance(manifest, Mapping):
         return ["manifest is not an object"]
     required = (
@@ -459,15 +471,6 @@ def validate_manifest(manifest: Mapping) -> list[str]:
     findings = [f"missing key {key!r}" for key in required if key not in manifest]
     if findings:
         return findings
-
-    status = manifest["status"]
-    if status not in ("complete", "partial"):
-        findings.append(f"unknown status {status!r}")
-    stalled = _list_of(manifest, "stalled_tasks", object, "task indices", findings)
-    if status == "complete" and stalled:
-        findings.append("complete run lists stalled tasks")
-    if status == "partial" and not stalled:
-        findings.append("partial run lists no stalled tasks")
 
     for key, minimum in (("seed", 0), ("passes", 1)):
         why = _fault(integer, manifest[key], minimum, key)
@@ -491,9 +494,9 @@ def validate_manifest(manifest: Mapping) -> list[str]:
         except InvalidGameError as exc:
             findings.append(f"players and decisions do not make a game: {exc}")
     players = game.players if game else ()
-    listed = _list_of(manifest, "tasks", Mapping, "objects", findings)
+    listed = _list_of(manifest, "tasks", findings)
     # one task past the list tells it is short, without fanning out a huge game
-    tasks = list(itertools.islice(_fan_out(game), len(listed) + 1)) if game else []
+    tasks = list(itertools.islice(_fan_out(game), len(listed or ()) + 1)) if game else []
     main = manifest["main_player"]
     if game and main not in players:
         findings.append(f"main player {main!r} not among players")
@@ -525,23 +528,38 @@ def validate_manifest(manifest: Mapping) -> list[str]:
         if why:
             findings.append(f"{p}: vector is not a distribution ({why})")
 
+    statuses = None if listed is None else [t.get("status") for t in listed]
+    listed = listed or []
+    if statuses is not None:
+        stalled = [i for i, task_status in enumerate(statuses) if task_status == "stalled"]
+        status = "partial" if stalled else "complete"
+        if manifest["status"] != status:
+            findings.append(f"status is not {status!r}, which the task statuses give")
+        given = manifest["stalled_tasks"]
+        # JSON's true equals 1 in Python, but it is no index
+        if given != stalled or not all(_is_index(i, len(statuses)) for i in given):
+            findings.append(f"stalled_tasks is not {stalled}, the stalled tasks' indices")
     if game and len(listed) != len(tasks):
         made = f"more than {len(listed)}" if len(tasks) > len(listed) else len(tasks)
         findings.append(f"the manifest lists {len(listed)} tasks; the game makes {made}")
     for i, t in enumerate(listed):
-        if type(t.get("index")) is not int or t["index"] != i:
+        if not _is_index(t.get("index"), len(listed)) or t["index"] != i:
             findings.append(f"task {i}: index {t.get('index')!r} is not its position")
         _check_names(t, f"task {i}", tasks, i, findings)
         task_status = t.get("status")
         if not isinstance(task_status, str) or task_status not in TASK_STATUSES - {"pending"}:
             findings.append(f"task {i}: invalid status {task_status!r}")
-        if task_status == "stalled" and i not in stalled:
-            findings.append(f"task {i}: stalled but not listed in stalled_tasks")
-    for idx in stalled:
-        if not _is_index(idx, len(listed)):
-            findings.append(f"stalled task index {idx} not among tasks")
 
-    for c in _list_of(manifest, "ce_results", Mapping, "objects", findings):
+    results = _list_of(manifest, "ce_results", findings)
+    if game and statuses is not None and results is not None:
+        known = {p for p in players if isinstance(knowledge.get(p), Mapping)
+                 and knowledge[p].get("provenance") in ("given", "estimated")}
+        expected = _ce_tasks(statuses, tasks, known)
+        if [(c.get("task_index"), c.get("source")) for c in results] != expected:
+            written = ", ".join(f"task {i} {source}" for i, source in expected) or "none"
+            findings.append(f"ce results are not those the task statuses and knowledge give: "
+                            f"{written}")
+    for c in results or ():
         idx = c.get("task_index")
         if not _is_index(idx, len(listed)):
             findings.append(f"ce result references unknown task {idx}")
@@ -551,8 +569,11 @@ def validate_manifest(manifest: Mapping) -> list[str]:
             why = _fault(simplex_vector, c.get("distribution"), size, "it")
             if why:
                 findings.append(f"ce result for task {idx}: not a distribution ({why})")
-        if _fault(real, c.get("welfare"), "welfare") or not math.isfinite(c["welfare"]):
-            findings.append(f"ce result for task {idx}: welfare is not a finite number")
-        if not c.get("is_ce", False):
-            findings.append(f"ce result for task {idx}: deviation check failed")
+        for key, at_least_0 in (("welfare", False), ("max_violation", True)):
+            value = c.get(key)
+            if _fault(real, value, key, PreconditionError, at_least_0) or not math.isfinite(value):
+                floor = " >= 0" if at_least_0 else ""
+                findings.append(f"ce result for task {idx}: {key} is not a finite number{floor}")
+        if c.get("is_ce") is not True:
+            findings.append(f"ce result for task {idx}: is_ce is not true")
     return findings

@@ -80,6 +80,16 @@ class TestCEProgram:
         lp = correlated_equilibrium_program(game_from_matrices(u1, u2))
         assert lp.ineq_rows.shape == (3 * 2 + 2 * 1, 6)
 
+    def test_one_label_menus_make_no_deviation_rows(self):
+        # a player with one label cannot deviate: the block is (0, cells)
+        g = make_game(["p1", "p2"], [["a"], ["x"]], {"p1": [1.0], "p2": [1.0]})
+        lp = correlated_equilibrium_program(g)
+        assert lp.ineq_rows.shape == (0, 1)
+        assert lp.ineq_rhs.shape == (0,)
+        ce = max_welfare_correlated_equilibrium(g)
+        np.testing.assert_array_equal(ce.distribution, [1.0])
+        assert ce.welfare == 2.0
+
     def test_missing_payoff_rejected(self):
         g = make_game(
             ["p1", "p2"],

@@ -20,7 +20,9 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from celab.cli import build_parser, main
+from celab.errors import PreconditionError
 from celab.games import load_game
+from celab.lp import LinearProgram
 from celab.pipeline import run_pipeline, validate_manifest
 from celab.training import TrainingConfig
 
@@ -166,6 +168,29 @@ def test_mutated_inputs_end_in_an_exit_code_and_one_error_line(case):
                 assert out.getvalue() == ""
 
 
+# a valid program with both row blocks and a bound of each kind, as JSON
+# writes it: a bound pair is a list, an upper bound of None is +inf
+PROGRAM = {"objective": [1.0, 2.0], "ineq_rows": [[1.0, 1.0]], "ineq_rhs": [1.5],
+           "eq_rows": [[1.0, -1.0]], "eq_rhs": [0.0], "bounds": [[0.0, 1.0], [-1.0, None]]}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+# null stands in for a left-out argument, which is None by default; the
+# very deep mutation is left out, as json.loads cannot read it back
+@given(st.sampled_from(list(_paths(PROGRAM))[1:]).flatmap(
+    lambda path: mutated_text(PROGRAM, ["repeat", *(k for k in MUTATIONS if k != "very-deep")],
+                              path)))
+def test_a_mutated_program_constructs_or_raises_a_precondition_error(case):
+    text, kind = case
+    try:
+        LinearProgram(**json.loads(text))
+    except PreconditionError:
+        event("refused")
+    else:
+        event("constructed")
+        assert kind != "huge-integer"
+
+
 @functools.cache
 def _manifests():
     """Manifests of two short runs on the three-player fixture: a complete
@@ -182,15 +207,17 @@ def _manifests():
 # the fields of a task and of a CE result that are judged as a whole
 ENTRY_FIELDS = {("tasks", "index"), ("tasks", "players"), ("tasks", "fixed"),
                 ("ce_results", "task_index"), ("ce_results", "players"),
-                ("ce_results", "fixed"), ("ce_results", "welfare")}
+                ("ce_results", "fixed"), ("ce_results", "welfare"), ("ce_results", "source"),
+                ("ce_results", "is_ce"), ("ce_results", "max_violation")}
 
 
 def _judged(path) -> bool:
     """Whether `path` leads to a field `validate_manifest` judges as a whole:
-    the seed, the pass count, the config, a task's index, players or fixed
-    decisions, or a CE result's task index, players, fixed decisions or
-    welfare."""
-    return path in {("seed",), ("passes",), ("config",)} or (
+    the status, the stalled tasks, the seed, the pass count, the config, a
+    task's index, players or fixed decisions, or a CE result's task index,
+    players, fixed decisions, welfare, source, deviation check or largest
+    violation."""
+    return path in {("status",), ("stalled_tasks",), ("seed",), ("passes",), ("config",)} or (
         len(path) == 3 and (path[0], path[2]) in ENTRY_FIELDS
     )
 
@@ -205,29 +232,47 @@ def mutated_manifest(draw):
     loads it: no invalid UTF-8 and no nesting deeper than JSON loads. The
     part is a judged field half of the time, as these few among some 200
     paths would seldom be drawn otherwise. Returns the manifest, the path
-    and the kind of change."""
+    and the kind of change, None for a change that leaves the text as it
+    was (an empty list put in place of an empty one)."""
     manifest = draw(st.sampled_from(_manifests()))
     kinds = ["drop", "repeat", *(k for k in MUTATIONS if k != "very-deep")]
     every = list(_paths(manifest))
     path = draw(st.sampled_from([p for p in every if _judged(p)]) | st.sampled_from(every))
     text, kind = draw(mutated_text(manifest, kinds, path))
-    return json.loads(text), path, kind
+    return json.loads(text), path, None if text == json.dumps(manifest) else kind
 
 
-def _edited(edit):
-    """A mutation of the complete run's manifest, made by `edit`."""
+def _edited(edit, run=0):
+    """A mutation of a run's manifest, the complete one by default, made by
+    `edit`."""
     def mutate():
-        manifest = copy.deepcopy(_manifests()[0])
+        manifest = copy.deepcopy(_manifests()[run])
         edit(manifest)
         return manifest
     return mutate
 
 
-def _with(path, value):
-    """A mutation of the complete run's manifest: `value` at `path`."""
+def _with(path, value, run=0):
+    """A mutation of a run's manifest, the complete one by default: `value`
+    at `path`."""
     def put(manifest):
         functools.reduce(operator.getitem, path[:-1], manifest)[path[-1]] = value
-    return _edited(put)
+    return _edited(put, run)
+
+
+def _ce_for_stalled_task(manifest):
+    """The partial run's manifest gains a CE result for its stalled task 4,
+    naming that task, shaped as the complete run's results are."""
+    result = copy.deepcopy(_manifests()[0]["ce_results"][0])
+    task = manifest["tasks"][4]
+    result.update(task_index=4, players=task["players"], fixed=task["fixed"],
+                  source="post_estimation")
+    manifest["ce_results"].append(result)
+
+
+# the complete run's CE results, as its task statuses and knowledge give them
+COMPLETE_CE = ("ce results are not those the task statuses and knowledge give: "
+               "task 0 analytic, task 1 analytic")
 
 
 def _swap_tasks(manifest):
@@ -289,6 +334,18 @@ def _swap_tasks(manifest):
         # JSON's true equals 1 in Python, but it is no index
         (_with(("tasks", 1, "index"), True), "task 1: index True is not its position"),
         (_with(("ce_results", 1, "task_index"), True), "ce result references unknown task True"),
+        # each of these went unreported: what the task statuses give is derived
+        (_edited(_ce_for_stalled_task, run=1),
+         "ce results are not those the task statuses and knowledge give: none"),
+        (_edited(lambda m: m["ce_results"].append(m["ce_results"][0])), COMPLETE_CE),
+        (_edited(lambda m: m["ce_results"].pop()), COMPLETE_CE),
+        (_with(("ce_results", 0, "source"), "zzz"), COMPLETE_CE),
+        (_with(("ce_results", 0, "source"), "post_estimation"), COMPLETE_CE),
+        (_with(("ce_results", 0, "is_ce"), "false"), "ce result for task 0: is_ce is not true"),
+        (_with(("ce_results", 0, "max_violation"), "x"),
+         "ce result for task 0: max_violation is not a finite number >= 0"),
+        (_with(("stalled_tasks",), [4, 5, 5], run=1),
+         "stalled_tasks is not [4, 5], the stalled tasks' indices"),
     ],
     ids=["string-entry", "ragged-distribution", "bool-vector", "short-vector",
          "long-distribution", "negative-entry", "menu-as-a-string", "string-seed",
@@ -296,7 +353,9 @@ def _swap_tasks(manifest):
          "nan-welfare", "ce-unknown-fixed-player", "ce-repeated-player",
          "ce-task-of-another-pair", "swapped-tasks", "dropped-task",
          "another-tasks-fixed", "repeated-menu-label", "bool-task-index",
-         "bool-ce-task-index"],
+         "bool-ce-task-index", "ce-for-a-stalled-task", "duplicated-ce-result",
+         "dropped-ce-result", "unknown-ce-source", "swapped-ce-source", "string-is-ce",
+         "string-max-violation", "repeated-stalled-index"],
 )
 def test_validate_manifest_reports_malformed_vectors(mutate, finding):
     assert finding in validate_manifest(mutate())

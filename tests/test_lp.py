@@ -11,7 +11,7 @@ from celab.equilibrium import (
     correlated_equilibrium_program,
     max_welfare_correlated_equilibrium,
 )
-from celab.errors import SolverError
+from celab.errors import PreconditionError, SolverError
 from celab.games import make_game
 from celab.lp import LinearProgram, solve_lp
 
@@ -126,41 +126,76 @@ def test_rejects_nan_upper_bound():
         LinearProgram(objective=[1.0], bounds=[(0.0, np.nan)])
 
 
-@pytest.mark.parametrize("bound", [(None, 1.0), ("0", 1.0), (0.0, "1")])
-def test_rejects_a_bound_that_is_not_a_number(bound):
-    with pytest.raises(ValueError, match="^bounds of variable 1 must be numbers"):
+@pytest.mark.parametrize("bound, side", [((None, 1.0), "lower"), (("0", 1.0), "lower"),
+                                         ((0.0, "1"), "upper")])
+def test_rejects_a_bound_that_is_not_a_number(bound, side):
+    with pytest.raises(PreconditionError, match=f"^{side} bound of variable 1 must be a number"):
         LinearProgram(objective=[1.0, 1.0], bounds=[(0.0, 1.0), bound])
 
 
 @pytest.mark.parametrize("objective, shape", [([[1.0, 2.0]], (1, 2)), (3.0, ())])
 def test_rejects_an_objective_that_is_not_one_dimensional(objective, shape):
-    with pytest.raises(ValueError, match=re.escape(f"objective must be 1-D, got shape {shape}")):
+    with pytest.raises(PreconditionError,
+                       match=re.escape(f"objective has shape {shape}, expected (any,)")):
         LinearProgram(objective=objective)
 
 
-@pytest.mark.parametrize("n, field, rows, rhs", [
+@pytest.mark.parametrize("n, field, rows, rhs, shape", [
     # four numbers under two variables must not become the 2x2 identity
-    (2, "ineq", [[1.0, 0.0, 0.0, 1.0]], [1.0, 2.0]),
+    (2, "ineq", [[1.0, 0.0, 0.0, 1.0]], [1.0, 2.0], (1, 4)),
     # nor a 2x2 block under four variables one 1x4 row
-    (4, "eq", np.eye(2), [1.0]),
+    (4, "eq", np.eye(2), [1.0], (2, 2)),
 ])
-def test_rejects_rows_of_the_wrong_width(n, field, rows, rhs):
-    with pytest.raises(ValueError, match=f"{n} columns"):
+def test_rejects_rows_of_the_wrong_width(n, field, rows, rhs, shape):
+    with pytest.raises(PreconditionError, match=re.escape(
+            f"{field}_rows has shape {shape}, expected (any, {n})")):
         LinearProgram(objective=np.ones(n), **{f"{field}_rows": rows, f"{field}_rhs": rhs})
 
 
-def test_one_dimensional_row_is_one_row():
-    lp = LinearProgram(objective=[1.0, 1.0], ineq_rows=[1.0, 2.0], ineq_rhs=2.0)
-    assert lp.ineq_rows.shape == (1, 2)
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.x, [2.0, 0.0], atol=1e-12)
+def test_one_dimensional_row_is_refused():
+    # a row block is 2-D: a flat list is not read as one row
+    with pytest.raises(PreconditionError,
+                       match=re.escape("ineq_rows has shape (2,), expected (any, 2)")):
+        LinearProgram(objective=[1.0, 1.0], ineq_rows=[1.0, 2.0], ineq_rhs=2.0)
 
 
 def test_empty_row_block_is_no_rows():
-    lp = LinearProgram(objective=[1.0], ineq_rows=[], ineq_rhs=[], bounds=[(0.0, 1.0)])
+    lp = LinearProgram(objective=[1.0], ineq_rows=np.zeros((0, 1)), ineq_rhs=[],
+                       bounds=[(0.0, 1.0)])
     assert lp.ineq_rows.shape == (0, 1)
     assert solve_lp(lp).x[0] == 1.0
+
+
+_VALID_PROGRAM = {"objective": [1.0, 1.0], "eq_rows": [[1, 1]], "eq_rhs": [1.0]}
+
+
+@pytest.mark.parametrize("change, message", [
+    # each solved as if the bools were numbers
+    ({"objective": [True, 1.0]}, "objective must hold numbers, not booleans"),
+    ({"eq_rhs": [True]}, "eq_rhs must hold numbers, not booleans"),
+    ({"bounds": [(False, True), (0, None)]},
+     "lower bound of variable 0 must be a number, got False"),
+    # each ended in a TypeError, or a ValueError that named no argument
+    ({"bounds": [0, 1]}, "bounds must be 2 (lo, hi) pairs, one per variable"),
+    ({"bounds": 5}, "bounds must be 2 (lo, hi) pairs, one per variable"),
+    ({"bounds": [(0.0, 1.0), (0.0, 1.0, 2.0)]},
+     "bounds must be 2 (lo, hi) pairs, one per variable"),
+    # asarray(None) read as NaN: "must be finite"
+    ({"ineq_rows": [[1.0, 0.0]]}, "ineq_rhs is not an array of numbers"),
+    # silently cut down to shape (1,)
+    ({"ineq_rows": [[1.0, 0.0]], "ineq_rhs": [[1.0]]},
+     "ineq_rhs has shape (1, 1), expected (1,)"),
+    # numpy's "could not convert string to float"
+    ({"objective": "ab"}, "objective is not an array of numbers"),
+    # an OverflowError, which is no ValueError
+    ({"objective": [10**400, 1.0]}, "objective is not an array of numbers"),
+], ids=["bool-objective", "bool-eq-rhs", "bool-bounds", "bounds-of-numbers",
+        "bounds-a-number", "bound-of-three", "rows-without-rhs", "rhs-of-rows",
+        "string-objective", "huge-integer-objective"])
+def test_a_malformed_program_raises_a_precondition_error(change, message):
+    LinearProgram(**_VALID_PROGRAM)
+    with pytest.raises(PreconditionError, match="^" + re.escape(message) + "$"):
+        LinearProgram(**{**_VALID_PROGRAM, **change})
 
 
 @pytest.mark.parametrize("field, bad", [
