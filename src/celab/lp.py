@@ -11,11 +11,14 @@ solve_lp assembles the two-phase tableau once, in one loop over the
 constraint rows, as rows of Python floats: a row with a negative rhs is
 negated, then gets its slack or surplus, artificial and rhs entries, and
 the starting basis its slack or artificial. Only a tableau of more than
-LIST_CELLS cells becomes an ndarray. Every program is shifted by its lower
-bounds, the default (0, inf) ones too, so a zero shift turns a -0.0 rhs
-or answer into +0.0 as it always has. Programs built here state no upper
-bound that sum(x) = 1 and x >= 0 already imply: each finite one costs a
-tableau row.
+LIST_CELLS cells becomes an ndarray. Every variable is x >= 0 and no row
+states it, so each right-hand side is taken as given. Programs built here
+state no upper bound that sum(x) = 1 and x >= 0 already imply: each one
+would cost a row.
+
+No answer holds -0.0: an x variable is basic only after a pivot on its
+row, which leaves its rhs v - 0.0 * v, never -0.0, and a later pivot
+gives r - f * b, which is -0.0 only for r = -0.0.
 
 Per-pivot cost is mostly Python and numpy call overhead, not arithmetic.
 So the tableau lives in one of two containers, chosen once per solve by
@@ -57,7 +60,7 @@ Maximization form:
     maximize    c . x
     subject to  A_ub x <= b_ub
                 A_eq x == b_eq
-                lo <= x <= hi   (lo finite; hi may be +inf)
+                x >= 0
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SolverError
-from .inputs import number_array, real
+from .inputs import number_array
 
 TOL = 1e-9
 # Tableaus of at most this many cells pivot as lists of Python-float rows,
@@ -77,50 +80,49 @@ TOL = 1e-9
 LIST_CELLS = 64
 
 
-@dataclass
+@dataclass(init=False)
 class LinearProgram:
     """A program in the maximization form above. Construction reads every
     argument with `celab.inputs`, so a fault raises PreconditionError naming
     the argument: the objective, each row block and its right-hand side are
-    finite float64 arrays of the shapes (n,), (m, n) and (m,), and each bound
-    pair is two real numbers, an upper bound of None meaning +inf."""
+    finite float64 arrays of the shapes (n,), (m, n) and (m,).
+
+    `bounds` is read-only: n pairs (0.0, inf), for perfbench's gates and
+    tracer, which read it. The `bounds` argument stays for a perfbench test
+    that passes it: n finite pairs (0, hi), each hi becoming the row
+    x_i <= hi after the given inequality rows. Both go with perfbench's
+    next change (ROADMAP item 1)."""
 
     objective: np.ndarray
-    ineq_rows: np.ndarray | None = None
-    ineq_rhs: np.ndarray | None = None
-    eq_rows: np.ndarray | None = None
-    eq_rhs: np.ndarray | None = None
-    bounds: list[tuple[float, float]] | None = None
+    ineq_rows: np.ndarray | None
+    ineq_rhs: np.ndarray | None
+    eq_rows: np.ndarray | None
+    eq_rhs: np.ndarray | None
 
-    def __post_init__(self):
-        self.objective = number_array(self.objective, (None,), "objective")
+    def __init__(self, objective, ineq_rows=None, ineq_rhs=None, eq_rows=None, eq_rhs=None,
+                 bounds=None):
+        self.objective = number_array(objective, (None,), "objective")
         n = self.objective.size
         # a right-hand side without its rows is read, and refused, as rows
-        if self.ineq_rows is not None or self.ineq_rhs is not None:
-            self.ineq_rows = number_array(self.ineq_rows, (None, n), "ineq_rows")
-            self.ineq_rhs = number_array(self.ineq_rhs, self.ineq_rows.shape[:1], "ineq_rhs")
-        if self.eq_rows is not None or self.eq_rhs is not None:
-            self.eq_rows = number_array(self.eq_rows, (None, n), "eq_rows")
-            self.eq_rhs = number_array(self.eq_rhs, self.eq_rows.shape[:1], "eq_rhs")
-        if self.bounds is None:
-            self.bounds = [(0.0, np.inf)] * n
-            return
-        if not (isinstance(self.bounds, (list, tuple)) and len(self.bounds) == n and all(
-            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in self.bounds
-        )):
-            raise PreconditionError(f"bounds must be {n} (lo, hi) pairs, one per variable")
-        bounds = []
-        for i, (lo, hi) in enumerate(self.bounds):
-            lo = real(lo, f"lower bound of variable {i}")
-            hi = math.inf if hi is None else real(hi, f"upper bound of variable {i}")
-            if not math.isfinite(lo):
-                raise PreconditionError(f"lower bound of variable {i} must be finite")
-            if math.isnan(hi):
-                raise PreconditionError(f"upper bound of variable {i} must not be NaN")
-            if hi < lo:
-                raise PreconditionError(f"bound lo {lo} exceeds hi {hi} for variable {i}")
-            bounds.append((lo, hi))
-        self.bounds = bounds
+        if ineq_rows is not None or ineq_rhs is not None:
+            ineq_rows = number_array(ineq_rows, (None, n), "ineq_rows")
+            ineq_rhs = number_array(ineq_rhs, ineq_rows.shape[:1], "ineq_rhs")
+        if bounds is not None:
+            lo, hi = number_array(bounds, (n, 2), "bounds").T
+            if lo.any() or (hi < 0.0).any():
+                raise PreconditionError("bounds must be pairs (0, hi) with hi >= 0: every x >= 0")
+            if ineq_rows is None:
+                ineq_rows, ineq_rhs = np.zeros((0, n)), np.zeros(0)
+            ineq_rows, ineq_rhs = np.vstack([ineq_rows, np.eye(n)]), np.concatenate([ineq_rhs, hi])
+        if eq_rows is not None or eq_rhs is not None:
+            eq_rows = number_array(eq_rows, (None, n), "eq_rows")
+            eq_rhs = number_array(eq_rhs, eq_rows.shape[:1], "eq_rhs")
+        self.ineq_rows, self.ineq_rhs = ineq_rows, ineq_rhs
+        self.eq_rows, self.eq_rhs = eq_rows, eq_rhs
+
+    @property
+    def bounds(self) -> list[tuple[float, float]]:
+        return [(0.0, math.inf)] * self.objective.size
 
 
 @dataclass
@@ -235,30 +237,18 @@ def _simplex_max(t, basis: list[int], cost: np.ndarray,
             saved, stride = list(basis), 2 * stride
 
 
-def _rows(a, b, lo) -> tuple[list, list]:
-    """A constraint block as lists of Python floats, its rhs shifted by the
-    lower bounds `lo`."""
-    if a is None:
-        return [], []
-    return a.tolist(), (b - a @ lo).tolist()
-
-
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve a LinearProgram; infeasible/unbounded are statuses, not errors."""
     c = lp.objective
     n = c.size
-    # shift x = lo + y so y >= 0; finite upper bounds become <= rows
-    lo = np.array([b[0] for b in lp.bounds], dtype=float)
-    rows, rhs = _rows(lp.ineq_rows, lp.ineq_rhs, lo)
-    for i, (low, high) in enumerate(lp.bounds):
-        if math.isfinite(high):
-            rows.append([0.0] * i + [1.0] + [0.0] * (n - i - 1))
-            rhs.append(float(high) - float(low))
+    rows, rhs = ([], []) if lp.ineq_rows is None else (lp.ineq_rows.tolist(), lp.ineq_rhs.tolist())
     n_ub = len(rows)
-    eq_rows, eq_rhs = _rows(lp.eq_rows, lp.eq_rhs, lo)
-    rows, rhs, m = rows + eq_rows, rhs + eq_rhs, n_ub + len(eq_rows)
+    if lp.eq_rows is not None:
+        rows += lp.eq_rows.tolist()
+        rhs += lp.eq_rhs.tolist()
+    m = len(rows)
 
-    # columns: y (n) | slack/surplus (n_ub) | artificials | rhs. A row with a
+    # columns: x (n) | slack/surplus (n_ub) | artificials | rhs. A row with a
     # negative rhs is negated; it and every == row start on an artificial.
     first_art = n + n_ub
     n_art = sum(v < 0 for v in rhs[:n_ub]) + m - n_ub
@@ -317,5 +307,5 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     for b, row in zip(basis, t):
         if b < n:
             x[b] = row[-1]
-    x = lo + x
+    x = np.array(x)
     return LPSolution(status="optimal", x=x, objective=float(c @ x), iterations=iterations)

@@ -158,6 +158,28 @@ def _ce_tasks(
     ]
 
 
+def _estimated_players(game: Game, entries) -> dict[str, tuple[list[int], str]]:
+    """The players a run assembles from trained slices, each with the task
+    indices whose estimates make its vector and the vector's source text.
+    `entries` are (index, task, status, detail) of tasks in task order. A
+    player is estimated exactly when, for one pair, the `trained_estimated`
+    tasks whose detail names it as `estimated_player` cover every outcome."""
+    groups: dict[tuple[str, tuple[str, str]], list[tuple[int, InteractionTask]]] = {}
+    for i, task, status, detail in entries:
+        if status == "trained_estimated" and isinstance(detail, Mapping):
+            player = detail.get("estimated_player")
+            if player in task.pair:
+                groups.setdefault((player, task.pair), []).append((i, task))
+    found = {}
+    for (player, (a, b)), group in groups.items():
+        if player not in found and sum(
+            len(slice_indices(game, task)) for _, task in group
+        ) == game.num_outcomes:
+            found[player] = ([i for i, _ in group], f"slices from pair {a}-{b} "
+                             f"({len(group)} combination(s), weight {1.0 / len(group):g} each)")
+    return found
+
+
 @dataclass
 class KnownVector:
     values: np.ndarray
@@ -308,8 +330,10 @@ def run_pipeline(
         knowledge[p] = KnownVector(values=np.asarray(v, dtype=np.float64), provenance="given")
 
     records = [TaskRecord(index=i, task=t) for i, t in enumerate(build_task_set(game))]
-    # per (unknown player, partner pair): {task index: (indices, slice)}
-    pieces: dict[tuple[str, tuple[str, str]], dict[int, tuple[tuple[int, ...], np.ndarray]]] = {}
+    by_pair: dict[tuple[str, str], list[TaskRecord]] = {}
+    for record in records:
+        by_pair.setdefault(record.task.pair, []).append(record)
+    estimates: dict[int, np.ndarray] = {}  # each trained task's estimated slice
 
     def settle(record: TaskRecord) -> str | None:
         """Process a task if what is known allows it; returns its final
@@ -365,22 +389,18 @@ def run_pipeline(
         }
         if est.status != "ok":
             return "estimation_infeasible"
-        # A complete pair sets the player's vector, and a known player gains
-        # no more slices, so only this pair can have just become complete.
-        got = pieces.setdefault((unknown_p, task.pair), {})
-        got[record.index] = (indices, est.estimate[order])
-        if sum(len(idx) for idx, _ in got.values()) == game.num_outcomes:
-            full = np.zeros(game.num_outcomes)
-            weight = 1.0 / len(got)
-            for idx, vec in got.values():
-                full[list(idx)] = weight * vec
-            knowledge[unknown_p] = KnownVector(
-                values=full,
-                provenance="estimated",
-                source=f"slices from pair {a}-{b} "
-                f"({len(got)} combination(s), weight {weight:g} each)",
-            )
+        estimates[record.index] = est.estimate[order]
         return "trained_estimated"
+
+    def assemble(pair: tuple[str, str]) -> None:
+        """Set the vector of each player whose slices from `pair` are complete."""
+        entries = [(r.index, r.task, r.status, r.detail) for r in by_pair[pair]]
+        for player, (group, source) in _estimated_players(game, entries).items():
+            full = np.zeros(game.num_outcomes)
+            weight = 1.0 / len(group)
+            for i in group:
+                full[list(slice_indices(game, records[i].task))] = weight * estimates[i]
+            knowledge[player] = KnownVector(values=full, provenance="estimated", source=source)
 
     queue = records
     passes = 0
@@ -393,6 +413,8 @@ def run_pipeline(
                 pending.append(record)
             else:
                 record.status = status
+                if status == "trained_estimated":
+                    assemble(record.task.pair)
         if len(pending) == len(queue):
             break
         queue = pending
@@ -501,6 +523,12 @@ def validate_manifest(manifest: Mapping) -> list[str]:
     if game and main not in players:
         findings.append(f"main player {main!r} not among players")
 
+    statuses = None if listed is None else [t.get("status") for t in listed]
+    listed = listed or []
+    # who is estimated, and from what, when the tasks can tell
+    estimated = None if statuses is None or not game else _estimated_players(
+        game, zip(range(len(tasks)), tasks, statuses, (t.get("detail") for t in listed))
+    )
     knowledge = manifest["knowledge"]
     if not isinstance(knowledge, Mapping):
         findings.append("knowledge is not an object")
@@ -516,6 +544,15 @@ def validate_manifest(manifest: Mapping) -> list[str]:
         if prov not in ("given", "estimated", "unknown"):
             findings.append(f"{p}: unknown provenance {prov!r}")
             continue
+        if estimated is not None:
+            if (prov == "estimated") != (p in estimated):
+                findings.append(f"{p}: provenance {prov!r}, but the trained tasks "
+                                f"{'complete' if p in estimated else 'do not complete'} "
+                                f"its slices")
+                continue
+            source = estimated[p][1] if p in estimated else ""
+            if prov != "unknown" and entry.get("source") != source:
+                findings.append(f"{p}: source is not {source!r}, which the tasks give")
         vector = entry.get("vector")
         if prov == "unknown":
             if vector is not None:
@@ -528,8 +565,6 @@ def validate_manifest(manifest: Mapping) -> list[str]:
         if why:
             findings.append(f"{p}: vector is not a distribution ({why})")
 
-    statuses = None if listed is None else [t.get("status") for t in listed]
-    listed = listed or []
     if statuses is not None:
         stalled = [i for i, task_status in enumerate(statuses) if task_status == "stalled"]
         status = "partial" if stalled else "complete"

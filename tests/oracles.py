@@ -115,6 +115,23 @@ def reference_ce_program(game):
     )
 
 
+def shifted_program(objective, ineq_rows, ineq_rhs, eq_rows, eq_rhs, lo, hi):
+    """The arguments of the x >= 0 LinearProgram that maximizes c.x over the
+    rows and lo <= x <= hi (lo finite, hi possibly +inf) in y = x - lo, as
+    `celab.lp.solve_lp` built it when programs carried bounds: the <= rows
+    with rhs b - A @ lo, then y_i <= hi_i - lo_i for each finite hi_i, then
+    the == rows with rhs b_eq - A_eq @ lo. A block of None has no rows. An
+    answer y maps back to x = lo + y, with objective c @ x."""
+    n = len(objective)
+    a, b, a_eq, b_eq = (
+        np.zeros(shape) if v is None else np.asarray(v, dtype=np.float64)
+        for v, shape in ((ineq_rows, (0, n)), (ineq_rhs, 0), (eq_rows, (0, n)), (eq_rhs, 0))
+    )
+    finite = np.flatnonzero(np.isfinite(hi))
+    return (objective, np.vstack([a, np.eye(n)[finite]]),
+            np.concatenate([b - a @ lo, hi[finite] - lo[finite]]), a_eq, b_eq - a_eq @ lo)
+
+
 def reference_tableau(lp):
     """The starting two-phase tableau and basis of `celab.lp.solve_lp` as it
     assembled them with numpy slack and artificial matrices, kept verbatim

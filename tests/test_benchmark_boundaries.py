@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import random_valid_2x2
+from oracles import random_valid_2x2, shifted_program
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -37,8 +37,9 @@ def test_forward_takes_params_and_current_states_first():
 
 def _tableau_programs(monkeypatch):
     """CE programs of 2x2..4x4 games, every LP estimate_payoff builds for a
-    few 2x2 inputs, and general programs with shifted, partly bounded boxes
-    and negative right-hand sides (surplus and artificial columns)."""
+    few 2x2 inputs, and general programs over shifted, partly bounded boxes,
+    stated by `shifted_program`, with negative right-hand sides (surplus and
+    artificial columns)."""
     from celab import estimation
     from celab.equilibrium import (
         correlated_equilibrium_program,
@@ -76,14 +77,14 @@ def _tableau_programs(monkeypatch):
         n, m_ub, m_eq = 3, int(rng.integers(0, 4)), int(rng.integers(0, 2))
         lo = rng.choice([0.0, -1.0, 0.5], size=n)
         hi = np.where(rng.random(n) < 0.5, np.inf, lo + 2.0 * rng.random(n))
-        programs.append(LinearProgram(
-            objective=rng.normal(size=n),
-            ineq_rows=rng.normal(size=(m_ub, n)),
-            ineq_rhs=rng.normal(size=m_ub),
-            eq_rows=rng.normal(size=(m_eq, n)) if m_eq else None,
-            eq_rhs=rng.normal(size=m_eq) if m_eq else None,
-            bounds=list(zip(lo, hi)),
-        ))
+        programs.append(LinearProgram(*shifted_program(
+            rng.normal(size=n),
+            rng.normal(size=(m_ub, n)),
+            rng.normal(size=m_ub),
+            rng.normal(size=(m_eq, n)) if m_eq else None,
+            rng.normal(size=m_eq) if m_eq else None,
+            lo, hi,
+        )))
     return programs
 
 

@@ -9,10 +9,19 @@ chicken-type games on seeds 0 and 1 each. The seed and game lists are fixed
 in advance and never trimmed. Each floor is the share measured when its
 scoreboard was added: a change may raise it, and none may lower it.
 Estimation success is printed but not gated.
+
+Each player's walk tends to end where one repeated action stops moving the
+state (ROADMAP item 16). Each run also prints, per player, where its walks
+end in the last epoch and the nearest such stall point, and each set of
+runs the share of walks that end within STALL_LINF of one; no floor yet.
 """
+
+import functools
 
 import numpy as np
 
+from celab import training
+from celab.env import apply_action, average_states, default_state, enumerate_actions
 from celab.equilibrium import (
     enumerate_equilibria,
     in_nash_payoff_hull,
@@ -28,6 +37,43 @@ FAMILY_SEEDS = range(2)
 FAMILY_GAMES = 8
 CE_DEVIATION = 0.01
 OPTIMUM_LINF = 0.02
+STALL_LINF = 0.02
+
+
+@functools.cache
+def stall_points(h: int, step_size: float) -> np.ndarray:
+    """The distinct states where one action, repeated from the uniform
+    start with `apply_action`, stops changing the state: one row each."""
+    points = []
+    for delta in enumerate_actions(h, step_size):
+        state = default_state(h)
+        for _ in range(10_000):
+            moved = apply_action(state, delta)
+            if np.array_equal(moved, state):
+                break
+            state = moved
+        else:
+            raise AssertionError(f"action {delta} still moves the state")
+        points.append(state)
+    return np.unique(points, axis=0)
+
+
+def _to_stall(states: np.ndarray, step_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of `states`, the L-inf distance to its nearest stall
+    point, and that point."""
+    points = stall_points(states.shape[-1], step_size)
+    gaps = np.abs(states[:, None, :] - points[None, :, :]).max(axis=-1)
+    nearest = gaps.argmin(axis=1)
+    return gaps[np.arange(len(states)), nearest], points[nearest]
+
+
+def _walks(states: np.ndarray, step_size: float) -> tuple:
+    """A player's terminal states over one epoch's rounds, as their mean,
+    the mean's L-inf distance to its nearest stall point, that point, and
+    each round's L-inf distance to its own nearest stall point."""
+    mean = states.mean(axis=0)
+    (gap,), (stall,) = _to_stall(mean[None], step_size)
+    return mean, gap, stall, _to_stall(states, step_size)[0]
 
 
 def _hull(game):
@@ -35,13 +81,21 @@ def _hull(game):
     return [ne.payoffs for ne in enumerate_equilibria(game)]
 
 
-def _runs(game, seeds) -> list[dict]:
+def _runs(monkeypatch, game, seeds) -> list[dict]:
     """One default-config self-play run of `game` per seed, with what each
-    claim reads of it."""
+    claim reads of it, and each player's terminal walk states of the last
+    epoch, captured where `train_pair` averages the two players' walks."""
     config = TrainingConfig()
     optimum = max_welfare_correlated_equilibrium(game).distribution
     ne_payoffs = _hull(game)
     u1, u2 = game.payoff("p1"), game.payoff("p2")
+    ends = []
+
+    def recording(batch_a, batch_b):
+        ends[:] = [batch.states[:, -1].copy() for batch in (batch_a, batch_b)]
+        return average_states(batch_a, batch_b)
+
+    monkeypatch.setattr(training, "average_states", recording)
     runs = []
     for seed in seeds:
         result = train_pair(game, ("p1", "p2"), config, seed)
@@ -58,8 +112,13 @@ def _runs(game, seeds) -> list[dict]:
             ),
             "epochs": result.epochs_run,
             "interaction": result.epochs_run * config.rounds * (config.steps - 1),
+            "walks": [_walks(states, config.step_size) for states in ends],
         })
     return runs
+
+
+def _point(state) -> str:
+    return "(" + ", ".join(f"{v:.3f}" for v in state) + ")"
 
 
 def _print_run(label: str, r: dict) -> None:
@@ -69,6 +128,12 @@ def _print_run(label: str, r: dict) -> None:
         f"to_optimum={r['to_optimum']:.4f} epochs={r['epochs']} "
         f"interaction={r['interaction']}"
     )
+    for player, (mean, gap, stall, gaps) in zip(("p1", "p2"), r["walks"]):
+        print(
+            f"    {player} walks end at {_point(mean)} on average, "
+            f"{gap:.4f} L-inf from stall point {_point(stall)}; "
+            f"{int((gaps <= STALL_LINF).sum())}/{gaps.size} within {STALL_LINF} of one"
+        )
 
 
 def _score(label: str, runs: list[dict], floors: dict) -> None:
@@ -83,6 +148,7 @@ def _score(label: str, runs: list[dict], floors: dict) -> None:
     }
     estimated = [r["estimate_error"] for r in runs if r["estimate_error"] is not None]
     interaction = [r["interaction"] for r in runs]
+    gaps = np.concatenate([walk[-1] for r in runs for walk in r["walks"]])
     print(
         f"{label}: "
         f"{shares['stable']}/{n} stop stable; "
@@ -91,7 +157,9 @@ def _score(label: str, runs: list[dict], floors: dict) -> None:
         f"{shares['optimum']}/{n} within {OPTIMUM_LINF} L-inf of the max-welfare CE; "
         f"{len(estimated)}/{n} estimates ok"
         + (f" (L-inf error {min(estimated):.4f}-{max(estimated):.4f})" if estimated else "")
-        + f"; epochs x M(N-1) = {min(interaction)}-{max(interaction)}"
+        + f"; epochs x M(N-1) = {min(interaction)}-{max(interaction)}; "
+        f"{int((gaps <= STALL_LINF).sum())}/{gaps.size} walks end within {STALL_LINF} "
+        f"L-inf of a single-action stall point"
     )
     for claim, floor in floors.items():
         assert shares[claim] >= floor, f"{claim}: {shares[claim]}/{n}, floor {floor}/{n}"
@@ -121,8 +189,8 @@ def chicken_family(count: int) -> list:
     return games
 
 
-def test_chicken_claims_over_seeds(chicken):
-    runs = _runs(chicken, SEEDS)
+def test_chicken_claims_over_seeds(chicken, monkeypatch):
+    runs = _runs(monkeypatch, chicken, SEEDS)
     for r in runs:
         _print_run("chicken", r)
     _score(
@@ -131,14 +199,14 @@ def test_chicken_claims_over_seeds(chicken):
     )
 
 
-def test_chicken_family_claims_over_seeds():
+def test_chicken_family_claims_over_seeds(monkeypatch):
     """The claims over the chicken family's first 8 games, seeds 0 and 1
     each. No run ends within 0.02 of its game's max-welfare CE today, so
     the optimum's floor of 0 gates nothing until a change raises it; each
     run's distance to the optimum is printed."""
     runs = []
     for g, game in enumerate(chicken_family(FAMILY_GAMES)):
-        for r in _runs(game, FAMILY_SEEDS):
+        for r in _runs(monkeypatch, game, FAMILY_SEEDS):
             _print_run(f"family game {g}", r)
             runs.append(r)
     _score(

@@ -168,10 +168,10 @@ def test_mutated_inputs_end_in_an_exit_code_and_one_error_line(case):
                 assert out.getvalue() == ""
 
 
-# a valid program with both row blocks and a bound of each kind, as JSON
-# writes it: a bound pair is a list, an upper bound of None is +inf
+# a valid program with both row blocks and bounds, as JSON writes it: a
+# bound pair is a list
 PROGRAM = {"objective": [1.0, 2.0], "ineq_rows": [[1.0, 1.0]], "ineq_rhs": [1.5],
-           "eq_rows": [[1.0, -1.0]], "eq_rhs": [0.0], "bounds": [[0.0, 1.0], [-1.0, None]]}
+           "eq_rows": [[1.0, -1.0]], "eq_rhs": [0.0], "bounds": [[0.0, 1.0], [0.0, 2.0]]}
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -204,8 +204,10 @@ def _manifests():
     return [json.loads(json.dumps(run.manifest())) for run in runs]
 
 
-# the fields of a task and of a CE result that are judged as a whole
-ENTRY_FIELDS = {("tasks", "index"), ("tasks", "players"), ("tasks", "fixed"),
+# the fields of a player's knowledge, a task and a CE result that are judged
+# as a whole
+ENTRY_FIELDS = {("knowledge", "source"),
+                ("tasks", "index"), ("tasks", "players"), ("tasks", "fixed"),
                 ("ce_results", "task_index"), ("ce_results", "players"),
                 ("ce_results", "fixed"), ("ce_results", "welfare"), ("ce_results", "source"),
                 ("ce_results", "is_ce"), ("ce_results", "max_violation")}
@@ -214,9 +216,9 @@ ENTRY_FIELDS = {("tasks", "index"), ("tasks", "players"), ("tasks", "fixed"),
 def _judged(path) -> bool:
     """Whether `path` leads to a field `validate_manifest` judges as a whole:
     the status, the stalled tasks, the seed, the pass count, the config, a
-    task's index, players or fixed decisions, or a CE result's task index,
-    players, fixed decisions, welfare, source, deviation check or largest
-    violation."""
+    player's source, a task's index, players or fixed decisions, or a CE
+    result's task index, players, fixed decisions, welfare, source,
+    deviation check or largest violation."""
     return path in {("status",), ("stalled_tasks",), ("seed",), ("passes",), ("config",)} or (
         len(path) == 3 and (path[0], path[2]) in ENTRY_FIELDS
     )
@@ -346,6 +348,12 @@ def _swap_tasks(manifest):
          "ce result for task 0: max_violation is not a finite number >= 0"),
         (_with(("stalled_tasks",), [4, 5, 5], run=1),
          "stalled_tasks is not [4, 5], the stalled tasks' indices"),
+        # every task holding p3 ended estimation_infeasible
+        (_with(("knowledge", "p3"), {"provenance": "estimated", "vector": [0.125] * 8,
+                                     "source": ""}),
+         "p3: provenance 'estimated', but the trained tasks do not complete its slices"),
+        (_with(("knowledge", "p2", "source"), "slices from pair p1-p2"),
+         "p2: source is not '', which the tasks give"),
     ],
     ids=["string-entry", "ragged-distribution", "bool-vector", "short-vector",
          "long-distribution", "negative-entry", "menu-as-a-string", "string-seed",
@@ -355,7 +363,8 @@ def _swap_tasks(manifest):
          "another-tasks-fixed", "repeated-menu-label", "bool-task-index",
          "bool-ce-task-index", "ce-for-a-stalled-task", "duplicated-ce-result",
          "dropped-ce-result", "unknown-ce-source", "swapped-ce-source", "string-is-ce",
-         "string-max-violation", "repeated-stalled-index"],
+         "string-max-violation", "repeated-stalled-index", "estimated-without-slices",
+         "source-of-a-given-vector"],
 )
 def test_validate_manifest_reports_malformed_vectors(mutate, finding):
     assert finding in validate_manifest(mutate())

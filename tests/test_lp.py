@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import random_square_payoffs, random_valid_2x2, reference_tableau
+from oracles import random_square_payoffs, random_valid_2x2, reference_tableau, shifted_program
 
 import celab.lp
 from celab import estimation
@@ -55,30 +55,21 @@ def test_unbounded_detected(monkeypatch):
         assert solve_lp(lp).status == "unbounded"
 
 
-def test_equality_with_bounds(monkeypatch):
+def test_equality_with_upper_bound_rows(monkeypatch):
     lp = LinearProgram(
         objective=[1.0, 0.0, 0.0],
+        ineq_rows=np.eye(3),
+        ineq_rhs=[1.0] * 3,
         eq_rows=[[1.0, 1.0, 1.0]],
         eq_rhs=[1.0],
-        bounds=[(0.0, 1.0)] * 3,
     )
     for _ in _each_tableau(monkeypatch):
         sol = solve_lp(lp)
         np.testing.assert_allclose(sol.x, [1.0, 0.0, 0.0], atol=1e-12)
 
 
-def test_shifted_lower_bounds(monkeypatch):
-    # maximize -x with x in [-2, 5] -> x = -2
-    lp = LinearProgram(objective=[-1.0], bounds=[(-2.0, 5.0)])
-    for _ in _each_tableau(monkeypatch):
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        assert sol.x[0] == pytest.approx(-2.0, abs=1e-12)
-        assert sol.objective == pytest.approx(2.0, abs=1e-12)
-
-
-def test_upper_bound_only_binding(monkeypatch):
-    lp = LinearProgram(objective=[3.0, 1.0], bounds=[(0.0, 2.0), (0.0, 4.0)])
+def test_upper_bound_rows_only_binding(monkeypatch):
+    lp = LinearProgram(objective=[3.0, 1.0], ineq_rows=np.eye(2), ineq_rhs=[2.0, 4.0])
     for _ in _each_tableau(monkeypatch):
         sol = solve_lp(lp)
         np.testing.assert_allclose(sol.x, [2.0, 4.0], atol=1e-12)
@@ -110,27 +101,45 @@ def test_redundant_equality_row_is_dropped(monkeypatch):
         assert sol.objective == 2.0
 
 
-def test_rejects_infinite_lower_bound():
-    with pytest.raises(ValueError):
-        LinearProgram(objective=[1.0], bounds=[(-np.inf, 1.0)])
+def test_every_variable_is_at_least_zero_and_bounds_cannot_be_set():
+    lp = LinearProgram(objective=[1.0, -1.0, 0.0])
+    assert lp.bounds == [(0.0, np.inf)] * 3
+    with pytest.raises(AttributeError):
+        lp.bounds = [(0.0, 1.0)] * 3
 
 
-def test_rejects_inverted_bounds():
-    with pytest.raises(ValueError):
-        LinearProgram(objective=[1.0], bounds=[(2.0, 1.0)])
+def test_the_bounds_argument_becomes_rows_after_the_given_ones():
+    # kept only for a perfbench test that passes it
+    lp = LinearProgram(objective=[1.0, 1.0], ineq_rows=[[1.0, 2.0]], ineq_rhs=[5.0],
+                       bounds=[(0.0, 1.0), (-0.0, 3.0)])
+    np.testing.assert_array_equal(lp.ineq_rows, [[1.0, 2.0], [1.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(lp.ineq_rhs, [5.0, 1.0, 3.0])
+    assert lp.bounds == [(0.0, np.inf)] * 2
+    np.testing.assert_array_equal(solve_lp(lp).x, [1.0, 2.0])
 
 
-def test_rejects_nan_upper_bound():
-    # hi < lo is false for NaN, and the solver would read it as +inf
-    with pytest.raises(ValueError, match="NaN"):
-        LinearProgram(objective=[1.0], bounds=[(0.0, np.nan)])
+@pytest.mark.parametrize("bounds, message", [
+    ([(-1.0, 1.0)], "bounds must be pairs (0, hi) with hi >= 0: every x >= 0"),
+    ([(2.0, 1.0)], "bounds must be pairs (0, hi) with hi >= 0: every x >= 0"),
+    ([(0.0, -1.0)], "bounds must be pairs (0, hi) with hi >= 0: every x >= 0"),
+    ([(0.0, np.inf)], "bounds holds a non-finite value at entry (0, 1)"),
+    ([(0.0, None)], "bounds is not an array of numbers"),
+    ([(False, True)], "bounds must hold numbers, not booleans"),
+    ([(0.0, 1.0, 2.0)], "bounds has shape (1, 3), expected (1, 2)"),
+])
+def test_the_bounds_argument_takes_only_finite_pairs_from_zero(bounds, message):
+    with pytest.raises(PreconditionError, match="^" + re.escape(message) + "$"):
+        LinearProgram(objective=[1.0], bounds=bounds)
 
 
-@pytest.mark.parametrize("bound, side", [((None, 1.0), "lower"), (("0", 1.0), "lower"),
-                                         ((0.0, "1"), "upper")])
-def test_rejects_a_bound_that_is_not_a_number(bound, side):
-    with pytest.raises(PreconditionError, match=f"^{side} bound of variable 1 must be a number"):
-        LinearProgram(objective=[1.0, 1.0], bounds=[(0.0, 1.0), bound])
+def test_a_signed_zero_answer_is_positive_zero(monkeypatch):
+    # x_0 becomes basic on the row whose rhs is -0.0, and that pivot leaves
+    # +0.0 there (see the lp module docstring)
+    lp = LinearProgram(objective=[-1.0, -1.0], eq_rows=[[1.0, 1.0]], eq_rhs=[-0.0])
+    for _ in _each_tableau(monkeypatch):
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.x.tobytes() == np.zeros(2).tobytes()
 
 
 @pytest.mark.parametrize("objective, shape", [([[1.0, 2.0]], (1, 2)), (3.0, ())])
@@ -161,7 +170,7 @@ def test_one_dimensional_row_is_refused():
 
 def test_empty_row_block_is_no_rows():
     lp = LinearProgram(objective=[1.0], ineq_rows=np.zeros((0, 1)), ineq_rhs=[],
-                       bounds=[(0.0, 1.0)])
+                       eq_rows=[[1.0]], eq_rhs=[1.0])
     assert lp.ineq_rows.shape == (0, 1)
     assert solve_lp(lp).x[0] == 1.0
 
@@ -173,13 +182,6 @@ _VALID_PROGRAM = {"objective": [1.0, 1.0], "eq_rows": [[1, 1]], "eq_rhs": [1.0]}
     # each solved as if the bools were numbers
     ({"objective": [True, 1.0]}, "objective must hold numbers, not booleans"),
     ({"eq_rhs": [True]}, "eq_rhs must hold numbers, not booleans"),
-    ({"bounds": [(False, True), (0, None)]},
-     "lower bound of variable 0 must be a number, got False"),
-    # each ended in a TypeError, or a ValueError that named no argument
-    ({"bounds": [0, 1]}, "bounds must be 2 (lo, hi) pairs, one per variable"),
-    ({"bounds": 5}, "bounds must be 2 (lo, hi) pairs, one per variable"),
-    ({"bounds": [(0.0, 1.0), (0.0, 1.0, 2.0)]},
-     "bounds must be 2 (lo, hi) pairs, one per variable"),
     # asarray(None) read as NaN: "must be finite"
     ({"ineq_rows": [[1.0, 0.0]]}, "ineq_rhs is not an array of numbers"),
     # silently cut down to shape (1,)
@@ -189,8 +191,7 @@ _VALID_PROGRAM = {"objective": [1.0, 1.0], "eq_rows": [[1, 1]], "eq_rhs": [1.0]}
     ({"objective": "ab"}, "objective is not an array of numbers"),
     # an OverflowError, which is no ValueError
     ({"objective": [10**400, 1.0]}, "objective is not an array of numbers"),
-], ids=["bool-objective", "bool-eq-rhs", "bool-bounds", "bounds-of-numbers",
-        "bounds-a-number", "bound-of-three", "rows-without-rhs", "rhs-of-rows",
+], ids=["bool-objective", "bool-eq-rhs", "rows-without-rhs", "rhs-of-rows",
         "string-objective", "huge-integer-objective"])
 def test_a_malformed_program_raises_a_precondition_error(change, message):
     LinearProgram(**_VALID_PROGRAM)
@@ -226,9 +227,7 @@ def _random_feasible_lp(rng: np.random.Generator) -> LinearProgram:
     x0 = rng.random(n)
     b = a @ x0 + rng.random(m)  # x0 strictly feasible
     c = rng.normal(size=n)
-    return LinearProgram(
-        objective=c, ineq_rows=a, ineq_rhs=b, bounds=[(0.0, 10.0)] * n
-    )
+    return LinearProgram(*shifted_program(c, a, b, None, None, np.zeros(n), np.full(n, 10.0)))
 
 
 def test_determinism_bit_identical():
@@ -265,15 +264,11 @@ def test_against_scipy_with_equalities():
         n = int(rng.integers(3, 7))
         c = rng.normal(size=n)
         a_eq = np.ones((1, n))
-        lp = LinearProgram(
-            objective=c,
-            eq_rows=a_eq,
-            eq_rhs=[1.0],
-            bounds=[(0.0, 1.0)] * n,
-        )
+        lp = LinearProgram(objective=c, ineq_rows=np.eye(n), ineq_rhs=np.ones(n),
+                           eq_rows=a_eq, eq_rhs=[1.0])
         mine = solve_lp(lp)
         ref = scipy_opt.linprog(
-            -c, A_eq=a_eq, b_eq=[1.0], bounds=lp.bounds, method="highs"
+            -c, A_eq=a_eq, b_eq=[1.0], bounds=(0.0, 1.0), method="highs"
         )
         assert mine.objective == pytest.approx(-ref.fun, abs=1e-9)
 
@@ -318,7 +313,6 @@ def test_package_programs_state_no_bound_rows(monkeypatch):
             estimation.estimate_payoff(game.payoff("p1"), p_tilde, round_trip=False)
     assert any(lp.objective.size > 4 for lp in programs)  # a diagnosis LP
     for lp in programs:
-        assert all(hi == np.inf for _, hi in lp.bounds)
         own_rows = lp.ineq_rows.shape[0] + lp.eq_rows.shape[0]
         assert _first_tableau_rows(monkeypatch, lp) == own_rows
 
@@ -383,23 +377,24 @@ def _golden_estimation_programs(rng, monkeypatch) -> list[LinearProgram]:
     return programs
 
 
-def _golden_general_programs(rng: np.random.Generator) -> list[LinearProgram]:
+def _golden_general_programs(rng: np.random.Generator) -> list[tuple[LinearProgram, np.ndarray]]:
     """Random LPs with mixed-sign right-hand sides, equality rows and shifted,
-    partly unbounded boxes: some are infeasible and some unbounded."""
+    partly unbounded boxes, each stated in y = x - lo by `shifted_program`,
+    with its lo: some are infeasible and some unbounded."""
     programs = []
     for _ in range(200):
         n = int(rng.integers(1, 7))
         m_ub, m_eq = int(rng.integers(0, 5)), int(rng.integers(0, 3))
         lo = rng.choice([0.0, -1.0, 0.5], size=n)
         hi = np.where(rng.random(n) < 0.4, np.inf, lo + 3.0 * rng.random(n))
-        programs.append(LinearProgram(
-            objective=rng.normal(size=n),
-            ineq_rows=rng.normal(size=(m_ub, n)) if m_ub else None,
-            ineq_rhs=rng.normal(size=m_ub) if m_ub else None,
-            eq_rows=rng.normal(size=(m_eq, n)) if m_eq else None,
-            eq_rhs=rng.normal(size=m_eq) if m_eq else None,
-            bounds=list(zip(lo, hi)),
-        ))
+        programs.append((LinearProgram(*shifted_program(
+            rng.normal(size=n),
+            rng.normal(size=(m_ub, n)) if m_ub else None,
+            rng.normal(size=m_ub) if m_ub else None,
+            rng.normal(size=(m_eq, n)) if m_eq else None,
+            rng.normal(size=m_eq) if m_eq else None,
+            lo, hi,
+        )), lo))
     return programs
 
 
@@ -407,19 +402,22 @@ def test_golden_solution_digest(monkeypatch):
     # sha256 over status, pivot count, x bytes and repr(objective) of every
     # program in a seeded corpus, recorded with numpy 2.4 on OpenBLAS. A
     # change to pivoting, pricing, the ratio test or the tableau assembly
-    # that moves any bit of any answer changes it.
+    # that moves any bit of any answer changes it. A shifted program's
+    # answer is mapped back to x = lo + y and c @ x.
     rng = np.random.default_rng(910)
-    programs = _golden_ce_programs(rng)
+    programs = [(lp, 0.0) for lp in _golden_ce_programs(rng)]
     estimated = _golden_estimation_programs(rng, monkeypatch)
     assert any(lp.objective.size > 4 for lp in estimated)  # diagnosis LPs
-    programs += estimated + _golden_general_programs(rng)
+    programs += [(lp, 0.0) for lp in estimated] + _golden_general_programs(rng)
     digest = hashlib.sha256()
     statuses = []
-    for lp in programs:
+    for lp, lo in programs:
         sol = solve_lp(lp)
         statuses.append(sol.status)
-        x = b"" if sol.x is None else sol.x.tobytes()
-        digest.update(f"{sol.status}|{sol.iterations}|{sol.objective!r}|".encode() + x)
+        x = None if sol.x is None else lo + sol.x
+        objective = None if x is None else float(lp.objective @ x)
+        x = b"" if x is None else x.tobytes()
+        digest.update(f"{sol.status}|{sol.iterations}|{objective!r}|".encode() + x)
     assert len(programs) == 514
     assert statuses.count("infeasible") >= 5 and statuses.count("unbounded") >= 5
     assert digest.hexdigest() == (
@@ -450,7 +448,9 @@ def _tie_prone_ce_programs(rng: np.random.Generator) -> list[LinearProgram]:
 
 def _signed_zero_programs(rng: np.random.Generator) -> list[LinearProgram]:
     """Small random LPs whose data hold -0.0 (in the objective, the rows,
-    the right-hand sides and the lower bounds) and shifted lower bounds."""
+    the right-hand sides and the lower bounds). Each draw gives two: the
+    program of its rows alone, and its rows over a shifted, partly bounded
+    box, stated by `shifted_program`."""
     def with_zeros(a):
         return np.where(rng.random(np.shape(a)) < 0.3, rng.choice([0.0, -0.0]), a)
 
@@ -460,14 +460,14 @@ def _signed_zero_programs(rng: np.random.Generator) -> list[LinearProgram]:
         m_ub, m_eq = int(rng.integers(0, 4)), int(rng.integers(0, 2))
         lo = rng.choice([0.0, -0.0, -1.0, 0.5], size=n)
         hi = np.where(rng.random(n) < 0.5, np.inf, lo + 2.0 * rng.random(n))
-        programs.append(LinearProgram(
-            objective=with_zeros(rng.normal(size=n)),
-            ineq_rows=with_zeros(rng.normal(size=(m_ub, n))),
-            ineq_rhs=with_zeros(rng.normal(size=m_ub)),
-            eq_rows=with_zeros(rng.normal(size=(m_eq, n))) if m_eq else None,
-            eq_rhs=with_zeros(rng.normal(size=m_eq)) if m_eq else None,
-            bounds=list(zip(lo, hi)),
-        ))
+        data = (
+            with_zeros(rng.normal(size=n)),
+            with_zeros(rng.normal(size=(m_ub, n))),
+            with_zeros(rng.normal(size=m_ub)),
+            with_zeros(rng.normal(size=(m_eq, n))) if m_eq else None,
+            with_zeros(rng.normal(size=m_eq)) if m_eq else None,
+        )
+        programs += [LinearProgram(*data), LinearProgram(*shifted_program(*data, lo, hi))]
     return programs
 
 
@@ -529,18 +529,13 @@ def _assembled(t, basis, *args):
 
 def test_tableau_assembly_repeats_the_numpy_reference_bits(monkeypatch):
     # the starting tableau and basis, in both containers, against the numpy
-    # assembly they replaced: signed zeros, shifted and finite bounds, empty
-    # blocks, and default bounds on -0.0 data
+    # assembly they replaced: signed zeros, shifted programs with upper bound
+    # rows, empty blocks, and -0.0 data
     rng = np.random.default_rng(910)
     programs = _golden_ce_programs(rng) + _golden_estimation_programs(rng, monkeypatch)
-    programs += _golden_general_programs(rng)
+    programs += [lp for lp, _ in _golden_general_programs(rng)]
     rng = np.random.default_rng(2202)
-    programs += _tie_prone_ce_programs(rng)
-    signed = _signed_zero_programs(rng)
-    programs += signed + [
-        LinearProgram(lp.objective, lp.ineq_rows, lp.ineq_rhs, lp.eq_rows, lp.eq_rhs)
-        for lp in signed
-    ]
+    programs += _tie_prone_ce_programs(rng) + _signed_zero_programs(rng)
     references = [reference_tableau(lp) for lp in programs]
     monkeypatch.setattr(celab.lp, "_simplex_max", _assembled)
     for container in _each_tableau(monkeypatch):

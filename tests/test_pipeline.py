@@ -333,6 +333,19 @@ class TestStalledRun:
         assert manifest["stalled_tasks"] == [0, 1, 4, 5]
         assert manifest["knowledge"]["p2"] == {"provenance": "unknown", "vector": None}
 
+    def test_manifest_provenance_is_the_trained_slices(self, stalled_run):
+        # tasks 2 and 3 complete p3's slices from pair p1-p3
+        manifest = json.loads(json.dumps(stalled_run.manifest()))
+        source = manifest["knowledge"]["p3"]["source"]
+        manifest["knowledge"]["p3"]["source"] = "slices from pair p2-p3"
+        assert validate_manifest(manifest) == [
+            f"p3: source is not {source!r}, which the tasks give"
+        ]
+        manifest["knowledge"]["p3"] = {"provenance": "unknown", "vector": None}
+        assert "p3: provenance 'unknown', but the trained tasks complete its slices" in (
+            validate_manifest(manifest)
+        )
+
     def test_manifest_digest(self, stalled_run):
         # sha256 of the sorted-key manifest, recorded with numpy 2.4 on
         # OpenBLAS: pins the stalled tasks and the post-estimation sweep
