@@ -403,19 +403,22 @@ def test_golden_solution_digest(monkeypatch):
     # program in a seeded corpus, recorded with numpy 2.4 on OpenBLAS. A
     # change to pivoting, pricing, the ratio test or the tableau assembly
     # that moves any bit of any answer changes it. A shifted program's
-    # answer is mapped back to x = lo + y and c @ x.
+    # answer is mapped back to x = lo + y and c @ x; every other answer is
+    # hashed as solve_lp gives it, so a -0.0 in x would move the digest.
     rng = np.random.default_rng(910)
-    programs = [(lp, 0.0) for lp in _golden_ce_programs(rng)]
+    programs = [(lp, None) for lp in _golden_ce_programs(rng)]
     estimated = _golden_estimation_programs(rng, monkeypatch)
     assert any(lp.objective.size > 4 for lp in estimated)  # diagnosis LPs
-    programs += [(lp, 0.0) for lp in estimated] + _golden_general_programs(rng)
+    programs += [(lp, None) for lp in estimated] + _golden_general_programs(rng)
     digest = hashlib.sha256()
     statuses = []
     for lp, lo in programs:
         sol = solve_lp(lp)
         statuses.append(sol.status)
-        x = None if sol.x is None else lo + sol.x
-        objective = None if x is None else float(lp.objective @ x)
+        x, objective = sol.x, sol.objective
+        if lo is not None and x is not None:
+            x = lo + x
+            objective = float(lp.objective @ x)
         x = b"" if x is None else x.tobytes()
         digest.update(f"{sol.status}|{sol.iterations}|{objective!r}|".encode() + x)
     assert len(programs) == 514
