@@ -9,7 +9,6 @@ opponent's payoff vector from an observed stable joint distribution.
 from .games import (
     Game,
     RenormalizedPayoffWarning,
-    ValidationReport,
     game_from_dict,
     game_to_dict,
     load_game,

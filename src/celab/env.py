@@ -51,6 +51,18 @@ def min_steps(step_size: float) -> int:
     return -(-den // num)
 
 
+def check_walk(step_size: float, steps: int | None = None) -> None:
+    """Raise PreconditionError unless the step size lies in (0, 1] and, when
+    `steps` is given, N = `steps` reaches every grid state: N >= ceil(1/step_size)."""
+    if not (0.0 < step_size <= 1.0):
+        raise PreconditionError(f"step size must lie in (0, 1], got {step_size}")
+    if steps is not None and steps < min_steps(step_size):
+        raise PreconditionError(
+            f"steps must satisfy N >= ceil(1/step_size) so every grid state "
+            f"stays reachable; got N={steps}, need >= {min_steps(step_size)}"
+        )
+
+
 def enumerate_actions(h: int, step_size: float) -> np.ndarray:
     """All 3^(H-1) delta rows in canonical order.
 
@@ -59,8 +71,7 @@ def enumerate_actions(h: int, step_size: float) -> np.ndarray:
     """
     if h < 2:
         raise PreconditionError("need at least two outcomes")
-    if not (0.0 < step_size <= 1.0):
-        raise PreconditionError(f"step size must lie in (0, 1], got {step_size}")
+    check_walk(step_size)
     j = 3 ** (h - 1)
     digits = np.zeros((j, h - 1), dtype=np.int64)
     idx = np.arange(j)
@@ -173,11 +184,7 @@ def rollout(
     if not ((u >= _ZERO) & (u < _ONE)).all():  # False on NaN as well
         raise PreconditionError("uniforms must be finite draws in [0, 1)")
     steps, rounds = u.shape[0] + 1, u.shape[1]
-    if steps < min_steps(step_size):
-        raise PreconditionError(
-            f"steps must satisfy N >= ceil(1/step_size) so every grid state "
-            f"stays reachable; got N={steps}, need >= {min_steps(step_size)}"
-        )
+    check_walk(step_size, steps)
     h = np.asarray(start).size
     actions = enumerate_actions(h, step_size)
 

@@ -177,12 +177,12 @@ def mixed_nash_2x2(game: Game) -> NashEquilibrium | None:
     if game.menu_sizes != (2, 2):
         raise PreconditionError("mixed enumeration implemented for 2x2 games only")
     u1, u2 = (game.payoff_matrix(p) for p in game.players)
-    for pos, u in enumerate((u1, u2)):
+    for pos, (player, u) in enumerate(zip(game.players, (u1, u2))):
         # own decision varies along axis `pos`, the opponent's stays fixed
         diffs = np.diff(u, axis=pos).ravel()
         if np.any(np.abs(diffs) <= 1e-12):
             raise PreconditionError(
-                f"player {pos + 1} has equal payoffs across its own decisions; "
+                f"player {player!r} has equal payoffs across its own decisions; "
                 "indifference system is degenerate"
             )
 

@@ -149,33 +149,10 @@ def make_game(
     return Game(players=players_t, decisions=menus, payoffs=vectors)
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of validate_game: per-check verdicts plus human-readable findings."""
-
-    normalized: dict[str, bool]
-    restriction_ok: dict[str, bool]
-    equilibrium_count: int | None
-    multiple_equilibria: bool | None
-    findings: list[str]
-
-    @property
-    def ok(self) -> bool:
-        checks = list(self.normalized.values()) + list(self.restriction_ok.values())
-        if self.multiple_equilibria is not None:
-            checks.append(self.multiple_equilibria)
-        return all(checks)
-
-
 def _restriction_pairs(game: Game, player_pos: int) -> list[tuple[int, int]]:
-    """Outcome index pairs that differ only in player_pos's own decision.
-
-    The validity restriction demands a player's payoff take distinct values
-    across its own decisions whenever everyone else's decisions are fixed
-    (otherwise indifference mixes degenerate).
-    """
+    """Outcome index pairs that differ only in player_pos's own decision,
+    in outcome order: one column per combination of the others' decisions."""
     sizes = game.menu_sizes
-    # one column per combination of the others' decisions, in row-major order
     columns = np.moveaxis(np.arange(game.num_outcomes).reshape(sizes), player_pos, 0)
     return [
         pair
@@ -184,56 +161,31 @@ def _restriction_pairs(game: Game, player_pos: int) -> list[tuple[int, int]]:
     ]
 
 
-def validate_game(game: Game) -> ValidationReport:
-    """Check normalization, the unequal-reward restriction, and (for 2-player
-    games with both payoffs known) that the game has at least two equilibria.
-    Sums, signs and equal rewards are judged within `NORMALIZATION_TOL`."""
-    normalized: dict[str, bool] = {}
-    restriction: dict[str, bool] = {}
-    findings: list[str] = []
-    for pos, p in enumerate(game.players):
-        v = game.payoffs.get(p)
-        if v is None:
-            findings.append(f"{p}: payoff unknown, checks skipped")
-            continue
-        total = float(v.sum())
-        normalized[p] = abs(total - 1.0) <= NORMALIZATION_TOL and bool(
-            np.all(v >= -NORMALIZATION_TOL)
-        )
-        if not normalized[p]:
-            findings.append(f"{p}: not normalized (sum={total})")
-        rest_ok = True
-        for i, j in _restriction_pairs(game, pos):
-            if abs(v[i] - v[j]) <= NORMALIZATION_TOL:
-                rest_ok = False
-                findings.append(
-                    f"{p}: equal rewards at outcomes {i + 1} and {j + 1} "
-                    f"(value {v[i]:.6g})"
-                )
-        restriction[p] = rest_ok
+def validate_game(game: Game) -> list[str]:
+    """The ways `game` breaks the method's conditions; empty when it meets them.
 
-    eq_count: int | None = None
-    multiple: bool | None = None
-    all_known = all(game.payoffs.get(p) is not None for p in game.players)
-    if len(game.players) == 2 and all_known:
-        if all(restriction.values()):
-            from .equilibrium import enumerate_equilibria
+    Each known payoff must move with its player's own decision whenever the
+    others' decisions are fixed, since a tie makes the indifference system
+    degenerate: a tie within `NORMALIZATION_TOL` is a finding naming the
+    player and both outcomes. A 2-player game with both payoffs known and no
+    tie must have at least two equilibria. An unknown payoff is not judged,
+    and a game with one leaves its equilibrium count unjudged.
+    """
+    vectors = [game.payoffs.get(p) for p in game.players]
+    findings = [
+        f"{p}: equal rewards at outcomes {i + 1} and {j + 1} (value {v[i]:.6g})"
+        for pos, (p, v) in enumerate(zip(game.players, vectors))
+        if v is not None
+        for i, j in _restriction_pairs(game, pos)
+        if abs(v[i] - v[j]) <= NORMALIZATION_TOL
+    ]
+    if len(vectors) == 2 and all(v is not None for v in vectors) and not findings:
+        from .equilibrium import enumerate_equilibria
 
-            eq_count = len(enumerate_equilibria(game))
-            multiple = eq_count >= 2
-            if not multiple:
-                findings.append(
-                    f"game has {eq_count} equilibrium; at least 2 required"
-                )
-        else:
-            findings.append("equilibrium count skipped: restriction violated")
-    return ValidationReport(
-        normalized=normalized,
-        restriction_ok=restriction,
-        equilibrium_count=eq_count,
-        multiple_equilibria=multiple,
-        findings=findings,
-    )
+        count = len(enumerate_equilibria(game))
+        if count < 2:
+            findings.append(f"game has {count} equilibrium; at least 2 required")
+    return findings
 
 
 def game_to_dict(game: Game) -> dict:

@@ -347,7 +347,11 @@ def run_pipeline(
         if any(game.payoffs.get(p) is None for p in task.pair):
             return None  # the ground truth cannot simulate this pair
         true_view = pair_view(game, task)
-        if not against_set(true_view):
+        try:
+            against = against_set(true_view)
+        except PreconditionError as exc:
+            raise PreconditionError(f"task {task.describe()}: {exc}") from None
+        if not against:
             record.detail = {"reason": "induced view has fewer than 2 equilibria"}
             return "skipped_not_against"
         if true_view.menu_sizes != (2, 2):

@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .env import EpisodeBatch, average_states, default_state, min_steps, rollout
+from .env import EpisodeBatch, average_states, check_walk, default_state, rollout
 from .errors import NumericError, PreconditionError
 from .games import Game
 from .inputs import integer, real
@@ -113,14 +113,7 @@ class TrainingConfig:
             raise PreconditionError(
                 f"learning rate must be positive and finite, got {self.learning_rate}"
             )
-        if not (0.0 < self.step_size <= 1.0):
-            raise PreconditionError(f"step size must lie in (0, 1], got {self.step_size}")
-        if self.steps < min_steps(self.step_size):
-            raise PreconditionError(
-                f"steps must satisfy N >= ceil(1/step_size) so every grid state "
-                f"stays reachable; got N={self.steps}, "
-                f"need >= {min_steps(self.step_size)}"
-            )
+        check_walk(self.step_size, self.steps)
 
     @property
     def tolerance(self) -> float:

@@ -7,7 +7,6 @@ with the library paths it checks.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -138,33 +137,16 @@ def reference_tableau(lp):
     as the byte-for-byte reference: (float64 tableau, basis)."""
     c = lp.objective
     n = c.size
-    lo = np.array([b[0] for b in lp.bounds])
-    hi = np.array([b[1] for b in lp.bounds])
-
-    # shift x = lo + y so y >= 0; finite upper bounds become rows
     a_ub = lp.ineq_rows if lp.ineq_rows is not None else np.zeros((0, n))
     b_ub = lp.ineq_rhs if lp.ineq_rhs is not None else np.zeros(0)
-    b_ub = b_ub - a_ub @ lo
-    ub_extra = []
-    ub_extra_rhs = []
-    for i in range(n):
-        if math.isfinite(hi[i]):
-            row = np.zeros(n)
-            row[i] = 1.0
-            ub_extra.append(row)
-            ub_extra_rhs.append(hi[i] - lo[i])
-    if ub_extra:
-        a_ub = np.vstack([a_ub, ub_extra])
-        b_ub = np.concatenate([b_ub, ub_extra_rhs])
     a_eq = lp.eq_rows if lp.eq_rows is not None else np.zeros((0, n))
     b_eq = lp.eq_rhs if lp.eq_rhs is not None else np.zeros(0)
-    b_eq = b_eq - a_eq @ lo
 
     n_ub = a_ub.shape[0]
     n_eq = a_eq.shape[0]
     m = n_ub + n_eq
 
-    # columns: y (n) | slack/surplus (n_ub) | artificials (counted below) | rhs
+    # columns: x (n) | slack/surplus (n_ub) | artificials (counted below) | rhs
     rows = np.vstack([a_ub, a_eq]) if m else np.zeros((0, n))
     rhs = np.concatenate([b_ub, b_eq])
     slack = np.zeros((m, n_ub))

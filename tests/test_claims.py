@@ -17,6 +17,7 @@ runs the share of walks that end within STALL_LINF of one; no floor yet.
 """
 
 import functools
+import hashlib
 
 import numpy as np
 
@@ -180,7 +181,7 @@ def chicken_family(count: int) -> list:
             ["p1", "p2"], {"p1": ["C", "D"], "p2": ["C", "D"]},
             {p: (v / v.sum()).tolist() for p, v in payoffs.items()},
         )
-        if not validate_game(game).ok:
+        if validate_game(game):
             continue
         optimum = max_welfare_correlated_equilibrium(game).distribution
         point = tuple(float(optimum @ game.payoff(p)) for p in ("p1", "p2"))
@@ -197,6 +198,16 @@ def test_chicken_claims_over_seeds(chicken, monkeypatch):
         f"chicken, seeds {SEEDS.start}-{SEEDS.stop - 1}", runs,
         {"stable": 16, "deviation": 15, "outside": 16, "optimum": 9},
     )
+
+
+def test_chicken_family_game_list_is_fixed():
+    """The payoff bytes of the family's first 8 games, in order: a change to
+    `chicken_family`'s draws or filter that alters which games the family
+    scoreboard trains on fails here, without training."""
+    games = chicken_family(FAMILY_GAMES)
+    payoffs = np.concatenate([g.payoff(p) for g in games for p in g.players])
+    digest = hashlib.sha256(payoffs.tobytes()).hexdigest()
+    assert digest == "62b51b06bd0787e0c62523950f1580b4b49323c6187e7e76e287483ffe3d011e"
 
 
 def test_chicken_family_claims_over_seeds(monkeypatch):

@@ -475,6 +475,20 @@ class TestPipeline:
         assert line.startswith("error: task p1-p2 [p3=A] would train on a view with menus")
         assert not out.exists()
 
+    def test_a_flat_view_exits_2_naming_the_task_and_player(self, fixtures_dir, tmp_path, capsys):
+        # p3's payoff is flat, so its first view cannot count equilibria; the
+        # two p1-p2 tasks train first
+        data = json.loads((fixtures_dir / "three_player.json").read_text())
+        data["payoffs"]["p3"] = [0.125] * 8
+        game = write_game(tmp_path / "flat.json", data["payoffs"])
+        out = tmp_path / "manifest.json"
+        assert main(["pipeline", game, "--epochs", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: task p1-p3 [p2=A]: player 'p3' has equal payoffs across its own "
+            "decisions; indifference system is degenerate"
+        ]
+        assert not out.exists()
+
 
 def _golden_runs():
     """(fixture, argv tail, distribution) for every run the golden digest covers."""

@@ -360,6 +360,13 @@ class TestRollout:
                 uniforms=self.make_uniforms(1, 10), start=default_state(2),
             )
 
+    @pytest.mark.parametrize("theta", [0.0, np.nan, 1.5])
+    def test_bad_step_size_rejected_before_the_step_bound(self, theta):
+        # 0 and NaN once reached the step bound's 1/theta and raised
+        # ZeroDivisionError and ValueError
+        with pytest.raises(PreconditionError, match=r"^step size must lie in \(0, 1\]"):
+            rollout(self.uniform_policy, theta, self.make_uniforms(1, 10), default_state(2))
+
     def test_reproducible_per_round_streams(self):
         a = rollout(
             self.uniform_policy, step_size=0.1,

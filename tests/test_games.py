@@ -105,27 +105,34 @@ def test_payoffs_are_frozen(chicken):
 
 
 def test_validate_mirror_game(mirror):
-    report = validate_game(mirror)
-    assert report.normalized == {"p1": True, "p2": True}
-    assert report.restriction_ok == {"p1": True, "p2": True}
     # both first decisions strictly dominate, so only one equilibrium exists
-    assert report.equilibrium_count == 1
-    assert report.multiple_equilibria is False
-    assert not report.ok
+    assert validate_game(mirror) == ["game has 1 equilibrium; at least 2 required"]
 
 
 def test_validate_chicken(chicken):
-    report = validate_game(chicken)
-    assert report.ok
-    assert report.equilibrium_count == 3
+    assert validate_game(chicken) == []
 
 
 def test_validate_flags_equal_rewards():
-    # p1 sees the same reward at outcomes 1 and 3 (own decision flips)
+    # p1 sees the same reward at outcomes 1 and 3 (own decision flips); a
+    # tie leaves the equilibrium count unjudged
     g = simple_game([0.3, 0.2, 0.3, 0.2], [0.25, 0.35, 0.15, 0.25])
-    report = validate_game(g)
-    assert report.restriction_ok["p1"] is False
-    assert any("outcomes 1 and 3" in f for f in report.findings)
+    assert validate_game(g) == [
+        "p1: equal rewards at outcomes 1 and 3 (value 0.3)",
+        "p1: equal rewards at outcomes 2 and 4 (value 0.2)",
+    ]
+
+
+def test_validate_leaves_an_unknown_payoff_unjudged():
+    # with one vector unknown, only the known one's ties are judged, and
+    # the equilibrium count is not
+    g = make_game(["p1", "p2"], [["U", "D"], ["L", "R"]], {"p1": [0.4, 0.1, 0.3, 0.2]})
+    assert validate_game(g) == []
+    flat = make_game(["p1", "p2"], [["U", "D"], ["L", "R"]], {"p2": [0.25] * 4})
+    assert validate_game(flat) == [
+        "p2: equal rewards at outcomes 1 and 2 (value 0.25)",
+        "p2: equal rewards at outcomes 3 and 4 (value 0.25)",
+    ]
 
 
 def test_game_json_round_trip(tmp_path, chicken):
@@ -179,7 +186,6 @@ def test_validate_lists_equal_rewards_in_outcome_order():
     # p3's decision ties; the findings list the pairs with p1's decision
     # varying slowest, as the outcome list runs
     g = make_game(["p1", "p2", "p3"], [["U", "D"], ["L", "R"], ["l", "r"]], {"p3": [0.125] * 8})
-    findings = [f for f in validate_game(g).findings if f.startswith("p3: equal")]
-    assert findings == [
+    assert validate_game(g) == [
         f"p3: equal rewards at outcomes {i} and {i + 1} (value 0.125)" for i in (1, 3, 5, 7)
     ]
